@@ -78,6 +78,7 @@ from .nevanlinna import (
     wiman_valiron_check,
 )
 from . import errors
+from .errors import BracketOverflow
 
 __version__ = "0.1.0"
 
@@ -100,5 +101,5 @@ __all__ = [
     "log_order_from_counting", "log_order_from_nu", "max_term_central_index",
     "logderiv_lemma_check", "sft_check", "wiman_valiron_check",
     "growth_lower_bound_check", "samples_to_csv",
-    "errors", "__version__",
+    "errors", "BracketOverflow", "__version__",
 ]

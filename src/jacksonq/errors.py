@@ -41,6 +41,10 @@ class BracketUnderflow(JacksonQError):
     """A q-bracket [n]_q fell below the root-of-unity guard tolerance."""
 
 
+class BracketOverflow(JacksonQError):
+    """A product of q-brackets [n]_q left double range (|q|^n overflowed)."""
+
+
 class PoleOnCircle(JacksonQError):
     """A quadrature node landed on (or numerically at) a pole."""
 

@@ -7,7 +7,12 @@ Normalisations:
     T(r,f) = m(r,f) + N(r,f)
 
 Counting integrals are evaluated in closed form from sorted zero/pole
-moduli, never by numerical t-integration. The proximity integral is a
+moduli, never by numerical t-integration. For a rational model that
+divisor does not depend on r: the a-points of each target, and per base
+q the Jackson weights h - min(h, k') read off the zeros of D_q f, are
+found once and kept on the model, so a radius loop only re-sums them.
+A failed computation (an ambiguous root cluster, a constant f) is not
+kept and raises again on the next call. The proximity integral is a
 composite trapezoid on equally spaced angles (spectrally accurate for
 circles that keep away from zeros and poles), with the step-halving
 difference reported as its error estimate.
@@ -94,7 +99,10 @@ class RadialGrid:
 class MeroModel:
     """A meromorphic function in one of four evaluable shapes.
 
-    rational       exact zero/pole lists from the coefficient arrays
+    rational       exact zero/pole lists from the coefficient arrays; the
+                   divisor of f = a (per target a) and its Jackson
+                   weights (per target and QParam) are computed on first
+                   use and reused at every radius; failures are not kept
     entire_series  TruncatedSeries with a certified evaluation radius;
                    zeros located by argument-principle winding
     q_product      entire product with an exact zero lattice and an
@@ -107,6 +115,14 @@ class MeroModel:
         self.kind = kind
         self.qp = qp
         self._parts = parts
+        self._divisors = {}
+
+    def _divisor(self, key, compute: Callable[[], object]):
+        """Radius-independent divisor data of a rational model under key,
+        computed on first use; a computation that raises keeps nothing."""
+        if key not in self._divisors:
+            self._divisors[key] = compute()
+        return self._divisors[key]
 
     # -- factories -----------------------------------------------------------
 
@@ -361,17 +377,14 @@ def counting_N(model: MeroModel, r: float, target=0.0) -> float:
     rational models resolve any finite target (roots of num - a den) and
     infinity (poles); q_product and series models resolve target 0 (and
     infinity trivially, being entire)."""
-    if target == INF:
-        if model.is_entire():
-            return 0.0
-        pts = model.poles_up_to(r)
-        origin = sum(m for z, m in pts if abs(z) == 0.0)
-        rest = [(abs(z), m) for z, m in pts if abs(z) > 0.0]
-        return _integrated_counting(origin, rest, r)
+    if target == INF and model.is_entire():
+        return 0.0
     if model.kind == "rational":
-        rf = model.rational if target == 0 else model.rational.subtract_const(target)
-        origin, rest = _rational_zero_data(rf)
-        return _integrated_counting(origin, [(abs(z), m) for z, m in rest], r)
+        origin, rest = model._divisor(
+            ("N", target), lambda: _rational_divisor(model.rational, target))
+        return _integrated_counting(origin, rest, r)
+    if target == INF:
+        raise TargetUnsupported("sampler models expose no pole structure")
     if model.kind in ("q_product", "entire_series"):
         if target != 0:
             raise TargetUnsupported(
@@ -383,6 +396,18 @@ def counting_N(model: MeroModel, r: float, target=0.0) -> float:
                 for z, m in pts if (z if isinstance(z, float) else abs(z)) > 0]
         return _integrated_counting(origin, rest, r)
     raise TargetUnsupported("sampler models cannot count")
+
+
+def _rational_divisor(rf: RationalFunction, target):
+    """(origin multiplicity, [(modulus, multiplicity)]) of the points
+    where f = target, over the whole plane."""
+    if target == INF:
+        pts = rf.poles()
+        origin = sum(m for z, m in pts if abs(z) == 0.0)
+        return origin, [(abs(z), m) for z, m in pts if abs(z) > 0.0]
+    origin, rest = _rational_zero_data(
+        rf if target == 0 else rf.subtract_const(target))
+    return origin, [(abs(z), m) for z, m in rest]
 
 
 def _rational_zero_data(rf: RationalFunction, strict: bool = False):
@@ -475,6 +500,21 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     if model.kind != "rational":
         raise TargetUnsupported("Jackson truncated counting needs exact "
                                 "zero/pole structure (rational model)")
+    contributions = model._divisor(
+        ("J", target, qp), lambda: _jackson_weights(model, target, qp))
+    ntilde_r = 0.0
+    for mod, weight in contributions:
+        if mod < r:
+            ntilde_r += weight
+    origin = sum(w for mod, w in contributions if mod == 0.0)
+    rest = [(mod, w) for mod, w in contributions if mod > 0.0]
+    Ntilde = _integrated_counting(origin, rest, r)
+    return ntilde_r, Ntilde
+
+
+def _jackson_weights(model: MeroModel, target, qp: QParam):
+    """[(modulus, h - min(h, k'))] over the points where f = target,
+    nonzero weights only."""
     rf = model.rational
     if target == INF:
         points = rf.poles()
@@ -483,21 +523,16 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
         shifted = rf if target == 0 else rf.subtract_const(target)
         lam, rest = _rational_zero_data(shifted, strict=True)
         points = ([(0.0 + 0.0j, lam)] if lam else []) + rest
-        dq_zero_list = _dq_zero_list(rf, qp)
+        # D_q(f - a) = D_q f: one zero list serves every finite target
+        dq_zero_list = model._divisor(("Dq", qp),
+                                      lambda: _dq_zero_list(rf, qp))
     scale = max([1.0] + [abs(z) for z, _ in points])
-    ntilde_r = 0.0
     contributions = []
     for z, h in points:
-        kprime = _match_multiplicity(z, dq_zero_list, scale)
-        weight = h - min(h, kprime)
+        weight = h - min(h, _match_multiplicity(z, dq_zero_list, scale))
         if weight:
             contributions.append((abs(z), weight))
-            if abs(z) < r:
-                ntilde_r += weight
-    origin = sum(w for mod, w in contributions if mod == 0.0)
-    rest = [(mod, w) for mod, w in contributions if mod > 0.0]
-    Ntilde = _integrated_counting(origin, rest, r)
-    return ntilde_r, Ntilde
+    return contributions
 
 
 def _dq_zero_list(rf: RationalFunction, qp: QParam):

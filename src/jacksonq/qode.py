@@ -14,6 +14,7 @@ are free initial data.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -21,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BracketOverflow,
     BracketUnderflow,
     CoefficientPoleAtOrigin,
     ConditioningWarning,
@@ -260,7 +262,9 @@ class QdeProblem:
 def solve_series(prob: QdeProblem, N: int) -> TruncatedSeries:
     """Solve for the series coefficients up to order N by the recurrence.
 
-    Emits ConditioningWarning when a bracket product is tiny (noise
+    Raises BracketOverflow once a bracket product leaves double range
+    (|q|^n overflowed), rather than returning NaN coefficients. Emits
+    ConditioningWarning when a bracket product is tiny (noise
     amplification near a root of unity) and FormalRegimeWarning when
     |q| < 1 with polynomial A, where the series may have a finite radius
     of convergence and so is formal as an entire-function candidate.
@@ -282,12 +286,19 @@ def solve_series(prob: QdeProblem, N: int) -> TruncatedSeries:
         denom = 1.0 + 0.0j
         for j in range(1, k + 1):
             denom *= brackets[n + j]
-        if abs(denom) < qp.guard_tol:
+        try:
+            size = abs(denom)
+        except OverflowError:  # finite parts, modulus beyond double range
+            size = math.inf
+        if not math.isfinite(size):
+            raise BracketOverflow(
+                f"bracket product at order {n + k} is not finite")
+        if size < qp.guard_tol:
             raise BracketUnderflow(
                 f"bracket product at order {n + k} below guard")
-        if abs(denom) < _CONDITION_WARN:
+        if size < _CONDITION_WARN:
             warnings.warn(
-                f"bracket product {abs(denom):.2e} at order {n + k}; "
+                f"bracket product {size:.2e} at order {n + k}; "
                 "coefficient poorly conditioned", ConditioningWarning,
                 stacklevel=2)
         conv = np.dot(a[: n + 1], c[n::-1])

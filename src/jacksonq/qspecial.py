@@ -91,7 +91,11 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
         for b in params.betas:
             t /= 1.0 - b * qj
         if expo:
-            t *= (-qj) ** expo
+            try:
+                t *= (-qj) ** expo
+            except OverflowError:  # |q^j| ** expo left double range;
+                # the non-finite rule below saturates t to exact zero
+                t = complex(math.nan, math.nan)
         t /= 1.0 - qj * q
         qj *= q
         if not (math.isfinite(t.real) and math.isfinite(t.imag)):

@@ -1,7 +1,9 @@
+import functools
 import json
 
 import pytest
 
+from jacksonq import checks
 from jacksonq.cli import format_complex, main, parse_complex, parse_grid
 from jacksonq.errors import SchemaError
 from jacksonq.qcore import QParam, q_pochhammer
@@ -133,6 +135,17 @@ class TestSolve:
                                     "A": {"num": [1]}, "initial": []}))
         assert main(["solve", "--problem", str(path)]) == 2
 
+    def test_bracket_overflow_exit_1(self, tmp_path, capsys):
+        # complex q near 1.9 e^{0.85i}: the bracket product overflows
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "k": 2, "q": [1.253967977181466, 1.427432769766556],
+            "A": {"num": [-1.0], "den": [1.0]},
+            "initial": [[1.0, 0.0], [0.0, 0.0]], "N": 800}))
+        assert main(["solve", "--problem", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bracket product")
+
 
 class TestOrder:
     def test_etilde_order_two(self, capsys, tmp_path):
@@ -205,3 +218,34 @@ class TestVerify:
                          "--N", "72", "--out", str(p),
                          "--format", "csv"]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestRunSuite:
+    def test_type_error_inside_seeded_suite_propagates(self, monkeypatch):
+        calls = []
+
+        def broken(seed=1):
+            calls.append(seed)
+            raise TypeError("bug inside the suite")
+
+        monkeypatch.setitem(checks.SUITES, "broken", broken)
+        with pytest.raises(TypeError, match="bug inside the suite"):
+            checks.run_suite("broken", seed=5)
+        assert calls == [5]
+
+    @pytest.mark.parametrize("suite,kwargs", [
+        ("identities", {}), ("casorati", {}), ("wiman", {}), ("orders", {}),
+        ("solver", {}), ("sft", {"seed": 5}), ("rules", {"seed": 5}),
+    ])
+    def test_each_suite_called_once(self, monkeypatch, suite, kwargs):
+        # a signature-preserving wrapper, as a tracer would install
+        calls = []
+
+        @functools.wraps(checks.SUITES[suite])
+        def counted(*args, **kw):
+            calls.append(kw)
+            return []
+
+        monkeypatch.setitem(checks.SUITES, suite, counted)
+        assert checks.run_suite(suite, seed=5) == []
+        assert calls == [kwargs]

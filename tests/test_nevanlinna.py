@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from jacksonq import nevanlinna, qode
+from jacksonq.checks import sft_test_set
 from jacksonq.errors import (
     DomainError,
     InsufficientGrid,
+    MultiplicityAmbiguous,
     PoleOnCircle,
     TargetUnsupported,
     TruncationTooShort,
@@ -287,6 +291,73 @@ class TestJacksonCounting:
         nt, Nt = jackson_truncated_counting(model, 4.0, INF, qp)
         assert nt == 1.0
         assert Nt == pytest.approx(math.log(4.0))
+
+
+class TestDivisorReuse:
+    """A rational model finds its divisor once and re-sums it per radius;
+    every value must equal, bit for bit, the one a fresh model gives."""
+
+    TARGETS = (0.0, 1.0, -1.0, INF)
+
+    @pytest.mark.parametrize("seed", [20240501, 7])
+    def test_kept_divisor_matches_fresh_model(self, seed):
+        qp = QParam(0.5)
+        radii = (0.7, 1.3) + RadialGrid.log_spaced(10.0, 1e4, 4).radii
+        for f in sft_test_set(seed):
+            kept = MeroModel.from_rational(f, qp)
+
+            def fresh():
+                return MeroModel.from_rational(f, qp)
+
+            for r in radii:
+                for a in self.TARGETS:
+                    assert counting_N(kept, r, a) == counting_N(fresh(), r, a)
+                    assert (jackson_truncated_counting(kept, r, a, qp)
+                            == jackson_truncated_counting(fresh(), r, a, qp))
+                assert (dataclasses.astuple(characteristic(kept, r, 256))
+                        == dataclasses.astuple(characteristic(fresh(), r, 256)))
+
+    def test_root_solves_do_not_grow_with_the_grid(self, monkeypatch):
+        calls = []
+        real = nevanlinna.roots_with_multiplicity
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nevanlinna, "roots_with_multiplicity", counted)
+        monkeypatch.setattr(qode, "roots_with_multiplicity", counted)
+        qp = QParam(0.5)
+        counts = []
+        for points in (3, 7):
+            calls.clear()
+            model = MeroModel.from_rational(sft_test_set(20240501, 1)[0], qp)
+            grid = RadialGrid.log_spaced(10.0, 1e4, points, angular_nodes=256)
+            sft_check(model, list(self.TARGETS), qp, grid)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_ambiguous_a_points_raise_on_every_call(self):
+        # f - 1 has zeros 2e-7 apart, at the edge of the merging tolerance
+        qp = QParam(2.0)
+        num = np.convolve([-1.0, 1.0], [-(1.0 + 2e-7), 1.0])
+        num[0] += 1.0
+        model = MeroModel.from_rational(RationalFunction(num), qp)
+        for r in (5.0, 5.0, 50.0):
+            with pytest.raises(MultiplicityAmbiguous):
+                jackson_truncated_counting(model, r, 1.0, qp)
+        # the lenient count of the same target is kept; the strict
+        # bookkeeping still refuses afterwards
+        assert counting_N(model, 5.0, 1.0) == pytest.approx(2 * math.log(5.0))
+        with pytest.raises(MultiplicityAmbiguous):
+            jackson_truncated_counting(model, 5.0, 1.0, qp)
+
+    def test_constant_model_raises_on_every_call(self):
+        qp = QParam(2.0)
+        model = MeroModel.from_rational(RationalFunction([2.0]), qp)
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                jackson_truncated_counting(model, 5.0, 0.0, qp)
 
 
 class TestDefects:

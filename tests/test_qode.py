@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jacksonq.errors import (
+    BracketOverflow,
     BracketUnderflow,
     CoefficientPoleAtOrigin,
     DomainError,
@@ -397,3 +398,24 @@ class TestBracketGuard:
         prob = QdeProblem.homogeneous(1, const_rf(-1.0), qp, (1.0,))
         with pytest.raises(BracketUnderflow):
             solve_series(prob, 12)
+
+    def test_overflow_raised_for_q_two_at_large_N(self):
+        # [n]_q leaves double range near n = 997; the coefficients used to
+        # turn NaN there while safe_radius stayed ~2e13
+        prob = QdeProblem.homogeneous(1, const_rf(-1.0), QParam(2.0), (1.0,))
+        with pytest.raises(BracketOverflow):
+            solve_series(prob, 2000)
+
+    def test_overflow_raised_for_complex_q(self):
+        # the bracket product keeps finite parts but its modulus overflows
+        q = 1.9 * np.exp(0.85j)
+        prob = QdeProblem.homogeneous(2, const_rf(-1.0), QParam(q),
+                                      (1.0, 0.0))
+        with pytest.raises(BracketOverflow):
+            solve_series(prob, 800)
+
+    def test_large_N_inside_double_range_still_solves(self):
+        prob = QdeProblem.homogeneous(3, const_rf(-1.0), QParam(1.1),
+                                      (1.0, 0.0, 0.0))
+        f = solve_series(prob, 2000)
+        assert np.all(np.isfinite(f.coeffs))

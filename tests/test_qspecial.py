@@ -48,6 +48,14 @@ class TestPhiRs:
         with pytest.raises(DenominatorPochhammerZero):
             PhiParams((), (qp.q ** -3,), qp)
 
+    def test_saturates_once_q_power_overflows(self):
+        # q^j leaves double range near j = 1024; the ladder saturates to
+        # exact zero there instead of raising OverflowError
+        params = PhiParams((0.3,), (0.5j,), QParam(2.0))
+        long = phi_rs(params, 2000).coeffs
+        assert np.all(np.isfinite(long))
+        assert np.array_equal(long[:201], phi_rs(params, 200).coeffs)
+
 
 class TestExpQ:
     @pytest.mark.parametrize("qp", QS, ids=["q2", "qhalf", "qcplx"])
