@@ -43,11 +43,13 @@ from .polyroots import poly_eval, roots_with_multiplicity
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_rational
 from .qoperator import Sampler, dqk_closed_form
+from .qspecial import BigEProduct, EtildeProduct
 
 INF = math.inf
 
 _NUDGE_MARGIN = 1e-6
 _NUDGE_STEP = 1e-5
+_MAX_NUDGES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +85,21 @@ class RadialGrid:
 
     def avoiding(self, moduli) -> "RadialGrid":
         """Nudge radii sitting within relative 1e-6 of any given modulus
-        outward by relative 1e-5 (repeatedly, until clear)."""
+        outward by relative 1e-5 (repeatedly, until clear). A radius
+        still not clear after 64 nudges raises InsufficientGrid."""
         mods = sorted(m for m in moduli if m > 0)
         out = []
         for r in self.radii:
             rr = r
-            for _ in range(64):
-                if all(abs(rr / m - 1.0) > _NUDGE_MARGIN for m in mods):
-                    break
+            nudges = 0
+            while any(abs(rr / m - 1.0) <= _NUDGE_MARGIN for m in mods):
+                if nudges == _MAX_NUDGES:
+                    raise InsufficientGrid(
+                        f"radius {r:g} still within relative "
+                        f"{_NUDGE_MARGIN:g} of a modulus after "
+                        f"{_MAX_NUDGES} nudges")
                 rr *= 1.0 + _NUDGE_STEP
+                nudges += 1
             out.append(rr)
         return RadialGrid(tuple(out), self.angular_nodes)
 
@@ -100,13 +108,16 @@ class MeroModel:
     """A meromorphic function in one of four evaluable shapes.
 
     rational       exact zero/pole lists from the coefficient arrays; the
-                   divisor of f = a (per target a) and its Jackson
-                   weights (per target and QParam) are computed on first
-                   use and reused at every radius; failures are not kept
+                   divisor of f = a (per target a), its Jackson weights
+                   (per target and QParam) and the model of D_q f (per
+                   QParam) are computed on first use and reused at every
+                   radius and call; failures are not kept
     entire_series  TruncatedSeries with a certified evaluation radius;
                    zeros located by argument-principle winding
     q_product      entire product with an exact zero lattice and an
-                   overflow-free log evaluator
+                   overflow-free log evaluator; a log_eval bound to an
+                   EtildeProduct or BigEProduct gets each circle as one
+                   array, any other callable one point per call
     sampler        black box; proximity only (declared entire when the
                    caller knows there are no poles)
     """
@@ -193,7 +204,11 @@ class MeroModel:
     def _log_eval_vec(self, zs):
         log_eval = self._parts["log_eval"]
         flat = np.ravel(np.asarray(zs, dtype=np.complex128))
-        out = np.array([log_eval(z) for z in flat], dtype=np.complex128)
+        if isinstance(getattr(log_eval, "__self__", None),
+                      (BigEProduct, EtildeProduct)):
+            out = log_eval(flat)
+        else:
+            out = np.array([log_eval(z) for z in flat], dtype=np.complex128)
         return out.reshape(np.shape(zs))
 
     def log_abs(self, zs) -> np.ndarray:
@@ -381,7 +396,7 @@ def counting_N(model: MeroModel, r: float, target=0.0) -> float:
         return 0.0
     if model.kind == "rational":
         origin, rest = model._divisor(
-            ("N", target), lambda: _rational_divisor(model.rational, target))
+            ("N", target), lambda: _rational_divisor(model, target))
         return _integrated_counting(origin, rest, r)
     if target == INF:
         raise TargetUnsupported("sampler models expose no pole structure")
@@ -398,16 +413,23 @@ def counting_N(model: MeroModel, r: float, target=0.0) -> float:
     raise TargetUnsupported("sampler models cannot count")
 
 
-def _rational_divisor(rf: RationalFunction, target):
+def _rational_divisor(model: MeroModel, target):
     """(origin multiplicity, [(modulus, multiplicity)]) of the points
-    where f = target, over the whole plane."""
+    where a rational model's f = target, over the whole plane."""
+    rf = model.rational
     if target == INF:
         pts = rf.poles()
         origin = sum(m for z, m in pts if abs(z) == 0.0)
         return origin, [(abs(z), m) for z, m in pts if abs(z) > 0.0]
-    origin, rest = _rational_zero_data(
-        rf if target == 0 else rf.subtract_const(target))
+    origin, rest = (_model_zero_data(model) if target == 0
+                    else _rational_zero_data(rf.subtract_const(target)))
     return origin, [(abs(z), m) for z, m in rest]
+
+
+def _model_zero_data(model: MeroModel):
+    """_rational_zero_data of a rational model, kept in its memo."""
+    return model._divisor("zeros",
+                          lambda: _rational_zero_data(model.rational))
 
 
 def _rational_zero_data(rf: RationalFunction, strict: bool = False):
@@ -518,14 +540,14 @@ def _jackson_weights(model: MeroModel, target, qp: QParam):
     rf = model.rational
     if target == INF:
         points = rf.poles()
-        dq_zero_list = _dq_zero_list(rf.reciprocal(), qp)
+        dq_model = _dq_model(MeroModel.from_rational(rf.reciprocal()), qp)
     else:
         shifted = rf if target == 0 else rf.subtract_const(target)
         lam, rest = _rational_zero_data(shifted, strict=True)
         points = ([(0.0 + 0.0j, lam)] if lam else []) + rest
-        # D_q(f - a) = D_q f: one zero list serves every finite target
-        dq_zero_list = model._divisor(("Dq", qp),
-                                      lambda: _dq_zero_list(rf, qp))
+        dq_model = _dq_model(model, qp)
+    lam, rest = _model_zero_data(dq_model)
+    dq_zero_list = ([(0.0 + 0.0j, lam)] if lam else []) + rest
     scale = max([1.0] + [abs(z) for z, _ in points])
     contributions = []
     for z, h in points:
@@ -535,12 +557,15 @@ def _jackson_weights(model: MeroModel, target, qp: QParam):
     return contributions
 
 
-def _dq_zero_list(rf: RationalFunction, qp: QParam):
-    df = dq_rational(rf, qp)
-    if df.is_zero:
-        raise DomainError("D_q f vanishes identically; f is constant")
-    lam, rest = _rational_zero_data(df)
-    return ([(0.0 + 0.0j, lam)] if lam else []) + rest
+def _dq_model(model: MeroModel, qp: QParam) -> MeroModel:
+    """D_q f of a rational model, kept per QParam in the model's memo:
+    D_q(f - a) = D_q f serves every finite target."""
+    def build():
+        df = dq_rational(model.rational, qp)
+        if df.is_zero:
+            raise DomainError("D_q f vanishes identically; f is constant")
+        return MeroModel.from_rational(df)
+    return model._divisor(("Dq", qp), build)
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +799,7 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
         raise DomainError("targets must be distinct")
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
-    df = dq_rational(model.rational, qp)
-    df_model = MeroModel.from_rational(df)
+    df_model = _dq_model(model, qp)
     rows = []
     for r in grid.radii:
         T = characteristic(model, r, M).T

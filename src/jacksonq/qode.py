@@ -14,6 +14,7 @@ are free initial data.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -403,6 +404,10 @@ def solve_shifted_series(k: int, A: RationalFunction, qp: QParam,
 
     Coefficient matching gives
         c_{n+k} prod_{j=1..k} [n+j]_q = - sum_m a_m q^{k (n-m)} c_{n-m}.
+
+    Raises BracketOverflow once the bracket product or the weighted sum
+    (through a power q^{k j}) leaves double range, rather than returning
+    NaN coefficients.
     """
     if k < 1:
         raise DomainError("order k must be >= 1")
@@ -419,12 +424,25 @@ def solve_shifted_series(k: int, A: RationalFunction, qp: QParam,
         denom = 1.0 + 0.0j
         for j in range(1, k + 1):
             denom *= q_bracket(n + j, qp)
-        if abs(denom) < qp.guard_tol:
+        try:
+            size = abs(denom)
+        except OverflowError:  # finite parts, modulus beyond double range
+            size = math.inf
+        if not math.isfinite(size):
+            raise BracketOverflow(
+                f"bracket product at order {n + k} is not finite")
+        if size < qp.guard_tol:
             raise BracketUnderflow(
                 f"bracket product at order {n + k} below guard")
         acc = 0.0 + 0.0j
-        for m in range(n + 1):
-            acc += a[m] * qk ** (n - m) * c[n - m]
+        try:
+            for m in range(n + 1):
+                acc += a[m] * qk ** (n - m) * c[n - m]
+        except OverflowError:  # a power q^{k j} beyond double range
+            acc = complex(math.inf)
+        if not cmath.isfinite(acc):
+            raise BracketOverflow(
+                f"weighted sum at order {n + k} is not finite")
         c[n + k] = -acc / denom
     return TruncatedSeries(c)
 

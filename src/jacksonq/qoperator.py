@@ -19,6 +19,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import (
+    BracketOverflow,
     DomainError,
     NonconvergentSample,
     OriginSingular,
@@ -70,12 +71,18 @@ def dq_series(f: TruncatedSeries, qp: QParam) -> TruncatedSeries:
     """D_q on a series: coefficient map b_n = [n+1]_q c_{n+1}, order N-1.
 
     Monomials map as D_q z^k = [k]_q z^{k-1}; constants go to the zero
-    series (the kernel of D_q consists exactly of constants).
+    series (the kernel of D_q consists exactly of constants). Raises
+    BracketOverflow if some [n]_q leaves double range (|q|^n overflowed),
+    rather than returning NaN coefficients.
     """
     if f.order < 1:
         return TruncatedSeries.from_polynomial([0.0])
     n = f.order
     brackets = np.array([q_bracket(m, qp) for m in range(1, n + 1)])
+    overflowed = np.flatnonzero(~np.isfinite(brackets))
+    if overflowed.size:
+        raise BracketOverflow(
+            f"bracket [{overflowed[0] + 1}]_q is not finite")
     return TruncatedSeries(f.coeffs[1:] * brackets, f.tail_tol,
                            exact_polynomial=f.is_exact_polynomial)
 

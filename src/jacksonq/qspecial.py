@@ -173,11 +173,56 @@ def sinq_cosq(qp: QParam, N: int):
 # ---------------------------------------------------------------------------
 
 
+def _lattice_product(t, q: complex, tol: float, log: bool):
+    """prod_n (1 - t_n) for t_0 = t and t_{n+1} = t_n/q if |q| > 1, else
+    t_n q, each point stopping at its first |t_n| below
+    tol (1 - min(|q|, 1/|q|)); with log, the sum of the factors'
+    principal logs. A numpy array t gives, bit for bit, what the
+    one-point loop gives on each of its elements."""
+    shrink = abs(q) > 1.0
+    cutoff = tol * (1.0 - (1.0 / abs(q) if shrink else abs(q)))
+    if not isinstance(t, np.ndarray):
+        out = 0.0 + 0.0j if log else 1.0 + 0.0j
+        while abs(t) >= cutoff:
+            out = out + np.log(1.0 - t) if log else out * (1.0 - t)
+            t = t / q if shrink else t * q
+        return complex(out)
+    out = np.full(t.shape, 0.0j if log else 1.0 + 0.0j)
+    live = np.abs(t) >= cutoff
+    while live.any():
+        f = 1.0 - t
+        out = np.where(live, out + np.log(f) if log else _times(out, f), out)
+        t = t / q if shrink else _times(t, q)
+        live &= np.abs(t) >= cutoff
+    return out
+
+
+def _times(x: np.ndarray, m) -> np.ndarray:
+    """x * m rounded as the one-point loop rounds it: numpy's array
+    product may fuse a multiply and an add, which moves last bits."""
+    out = np.empty(np.broadcast(x, m).shape, dtype=np.complex128)
+    out.real = x.real * m.real - x.imag * m.imag
+    out.imag = x.real * m.imag + x.imag * m.real
+    return out
+
+
+def _lattice_zeros(zero: complex, q: complex, radius: float) -> list:
+    """(z_n, 1) for the zeros z_0 = zero, z_{n+1} = z_n q if |q| > 1, else
+    z_n/q, up to modulus radius: the zeros of prod_n (1 - z/z_n)."""
+    out = []
+    zn = complex(zero)
+    while abs(zn) <= radius:
+        out.append((zn, 1))
+        zn = zn * q if abs(q) > 1.0 else zn / q
+    return out
+
+
 @dataclass(frozen=True)
 class EtildeProduct:
     """etilde_q as the entire product prod_{n>=1}(1 - q^{-n} z), |q| > 1.
 
     Zeros sit exactly on the geometric lattice {q^n : n >= 1}, all simple.
+    eval and log_eval take a point or a numpy array of points.
     """
 
     qp: QParam
@@ -187,36 +232,16 @@ class EtildeProduct:
         if abs(self.qp.q) <= 1.0:
             raise RegimeMismatch("etilde product form requires |q| > 1")
 
-    def eval(self, z: complex) -> complex:
-        q = self.qp.q
-        out = 1.0 + 0.0j
-        w = z / q
-        cutoff = self.tol * (1.0 - 1.0 / abs(q))
-        while abs(w) >= cutoff:
-            out *= 1.0 - w
-            w /= q
-        return out
+    def eval(self, z):
+        return _lattice_product(z / self.qp.q, self.qp.q, self.tol, False)
 
-    def log_eval(self, z: complex) -> complex:
+    def log_eval(self, z):
         """Principal-branch sum of logs; real part is log|f|."""
-        q = self.qp.q
-        out = 0.0 + 0.0j
-        w = z / q
-        cutoff = self.tol * (1.0 - 1.0 / abs(q))
-        while abs(w) >= cutoff:
-            out += np.log(1.0 - w)
-            w /= q
-        return complex(out)
+        return _lattice_product(z / self.qp.q, self.qp.q, self.tol, True)
 
     def zeros_up_to(self, radius: float):
         """All lattice zeros with modulus <= radius, as (location, mult)."""
-        q = self.qp.q
-        out = []
-        zn = q
-        while abs(zn) <= radius:
-            out.append((complex(zn), 1))
-            zn *= q
-        return out
+        return _lattice_zeros(self.qp.q, self.qp.q, radius)
 
     def sampler(self) -> Sampler:
         return Sampler(self.eval)
@@ -227,7 +252,8 @@ class BigEProduct:
     """big_e_q as the entire product prod_{n>=0}(1 + q^n z), |q| < 1.
 
     Zeros sit exactly on {-q^{-n} : n >= 0}, all simple; satisfies
-    D_q f + f/((q-1)(z+1)) = 0.
+    D_q f + f/((q-1)(z+1)) = 0. eval and log_eval take a point or a
+    numpy array of points.
     """
 
     qp: QParam
@@ -237,34 +263,14 @@ class BigEProduct:
         if abs(self.qp.q) >= 1.0:
             raise RegimeMismatch("big-E product form requires |q| < 1")
 
-    def eval(self, z: complex) -> complex:
-        q = self.qp.q
-        out = 1.0 + 0.0j
-        w = complex(z)
-        cutoff = self.tol * (1.0 - abs(q))
-        while abs(w) >= cutoff:
-            out *= 1.0 + w
-            w *= q
-        return out
+    def eval(self, z):
+        return _lattice_product(z / (-1.0 + 0.0j), self.qp.q, self.tol, False)
 
-    def log_eval(self, z: complex) -> complex:
-        q = self.qp.q
-        out = 0.0 + 0.0j
-        w = complex(z)
-        cutoff = self.tol * (1.0 - abs(q))
-        while abs(w) >= cutoff:
-            out += np.log(1.0 + w)
-            w *= q
-        return complex(out)
+    def log_eval(self, z):
+        return _lattice_product(z / (-1.0 + 0.0j), self.qp.q, self.tol, True)
 
     def zeros_up_to(self, radius: float):
-        q = self.qp.q
-        out = []
-        zn = -1.0 + 0.0j
-        while abs(zn) <= radius:
-            out.append((complex(zn), 1))
-            zn /= q
-        return out
+        return _lattice_zeros(-1.0 + 0.0j, self.qp.q, radius)
 
     def sampler(self) -> Sampler:
         return Sampler(self.eval)

@@ -79,6 +79,16 @@ class TestRadialGrid:
         assert abs(g2.radii[0] / 2.0 - 1.0) > 1e-6
         assert g2.radii[1] == 10.0
 
+    def test_nudging_gives_up_loudly(self):
+        # every nudge lands on the next modulus: 64 nudges clear 64
+        # moduli, and a 65th modulus is one too many
+        moduli = [(1 + 1e-5) ** k for k in range(80)]
+        clear = RadialGrid((1.0,), 64).avoiding(moduli[:64])
+        assert all(abs(clear.radii[0] / m - 1.0) > 1e-6 for m in moduli[:64])
+        for count in (65, 80):
+            with pytest.raises(InsufficientGrid):
+                RadialGrid((1.0,), 64).avoiding(moduli[:count])
+
 
 class TestProximity:
     def test_f_equals_z(self):
@@ -336,6 +346,24 @@ class TestDivisorReuse:
             sft_check(model, list(self.TARGETS), qp, grid)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_sft_builds_dq_f_once(self, monkeypatch):
+        # D_q f is built once per QParam for the Jackson weights and the
+        # N_J term alike, and once more as D_q(1/f) for the poles
+        calls = []
+        real = nevanlinna.dq_rational
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nevanlinna, "dq_rational", counted)
+        qp = QParam(0.5)
+        model = MeroModel.from_rational(sft_test_set(20240501, 1)[0], qp)
+        grid = RadialGrid.log_spaced(10.0, 1e4, 3, angular_nodes=256)
+        for _ in range(2):
+            sft_check(model, list(self.TARGETS), qp, grid)
+        assert len(calls) == 2
 
     def test_ambiguous_a_points_raise_on_every_call(self):
         # f - 1 has zeros 2e-7 apart, at the edge of the merging tolerance

@@ -414,6 +414,18 @@ class TestBracketGuard:
         with pytest.raises(BracketOverflow):
             solve_series(prob, 800)
 
+    def test_shifted_overflow_raised_for_q_two_at_large_N(self):
+        # used to escape as a bare OverflowError from q^(k n)
+        with pytest.raises(BracketOverflow):
+            solve_shifted_series(1, const_rf(-1.0), QParam(2.0), (1.0,), 1100)
+
+    def test_shifted_overflow_raised_in_the_weighted_sum(self):
+        # at q = -1.5 the bracket products stay finite while the terms
+        # q^{2(n-m)} c_{n-m} of the sum overflow (near order 638)
+        with np.errstate(over="ignore"), pytest.raises(BracketOverflow):
+            solve_shifted_series(2, const_rf(-1.0), QParam(-1.5), (1.0, 0.0),
+                                 700)
+
     def test_large_N_inside_double_range_still_solves(self):
         prob = QdeProblem.homogeneous(3, const_rf(-1.0), QParam(1.1),
                                       (1.0, 0.0, 0.0))

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from jacksonq.errors import DomainError, NonconvergentSample, OriginSingular
+from jacksonq.errors import (
+    BracketOverflow,
+    DomainError,
+    NonconvergentSample,
+    OriginSingular,
+)
 from jacksonq.qcore import QParam, TruncatedSeries, q_bracket
 from jacksonq.qoperator import (
     CasoratiPair,
@@ -16,6 +21,7 @@ from jacksonq.qoperator import (
     kernel_check,
     series_sampler,
 )
+from jacksonq.qspecial import exp_q
 
 RNG = np.random.default_rng(7415)
 
@@ -44,6 +50,15 @@ class TestDqSeries:
         df = dq_series(f, qp)
         assert df.order == 2
         assert df.c(2) == pytest.approx(7.0)
+
+    def test_overflowed_bracket_raises(self):
+        # [n]_2 leaves double range near n = 997, where exp_q's
+        # coefficients have saturated to 0: 0 * inf used to give NaN
+        # coefficients under a finite safe_radius
+        qp = QParam(2.0)
+        with pytest.raises(BracketOverflow):
+            dq_series(exp_q(qp, 1100), qp)
+        assert np.all(np.isfinite(dq_series(exp_q(qp, 900), qp).coeffs))
 
     def test_order_drop(self):
         qp = QParam(0.5)
