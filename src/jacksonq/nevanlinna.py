@@ -113,7 +113,9 @@ class MeroModel:
                    QParam) are computed on first use and reused at every
                    radius and call; failures are not kept
     entire_series  TruncatedSeries with a certified evaluation radius;
-                   zeros located by argument-principle winding
+                   zeros located as eigenvalues of the truncated
+                   polynomial, each annulus count certified by one
+                   argument-principle winding number
     q_product      entire product with an exact zero lattice and an
                    overflow-free log evaluator; a log_eval bound to an
                    EtildeProduct or BigEProduct gets each circle as one
@@ -290,7 +292,7 @@ def _origin_multiplicity(coeffs: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Winding-number zero location for series models
+# Certified zero location for series models
 # ---------------------------------------------------------------------------
 
 
@@ -320,31 +322,52 @@ def winding_number(eval_vec: Callable[[np.ndarray], np.ndarray], r: float,
 def series_zero_moduli(ts: TruncatedSeries, r: float,
                        rel_tol: float = 1e-4) -> list:
     """Moduli of the nonzero-origin zeros of a series model inside radius
-    r, located by bisecting jumps of the winding number on sub-circles.
-    Returns (modulus, count) pairs; multiplicities at the same modulus
-    arrive merged."""
+    r, from the eigenvalues of the truncated polynomial, each polished by
+    one Newton step. Before np.roots the coefficients are rescaled to
+    |z| ~ r by exact powers of two (log2|c_n| + n log2 r - max, phases
+    kept), and trailing terms below eps of the largest are dropped.
+    Moduli within relative rel_tol merge into one (mean modulus, count)
+    pair; each count is certified by the argument principle, one winding
+    number in the gap above its group and one at r, and a count that
+    disagrees raises DomainError."""
     if ts.safe_radius is not None and r > ts.safe_radius:
         raise DomainError("radius beyond certified evaluation disc")
-    lam = _origin_multiplicity(ts.coeffs)
-    ev = ts.eval
-    t0 = r * 1e-9
-    w0 = lam
-    w1 = winding_number(ev, r)
-    out = []
-
-    def split(a: float, wa: int, b: float, wb: int):
-        if wb == wa:
-            return
-        if (b - a) <= rel_tol * b:
-            out.append((0.5 * (a + b), wb - wa))
-            return
-        mid = math.sqrt(a * b)
-        wm = winding_number(ev, mid)
-        split(a, wa, mid, wm)
-        split(mid, wm, b, wb)
-
-    split(t0, w0, r, w1)
-    return out
+    coeffs = ts.coeffs
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError("series coefficients are not finite")
+    lam = _origin_multiplicity(coeffs)
+    c = coeffs[lam:]
+    k = round(math.log2(r))
+    n = np.arange(c.size)
+    with np.errstate(divide="ignore"):
+        e = n * k - math.ceil(np.max(np.log2(np.abs(c)) + n * k))
+    scaled = np.ldexp(c.real, e) + 1j * np.ldexp(c.imag, e)
+    size = np.abs(scaled)
+    p = scaled[np.flatnonzero(size >= np.finfo(float).eps * size.max())[-1]::-1]
+    try:
+        u = np.roots(p)
+    except np.linalg.LinAlgError as exc:
+        raise DomainError(
+            f"companion eigenvalues failed at r = {r:g}: {exc}") from exc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = u - np.polyval(p, u) / np.polyval(np.polyder(p), u)
+    mods = np.sort(np.abs(u)) * 2.0 ** k
+    groups = []
+    for m in (float(m) for m in mods[mods < r]):
+        if groups and m - groups[-1][-1] <= rel_tol * m:
+            groups[-1].append(m)
+        else:
+            groups.append([m])
+    radii = [math.sqrt(a[-1] * b[0]) for a, b in zip(groups, groups[1:])]
+    inner = lam  # the winding number just outside the origin
+    for count, rho in zip([len(g) for g in groups] or [0], radii + [r]):
+        outer = winding_number(ts.eval, rho)
+        if outer - inner != count:
+            raise DomainError(
+                f"winding count {outer - inner} in the annulus up to "
+                f"r = {rho:g} disagrees with {count} eigenvalues")
+        inner = outer
+    return [(sum(g) / len(g), len(g)) for g in groups]
 
 
 # ---------------------------------------------------------------------------

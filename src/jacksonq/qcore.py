@@ -462,11 +462,14 @@ def _certify_radius(coeffs: np.ndarray, tail_tol: float):
     ratio between consecutive nonzero magnitudes, inflated by a 1.25
     safety factor, models the tail as |c_n| <= |c_m| rho^{n-m} beyond the
     last nonzero index m. The radius returned makes that geometric tail
-    sum at most tail_tol. Returns None when no decay is visible, inf when
-    the series has no tail to speak of (all-zero trailing data plus no
-    evidence of growth is still extrapolated from the nonzero part).
+    sum at most tail_tol. Returns None when no decay is visible or some
+    coefficient is not finite, inf when the series has no tail to speak
+    of (all-zero trailing data plus no evidence of growth is still
+    extrapolated from the nonzero part).
     """
     mags = np.abs(coeffs)
+    if not np.all(np.isfinite(mags)):
+        return None
     n = mags.size - 1
     nz = np.flatnonzero(mags > 0.0)
     if nz.size == 0:

@@ -73,17 +73,22 @@ def dq_series(f: TruncatedSeries, qp: QParam) -> TruncatedSeries:
     Monomials map as D_q z^k = [k]_q z^{k-1}; constants go to the zero
     series (the kernel of D_q consists exactly of constants). Raises
     BracketOverflow if some [n]_q leaves double range (|q|^n overflowed),
-    rather than returning NaN coefficients.
+    rather than returning NaN coefficients; for an exact polynomial only
+    a nonzero coefficient meeting such a bracket raises, and its exact
+    zeros map to exact zeros.
     """
     if f.order < 1:
         return TruncatedSeries.from_polynomial([0.0])
     n = f.order
+    c = f.coeffs[1:]
     brackets = np.array([q_bracket(m, qp) for m in range(1, n + 1)])
-    overflowed = np.flatnonzero(~np.isfinite(brackets))
+    finite = np.isfinite(brackets)
+    overflowed = np.flatnonzero(
+        ~finite & (c != 0) if f.is_exact_polynomial else ~finite)
     if overflowed.size:
         raise BracketOverflow(
             f"bracket [{overflowed[0] + 1}]_q is not finite")
-    return TruncatedSeries(f.coeffs[1:] * brackets, f.tail_tol,
+    return TruncatedSeries(c * np.where(finite, brackets, 0.0), f.tail_tol,
                            exact_polynomial=f.is_exact_polynomial)
 
 

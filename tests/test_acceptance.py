@@ -4,10 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Criteria with stated runtime budgets assert wall time too.
 """
 
+import cmath
 import json
+import math
 import time
 
 from jacksonq.checks import (
+    CheckResult,
     run_casorati,
     run_defects,
     run_quintic_equations,
@@ -20,6 +23,9 @@ from jacksonq.checks import (
     run_wiman,
 )
 from jacksonq.cli import main
+from jacksonq.nevanlinna import series_zero_moduli
+from jacksonq.qcore import QParam
+from jacksonq.qspecial import BigEProduct, EtildeProduct, big_e_q, etilde_q
 
 SEED = 20240501
 
@@ -133,3 +139,24 @@ def test_11_defect_relation_proxy():
     rows = run_defects(seed=SEED, count=5)
     report("11 defect relation proxy (sum Theta_J <= 2.1 at top radius)",
            rows, time.time() - t)
+
+
+def test_12_complex_q_zero_location():
+    t = time.time()
+    rows = []
+    for name, q, ladder, product in (
+            ("etilde_q", 2.1 * cmath.exp(0.6j), etilde_q, EtildeProduct),
+            ("E_q", 0.48 * cmath.exp(0.9j), big_e_q, BigEProduct)):
+        qp = QParam(q)
+        lattice = sorted(abs(z) for z, _ in product(qp).zeros_up_to(1e4))
+        lo = max(m for m in lattice if m <= 300.0)
+        r = math.sqrt(lo * min(m for m in lattice if m > 300.0))
+        got = [m for m, c in series_zero_moduli(ladder(qp, 96), r)
+               for _ in range(c)]
+        want = [m for m in lattice if m < r]
+        err = (max(abs(g / w - 1.0) for g, w in zip(got, want))
+               if len(got) == len(want) else math.inf)
+        rows.append(CheckResult("zeros", f"{name} q={q:.4g} r={r:.4g}",
+                                err <= 1e-9, err, 1e-9))
+    report("12 complex-q series zero location (lattice moduli, rel < 1e-9)",
+           rows, time.time() - t, budget=1.0)

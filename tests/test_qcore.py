@@ -257,6 +257,14 @@ class TestTruncatedSeries:
         f = TruncatedSeries(np.ones(33))
         assert f.safe_radius is None
 
+    def test_safe_radius_nonfinite_is_unknown(self):
+        # a NaN magnitude used to drop out of the decay fit: radius 0.974
+        # was certified and eval(0.5) returned nan+nanj
+        tail = [0.5 ** n for n in range(3, 40)]
+        for bad in (math.nan, math.inf):
+            f = TruncatedSeries(np.array([1, 0.5, bad] + tail, dtype=complex))
+            assert f.safe_radius is None
+
     def test_outside_safe_radius_raises(self):
         f = TruncatedSeries(0.5 ** np.arange(40))
         with pytest.raises(OutsideSafeRadius):

@@ -60,6 +60,22 @@ class TestDqSeries:
             dq_series(exp_q(qp, 1100), qp)
         assert np.all(np.isfinite(dq_series(exp_q(qp, 900), qp).coeffs))
 
+    def test_exact_polynomial_past_overflow(self):
+        # every bracket past [996]_2 overflows, but meets an exact zero:
+        # D_q (1 + 2z) = 2, zero-padded to order 1099
+        qp = QParam(2.0)
+        f = TruncatedSeries.from_polynomial([1.0, 2.0], order=1100)
+        df = dq_series(f, qp)
+        assert df.is_exact_polynomial and df.order == 1099
+        assert df.coeffs[0] == 2.0 and np.all(df.coeffs[1:] == 0)
+
+    def test_exact_polynomial_nonzero_at_overflow_raises(self):
+        qp = QParam(2.0)
+        coeffs = np.zeros(1101)
+        coeffs[1000] = 1.0
+        with pytest.raises(BracketOverflow, match=r"\[1000\]_q"):
+            dq_series(TruncatedSeries.from_polynomial(coeffs), qp)
+
     def test_order_drop(self):
         qp = QParam(0.5)
         f = TruncatedSeries(RNG.standard_normal(10))
