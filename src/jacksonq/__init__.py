@@ -43,6 +43,7 @@ from .qode import (
     QdeProblem,
     RationalFunction,
     dq_rational,
+    dqk_quotient,
     dqk_rational,
     polynomial_degree_condition,
     product_solution,
@@ -93,7 +94,7 @@ __all__ = [
     "RationalFunction", "QdeProblem", "DegreeCondition", "solve_series",
     "residual", "verify_pointwise", "polynomial_degree_condition",
     "product_solution", "solve_shifted_series", "shifted_to_plain",
-    "dq_rational", "dqk_rational",
+    "dq_rational", "dqk_rational", "dqk_quotient",
     "INF", "MeroModel", "RadialGrid", "NevanlinnaSample", "DefectReport",
     "WimanValironSample", "LogOrderEstimate", "GrowthReport",
     "proximity", "counting_N", "characteristic", "jensen_residual",

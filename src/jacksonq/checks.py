@@ -349,14 +349,16 @@ def run_logderiv(seed: int = 20240501, M: int = 512) -> list:
     qp = QParam(0.5)
     prodE = BigEProduct(qp)
     modelE = MeroModel.from_q_product(prodE.zeros_up_to, prodE.log_eval,
-                                      eval_fn=prodE.eval, qp=qp)
+                                      eval_fn=prodE.eval, qp=qp,
+                                      shift_ratio=prodE.shift_ratio)
     rowsE = logderiv_lemma_check(modelE, qp, 1, grid, M=256)
     out.append(_res("logderiv", "big-E product ratio at r=1e4",
                     rowsE[-1].ratio, 0.2))
     qp2 = QParam(2.0)
     prodT = EtildeProduct(qp2)
     modelT = MeroModel.from_q_product(prodT.zeros_up_to, prodT.log_eval,
-                                      eval_fn=prodT.eval, qp=qp2)
+                                      eval_fn=prodT.eval, qp=qp2,
+                                      shift_ratio=prodT.shift_ratio)
     rowsT = logderiv_lemma_check(modelT, qp2, 1, grid, M=256)
     out.append(_res("logderiv", "etilde product ratio at r=1e4",
                     rowsT[-1].ratio, 0.2))

@@ -15,6 +15,8 @@ Complex numbers are written "re+imi" on the command line ("2", "0.5i",
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -444,9 +446,13 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
         print(row.line())
     failures = [r for r in rows if not r.passed]
     print(f"# {len(rows) - len(failures)}/{len(rows)} checks passed")
-    csv_text = "suite,name,passed,value,threshold\n" + "".join(
-        f"{r.suite},{r.name},{int(r.passed)},{r.value:.16e},{r.threshold:.16e}\n"
-        for r in rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("suite", "name", "passed", "value", "threshold"))
+    writer.writerows(
+        (r.suite, r.name, int(r.passed), f"{r.value:.16e}",
+         f"{r.threshold:.16e}") for r in rows)
+    csv_text = buf.getvalue()
     json_obj = [
         {"suite": r.suite, "name": r.name, "passed": r.passed,
          "value": r.value, "threshold": r.threshold} for r in rows

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .polyroots import poly_eval, roots_with_multiplicity
 from .qcore import QParam, TruncatedSeries
-from .qode import RationalFunction, dq_rational, dqk_rational
+from .qode import RationalFunction, dq_rational, dqk_quotient, dqk_rational
 from .qoperator import Sampler, dqk_closed_form
 from .qspecial import BigEProduct, EtildeProduct
 
@@ -119,7 +119,9 @@ class MeroModel:
     q_product      entire product with an exact zero lattice and an
                    overflow-free log evaluator; a log_eval bound to an
                    EtildeProduct or BigEProduct gets each circle as one
-                   array, any other callable one point per call
+                   array, any other callable one point per call; an
+                   optional shift ratio R with f(qz) = R(z) f(z) at the
+                   model's own base qp makes D_q^k f / f exact
     sampler        black box; proximity only (declared entire when the
                    caller knows there are no poles)
     """
@@ -154,10 +156,18 @@ class MeroModel:
                        log_eval: Callable[[complex], complex],
                        eval_fn: Optional[Callable[[complex], complex]] = None,
                        origin_value: complex = 1.0,
-                       qp: Optional[QParam] = None) -> "MeroModel":
+                       qp: Optional[QParam] = None,
+                       shift_ratio: Optional[RationalFunction] = None
+                       ) -> "MeroModel":
+        """shift_ratio is the structural R with f(qz) = R(z) f(z) for
+        q = qp.q (EtildeProduct.shift_ratio, BigEProduct.shift_ratio);
+        it needs qp."""
+        if shift_ratio is not None and qp is None:
+            raise DomainError("a shift ratio needs the product's base qp")
         return cls("q_product", qp, zeros_up_to=zeros_up_to,
                    log_eval=log_eval, eval_fn=eval_fn,
-                   origin_value=complex(origin_value))
+                   origin_value=complex(origin_value),
+                   shift_ratio=shift_ratio)
 
     @classmethod
     def from_sampler(cls, sampler: Sampler, entire: bool = False,
@@ -768,17 +778,23 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
                          grid: RadialGrid, M: Optional[int] = None) -> list:
     """Table of (r, m(r, D_q^k f / f), T(r,f)) rows.
 
-    For rational models the quotient is formed exactly as a rational
-    function; otherwise D_q^k f is evaluated by the closed-form orbit sum
-    on the sampler."""
+    The quotient is one exact rational function for a rational model
+    (D_q^k f times 1/f) and for a q_product model that carries its shift
+    ratio R, when qp has the product's own base (built from R by
+    dqk_quotient). Any other model, or a product checked at another
+    base, evaluates D_q^k f by the closed-form orbit sum on its sampler,
+    one point per call."""
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * abs(qp.q) ** k * 2.0))
     rows = []
+    shift_ratio = model._parts.get("shift_ratio")
     if model.kind == "rational":
         if model.rational.num_degree == 0 and model.rational.den_degree == 0:
             raise DomainError("logarithmic difference needs a nonconstant f")
         ratio_rf = dqk_rational(model.rational, qp, k) * model.rational.reciprocal()
         ratio_model = MeroModel.from_rational(ratio_rf)
+    elif shift_ratio is not None and model.qp.q == qp.q:
+        ratio_model = MeroModel.from_rational(dqk_quotient(shift_ratio, qp, k))
     else:
         s = model.sampler()
 

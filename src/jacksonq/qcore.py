@@ -235,9 +235,10 @@ class TruncatedSeries:
     the dropped tail sum_{n>N} c_n z^n is bounded by ``tail_tol``. It is
     certified by a geometric extrapolation of the coefficient decay seen
     on the last quarter of the stored range; ``None`` means the
-    coefficients do not decay and no radius is claimed, ``inf`` marks an
-    exact polynomial with no tail at all. The certificate bounds the
-    truncation tail only, not the rounding of the partial sum.
+    coefficients do not decay or some coefficient is not finite, and no
+    radius is claimed; ``inf`` marks an exact polynomial with no tail at
+    all. The certificate bounds the truncation tail only, not the
+    rounding of the partial sum.
     """
 
     __slots__ = ("_coeffs", "safe_radius", "tail_tol")
@@ -251,14 +252,17 @@ class TruncatedSeries:
         self._coeffs = arr
         self.tail_tol = float(tail_tol)
         if exact_polynomial:
-            self.safe_radius = math.inf
+            # no tail to bound, but a non-finite coefficient certifies nothing
+            self.safe_radius = (math.inf if np.all(np.isfinite(arr))
+                                else None)
         else:
             self.safe_radius = _certify_radius(arr, self.tail_tol)
 
     @classmethod
     def from_polynomial(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
-        """Series that *is* a polynomial: infinite safe radius, optionally
-        zero-padded up to ``order``."""
+        """Series that *is* a polynomial: infinite safe radius (None if a
+        coefficient is not finite), optionally zero-padded up to
+        ``order``."""
         arr = list(np.asarray(coeffs, dtype=np.complex128))
         if order is not None:
             if order + 1 < len(arr):

@@ -231,6 +231,42 @@ def dqk_rational(f: RationalFunction, qp: QParam, k: int) -> RationalFunction:
     return out
 
 
+def dqk_quotient(R: RationalFunction, qp: QParam, k: int) -> RationalFunction:
+    """D_q^k f / f as a rational function, for an f with f(0) != 0 and
+    the shift ratio f(qz) = R(z) f(z) (so R(0) = 1). The quotients
+    g_j = D_q^j f / f obey
+
+        g_0 = 1,   g_{j+1}(z) = (g_j(qz) R(z) - g_j(z)) / ((q-1) z).
+
+    With R = A/B, g_j is kept as P_j / D_j over the common denominator
+    D_j = (q-1)^j prod_{i<j} B(q^i z), so no step needs a root solve:
+
+        P_{j+1} = [P_j(qz) A(z) - P_j(z) B(q^j z)] / z,
+        D_{j+1} = (q-1) D_j(qz) B(z) = (q-1) D_j(z) B(q^j z).
+
+    The bracket vanishes at z = 0 since A(0) = B(0); that factor is
+    removed exactly, as in dq_rational.
+    """
+    if k < 1:
+        raise DomainError("k must be >= 1")
+    A, B = R.num, R.den
+    if B[0] == 0 or abs(A[0] - B[0]) > 1e-12 * abs(B[0]):
+        raise DomainError("shift ratio must equal 1 at the origin")
+    q = qp.q
+    top = np.ones(1, dtype=np.complex128)
+    bottom = np.ones(1, dtype=np.complex128)
+    for j in range(k):
+        left = poly_mul(top * q ** np.arange(top.size), A)
+        right = poly_mul(top, B * q ** (j * np.arange(B.size)))
+        # pad to one length: numpy would broadcast a size-1 array instead
+        diff = np.zeros(max(left.size, right.size), dtype=np.complex128)
+        diff[: left.size] += left
+        diff[: right.size] -= right
+        top = diff[1:] if diff.size > 1 else np.zeros(1, dtype=np.complex128)
+        bottom = (q - 1.0) * poly_mul(bottom * q ** np.arange(bottom.size), B)
+    return RationalFunction(top, bottom)
+
+
 @dataclass(frozen=True)
 class QdeProblem:
     """The equation D_q^k f + A f = B with k initial coefficients."""

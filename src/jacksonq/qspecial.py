@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import DenominatorPochhammerZero, RegimeMismatch
 from .qcore import QParam, TruncatedSeries, q_bracket
+from .qode import RationalFunction
 from .qoperator import Sampler
 
 
@@ -221,8 +222,9 @@ def _lattice_zeros(zero: complex, q: complex, radius: float) -> list:
 class EtildeProduct:
     """etilde_q as the entire product prod_{n>=1}(1 - q^{-n} z), |q| > 1.
 
-    Zeros sit exactly on the geometric lattice {q^n : n >= 1}, all simple.
-    eval and log_eval take a point or a numpy array of points.
+    Zeros sit exactly on the geometric lattice {q^n : n >= 1}, all simple;
+    f(qz) = (1 - z) f(z), so D_q f / f = -1/(q-1). eval and log_eval
+    take a point or a numpy array of points.
     """
 
     qp: QParam
@@ -243,6 +245,11 @@ class EtildeProduct:
         """All lattice zeros with modulus <= radius, as (location, mult)."""
         return _lattice_zeros(self.qp.q, self.qp.q, radius)
 
+    @property
+    def shift_ratio(self) -> RationalFunction:
+        """R with f(qz) = R(z) f(z): here R(z) = 1 - z."""
+        return RationalFunction([1.0, -1.0])
+
     def sampler(self) -> Sampler:
         return Sampler(self.eval)
 
@@ -251,9 +258,9 @@ class EtildeProduct:
 class BigEProduct:
     """big_e_q as the entire product prod_{n>=0}(1 + q^n z), |q| < 1.
 
-    Zeros sit exactly on {-q^{-n} : n >= 0}, all simple; satisfies
-    D_q f + f/((q-1)(z+1)) = 0. eval and log_eval take a point or a
-    numpy array of points.
+    Zeros sit exactly on {-q^{-n} : n >= 0}, all simple; f(qz) =
+    f(z)/(1 + z), so D_q f + f/((q-1)(z+1)) = 0. eval and log_eval take
+    a point or a numpy array of points.
     """
 
     qp: QParam
@@ -271,6 +278,11 @@ class BigEProduct:
 
     def zeros_up_to(self, radius: float):
         return _lattice_zeros(-1.0 + 0.0j, self.qp.q, radius)
+
+    @property
+    def shift_ratio(self) -> RationalFunction:
+        """R with f(qz) = R(z) f(z): here R(z) = 1/(1 + z)."""
+        return RationalFunction([1.0], [1.0, 1.0])
 
     def sampler(self) -> Sampler:
         return Sampler(self.eval)

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 
@@ -209,6 +210,19 @@ class TestVerify:
         assert main(["verify", "--suite", "rules", "--seed", "7",
                      "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_verify_csv_rows_have_five_fields(self, tmp_path):
+        # "integration by parts [0,1]" holds a comma: quoted, it stays
+        # one field under the five-field header
+        out = tmp_path / "rules.csv"
+        assert main(["verify", "--suite", "rules", "--seed", "7",
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["suite", "name", "passed", "value", "threshold"]
+        assert len(rows) > 1 and all(len(row) == 5 for row in rows)
+        assert "integration by parts [0,1]" in [row[1] for row in rows]
+        assert '"integration by parts [0,1]"' in out.read_text()
 
     def test_order_csv_byte_stable(self, tmp_path):
         paths = [tmp_path / "s1.csv", tmp_path / "s2.csv"]

@@ -265,6 +265,16 @@ class TestTruncatedSeries:
             f = TruncatedSeries(np.array([1, 0.5, bad] + tail, dtype=complex))
             assert f.safe_radius is None
 
+    def test_exact_polynomial_nonfinite_is_unknown(self):
+        # an exact polynomial used to get radius inf whatever its
+        # coefficients held, so eval(0.5) returned nan+nanj inside it
+        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+            f = TruncatedSeries.from_polynomial([1.0, bad])
+            assert f.safe_radius is None
+            assert not f.is_exact_polynomial
+        f = TruncatedSeries([1.0, 2.0], exact_polynomial=True)
+        assert math.isinf(f.safe_radius)
+
     def test_outside_safe_radius_raises(self):
         f = TruncatedSeries(0.5 ** np.arange(40))
         with pytest.raises(OutsideSafeRadius):

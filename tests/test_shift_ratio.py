@@ -1,0 +1,163 @@
+"""D_q^k f / f in closed form for the lattice products.
+
+EtildeProduct and BigEProduct satisfy f(qz) = R(z) f(z) with a rational
+shift ratio R, so D_q^k f / f is a rational function (dqk_quotient). A
+q_product model that carries R takes that exact route in
+logderiv_lemma_check when the operator has the product's own base; it
+must agree with the pointwise orbit sum dqk_closed_form(s, z) / s(z).
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import jacksonq.nevanlinna as nevanlinna
+from jacksonq.errors import DomainError
+from jacksonq.nevanlinna import MeroModel, RadialGrid, logderiv_lemma_check
+from jacksonq.qcore import QParam
+from jacksonq.qode import RationalFunction, dqk_quotient
+from jacksonq.qoperator import dqk_closed_form
+from jacksonq.qspecial import BigEProduct, EtildeProduct
+
+# (|q| range, real sign or None for complex q)
+REGIMES = {
+    "q > 1": ((1.2, 4.0), 1.0),
+    "q < -1": ((1.2, 4.0), -1.0),
+    "0 < q < 1": ((0.25, 0.85), 1.0),
+    "-1 < q < 0": ((0.25, 0.85), -1.0),
+    "complex |q| > 1": ((1.2, 4.0), None),
+    "complex |q| < 1": ((0.25, 0.85), None),
+}
+
+
+@st.composite
+def lattice_products(draw):
+    (lo, hi), sign = REGIMES[draw(st.sampled_from(sorted(REGIMES)))]
+    modulus = draw(st.floats(lo, hi))
+    if sign is None:
+        angle = draw(st.floats(0.05, math.pi - 0.05))
+        q = modulus * cmath.exp(1j * angle * draw(st.sampled_from((1, -1))))
+    else:
+        q = sign * modulus
+    qp = QParam(q)
+    return EtildeProduct(qp) if modulus > 1.0 else BigEProduct(qp)
+
+
+def between_lattice(prod, n: int) -> float:
+    """Geometric midpoint of the n-th and (n+1)-th lattice moduli."""
+    step = max(abs(prod.qp.q), 1.0 / abs(prod.qp.q))
+    moduli = [abs(z) for z, _ in prod.zeros_up_to(step ** (n + 3))]
+    return math.sqrt(moduli[n] * moduli[n + 1])
+
+
+def product_model(prod, with_ratio: bool = True) -> MeroModel:
+    return MeroModel.from_q_product(
+        prod.zeros_up_to, prod.log_eval, eval_fn=prod.eval, qp=prod.qp,
+        shift_ratio=prod.shift_ratio if with_ratio else None)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(prod=lattice_products(), n=st.integers(0, 10), k=st.integers(1, 3),
+       phase=st.floats(0.0, 2.0 * math.pi))
+def test_exact_quotient_matches_orbit_sum(prod, n, k, phase):
+    r = between_lattice(prod, n)
+    zs = r * np.exp(1j * (phase + np.linspace(0.0, 2.0 * np.pi, 6,
+                                              endpoint=False)))
+    ratio = dqk_quotient(prod.shift_ratio, prod.qp, k)
+    s = prod.sampler()
+    want = np.array([dqk_closed_form(s, z, prod.qp, k) / s(z) for z in zs])
+    got = ratio(zs)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+    # the structural identity behind it, on a whole array of points
+    lhs = prod.eval(prod.qp.q * zs)
+    rhs = prod.shift_ratio(zs) * prod.eval(zs)
+    assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.abs(lhs))
+
+
+@pytest.mark.parametrize("qv", [2.0, -1.7, 1.5 * cmath.exp(0.4j)])
+def test_etilde_first_quotient_is_constant(qv):
+    qp = QParam(qv)
+    ratio = dqk_quotient(EtildeProduct(qp).shift_ratio, qp, 1)
+    assert ratio.num_degree == ratio.den_degree == 0
+    assert ratio(3.0 + 1.0j) == pytest.approx(-1.0 / (qp.q - 1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("qv", [0.5, -0.3, 0.6 * cmath.exp(1.1j)])
+def test_big_e_first_quotient(qv):
+    qp = QParam(qv)
+    ratio = dqk_quotient(BigEProduct(qp).shift_ratio, qp, 1)
+    z = 2.5 - 0.7j
+    assert ratio(z) == pytest.approx(-1.0 / ((qp.q - 1.0) * (1.0 + z)),
+                                     rel=1e-15)
+
+
+def test_quotient_rejects_bad_input():
+    qp = QParam(2.0)
+    with pytest.raises(DomainError):
+        dqk_quotient(RationalFunction([2.0, 1.0]), qp, 1)  # R(0) = 2
+    with pytest.raises(DomainError):
+        dqk_quotient(EtildeProduct(qp).shift_ratio, qp, 0)
+    prod = EtildeProduct(qp)
+    with pytest.raises(DomainError):
+        MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
+                                 shift_ratio=prod.shift_ratio)
+
+
+def count_orbit_sums(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return dqk_closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(nevanlinna, "dqk_closed_form", counted)
+    return calls
+
+
+GRID = RadialGrid.log_spaced(10.0, 1e4, 5, angular_nodes=256)
+
+
+@pytest.mark.parametrize("prod", [EtildeProduct(QParam(2.0)),
+                                  BigEProduct(QParam(0.5))])
+def test_product_with_ratio_makes_no_orbit_sums(prod, monkeypatch):
+    calls = count_orbit_sums(monkeypatch)
+    rows = logderiv_lemma_check(product_model(prod), prod.qp, 1, GRID)
+    assert calls == []
+    assert [row.m_ratio for row in rows] == [0.0] * len(GRID.radii)
+
+
+def test_routes_agree_on_rows(monkeypatch):
+    prod = BigEProduct(QParam(0.7))
+    grid = RadialGrid.log_spaced(1.5, 40.0, 4, angular_nodes=128)
+    exact = logderiv_lemma_check(product_model(prod), prod.qp, 2, grid)
+    calls = count_orbit_sums(monkeypatch)
+    pointwise = logderiv_lemma_check(product_model(prod, with_ratio=False),
+                                     prod.qp, 2, grid)
+    assert len(calls) > 0
+    for a, b in zip(exact, pointwise):
+        assert a.r == b.r and a.T == b.T
+        assert a.m_ratio == pytest.approx(b.m_ratio, rel=1e-9, abs=1e-12)
+    assert exact[0].m_ratio > 0.0
+
+
+def test_other_base_keeps_pointwise_route(monkeypatch):
+    prod = EtildeProduct(QParam(2.0))
+    calls = count_orbit_sums(monkeypatch)
+    logderiv_lemma_check(product_model(prod), QParam(3.0), 1,
+                         RadialGrid((10.0, 100.0), 64))
+    assert len(calls) == 2 * 64
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_etilde_reads_k_log_one_over_q_minus_one(k):
+    # D_q^k etilde / etilde = (-1/(q-1))^k, a constant of modulus 0.3^-k
+    qp = QParam(1.3)
+    rows = logderiv_lemma_check(product_model(EtildeProduct(qp)), qp, k,
+                                GRID)
+    for row in rows:
+        assert row.m_ratio == pytest.approx(k * math.log(1.0 / 0.3),
+                                            rel=1e-13)
