@@ -389,7 +389,7 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
                 raise SchemaError(f"{name} has no series route")
             est = log_order_from_nu(series, grid)
         elif est_name == "counting":
-            if model is None or model.kind != "q_product":
+            if "counting" not in auto:  # only the products carry a lattice
                 raise SchemaError(f"{name} has no zero lattice")
             est = log_order_from_counting(model, grid, target=0.0)
         elif est_name == "T":

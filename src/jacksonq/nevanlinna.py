@@ -6,16 +6,19 @@ Normalisations:
     N(r,f) = sum_{0<|z_j|<=r} m_j log(r/|z_j|) + n(0) log r     (poles z_j)
     T(r,f) = m(r,f) + N(r,f)
 
-Counting integrals are evaluated in closed form from sorted zero/pole
-moduli, never by numerical t-integration. For a rational model that
-divisor does not depend on r: the a-points of each target, and per base
-q the Jackson weights h - min(h, k') read off the zeros of D_q f, are
-found once and kept on the model, so a radius loop only re-sums them.
-A failed computation (an ambiguous root cluster, a constant f) is not
-kept and raises again on the next call. The proximity integral is a
-composite trapezoid on equally spaced angles (spectrally accurate for
-circles that keep away from zeros and poles), with the step-halving
-difference reported as its error estimate.
+f is a MeroModel of one of four typed shapes (rational, entire series,
+q-product, sampler), and the functionals ask every shape the same
+questions. Counting integrals are evaluated in closed form from its
+divisor, (origin multiplicity, [(modulus, multiplicity)]), never by
+numerical t-integration. A rational model's divisor does not depend on
+r: the a-points of each target, and per base q the Jackson weights
+h - min(h, k') read off the zeros of D_q f, are found once and kept on
+the model, so a radius loop only re-sums them. A failed computation (an
+ambiguous root cluster, a constant f) is not kept and raises again on
+the next call. The proximity integral is a composite trapezoid on
+equally spaced angles (spectrally accurate for circles that keep away
+from zeros and poles), with the step-halving difference reported as its
+error estimate.
 
 Limit quantities (logarithmic order, defects, the second-fundamental-
 theorem margin, Wiman-Valiron ratios) are reported as finite-radius
@@ -26,7 +29,7 @@ actual limsup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +45,7 @@ from .errors import (
 from .polyroots import poly_eval, roots_with_multiplicity
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_quotient, dqk_rational
-from .qoperator import Sampler, dqk_closed_form
+from .qoperator import Sampler, dqk_closed_form, series_sampler
 from .qspecial import BigEProduct, EtildeProduct
 
 INF = math.inf
@@ -105,51 +108,42 @@ class RadialGrid:
 
 
 class MeroModel:
-    """A meromorphic function in one of four evaluable shapes.
+    """A meromorphic function f of zero order, in one of four shapes,
+    each built by its factory:
 
-    rational       exact zero/pole lists from the coefficient arrays; the
-                   divisor of f = a (per target a), its Jackson weights
-                   (per target and QParam) and the model of D_q f (per
-                   QParam) are computed on first use and reused at every
-                   radius and call; failures are not kept
-    entire_series  TruncatedSeries with a certified evaluation radius;
-                   zeros located as eigenvalues of the truncated
-                   polynomial, each annulus count certified by one
-                   argument-principle winding number
-    q_product      entire product with an exact zero lattice and an
-                   overflow-free log evaluator; a log_eval bound to an
-                   EtildeProduct or BigEProduct gets each circle as one
-                   array, any other callable one point per call; an
-                   optional shift ratio R with f(qz) = R(z) f(z) at the
-                   model's own base qp makes D_q^k f / f exact
-    sampler        black box; proximity only (declared entire when the
+    RationalModel  exact zeros and poles from the coefficient arrays; the
+                   divisor per target, the Jackson weights per (target,
+                   QParam) and D_q f per QParam are kept from first use
+                   and reused at every radius and call (failures are not)
+    SeriesModel    an entire TruncatedSeries with a certified radius; zero
+                   moduli from companion eigenvalues, each annulus count
+                   certified by one argument-principle winding number
+    ProductModel   an entire product with an exact zero lattice and an
+                   overflow-free log_eval (one array per circle when bound
+                   to an EtildeProduct or BigEProduct, else one point per
+                   call), and an optional shift ratio R, f(qz) = R(z) f(z)
+                   at its own base qp, which makes D_q^k f / f exact
+    SamplerModel   a black box; proximity only (declared entire when the
                    caller knows there are no poles)
+
+    A question a shape cannot answer raises TargetUnsupported; the
+    defaults below are those of an entire function known by its zero
+    divisor. Shapes supply _log_abs, never log_abs, so every log|f| goes
+    through this class's one method.
     """
 
-    def __init__(self, kind: str, qp: Optional[QParam] = None, **parts):
-        self.kind = kind
-        self.qp = qp
-        self._parts = parts
-        self._divisors = {}
-
-    def _divisor(self, key, compute: Callable[[], object]):
-        """Radius-independent divisor data of a rational model under key,
-        computed on first use; a computation that raises keeps nothing."""
-        if key not in self._divisors:
-            self._divisors[key] = compute()
-        return self._divisors[key]
-
-    # -- factories -----------------------------------------------------------
+    qp: Optional[QParam]
+    shift_ratio: Optional[RationalFunction] = None
 
     @classmethod
     def from_rational(cls, rf: RationalFunction,
                       qp: Optional[QParam] = None) -> "MeroModel":
-        return cls("rational", qp, rational=rf)
+        return RationalModel(rf, qp)
 
     @classmethod
     def from_series(cls, ts: TruncatedSeries,
                     qp: Optional[QParam] = None) -> "MeroModel":
-        return cls("entire_series", qp, series=ts)
+        return SeriesModel(ts, qp)
 
     @classmethod
     def from_q_product(cls, zeros_up_to: Callable[[float], list],
@@ -162,136 +156,247 @@ class MeroModel:
         """shift_ratio is the structural R with f(qz) = R(z) f(z) for
         q = qp.q (EtildeProduct.shift_ratio, BigEProduct.shift_ratio);
         it needs qp."""
-        if shift_ratio is not None and qp is None:
-            raise DomainError("a shift ratio needs the product's base qp")
-        return cls("q_product", qp, zeros_up_to=zeros_up_to,
-                   log_eval=log_eval, eval_fn=eval_fn,
-                   origin_value=complex(origin_value),
-                   shift_ratio=shift_ratio)
+        return ProductModel(zeros_up_to, log_eval, eval_fn,
+                            complex(origin_value), qp, shift_ratio)
 
     @classmethod
     def from_sampler(cls, sampler: Sampler, entire: bool = False,
                      qp: Optional[QParam] = None) -> "MeroModel":
-        return cls("sampler", qp, sampler=sampler, entire=entire)
-
-    # -- evaluation -----------------------------------------------------------
-
-    @property
-    def rational(self) -> RationalFunction:
-        return self._parts["rational"]
-
-    @property
-    def series(self) -> TruncatedSeries:
-        return self._parts["series"]
-
-    def eval(self, z):
-        if self.kind == "rational":
-            return self.rational.eval(z)
-        if self.kind == "entire_series":
-            return self.series.eval(z)
-        if self.kind == "q_product":
-            fn = self._parts.get("eval_fn")
-            if fn is not None:
-                return fn(z) if np.ndim(z) == 0 else np.array([fn(w) for w in np.ravel(z)]).reshape(np.shape(z))
-            return np.exp(self._log_eval_vec(z))
-        s = self._parts["sampler"]
-        if np.ndim(z) == 0:
-            return s(z)
-        return np.array([s(w) for w in np.ravel(z)]).reshape(np.shape(z))
-
-    def sampler(self) -> Sampler:
-        if self.kind == "sampler":
-            return self._parts["sampler"]
-        if self.kind == "rational":
-            rf = self.rational
-            return Sampler(rf.eval, None, tuple(rf.poles()))
-        if self.kind == "entire_series":
-            from .qoperator import series_sampler
-
-            return series_sampler(self.series)
-        fn = self._parts.get("eval_fn")
-        log_eval = self._parts["log_eval"]
-        return Sampler(fn if fn is not None else (lambda z: np.exp(log_eval(z))))
-
-    def _log_eval_vec(self, zs):
-        log_eval = self._parts["log_eval"]
-        flat = np.ravel(np.asarray(zs, dtype=np.complex128))
-        if isinstance(getattr(log_eval, "__self__", None),
-                      (BigEProduct, EtildeProduct)):
-            out = log_eval(flat)
-        else:
-            out = np.array([log_eval(z) for z in flat], dtype=np.complex128)
-        return out.reshape(np.shape(zs))
+        return SamplerModel(sampler, entire, qp)
 
     def log_abs(self, zs) -> np.ndarray:
         """log|f| at an array of points, overflow-free where the model
         allows it."""
-        if self.kind == "rational":
-            rf = self.rational
-            zs = np.asarray(zs, dtype=np.complex128)
-            with np.errstate(divide="ignore"):
-                return (np.log(np.abs(poly_eval(rf.num, zs)))
-                        - np.log(np.abs(poly_eval(rf.den, zs))))
-        if self.kind == "q_product":
-            return np.real(self._log_eval_vec(zs))
-        vals = self.eval(np.asarray(zs, dtype=np.complex128))
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(vals))
+        return self._log_abs(np.asarray(zs, dtype=np.complex128))
 
-    # -- structure ------------------------------------------------------------
+    def _log_abs(self, zs: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.eval(zs)))
 
     def is_entire(self) -> bool:
-        if self.kind in ("entire_series", "q_product"):
-            return True
-        if self.kind == "rational":
-            return self.rational.den_degree == 0
-        return bool(self._parts.get("entire"))
+        return True
 
     def zeros_up_to(self, r: float):
-        """(location, multiplicity) pairs of zeros with |z| <= r; for the
-        series kind only moduli are known, reported as (modulus, mult)."""
-        if self.kind == "rational":
-            return [(z, m) for z, m in self.rational.zeros() if abs(z) <= r]
-        if self.kind == "q_product":
-            return [p for p in self._parts["zeros_up_to"](r)]
-        if self.kind == "entire_series":
-            lam = _origin_multiplicity(self.series.coeffs)
-            mods = series_zero_moduli(self.series, r)
-            out = [(0.0, lam)] if lam else []
-            return out + [(m, c) for m, c in mods]
-        raise TargetUnsupported("sampler models expose no zero structure")
+        """(location, multiplicity) pairs of the zeros with |z| <= r."""
+        raise TargetUnsupported(f"{type(self).__name__} has no zero locations")
 
     def poles_up_to(self, r: float):
-        if self.kind == "rational":
-            return [(z, m) for z, m in self.rational.poles() if abs(z) <= r]
-        if self.is_entire():
-            return []
-        raise TargetUnsupported("sampler models expose no pole structure")
+        return []
+
+    def divisor(self, r: float, target=0.0):
+        """(origin multiplicity, [(modulus, multiplicity)]) of the points
+        where f = target, at least all those with |z| <= r. An entire
+        shape resolves target 0 (and infinity trivially, in counting_N)."""
+        if target != 0:
+            raise TargetUnsupported(f"{type(self).__name__} counts only "
+                                    "target 0 and infinity")
+        return self._zero_divisor(r)
 
     def known_moduli(self, r: float):
         """Moduli of stored zeros/poles up to r, for grid nudging."""
-        out = []
-        try:
-            out += [abs(z) if not isinstance(z, float) else z
-                    for z, _ in self.zeros_up_to(r)]
-        except TargetUnsupported:
-            pass
-        try:
-            out += [abs(z) for z, _ in self.poles_up_to(r)]
-        except TargetUnsupported:
-            pass
-        return [m for m in out if m > 0]
+        return [m for m, _ in self.divisor(r)[1]]
 
     def origin_leading(self):
         """(lam, c_lam) of the local behaviour c_lam z^lam at the origin."""
-        if self.kind == "rational":
-            return self.rational.origin_leading()
-        if self.kind == "entire_series":
-            lam = _origin_multiplicity(self.series.coeffs)
-            return lam, complex(self.series.coeffs[lam])
-        if self.kind == "q_product":
-            return 0, self._parts["origin_value"]
-        raise TargetUnsupported("sampler models expose no origin data")
+        raise TargetUnsupported(f"{type(self).__name__} has no origin data")
+
+
+@dataclass(eq=False)
+class RationalModel(MeroModel):
+    rational: RationalFunction
+    qp: Optional[QParam] = None
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _keep(self, key, compute: Callable[[], object]):
+        """Radius-independent divisor data under key, computed on first
+        use; a computation that raises keeps nothing."""
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
+    def eval(self, z):
+        return self.rational.eval(z)
+
+    def _log_abs(self, zs: np.ndarray) -> np.ndarray:
+        rf = self.rational
+        with np.errstate(divide="ignore"):
+            return (np.log(np.abs(poly_eval(rf.num, zs)))
+                    - np.log(np.abs(poly_eval(rf.den, zs))))
+
+    def sampler(self) -> Sampler:
+        rf = self.rational
+        return Sampler(rf.eval, None, tuple(rf.poles()))
+
+    def is_entire(self) -> bool:
+        return self.rational.den_degree == 0
+
+    def zeros_up_to(self, r: float):
+        return [(z, m) for z, m in self.rational.zeros() if abs(z) <= r]
+
+    def poles_up_to(self, r: float):
+        return [(z, m) for z, m in self.rational.poles() if abs(z) <= r]
+
+    def divisor(self, r: float, target=0.0):
+        """Any finite target (the roots of num - a den) and infinity (the
+        poles), over the whole plane."""
+        def compute():
+            rf = self.rational
+            if target == INF:
+                return _split_origin(rf.poles())
+            origin, rest = (self.zero_data() if target == 0
+                            else _rational_zero_data(rf.subtract_const(target)))
+            return origin, [(abs(z), m) for z, m in rest]
+        return self._keep(("N", target), compute)
+
+    def known_moduli(self, r: float):
+        pts = self.zeros_up_to(r) + self.poles_up_to(r)
+        return [m for m in (abs(z) for z, _ in pts) if m > 0]
+
+    def origin_leading(self):
+        return self.rational.origin_leading()
+
+    def zero_data(self):
+        """_rational_zero_data of f."""
+        return self._keep("zeros", lambda: _rational_zero_data(self.rational))
+
+    def dq_model(self, qp: QParam) -> "RationalModel":
+        """D_q f, per QParam: D_q(f - a) = D_q f serves every finite
+        target."""
+        def compute():
+            df = dq_rational(self.rational, qp)
+            if df.is_zero:
+                raise DomainError("D_q f vanishes identically; f is constant")
+            return RationalModel(df)
+        return self._keep(("Dq", qp), compute)
+
+    def jackson_weights(self, target, qp: QParam):
+        """[(modulus, h - min(h, k'))] over the points where f = target,
+        nonzero weights only; k' is read off the zeros of D_q f (of
+        D_q(1/f) for the poles)."""
+        def compute():
+            rf = self.rational
+            if target == INF:
+                points = rf.poles()
+                dq_model = RationalModel(rf.reciprocal()).dq_model(qp)
+            else:
+                shifted = rf if target == 0 else rf.subtract_const(target)
+                lam, rest = _rational_zero_data(shifted, strict=True)
+                points = ([(0.0 + 0.0j, lam)] if lam else []) + rest
+                dq_model = self.dq_model(qp)
+            lam, rest = dq_model.zero_data()
+            dq_zeros = ([(0.0 + 0.0j, lam)] if lam else []) + rest
+            scale = max([1.0] + [abs(z) for z, _ in points])
+            weights = [(abs(z), h - min(h, _match_multiplicity(
+                z, dq_zeros, scale))) for z, h in points]
+            return [(mod, w) for mod, w in weights if w]
+        return self._keep(("J", target, qp), compute)
+
+
+@dataclass(eq=False)
+class SeriesModel(MeroModel):
+    series: TruncatedSeries
+    qp: Optional[QParam] = None
+
+    def eval(self, z):
+        return self.series.eval(z)
+
+    def sampler(self) -> Sampler:
+        return series_sampler(self.series)
+
+    def _zero_divisor(self, r: float):
+        lam = _origin_multiplicity(self.series.coeffs)
+        return lam, series_zero_moduli(self.series, r)
+
+    def origin_leading(self):
+        lam = _origin_multiplicity(self.series.coeffs)
+        return lam, complex(self.series.coeffs[lam])
+
+
+@dataclass(eq=False)
+class ProductModel(MeroModel):
+    zeros_fn: Callable[[float], list]
+    log_eval: Callable[[complex], complex]
+    eval_fn: Optional[Callable[[complex], complex]] = None
+    origin_value: complex = 1.0
+    qp: Optional[QParam] = None
+    shift_ratio: Optional[RationalFunction] = None
+
+    def __post_init__(self):
+        if self.shift_ratio is not None and self.qp is None:
+            raise DomainError("a shift ratio needs the product's base qp")
+        log_eval = self.log_eval
+        if isinstance(getattr(log_eval, "__self__", None),
+                      (BigEProduct, EtildeProduct)):
+            self._log_eval_flat = log_eval
+        else:
+            self._log_eval_flat = lambda flat: np.array(
+                [log_eval(z) for z in flat], dtype=np.complex128)
+
+    def _log_eval_vec(self, zs):
+        flat = np.ravel(np.asarray(zs, dtype=np.complex128))
+        return self._log_eval_flat(flat).reshape(np.shape(zs))
+
+    def eval(self, z):
+        if self.eval_fn is not None:
+            return _pointwise(self.eval_fn, z)
+        return np.exp(self._log_eval_vec(z))
+
+    def _log_abs(self, zs: np.ndarray) -> np.ndarray:
+        return np.real(self._log_eval_vec(zs))
+
+    def sampler(self) -> Sampler:
+        log_eval = self.log_eval
+        return Sampler(self.eval_fn if self.eval_fn is not None
+                       else (lambda z: np.exp(log_eval(z))))
+
+    def zeros_up_to(self, r: float):
+        return list(self.zeros_fn(r))
+
+    def _zero_divisor(self, r: float):
+        return _split_origin(self.zeros_fn(r))
+
+    def origin_leading(self):
+        return 0, self.origin_value
+
+
+@dataclass(eq=False)
+class SamplerModel(MeroModel):
+    fn: Sampler
+    entire: bool = False
+    qp: Optional[QParam] = None
+
+    def eval(self, z):
+        return _pointwise(self.fn, z)
+
+    def sampler(self) -> Sampler:
+        return self.fn
+
+    def is_entire(self) -> bool:
+        return self.entire
+
+    def poles_up_to(self, r: float):
+        if self.entire:
+            return []
+        raise TargetUnsupported("sampler models expose no pole structure")
+
+    def divisor(self, r: float, target=0.0):
+        raise TargetUnsupported("sampler models cannot count")
+
+    def known_moduli(self, r: float):
+        return []
+
+
+def _split_origin(pts):
+    """(origin multiplicity, [(modulus, multiplicity)]) of (z, m) pairs."""
+    return (sum(m for z, m in pts if abs(z) == 0.0),
+            [(abs(z), m) for z, m in pts if abs(z) > 0.0])
+
+
+def _pointwise(fn: Callable, z):
+    """fn at a point, or at each point of an array, one call per point."""
+    if np.ndim(z) == 0:
+        return fn(z)
+    return np.array([fn(w) for w in np.ravel(z)]).reshape(np.shape(z))
 
 
 def _origin_multiplicity(coeffs: np.ndarray) -> int:
@@ -406,10 +511,6 @@ def proximity(model: MeroModel, r: float, M: int = 4096) -> float:
     return _circle_mean(model, r, M, positive_part=True)[0]
 
 
-def proximity_with_error(model: MeroModel, r: float, M: int = 4096):
-    return _circle_mean(model, r, M, positive_part=True)
-
-
 def _integrated_counting(origin_mult: int, moduli_mults, r: float) -> float:
     """N(r) = n(0) log r + sum_{0<|z|<=r} m log(r/|z|)."""
     total = origin_mult * math.log(r)
@@ -420,49 +521,13 @@ def _integrated_counting(origin_mult: int, moduli_mults, r: float) -> float:
 
 
 def counting_N(model: MeroModel, r: float, target=0.0) -> float:
-    """Integrated counting function N(r, f=target).
-
-    rational models resolve any finite target (roots of num - a den) and
-    infinity (poles); q_product and series models resolve target 0 (and
-    infinity trivially, being entire)."""
+    """Integrated counting function N(r, f=target), summed from the
+    model's divisor (MeroModel.divisor says which targets it resolves);
+    infinity counts nothing for an entire model."""
     if target == INF and model.is_entire():
         return 0.0
-    if model.kind == "rational":
-        origin, rest = model._divisor(
-            ("N", target), lambda: _rational_divisor(model, target))
-        return _integrated_counting(origin, rest, r)
-    if target == INF:
-        raise TargetUnsupported("sampler models expose no pole structure")
-    if model.kind in ("q_product", "entire_series"):
-        if target != 0:
-            raise TargetUnsupported(
-                f"{model.kind} models count only target 0 and infinity")
-        pts = model.zeros_up_to(r)
-        origin = sum(m for z, m in pts
-                     if (z == 0.0 if isinstance(z, float) else abs(z) == 0.0))
-        rest = [((z if isinstance(z, float) else abs(z)), m)
-                for z, m in pts if (z if isinstance(z, float) else abs(z)) > 0]
-        return _integrated_counting(origin, rest, r)
-    raise TargetUnsupported("sampler models cannot count")
-
-
-def _rational_divisor(model: MeroModel, target):
-    """(origin multiplicity, [(modulus, multiplicity)]) of the points
-    where a rational model's f = target, over the whole plane."""
-    rf = model.rational
-    if target == INF:
-        pts = rf.poles()
-        origin = sum(m for z, m in pts if abs(z) == 0.0)
-        return origin, [(abs(z), m) for z, m in pts if abs(z) > 0.0]
-    origin, rest = (_model_zero_data(model) if target == 0
-                    else _rational_zero_data(rf.subtract_const(target)))
-    return origin, [(abs(z), m) for z, m in rest]
-
-
-def _model_zero_data(model: MeroModel):
-    """_rational_zero_data of a rational model, kept in its memo."""
-    return model._divisor("zeros",
-                          lambda: _rational_zero_data(model.rational))
+    origin, rest = model.divisor(r, target)
+    return _integrated_counting(origin, rest, r)
 
 
 def _rational_zero_data(rf: RationalFunction, strict: bool = False):
@@ -496,7 +561,7 @@ class NevanlinnaSample:
 
 def characteristic(model: MeroModel, r: float, M: int = 4096) -> NevanlinnaSample:
     """T(r,f) = m(r,f) + N(r,f), with the supporting columns recorded."""
-    mval, err = proximity_with_error(model, r, M)
+    mval, err = _circle_mean(model, r, M, positive_part=True)
     Ninf = counting_N(model, r, INF)
     try:
         N0 = counting_N(model, r, 0.0)
@@ -504,11 +569,9 @@ def characteristic(model: MeroModel, r: float, M: int = 4096) -> NevanlinnaSampl
         N0 = math.nan
     sample = NevanlinnaSample(r=r, m=mval, N0=N0, Ninf=Ninf, T=mval + Ninf,
                               quad_err=err)
-    if model.kind == "rational" and model.qp is not None:
-        nt0, Nt0 = jackson_truncated_counting(model, r, 0.0, model.qp)
-        ntinf, Ntinf = jackson_truncated_counting(model, r, INF, model.qp)
-        sample.nJ0 = Nt0
-        sample.nJinf = Ntinf
+    if isinstance(model, RationalModel) and model.qp is not None:
+        sample.nJ0 = jackson_truncated_counting(model, r, 0.0, model.qp)[1]
+        sample.nJinf = jackson_truncated_counting(model, r, INF, model.qp)[1]
     return sample
 
 
@@ -552,53 +615,12 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     MultiplicityAmbiguous: the h and k' bookkeeping would depend on the
     tolerance there.
     """
-    if model.kind != "rational":
+    if not isinstance(model, RationalModel):
         raise TargetUnsupported("Jackson truncated counting needs exact "
                                 "zero/pole structure (rational model)")
-    contributions = model._divisor(
-        ("J", target, qp), lambda: _jackson_weights(model, target, qp))
-    ntilde_r = 0.0
-    for mod, weight in contributions:
-        if mod < r:
-            ntilde_r += weight
-    origin = sum(w for mod, w in contributions if mod == 0.0)
-    rest = [(mod, w) for mod, w in contributions if mod > 0.0]
-    Ntilde = _integrated_counting(origin, rest, r)
-    return ntilde_r, Ntilde
-
-
-def _jackson_weights(model: MeroModel, target, qp: QParam):
-    """[(modulus, h - min(h, k'))] over the points where f = target,
-    nonzero weights only."""
-    rf = model.rational
-    if target == INF:
-        points = rf.poles()
-        dq_model = _dq_model(MeroModel.from_rational(rf.reciprocal()), qp)
-    else:
-        shifted = rf if target == 0 else rf.subtract_const(target)
-        lam, rest = _rational_zero_data(shifted, strict=True)
-        points = ([(0.0 + 0.0j, lam)] if lam else []) + rest
-        dq_model = _dq_model(model, qp)
-    lam, rest = _model_zero_data(dq_model)
-    dq_zero_list = ([(0.0 + 0.0j, lam)] if lam else []) + rest
-    scale = max([1.0] + [abs(z) for z, _ in points])
-    contributions = []
-    for z, h in points:
-        weight = h - min(h, _match_multiplicity(z, dq_zero_list, scale))
-        if weight:
-            contributions.append((abs(z), weight))
-    return contributions
-
-
-def _dq_model(model: MeroModel, qp: QParam) -> MeroModel:
-    """D_q f of a rational model, kept per QParam in the model's memo:
-    D_q(f - a) = D_q f serves every finite target."""
-    def build():
-        df = dq_rational(model.rational, qp)
-        if df.is_zero:
-            raise DomainError("D_q f vanishes identically; f is constant")
-        return MeroModel.from_rational(df)
-    return model._divisor(("Dq", qp), build)
+    contributions = model.jackson_weights(target, qp)
+    ntilde_r = float(sum(w for mod, w in contributions if mod < r))
+    return ntilde_r, _integrated_counting(*_split_origin(contributions), r)
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +751,6 @@ class WimanValironSample:
     r: float
     mu: float
     nu: int
-    max_modulus_point: Optional[complex] = None
-    ratio_check: Optional[complex] = None
 
 
 def max_term_central_index(f: TruncatedSeries, r: float) -> WimanValironSample:
@@ -779,29 +799,27 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
     """Table of (r, m(r, D_q^k f / f), T(r,f)) rows.
 
     The quotient is one exact rational function for a rational model
-    (D_q^k f times 1/f) and for a q_product model that carries its shift
-    ratio R, when qp has the product's own base (built from R by
-    dqk_quotient). Any other model, or a product checked at another
-    base, evaluates D_q^k f by the closed-form orbit sum on its sampler,
-    one point per call."""
+    (D_q^k f times 1/f) and for a model that carries its shift ratio R,
+    when qp has the model's own base (built from R by dqk_quotient). Any
+    other model, or a product checked at another base, evaluates D_q^k f
+    by the closed-form orbit sum on its sampler, one point per call."""
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * abs(qp.q) ** k * 2.0))
     rows = []
-    shift_ratio = model._parts.get("shift_ratio")
-    if model.kind == "rational":
-        if model.rational.num_degree == 0 and model.rational.den_degree == 0:
+    if isinstance(model, RationalModel):
+        rf = model.rational
+        if rf.num_degree == 0 and rf.den_degree == 0:
             raise DomainError("logarithmic difference needs a nonconstant f")
-        ratio_rf = dqk_rational(model.rational, qp, k) * model.rational.reciprocal()
-        ratio_model = MeroModel.from_rational(ratio_rf)
-    elif shift_ratio is not None and model.qp.q == qp.q:
-        ratio_model = MeroModel.from_rational(dqk_quotient(shift_ratio, qp, k))
+        ratio_model = RationalModel(dqk_rational(rf, qp, k) * rf.reciprocal())
+    elif model.shift_ratio is not None and model.qp.q == qp.q:
+        ratio_model = RationalModel(dqk_quotient(model.shift_ratio, qp, k))
     else:
         s = model.sampler()
 
         def ratio_eval(z):
             return dqk_closed_form(s, z, qp, k) / s(z)
 
-        ratio_model = MeroModel.from_sampler(Sampler(ratio_eval))
+        ratio_model = SamplerModel(Sampler(ratio_eval))
     for r in grid.radii:
         mval = proximity(ratio_model, r, M)
         T = characteristic(model, r, M).T
@@ -832,13 +850,13 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
     p = len(targets)
     if p < 3:
         raise DomainError("need at least 3 targets for a nontrivial margin")
-    if model.kind != "rational":
+    if not isinstance(model, RationalModel):
         raise TargetUnsupported("margins need a rational model")
     if len(set(map(complex, [t if t != INF else complex(1e308) for t in targets]))) != p:
         raise DomainError("targets must be distinct")
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
-    df_model = _dq_model(model, qp)
+    df_model = model.dq_model(qp)
     rows = []
     for r in grid.radii:
         T = characteristic(model, r, M).T
@@ -909,8 +927,7 @@ def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
             if abs(obs2 - obs) > 1e-6 * max(1.0, abs(obs)):
                 raise MaxModulusAmbiguous(
                     f"two max-modulus candidates disagree at r = {r:g}")
-        ref = ((qk - 1.0) * wv.nu).real if isinstance(qk, complex) \
-            else (qk - 1.0) * wv.nu
+        ref = ((qk - 1.0) * wv.nu).real  # qp.q is always complex
         rows.append(WvRow(r, wv.nu, wv.mu, z_star, obs, float(ref)))
     return rows
 
@@ -986,24 +1003,24 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
     if verified < max(1, len(grid.radii) // 2):
         raise DomainError(
             "too few grid circles admit a finite residual check")
-    if f_model.kind == "rational":
+    if isinstance(f_model, RationalModel):
         return GrowthReport(1.0, 0.0, math.nan, math.nan, skipped=True,
                             reason="solution is rational, not transcendental")
     M = M or grid.angular_nodes
-    if A_model.kind == "rational":
+    if isinstance(A_model, RationalModel):
         sigma_A, half_A = 1.0, 0.0
     else:
         samples = [characteristic(A_model, r, M) for r in
                    grid.avoiding(A_model.known_moduli(grid.radii[-1] * 2.0)).radii]
         est = log_order_from_T(samples)
         sigma_A, half_A = est.value, est.half_width
-    if f_model.kind == "entire_series":
+    if isinstance(f_model, SeriesModel):
         est_f = log_order_from_nu(f_model.series, grid)
-    elif f_model.kind == "q_product":
+    elif isinstance(f_model, ProductModel):
         est_f = log_order_from_counting(f_model, grid, target=0.0)
     else:
-        samples = [characteristic(f_model, r, M) for r in grid.radii]
-        est_f = log_order_from_T(samples)
+        est_f = log_order_from_T([characteristic(f_model, r, M)
+                                  for r in grid.radii])
     return GrowthReport(sigma_A, half_A, est_f.value, est_f.half_width)
 
 

@@ -66,17 +66,13 @@ class QParam:
         return "inside" if abs(self.q) < 1.0 else "outside"
 
 
-def q_bracket(n: int, qp: QParam, limit_q1: bool = False) -> complex:
+def q_bracket(n: int, qp: QParam) -> complex:
     """q-analogue of the integer n: (q^n - 1)/(q - 1).
 
-    Equals 1 + q + ... + q^{n-1}; 0 for n = 0. With ``limit_q1`` the
-    classical limit n (for q -> 1) is returned instead; callers doing
-    continuation toward q = 1 opt in explicitly.
+    Equals 1 + q + ... + q^{n-1}; 0 for n = 0.
     """
     if n < 0:
         raise DomainError("q_bracket requires n >= 0")
-    if limit_q1:
-        return complex(n, 0.0)
     q = qp.q
     if n == 0:
         return 0.0 + 0.0j

@@ -17,14 +17,18 @@ functions use verbatim:
     etilde_q(z) = prod_{n>=1} (1 - q^{-n} z)   (|q| > 1, zeros at q^n)
     big_e_q(z)  = prod_{n>=0} (1 + q^n z)      (|q| < 1, zeros at -q^{-n})
 
-All coefficient ladders are built multiplicatively; for |q| > 1 the
-denominators (q;q)_n blow up superexponentially and coefficients saturate
-to exact zero past the double-precision floor, which is harmless for
-evaluation inside the certified radius.
+etilde_q and big_e_q are phi_rs at fixed parameters, so they share its
+one coefficient ladder; exp_q keeps its own ladder over [n]_q (its
+rescaling etilde_q((1-q) z) differs from it in the last bits). Both
+ladders are built multiplicatively; for |q| > 1 the denominators
+(q;q)_n blow up superexponentially and coefficients saturate to exact
+zero past the double-precision floor, which is harmless for evaluation
+inside the certified radius.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -79,17 +83,17 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
         t_{j+1}/t_j = prod_i (1 - alpha_i q^j) / prod_i (1 - beta_i q^j)
                       * [(-1) q^j]^{1+s-r} / (1 - q^{j+1}).
     """
-    qp = params.qp
-    q = qp.q
-    coeffs = np.zeros(N + 1, dtype=np.complex128)
+    q = params.qp.q
+    alphas, betas = params.alphas, params.betas
+    terms = []
     t = 1.0 + 0.0j
     qj = 1.0 + 0.0j  # q^j
     expo = 1 + params.s - params.r
-    for j in range(N + 1):
-        coeffs[j] = t
-        for a in params.alphas:
+    for _ in range(N + 1):
+        terms.append(t)
+        for a in alphas:
             t *= 1.0 - a * qj
-        for b in params.betas:
+        for b in betas:
             t /= 1.0 - b * qj
         if expo:
             try:
@@ -99,9 +103,9 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
                 t = complex(math.nan, math.nan)
         t /= 1.0 - qj * q
         qj *= q
-        if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+        if not cmath.isfinite(t):
             t = 0.0 + 0.0j
-    series = TruncatedSeries(coeffs)
+    series = TruncatedSeries(np.array(terms, dtype=np.complex128))
     if z is None:
         return series
     return series.eval(z)
@@ -121,36 +125,15 @@ def exp_q(qp: QParam, N: int) -> TruncatedSeries:
 
 
 def etilde_q(qp: QParam, N: int) -> TruncatedSeries:
-    """Series sum z^n/(q;q)_n; solves D_q f + f/(q-1) = 0."""
-    coeffs = np.zeros(N + 1, dtype=np.complex128)
-    c = 1.0 + 0.0j
-    coeffs[0] = c
-    qn = 1.0 + 0.0j
-    for n in range(1, N + 1):
-        qn *= qp.q
-        c = c / (1.0 - qn)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            c = 0.0 + 0.0j
-        coeffs[n] = c
-    return TruncatedSeries(coeffs)
+    """Series sum z^n/(q;q)_n = 1phi0(0;-;q,z); solves
+    D_q f + f/(q-1) = 0."""
+    return phi_rs(PhiParams((0.0,), (), qp), N)
 
 
 def big_e_q(qp: QParam, N: int) -> TruncatedSeries:
-    """Series sum q^{n(n-1)/2} z^n/(q;q)_n, the reciprocal partner of
-    etilde_q: etilde_q(z) * big_e_q(-z) = 1."""
-    coeffs = np.zeros(N + 1, dtype=np.complex128)
-    c = 1.0 + 0.0j
-    coeffs[0] = c
-    qn = 1.0 + 0.0j  # q^n
-    qnm1 = 1.0 + 0.0j  # q^{n-1}
-    for n in range(1, N + 1):
-        qn *= qp.q
-        c = c * qnm1 / (1.0 - qn)
-        qnm1 *= qp.q
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            c = 0.0 + 0.0j
-        coeffs[n] = c
-    return TruncatedSeries(coeffs)
+    """Series sum q^{n(n-1)/2} z^n/(q;q)_n = 0phi0(-;-;q,-z), the
+    reciprocal partner of etilde_q: etilde_q(z) * big_e_q(-z) = 1."""
+    return phi_rs(PhiParams((), (), qp), N).scale_arg(-1)
 
 
 def sinq_cosq(qp: QParam, N: int):

@@ -76,6 +76,17 @@ class TestEval:
         assert main(["eval", "--fn", "phi_rs", "--q", "0.5", "--alpha", "0",
                      "--z", "0.25", "--N", "32"]) == 0
 
+    def test_uncertified_series_reports_nan_bound(self, capsys, tmp_path):
+        # |q| < 1: etilde_q has a finite radius (no safe_radius here) and
+        # no product form, so auto falls back to the uncertified series
+        out = tmp_path / "e.csv"
+        assert main(["eval", "--fn", "etilde_q", "--q", "0.5", "--z", "0.5",
+                     "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.endswith("->  3.4627466194550514   (err <= nan)")
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 1 and rows[0]["err_bound"] == "nan"
+
 
 class TestSolve:
     def problem_file(self, tmp_path, qv=0.5):
@@ -188,6 +199,15 @@ class TestOrder:
 
     def test_wrong_regime_exit_2(self):
         assert main(["order", "--model", "etilde_q", "--q", "0.5"]) == 2
+
+    @pytest.mark.parametrize("model,extra", [
+        ("polynomial", ["--coeffs", "1,0,2"]),
+        ("exp_q", ["--q", "2"]),
+    ])
+    def test_counting_needs_a_zero_lattice(self, model, extra, capsys):
+        assert main(["order", "--model", model, "--estimator", "counting",
+                     *extra]) == 2
+        assert "has no zero lattice" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -32,7 +32,6 @@ from jacksonq.nevanlinna import (
     max_term_central_index,
     polynomial_wv_identity,
     proximity,
-    proximity_with_error,
     samples_to_csv,
     series_zero_moduli,
     sft_check,
@@ -121,7 +120,8 @@ class TestProximity:
             model = MeroModel.from_rational(
                 RationalFunction.from_roots(list(zeros), list(poles)))
             r = 5.1234
-            m1, err = proximity_with_error(model, r, M=256)
+            s = characteristic(model, r, M=256)
+            m1, err = s.m, s.quad_err
             m2 = proximity(model, r, M=512)
             assert abs(m2 - m1) <= err
 
@@ -131,6 +131,53 @@ class TestProximity:
         with pytest.raises(PoleOnCircle):
             # node at angle 0 lands exactly on the pole
             proximity(model, 2.0, M=512)
+
+
+class TestModelShapes:
+    """Every shape answers the same questions; a divisor is (origin
+    multiplicity, [(modulus, multiplicity)])."""
+
+    def test_product_divisor_is_the_lattice(self):
+        origin, rest = big_e_model().divisor(10.0)
+        assert origin == 0
+        assert rest == [(1.0, 1), (2.0, 1), (4.0, 1), (8.0, 1)]
+        assert big_e_model().known_moduli(10.0) == [1.0, 2.0, 4.0, 8.0]
+
+    def test_series_divisor_peels_the_origin(self):
+        # z^2 (3 - z): a double zero at the origin, a simple one at 3
+        model = MeroModel.from_series(
+            TruncatedSeries.from_polynomial([0.0, 0.0, 3.0, -1.0]))
+        origin, rest = model.divisor(10.0)
+        assert origin == 2 and len(rest) == 1
+        assert rest[0][0] == pytest.approx(3.0, rel=1e-14) and rest[0][1] == 1
+        assert model.known_moduli(10.0) == [rest[0][0]]
+        assert model.origin_leading() == (2, 3.0)
+        with pytest.raises(TargetUnsupported):
+            model.zeros_up_to(10.0)  # zeros are known by modulus only
+
+    def test_rational_divisor_of_any_target(self):
+        # f - 1 = -2/(z + 1) for f = (z - 1)/(z + 1): no finite a-points
+        model = MeroModel.from_rational(RationalFunction([-1, 1], [1, 1]))
+        assert model.divisor(5.0, 0.0) == (0, [(1.0, 1)])
+        assert model.divisor(5.0, 1.0) == (0, [])
+        assert model.divisor(5.0, INF) == (0, [(1.0, 1)])
+
+    def test_sampler_knows_no_divisor(self):
+        model = MeroModel.from_sampler(Sampler(lambda z: 1.0 + z), entire=True)
+        assert model.known_moduli(10.0) == [] and model.poles_up_to(10.0) == []
+        for call in (lambda: model.divisor(10.0), model.origin_leading,
+                     lambda: model.zeros_up_to(10.0)):
+            with pytest.raises(TargetUnsupported):
+                call()
+        with pytest.raises(TargetUnsupported):
+            MeroModel.from_sampler(Sampler(lambda z: z)).poles_up_to(1.0)
+
+    def test_shift_ratio_needs_the_base(self):
+        prod = EtildeProduct(QParam(2.0))
+        with pytest.raises(DomainError):
+            MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
+                                     shift_ratio=prod.shift_ratio)
+        assert MeroModel.from_rational(RationalFunction([1.0])).shift_ratio is None
 
 
 class TestCountingN:
