@@ -249,8 +249,11 @@ class RationalModel(MeroModel):
         return self._keep(("N", target), compute)
 
     def known_moduli(self, r: float):
-        pts = self.zeros_up_to(r) + self.poles_up_to(r)
-        return [m for m in (abs(z) for z, _ in pts) if m > 0]
+        rf = self.rational
+        # without a zero list at hand, the kept counting solve serves
+        zeros = rf.zeros() if rf.zeros_known else self.zero_data()[1]
+        return [m for m in (abs(z) for z, _ in zeros + rf.poles())
+                if 0 < m <= r]
 
     def origin_leading(self):
         return self.rational.origin_leading()

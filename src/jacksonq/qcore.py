@@ -371,10 +371,14 @@ class TruncatedSeries:
         for n in range(self._coeffs.size):
             powers[n] = p
             p *= fac
+        arr = self._coeffs * powers
         if self.is_exact_polynomial:
-            return TruncatedSeries(self._coeffs * powers, self.tail_tol,
-                                   exact_polynomial=True)
-        out = TruncatedSeries(self._coeffs * powers, self.tail_tol)
+            return TruncatedSeries(arr, self.tail_tol, exact_polynomial=True)
+        if fac in (1, -1, 1j, -1j):
+            # every |c_n| is unchanged, so the certificate (or its
+            # absence) carries over
+            return self._with_radius(arr, self.safe_radius)
+        out = TruncatedSeries(arr, self.tail_tol)
         if self.safe_radius is not None and fac != 0:
             inherited = self.safe_radius / abs(fac)
             out.safe_radius = _min_radius(out.safe_radius, inherited)
@@ -424,6 +428,13 @@ class TruncatedSeries:
         return self.eval(z)
 
     # -- helpers ------------------------------------------------------------
+
+    def _with_radius(self, arr: np.ndarray, radius) -> "TruncatedSeries":
+        """Series on a fresh array with a radius already certified."""
+        out = TruncatedSeries.__new__(TruncatedSeries)
+        arr.setflags(write=False)
+        out._coeffs, out.tail_tol, out.safe_radius = arr, self.tail_tol, radius
+        return out
 
     def _wrap(self, arr, other, exact: bool = False) -> "TruncatedSeries":
         if exact:

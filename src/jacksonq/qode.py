@@ -1,15 +1,18 @@
 """Series solver and residual verifier for linear Jackson q-difference
 equations
 
-    D_q^k f + A(z) f = B(z)
+    D_q^k f + A(z) f = B(z)    and    D_q^k f(z) + A(z) f(q^k z) = 0
 
 with rational coefficients analytic at the origin. Matching coefficients
-of z^n turns the equation into the explicit recurrence
+of z^n turns both into one explicit recurrence, with s = 0 for the first
+form and s = k, b = 0 for the argument-shifted one:
 
-    c_{n+k} * prod_{j=1..k} [n+j]_q = b_n - sum_m a_m c_{n-m},
+    c_{n+k} * prod_{j=1..k} [n+j]_q = b_n - sum_m a_m q^{s(n-m)} c_{n-m},
 
 where a, b are the origin expansions of A, B; the first k coefficients
-are free initial data.
+are free initial data. Both forms share one overflow rule: the solvers
+raise BracketOverflow once a bracket product or a new coefficient is
+not finite, and never return non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ class RationalFunction:
 
     def __call__(self, z):
         return self.eval(z)
+
+    @property
+    def zeros_known(self) -> bool:
+        """True when zeros() needs no root solve (attached or cached)."""
+        return self._zeros is not None
 
     def zeros(self):
         if self._zeros is None:
@@ -297,49 +305,63 @@ class QdeProblem:
 
 
 def solve_series(prob: QdeProblem, N: int) -> TruncatedSeries:
-    """Solve for the series coefficients up to order N by the recurrence.
+    """Solve for the series coefficients up to order N by the recurrence
+    with s = 0, under the module's overflow rule.
 
-    Raises BracketOverflow once a bracket product leaves double range
-    (|q|^n overflowed), rather than returning NaN coefficients. Emits
-    ConditioningWarning when a bracket product is tiny (noise
-    amplification near a root of unity) and FormalRegimeWarning when
-    |q| < 1 with polynomial A, where the series may have a finite radius
-    of convergence and so is formal as an entire-function candidate.
+    Raises BracketUnderflow when a bracket product falls below the guard.
+    Emits ConditioningWarning when one is tiny (noise amplification near
+    a root of unity) and FormalRegimeWarning when |q| < 1 with
+    polynomial A, where the series may have a finite radius of
+    convergence and so is formal as an entire-function candidate.
     """
-    if N < prob.k:
-        raise DomainError("truncation order must be at least k")
-    qp, k = prob.qp, prob.k
-    if abs(qp.q) < 1.0 and prob.A.is_polynomial and not prob.A.is_zero:
+    if abs(prob.qp.q) < 1.0 and prob.A.is_polynomial and not prob.A.is_zero:
         warnings.warn(
             "polynomial coefficient with |q| < 1: series solution may have "
             "finite radius (formal, not entire)", FormalRegimeWarning,
             stacklevel=2)
+    return _recurrence(prob, N, 0)
+
+
+def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
+    """c_0..c_N from the recurrence with weights q^{s(n-m)}. The weighted
+    coefficients d_j = q^{s j} c_j sit in one array (c itself for s = 0),
+    so each sum is one dot product. A sum that overflows, through a term
+    or a power of q, leaves c_{n+k} non-finite and so raises too."""
+    if N < prob.k:
+        raise DomainError("truncation order must be at least k")
+    qp, k = prob.qp, prob.k
     a = prob.A.origin_series(N + k + 5).coeffs
     b = prob.B.origin_series(N + k + 5).coeffs
     c = np.zeros(N + 1, dtype=np.complex128)
     c[:k] = prob.initial
     brackets = [q_bracket(m, qp) for m in range(N + 1)]
-    for n in range(0, N - k + 1):
-        denom = 1.0 + 0.0j
-        for j in range(1, k + 1):
-            denom *= brackets[n + j]
-        try:
-            size = abs(denom)
-        except OverflowError:  # finite parts, modulus beyond double range
-            size = math.inf
-        if not math.isfinite(size):
-            raise BracketOverflow(
-                f"bracket product at order {n + k} is not finite")
-        if size < qp.guard_tol:
-            raise BracketUnderflow(
-                f"bracket product at order {n + k} below guard")
-        if size < _CONDITION_WARN:
-            warnings.warn(
-                f"bracket product {size:.2e} at order {n + k}; "
-                "coefficient poorly conditioned", ConditioningWarning,
-                stacklevel=2)
-        conv = np.dot(a[: n + 1], c[n::-1])
-        c[n + k] = (b[n] - conv) / denom
+    # an overflowing sum raises BracketOverflow below; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.cumprod(np.concatenate(([1.0], np.full(N, qp.q ** s))))
+        d = c * weights if s else c
+        for n in range(0, N - k + 1):
+            denom = math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j)
+            try:
+                size = abs(denom)
+            except OverflowError:  # finite parts, modulus beyond double range
+                size = math.inf
+            if not math.isfinite(size):
+                raise BracketOverflow(
+                    f"bracket product at order {n + k} is not finite")
+            if size < qp.guard_tol:
+                raise BracketUnderflow(
+                    f"bracket product at order {n + k} below guard")
+            if size < _CONDITION_WARN:
+                warnings.warn(
+                    f"bracket product {size:.2e} at order {n + k}; "
+                    "coefficient poorly conditioned", ConditioningWarning,
+                    stacklevel=3)
+            c[n + k] = cn = (b[n] - np.dot(a[: n + 1], d[n::-1])) / denom
+            if not cmath.isfinite(cn):
+                raise BracketOverflow(
+                    f"coefficient at order {n + k} is not finite")
+            if s:
+                d[n + k] = weights[n + k] * cn
     return TruncatedSeries(c)
 
 
@@ -434,53 +456,13 @@ def product_solution(P, qp: QParam, z: complex, tol: float = 1e-12,
 
 def solve_shifted_series(k: int, A: RationalFunction, qp: QParam,
                          initial, N: int) -> TruncatedSeries:
-    """Series solution of the argument-shifted homogeneous equation
-
-        D_q^k f(z) + A(z) f(q^k z) = 0.
-
-    Coefficient matching gives
-        c_{n+k} prod_{j=1..k} [n+j]_q = - sum_m a_m q^{k (n-m)} c_{n-m}.
-
-    Raises BracketOverflow once the bracket product or the weighted sum
-    (through a power q^{k j}) leaves double range, rather than returning
-    NaN coefficients.
+    """Series solution of D_q^k f(z) + A(z) f(q^k z) = 0: the recurrence
+    with s = k and b = 0, under the module's overflow rule, with the
+    guard and warning of solve_series. It is solved at q itself: the
+    plain form at 1/q (shifted_to_plain) would refuse large N at |q| < 1,
+    where the brackets at 1/q overflow.
     """
-    if k < 1:
-        raise DomainError("order k must be >= 1")
-    if abs(A.den[0]) == 0.0:
-        raise CoefficientPoleAtOrigin("coefficient has a pole at the origin")
-    initial = tuple(complex(c) for c in initial)
-    if len(initial) != k:
-        raise DomainError(f"need exactly k = {k} initial coefficients")
-    a = A.origin_series(N + k + 5).coeffs
-    c = np.zeros(N + 1, dtype=np.complex128)
-    c[:k] = initial
-    qk = qp.q**k
-    for n in range(0, N - k + 1):
-        denom = 1.0 + 0.0j
-        for j in range(1, k + 1):
-            denom *= q_bracket(n + j, qp)
-        try:
-            size = abs(denom)
-        except OverflowError:  # finite parts, modulus beyond double range
-            size = math.inf
-        if not math.isfinite(size):
-            raise BracketOverflow(
-                f"bracket product at order {n + k} is not finite")
-        if size < qp.guard_tol:
-            raise BracketUnderflow(
-                f"bracket product at order {n + k} below guard")
-        acc = 0.0 + 0.0j
-        try:
-            for m in range(n + 1):
-                acc += a[m] * qk ** (n - m) * c[n - m]
-        except OverflowError:  # a power q^{k j} beyond double range
-            acc = complex(math.inf)
-        if not cmath.isfinite(acc):
-            raise BracketOverflow(
-                f"weighted sum at order {n + k} is not finite")
-        c[n + k] = -acc / denom
-    return TruncatedSeries(c)
+    return _recurrence(QdeProblem.homogeneous(k, A, qp, initial), N, k)
 
 
 def shifted_to_plain(k: int, A: RationalFunction, qp: QParam):

@@ -9,6 +9,8 @@ import json
 import math
 import time
 
+import numpy as np
+
 from jacksonq.checks import (
     CheckResult,
     run_casorati,
@@ -25,6 +27,13 @@ from jacksonq.checks import (
 from jacksonq.cli import main
 from jacksonq.nevanlinna import series_zero_moduli
 from jacksonq.qcore import QParam
+from jacksonq.qode import (
+    QdeProblem,
+    RationalFunction,
+    shifted_to_plain,
+    solve_series,
+    solve_shifted_series,
+)
 from jacksonq.qspecial import BigEProduct, EtildeProduct, big_e_q, etilde_q
 
 SEED = 20240501
@@ -160,3 +169,20 @@ def test_12_complex_q_zero_location():
                                 err <= 1e-9, err, 1e-9))
     report("12 complex-q series zero location (lattice moduli, rel < 1e-9)",
            rows, time.time() - t, budget=1.0)
+
+
+def test_13_shifted_solver():
+    A = RationalFunction([0.7, -0.2], [1.0, 0.3])
+    qp, init, N = QParam(1.07), (1.0, 0.5), 2000
+    t = time.time()
+    f = solve_shifted_series(2, A, qp, init, N)
+    elapsed = time.time() - t
+    # at |q| > 1 the substitution route stays in range: a second route
+    qp_plain, A_plain = shifted_to_plain(2, A, qp)
+    g = solve_series(QdeProblem.homogeneous(2, A_plain, qp_plain, init), N)
+    err = float(np.max(np.abs(f.coeffs - g.coeffs))
+                / np.max(np.abs(g.coeffs)))
+    rows = [CheckResult("shifted", f"q=1.07 k=2 N={N} vs substitution",
+                        err <= 1e-10, err, 1e-10)]
+    report("13 shifted solver (q=1.07, k=2, N=2000, rel < 1e-10)",
+           rows, elapsed, budget=1.0)

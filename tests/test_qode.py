@@ -11,7 +11,7 @@ from jacksonq.errors import (
     RegimeMismatch,
 )
 from jacksonq.qcore import QParam, TruncatedSeries, q_bracket, q_factorial, q_pochhammer
-from jacksonq.qoperator import Sampler, dq_series, series_sampler
+from jacksonq.qoperator import Sampler, dq_series
 from jacksonq.qode import (
     QdeProblem,
     RationalFunction,
@@ -353,24 +353,35 @@ class TestCasoratiRelation:
         assert np.max(np.abs(C2.coeffs)) > 1e-6
 
 
+SHIFT_QS = [pytest.param(0.5, id="q=0.5"), pytest.param(2.0, id="q=2"),
+            pytest.param(-1.5, id="q=-1.5"),
+            pytest.param(1.3 * np.exp(0.7j), id="q=1.3e^0.7i"),
+            pytest.param(0.6 * np.exp(-1.1j), id="q=0.6e^-1.1i")]
+
+
 class TestShiftedEquation:
-    def test_substitution_matches_direct(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("qv", SHIFT_QS)
+    def test_substitution_matches_direct(self, qv, k):
         # D_q^k f + A(z) f(q^k z) = 0 solved directly and through the
         # base-inversion substitution agree coefficient-wise.
-        qp = QParam(0.5)
-        for k in (1, 2):
-            A = RationalFunction([0.7, -0.2], [1.0, 0.3])
-            init = tuple(1.0 + 0.1j * i for i in range(k))
-            direct = solve_shifted_series(k, A, qp, init, 24)
-            qp2, A2 = shifted_to_plain(k, A, qp)
-            via = solve_series(QdeProblem.homogeneous(k, A2, qp2, init), 24)
-            assert np.max(np.abs(direct.coeffs - via.coeffs)) < 1e-10
+        qp = QParam(qv)
+        A = RationalFunction([0.7, -0.2], [1.0, 0.3])
+        init = tuple(1.0 + 0.1j * i for i in range(k))
+        direct = solve_shifted_series(k, A, qp, init, 24)
+        qp2, A2 = shifted_to_plain(k, A, qp)
+        via = solve_series(QdeProblem.homogeneous(k, A2, qp2, init), 24)
+        assert np.max(np.abs(direct.coeffs - via.coeffs)) < 1e-10
 
-    def test_shifted_solution_satisfies_equation_pointwise(self):
-        qp = QParam(0.5)
+    @pytest.mark.parametrize("qv, N", [
+        pytest.param(0.5, 40, id="q=0.5-N=40"),
+        # the substitution route refuses these: its brackets at 1/q overflow
+        pytest.param(0.5, 1500, id="q=0.5-N=1500"),
+        pytest.param(0.5 * np.exp(1j), 1500, id="q=0.5e^i-N=1500")])
+    def test_shifted_solution_satisfies_equation_pointwise(self, qv, N):
+        qp = QParam(qv)
         A = const_rf(1.0)
-        f = solve_shifted_series(1, A, qp, (1.0,), 40)
-        s = series_sampler(f)
+        f = solve_shifted_series(1, A, qp, (1.0,), N)
         qk = qp.q
         for z in [0.2, 0.1 + 0.1j]:
             dq = (f.eval(qk * z) - f.eval(z)) / ((qk - 1) * z)
@@ -426,8 +437,21 @@ class TestBracketGuard:
             solve_shifted_series(2, const_rf(-1.0), QParam(-1.5), (1.0, 0.0),
                                  700)
 
+    def test_overflow_raised_when_coefficients_leave_double_range(self):
+        # the brackets stay near 2 while c_n grows like 500^n and leaves
+        # double range at c_114; inf coefficients would make eval nan
+        prob = QdeProblem.homogeneous(1, const_rf(-1000.0), QParam(0.5),
+                                      (1.0,))
+        with pytest.warns(FormalRegimeWarning), \
+                pytest.raises(BracketOverflow, match="order 114"):
+            solve_series(prob, 200)
+
     def test_large_N_inside_double_range_still_solves(self):
         prob = QdeProblem.homogeneous(3, const_rf(-1.0), QParam(1.1),
                                       (1.0, 0.0, 0.0))
         f = solve_series(prob, 2000)
         assert np.all(np.isfinite(f.coeffs))
+        # the substitution route would refuse this at order 513
+        g = solve_shifted_series(2, const_rf(-1.0), QParam(0.5), (1.0, 0.0),
+                                 800)
+        assert np.all(np.isfinite(g.coeffs))
