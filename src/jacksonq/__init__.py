@@ -8,6 +8,7 @@ from .qcore import (
     q_binomial,
     q_binomial_mp,
     q_bracket,
+    q_brackets,
     q_factorial,
     q_pochhammer,
     q_pochhammer_inf,
@@ -84,8 +85,9 @@ from .errors import BracketOverflow
 __version__ = "0.1.0"
 
 __all__ = [
-    "QParam", "TruncatedSeries", "q_bracket", "q_factorial", "q_pochhammer",
-    "q_pochhammer_inf", "q_binomial", "q_pochhammer_mp", "q_binomial_mp",
+    "QParam", "TruncatedSeries", "q_bracket", "q_brackets", "q_factorial",
+    "q_pochhammer", "q_pochhammer_inf", "q_binomial", "q_pochhammer_mp",
+    "q_binomial_mp",
     "Sampler", "CasoratiPair", "dq_series", "dqk_series", "dq_sample",
     "dqk_sample", "dqk_closed_form", "jackson_integral", "casorati",
     "kernel_check", "series_sampler",

@@ -67,9 +67,12 @@ class QParam:
 
 
 def q_bracket(n: int, qp: QParam) -> complex:
-    """q-analogue of the integer n: (q^n - 1)/(q - 1).
+    """q-analogue of the integer n: (q^n - 1)/(q - 1), for one n.
 
-    Equals 1 + q + ... + q^{n-1}; 0 for n = 0.
+    Equals 1 + q + ... + q^{n-1}; 0 for n = 0; inf + 0j once a partial
+    product of q^n (see _pow) has a part above 1e300. For the whole
+    ladder [0]_q .. [N]_q use q_brackets, which gives these same values
+    bit for bit in one pass.
     """
     if n < 0:
         raise DomainError("q_bracket requires n >= 0")
@@ -82,6 +85,42 @@ def q_bracket(n: int, qp: QParam) -> complex:
     if qn is None:  # |q|^n overflowed; bracket is astronomically large
         return complex(math.inf, 0.0)
     return (qn - 1.0) / (q - 1.0)
+
+
+def q_brackets(N: int, qp: QParam) -> list:
+    """The ladder [0]_q, [1]_q, .. [N]_q as a list of Python complex.
+
+    Each entry equals q_bracket(n, qp) bit for bit, signs of zero and the
+    inf + 0j saturation included. _pow forms q^n by multiplying the
+    squares q^(2^i) of the set bits of n into 1, lowest bit first, so
+    its last product is q^(n - 2^t) * q^(2^t) for the top bit t of n:
+    the ladder reuses q^(n - 2^t) from its own earlier entry, and flags
+    n as overflowed with _pow's rule (a part above 1e300) applied to
+    that prefix and to the product. The arithmetic stays on Python
+    complex: numpy divides complex numbers by another method than
+    CPython and would move last bits.
+    """
+    if N < 0:
+        raise DomainError("q_brackets requires N >= 0")
+    q = qp.q
+    qm1 = q - 1.0
+    inf = complex(math.inf, 0.0)
+    out = [0.0 + 0.0j, 1.0 + 0.0j][: N + 1]
+    powers = [1.0 + 0.0j]  # q^m as _pow forms it, for m < len(powers)
+    over = [False]  # _pow(q, m) is None
+    square = q  # q^(2^t)
+    low = 1  # 2^t
+    while low <= N:
+        for m in range(min(low, N + 1 - low)):
+            qn = powers[m] * square
+            flag = over[m] or abs(qn.real) > 1e300 or abs(qn.imag) > 1e300
+            powers.append(qn)
+            over.append(flag)
+            if low + m >= 2:
+                out.append(inf if flag else (qn - 1.0) / qm1)
+        square *= square
+        low <<= 1
+    return out
 
 
 def q_factorial(n: int, qp: QParam) -> complex:
@@ -493,10 +532,14 @@ def _certify_radius(coeffs: np.ndarray, tail_tol: float):
         window = nz[-2:] if nz.size >= 2 else nz
     if window.size < 2:
         return None
-    rho = 0.0
-    for i, j in zip(window[:-1], window[1:]):
-        step = (mags[j] / mags[i]) ** (1.0 / (j - i))
-        rho = max(rho, step)
+    # the stepwise ratio (|c_j|/|c_i|)^(1/(j-i)); adjacent indices need no
+    # root, so only the gaps wider than one step take the scalar power
+    gaps = np.diff(window)
+    ratios = mags[window[1:]] / mags[window[:-1]]
+    adjacent = gaps == 1
+    rho = np.max(ratios[adjacent]) if adjacent.any() else 0.0
+    for ratio, gap in zip(ratios[~adjacent], gaps[~adjacent]):
+        rho = max(rho, ratio ** (1.0 / gap))
     rho *= 1.25
     if rho <= 0.0:
         return math.inf
@@ -521,6 +564,9 @@ def _certify_radius(coeffs: np.ndarray, tail_tol: float):
     lo, hi = 0.0, rmax
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # a fixed point: lo would stay, hi has already failed the test
+            break
         if mid <= 0.0 or log_tail(mid) <= log_tol:
             lo = mid
         else:

@@ -42,7 +42,7 @@ from .polyroots import (
     poly_trim,
     roots_with_multiplicity,
 )
-from .qcore import QParam, TruncatedSeries, q_bracket
+from .qcore import QParam, TruncatedSeries, q_brackets
 from .qoperator import Sampler, dqk_closed_form
 
 _COPRIME_CLUSTER_TOL = 1e-8
@@ -133,11 +133,15 @@ class RationalFunction:
         return on - od, complex(self.num[on] / self.den[od])
 
     def origin_series(self, order: int) -> TruncatedSeries:
-        """Taylor expansion at the origin; requires den(0) != 0."""
+        """Taylor expansion at the origin; requires den(0) != 0. A
+        constant denominator divides each coefficient once, which is what
+        the long division gives for it, bit for bit."""
         if abs(self.den[0]) == 0.0:
             raise CoefficientPoleAtOrigin("denominator vanishes at z = 0")
         nums = TruncatedSeries.from_polynomial(self.num, order=order)
         dens = TruncatedSeries.from_polynomial(self.den, order=order)
+        if self.den.size == 1:
+            return nums._wrap(nums.coeffs / self.den[0], dens)
         return nums.divide(dens)
 
     # -- rational arithmetic used by counting and operator routines ---------
@@ -330,11 +334,12 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
     if N < prob.k:
         raise DomainError("truncation order must be at least k")
     qp, k = prob.qp, prob.k
-    a = prob.A.origin_series(N + k + 5).coeffs
-    b = prob.B.origin_series(N + k + 5).coeffs
+    # only a[: n + 1] and b[n] with n <= N - k are read
+    a = prob.A.origin_series(N).coeffs
+    b = prob.B.origin_series(N).coeffs
     c = np.zeros(N + 1, dtype=np.complex128)
     c[:k] = prob.initial
-    brackets = [q_bracket(m, qp) for m in range(N + 1)]
+    brackets = q_brackets(N, qp)
     # an overflowing sum raises BracketOverflow below; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.cumprod(np.concatenate(([1.0], np.full(N, qp.q ** s))))

@@ -25,7 +25,7 @@ from .errors import (
     OriginSingular,
     OutsideDomain,
 )
-from .qcore import QParam, TruncatedSeries, q_binomial, q_bracket
+from .qcore import QParam, TruncatedSeries, q_binomial, q_brackets
 
 
 @dataclass(frozen=True)
@@ -77,29 +77,37 @@ def dq_series(f: TruncatedSeries, qp: QParam) -> TruncatedSeries:
     a nonzero coefficient meeting such a bracket raises, and its exact
     zeros map to exact zeros.
     """
+    return _dq_step(f, np.array(q_brackets(f.order, qp)))
+
+
+def dqk_series(f: TruncatedSeries, qp: QParam, k: int) -> TruncatedSeries:
+    """k-fold D_q on a series: b_n = c_{n+k} prod_{j=1..k} [n+j]_q.
+
+    Runs k passes of dq_series on one bracket ladder, so it returns and
+    raises exactly what k dq_series calls would."""
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    brackets = np.array(q_brackets(f.order, qp))
+    out = f
+    for _ in range(k):
+        out = _dq_step(out, brackets)
+    return out
+
+
+def _dq_step(f: TruncatedSeries, brackets: np.ndarray) -> TruncatedSeries:
+    """One D_q pass, reading [m]_q from brackets[m] for 1 <= m <= f.order."""
     if f.order < 1:
         return TruncatedSeries.from_polynomial([0.0])
-    n = f.order
     c = f.coeffs[1:]
-    brackets = np.array([q_bracket(m, qp) for m in range(1, n + 1)])
-    finite = np.isfinite(brackets)
+    br = brackets[1: f.order + 1]
+    finite = np.isfinite(br)
     overflowed = np.flatnonzero(
         ~finite & (c != 0) if f.is_exact_polynomial else ~finite)
     if overflowed.size:
         raise BracketOverflow(
             f"bracket [{overflowed[0] + 1}]_q is not finite")
-    return TruncatedSeries(c * np.where(finite, brackets, 0.0), f.tail_tol,
+    return TruncatedSeries(c * np.where(finite, br, 0.0), f.tail_tol,
                            exact_polynomial=f.is_exact_polynomial)
-
-
-def dqk_series(f: TruncatedSeries, qp: QParam, k: int) -> TruncatedSeries:
-    """k-fold D_q on a series: b_n = c_{n+k} prod_{j=1..k} [n+j]_q."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    out = f
-    for _ in range(k):
-        out = dq_series(out, qp)
-    return out
 
 
 def dq_sample(f: Sampler, z: complex, qp: QParam) -> complex:

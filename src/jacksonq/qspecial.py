@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DenominatorPochhammerZero, RegimeMismatch
-from .qcore import QParam, TruncatedSeries, q_bracket
+from .qcore import QParam, TruncatedSeries, q_brackets
 from .qode import RationalFunction
 from .qoperator import Sampler
 
@@ -117,8 +117,9 @@ def exp_q(qp: QParam, N: int) -> TruncatedSeries:
     coeffs = np.zeros(N + 1, dtype=np.complex128)
     c = 1.0 + 0.0j
     coeffs[0] = c
+    brackets = q_brackets(N, qp)
     for n in range(1, N + 1):
-        br = q_bracket(n, qp)
+        br = brackets[n]
         c = c / br if (math.isfinite(br.real) and abs(br) > 0) else 0.0
         coeffs[n] = c
     return TruncatedSeries(coeffs)
