@@ -111,18 +111,21 @@ class MeroModel:
     """A meromorphic function f of zero order, in one of four shapes,
     each built by its factory:
 
-    RationalModel  exact zeros and poles from the coefficient arrays; the
-                   divisor per target, the Jackson weights per (target,
-                   QParam) and D_q f per QParam are kept from first use
-                   and reused at every radius and call (failures are not)
+    RationalModel  exact zeros and poles from the coefficient arrays;
+                   f - a and the divisor per target, the Jackson weights
+                   per (target, QParam) and D_q f per QParam are kept from
+                   first use and reused at every radius and call
+                   (failures are not)
     SeriesModel    an entire TruncatedSeries with a certified radius; zero
                    moduli from companion eigenvalues, each annulus count
                    certified by one argument-principle winding number
     ProductModel   an entire product with an exact zero lattice and an
-                   overflow-free log_eval (one array per circle when bound
-                   to an EtildeProduct or BigEProduct, else one point per
-                   call), and an optional shift ratio R, f(qz) = R(z) f(z)
-                   at its own base qp, which makes D_q^k f / f exact
+                   overflow-free log_eval (when bound to an EtildeProduct
+                   or BigEProduct, log|f| is the product's real log_abs,
+                   one array per circle; else the real part of log_eval,
+                   one point per call), and an optional shift ratio R,
+                   f(qz) = R(z) f(z) at its own base qp, which makes
+                   D_q^k f / f exact
     SamplerModel   a black box; proximity only (declared entire when the
                    caller knows there are no poles)
 
@@ -244,7 +247,7 @@ class RationalModel(MeroModel):
             if target == INF:
                 return _split_origin(rf.poles())
             origin, rest = (self.zero_data() if target == 0
-                            else _rational_zero_data(rf.subtract_const(target)))
+                            else _rational_zero_data(self._minus(target)))
             return origin, [(abs(z), m) for z, m in rest]
         return self._keep(("N", target), compute)
 
@@ -257,6 +260,12 @@ class RationalModel(MeroModel):
 
     def origin_leading(self):
         return self.rational.origin_leading()
+
+    def _minus(self, target) -> RationalFunction:
+        """f - target for a finite target, shared by divisor and
+        jackson_weights (each subtract_const runs two root solves)."""
+        return self._keep(("minus", target),
+                          lambda: self.rational.subtract_const(target))
 
     def zero_data(self):
         """_rational_zero_data of f."""
@@ -282,7 +291,7 @@ class RationalModel(MeroModel):
                 points = rf.poles()
                 dq_model = RationalModel(rf.reciprocal()).dq_model(qp)
             else:
-                shifted = rf if target == 0 else rf.subtract_const(target)
+                shifted = rf if target == 0 else self._minus(target)
                 lam, rest = _rational_zero_data(shifted, strict=True)
                 points = ([(0.0 + 0.0j, lam)] if lam else []) + rest
                 dq_model = self.dq_model(qp)
@@ -328,12 +337,15 @@ class ProductModel(MeroModel):
         if self.shift_ratio is not None and self.qp is None:
             raise DomainError("a shift ratio needs the product's base qp")
         log_eval = self.log_eval
-        if isinstance(getattr(log_eval, "__self__", None),
-                      (BigEProduct, EtildeProduct)):
+        owner = getattr(log_eval, "__self__", None)
+        if isinstance(owner, (BigEProduct, EtildeProduct)):
             self._log_eval_flat = log_eval
+            self._log_abs_flat = owner.log_abs
         else:
             self._log_eval_flat = lambda flat: np.array(
                 [log_eval(z) for z in flat], dtype=np.complex128)
+            self._log_abs_flat = lambda flat: np.real(
+                self._log_eval_flat(flat))
 
     def _log_eval_vec(self, zs):
         flat = np.ravel(np.asarray(zs, dtype=np.complex128))
@@ -345,7 +357,7 @@ class ProductModel(MeroModel):
         return np.exp(self._log_eval_vec(z))
 
     def _log_abs(self, zs: np.ndarray) -> np.ndarray:
-        return np.real(self._log_eval_vec(zs))
+        return self._log_abs_flat(np.ravel(zs)).reshape(np.shape(zs))
 
     def sampler(self) -> Sampler:
         log_eval = self.log_eval

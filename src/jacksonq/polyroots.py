@@ -87,14 +87,15 @@ def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL,
     if raw.size != deg or not np.all(np.isfinite(raw)):
         raise RootFindingFailed("companion eigenvalues did not resolve")
     scale = max(1.0, float(np.max(np.abs(raw))))
-    dcoef = poly_derivative(arr)
-    clusters = _cluster(list(raw), cluster_tol * scale)
+    # Horner for the Newton polish runs on Python complex, highest power
+    # first; its products round as numpy's scalar ones do
+    rev = arr[::-1].tolist()
+    drev = poly_derivative(arr)[::-1].tolist()
     out = []
-    for pts in clusters:
+    for pts, loc in _cluster(list(raw), cluster_tol * scale):
         mult = len(pts)
-        loc = complex(np.mean(pts))
         if polish and mult == 1:
-            loc = _newton(arr, dcoef, loc)
+            loc = _newton(rev, drev, loc)
         out.append((loc, mult))
     if strict_ambiguity:
         for i in range(len(out)):
@@ -111,31 +112,47 @@ def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL,
 def _cluster(points, base_tol: float):
     """Single-linkage clustering with multiplicity-aware growth: a cluster
     of size k accepts new members within base_tol * k^2 of its mean, since
-    eigenvalue scatter of a k-fold root grows like eps^(1/k)."""
+    eigenvalue scatter of a k-fold root grows like eps^(1/k). Returns
+    [members, mean] pairs; a mean is recomputed only when its cluster
+    grows."""
     remaining = sorted(points, key=lambda z: (z.real, z.imag))
-    clusters: list[list[complex]] = []
+    clusters: list[list] = []
     for p in remaining:
         best = None
         best_d = None
         for cl in clusters:
-            mean = complex(np.mean(cl))
+            members, mean = cl
             d = abs(p - mean)
-            if d <= base_tol * (len(cl) ** 2) and (best_d is None or d < best_d):
+            near = d <= base_tol * (len(members) ** 2)
+            if near and (best_d is None or d < best_d):
                 best, best_d = cl, d
         if best is None:
-            clusters.append([p])
-        else:
-            best.append(p)
+            best = [[], None]
+            clusters.append(best)
+        best[0].append(p)
+        best[1] = complex(np.mean(best[0]))
     return clusters
 
 
-def _newton(coeffs, dcoeffs, z0: complex, steps: int = 3) -> complex:
+def _horner(rev: list, z: complex) -> complex:
+    """The polynomial with coefficients rev (highest power first) at z."""
+    res = 0j
+    for c in rev:
+        res = res * z + c
+    return res
+
+
+def _newton(rev: list, drev: list, z0: complex, steps: int = 3) -> complex:
+    """Newton steps from z0 on the polynomial rev (highest power first)
+    with derivative drev. The quotient is taken on np.complex128: numpy
+    divides complex numbers by another method than CPython."""
     z = z0
     for _ in range(steps):
-        dv = poly_eval(dcoeffs, z)
+        zc = complex(z)
+        dv = np.complex128(_horner(drev, zc))
         if abs(dv) == 0.0:
             return z
-        step = poly_eval(coeffs, z) / dv
+        step = np.complex128(_horner(rev, zc)) / dv
         if not np.isfinite(step):
             return z
         z = z - step

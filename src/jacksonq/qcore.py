@@ -70,7 +70,7 @@ def q_bracket(n: int, qp: QParam) -> complex:
     """q-analogue of the integer n: (q^n - 1)/(q - 1), for one n.
 
     Equals 1 + q + ... + q^{n-1}; 0 for n = 0; inf + 0j once a partial
-    product of q^n (see _pow) has a part above 1e300. For the whole
+    product of q^n (see _pow) has a part above 1e300 or NaN. For the whole
     ladder [0]_q .. [N]_q use q_brackets, which gives these same values
     bit for bit in one pass.
     """
@@ -95,9 +95,9 @@ def q_brackets(N: int, qp: QParam) -> list:
     squares q^(2^i) of the set bits of n into 1, lowest bit first, so
     its last product is q^(n - 2^t) * q^(2^t) for the top bit t of n:
     the ladder reuses q^(n - 2^t) from its own earlier entry, and flags
-    n as overflowed with _pow's rule (a part above 1e300) applied to
-    that prefix and to the product. The arithmetic stays on Python
-    complex: numpy divides complex numbers by another method than
+    n as overflowed with _pow's rule (a part above 1e300 or NaN)
+    applied to that prefix and to the product. The arithmetic stays on
+    Python complex: numpy divides complex numbers by another method than
     CPython and would move last bits.
     """
     if N < 0:
@@ -113,7 +113,8 @@ def q_brackets(N: int, qp: QParam) -> list:
     while low <= N:
         for m in range(min(low, N + 1 - low)):
             qn = powers[m] * square
-            flag = over[m] or abs(qn.real) > 1e300 or abs(qn.imag) > 1e300
+            flag = over[m] or not (abs(qn.real) <= 1e300
+                                    and abs(qn.imag) <= 1e300)
             powers.append(qn)
             over.append(flag)
             if low + m >= 2:
@@ -232,7 +233,9 @@ def q_binomial_mp(n: int, j: int, q: complex, dps: int = 30):
 
 
 def _pow(q: complex, n: int):
-    """q**n by squaring; None on overflow."""
+    """q**n by squaring; None once a partial product has a part that is
+    not at most 1e300: above it, or NaN (a square inf + 0j squares to
+    inf + nanj, which a > 1e300 test would let through)."""
     out = 1.0 + 0.0j
     base = q
     m = n
@@ -243,7 +246,7 @@ def _pow(q: complex, n: int):
             m >>= 1
             if m:
                 base *= base
-            if abs(out.real) > 1e300 or abs(out.imag) > 1e300:
+            if not (abs(out.real) <= 1e300 and abs(out.imag) <= 1e300):
                 return None
     except OverflowError:
         return None

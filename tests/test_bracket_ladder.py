@@ -112,6 +112,17 @@ def test_ladder_saturates_where_the_scalar_bracket_does(qv, first):
     assert ladder[first] == complex(math.inf, 0.0)
 
 
+def test_saturation_is_inf_never_nan():
+    # past n = 2048 the square q^1024 = inf + 0j squares to inf + nanj;
+    # a NaN part counts as overflow, so every saturated entry is inf + 0j
+    qp = QParam(2.0)
+    ladder = q_brackets(3100, qp)
+    assert_same_bits(ladder, [q_bracket(n, qp) for n in range(3101)])
+    saturated = [b for b in ladder if not cmath.isfinite(b)]
+    assert len(saturated) == 3100 - 997 + 1
+    assert_same_bits(saturated, [complex(math.inf, 0.0)] * len(saturated))
+
+
 def test_ladder_rejects_negative_order():
     with pytest.raises(DomainError):
         q_brackets(-1, QParam(2.0))
