@@ -28,6 +28,7 @@ actual limsup.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -505,11 +506,19 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_circle(M: int) -> np.ndarray:
+    """exp(i th) at the M angles th = 2 pi j/M, j < M, read-only: r times
+    it is the quadrature circle |z| = r, bit for bit as computed afresh."""
+    unit = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, M, endpoint=False))
+    unit.flags.writeable = False
+    return unit
+
+
 def _circle_mean(model: MeroModel, r: float, M: int, positive_part: bool):
     """Trapezoid mean of log|f| (or log+|f|) over |z| = r, plus the
     step-halving error estimate (floored near machine precision)."""
-    th = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-    la = model.log_abs(r * np.exp(1j * th))
+    la = model.log_abs(r * _unit_circle(M))
     if np.any(np.isposinf(la)) or np.any(np.isnan(la)):
         raise PoleOnCircle(f"pole on quadrature circle r = {r:g}")
     vals = np.maximum(la, 0.0) if positive_part else la
@@ -919,8 +928,7 @@ def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
     qk = qp.q ** k
     for r in grid.radii:
         wv = max_term_central_index(f, r)
-        th = np.linspace(0.0, 2.0 * np.pi, angular_nodes, endpoint=False)
-        zs = r * np.exp(1j * th)
+        zs = r * _unit_circle(angular_nodes)
         vals = np.abs(f.eval(zs))
         order = np.argsort(vals)
         i_best = int(order[-1])
@@ -959,8 +967,7 @@ def polynomial_wv_identity(f: TruncatedSeries, qp: QParam, k: int,
 
 
 def _argmax_on_circle(f: TruncatedSeries, r: float, nodes: int = 1024):
-    th = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
-    zs = r * np.exp(1j * th)
+    zs = r * _unit_circle(nodes)
     vals = np.abs(f.eval(zs))
     return complex(zs[int(np.argmax(vals))])
 

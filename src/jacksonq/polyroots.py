@@ -83,7 +83,11 @@ def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL,
     deg = arr.size - 1
     if deg == 0:
         return []
-    raw = np.roots(arr[::-1])
+    try:
+        raw = np.roots(arr[::-1])
+    except np.linalg.LinAlgError as exc:  # e.g. a subnormal leading term
+        raise RootFindingFailed(
+            f"companion eigenvalues failed: {exc}") from exc
     if raw.size != deg or not np.all(np.isfinite(raw)):
         raise RootFindingFailed("companion eigenvalues did not resolve")
     scale = max(1.0, float(np.max(np.abs(raw))))

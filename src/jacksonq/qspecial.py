@@ -175,6 +175,22 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     A numpy array t gives, bit for bit, what the one-point loop gives on
     each of its elements; "log_abs" takes arrays only, a point being a
     one-element array.
+
+    On arrays each step is one masked numpy step over all points, except
+    that "log_abs" first runs K steps in bulk, K the largest count with
+    min|t_0| (ratio (1 - 1e-12))^K >= 4 cutoff, ratio = min(|q|, 1/|q|):
+    the margins exceed the rounding of K steps, so every point is live
+    through all of them and no mask is needed. The rows t_1 .. t_K are
+    built one ufunc call per row: t/q; times a real q on the float64
+    view, which is _times up to the sign of zero that |t| and |1 - t|
+    ignore; for complex q inside the unit circle, _times' four real
+    products, never numpy's complex multiply, whose fused multiply-adds
+    move last bits. The rows come in blocks of about _BLOCK elements (at
+    least two rows) spanning all points. A block takes log|1 - t_n| in
+    one pass, the running sum goes in as its first row and
+    np.add.reduce(axis=0) adds the rows in order, as the loop does; numpy
+    would sum a one-column block pairwise instead, so arrays of one point
+    skip the bulk. The masked loop then finishes from t_K.
     """
     shrink = abs(q) > 1.0
     cutoff = tol * (1.0 - (1.0 / abs(q) if shrink else abs(q)))
@@ -186,7 +202,10 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
             t = t / q if shrink else t * q
         return complex(out)
     start, step = _REDUCTIONS[reduce]
-    out = np.full(t.shape, start)
+    if reduce == "log_abs":
+        out, t = _log_abs_bulk(t, q, shrink, cutoff)
+    else:
+        out = np.full(t.shape, start)
     live = np.abs(t) >= cutoff
     while live.any():
         out = np.where(live, step(out, 1.0 - t), out)
@@ -202,6 +221,62 @@ def _times(x: np.ndarray, m) -> np.ndarray:
     out.real = x.real * m.real - x.imag * m.imag
     out.imag = x.real * m.imag + x.imag * m.real
     return out
+
+
+_BLOCK = 2 ** 12  # elements in one block of rows of the log_abs bulk phase
+
+
+def _bulk_steps(flat: np.ndarray, q: complex, shrink: bool,
+                cutoff: float) -> int:
+    """K, the most lattice steps with min|t_0| (ratio (1 - 1e-12))^K >=
+    4 cutoff; 0 for fewer than two points, whose one-column block numpy
+    would sum pairwise, or for non-finite ones."""
+    if flat.size < 2:
+        return 0
+    mags = np.abs(flat)
+    lo, floor = float(mags.min()), 4.0 * cutoff
+    if not (np.isfinite(mags.max()) and lo >= floor >= np.finfo(float).tiny):
+        return 0
+    ratio = (1.0 / abs(q) if shrink else abs(q)) * (1.0 - 1e-12)
+    steps = int(math.log(lo / floor) / -math.log(ratio))
+    while steps and lo * ratio ** steps < floor:
+        steps -= 1
+    return steps
+
+
+def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, cutoff: float):
+    """(sum_{n<K} log|1 - t_n|, t_K): the unmasked first K steps of the
+    "log_abs" reduction, K = _bulk_steps."""
+    flat = t.reshape(-1)
+    steps = _bulk_steps(flat, q, shrink, cutoff)
+    if not steps:
+        return np.zeros(t.shape), t
+    height = min(steps, max(1, _BLOCK // flat.size))
+    rows = np.empty((height + 1, flat.size), dtype=np.complex128)
+    rows[0] = flat
+    out = np.zeros(flat.size)
+    tmp = np.empty(flat.size)
+    while steps:
+        n = min(steps, height)
+        for x, y in zip(rows[:n], rows[1:n + 1]):
+            if shrink:
+                np.divide(x, q, out=y)
+            elif q.imag == 0.0:  # _times up to the sign of zero
+                np.multiply(x.view(np.float64), q.real, out=y.view(np.float64))
+            else:  # _times, one real product per ufunc call
+                np.multiply(x.real, q.real, out=y.real)
+                np.subtract(y.real, np.multiply(x.imag, q.imag, out=tmp),
+                            out=y.real)
+                np.multiply(x.real, q.imag, out=y.imag)
+                np.add(y.imag, np.multiply(x.imag, q.real, out=tmp),
+                       out=y.imag)
+        logs = np.abs(np.subtract(1.0, rows[:n], out=rows[:n]))
+        np.log(logs, out=logs)
+        logs[0] += out  # the running sum comes first, as in the loop
+        out = np.add.reduce(logs, axis=0)
+        rows[0] = rows[n]
+        steps -= n
+    return out.reshape(t.shape), rows[0].reshape(t.shape)
 
 
 # start value and step of each reduction of _lattice_product on arrays

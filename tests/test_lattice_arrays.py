@@ -6,6 +6,15 @@ bit for bit for real q, and to 1e-13 relative for complex q. MeroModel
 hands each quadrature circle as one array to the real log_abs, which
 has no one-point loop (a point is a one-element array) and stays within
 1e-12 relative of Re log_eval.
+
+log_abs runs most lattice steps in unmasked blocks of rows and only the
+last few as masked per-step array operations. It must give, bit for
+bit, what the all-masked per-step loop below gives (the route the
+blocks replaced): in every q regime, at sizes 1, 2, 3 and either side
+of the block boundaries, from r = 1e-2 to 1e8, on scattered points and
+through exact lattice zeros, where it is -inf and never NaN. Each
+regime keeps one pinned example, which runs in every collection of the
+tests, whatever examples hypothesis draws there.
 """
 
 import cmath
@@ -14,7 +23,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacksonq.errors import PoleOnCircle
@@ -25,7 +34,7 @@ from jacksonq.nevanlinna import (
     jensen_residual,
 )
 from jacksonq.qcore import QParam
-from jacksonq.qspecial import BigEProduct, EtildeProduct
+from jacksonq.qspecial import _BLOCK, BigEProduct, EtildeProduct
 
 # (|q| range, real sign or None for complex q); |q| keeps away from 1 so
 # that a point needs at most a few hundred lattice factors
@@ -190,3 +199,89 @@ def test_exact_lattice_zero_on_circle_raises(prod, r):
     assert np.all(np.isfinite(la[1:]))
     with np.errstate(divide="ignore"), pytest.raises(PoleOnCircle):
         jensen_residual(model, r, 64)
+
+
+def _times_ref(x, m):
+    out = np.empty(np.broadcast(x, m).shape, dtype=np.complex128)
+    out.real = x.real * m.real - x.imag * m.imag
+    out.imag = x.real * m.imag + x.imag * m.real
+    return out
+
+
+def log_abs_ref(prod, zs):
+    """prod.log_abs by one masked numpy step per lattice factor for all
+    points: the loop log_abs ran before its bulk phase."""
+    q = prod.qp.q
+    anchor = q if isinstance(prod, EtildeProduct) else -1.0 + 0.0j
+    t = np.atleast_1d(np.asarray(zs, dtype=np.complex128)) / anchor
+    shrink = abs(q) > 1.0
+    cutoff = prod.tol * (1.0 - (1.0 / abs(q) if shrink else abs(q)))
+    out = np.full(t.shape, 0.0)
+    live = np.abs(t) >= cutoff
+    while live.any():
+        out = np.where(live, out + np.log(np.abs(1.0 - t)), out)
+        t = t / q if shrink else _times_ref(t, q)
+        live &= np.abs(t) >= cutoff
+    return out.reshape(np.shape(zs))
+
+
+# one product per regime of REGIMES, in its order
+REGIME_PRODUCTS = [EtildeProduct(QParam(2.5)), EtildeProduct(QParam(-1.3)),
+                   BigEProduct(QParam(0.5)), BigEProduct(QParam(-0.7)),
+                   EtildeProduct(QParam(1.7 + 1.2j)),
+                   BigEProduct(QParam(0.3 + 0.37j))]
+# 1-3 points, and either side of the sizes where a block's row count
+# changes: 64 rows, 2 rows, 1 row
+SIZES = [1, 2, 3] + [w + d for w in (_BLOCK // 64, _BLOCK // 2, _BLOCK)
+                     for d in (-1, 0, 1)]
+
+
+def scattered(r: float, size: int) -> np.ndarray:
+    """size points with moduli from 1e-6 r to 100 r and spread angles."""
+    rng = np.random.default_rng(size)
+    return (r * 10.0 ** rng.uniform(-6.0, 2.0, size)
+            * np.exp(2j * np.pi * rng.uniform(size=size)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(prod=lattice_products(),
+       r=st.floats(-2.0, 8.0).map(lambda e: 10.0 ** e),
+       size=st.sampled_from(SIZES), scatter=st.booleans())
+@example(prod=REGIME_PRODUCTS[0], r=1e8, size=SIZES[3], scatter=False)
+@example(prod=REGIME_PRODUCTS[1], r=10.5, size=2, scatter=False)
+@example(prod=REGIME_PRODUCTS[2], r=1e4, size=SIZES[5], scatter=True)
+@example(prod=REGIME_PRODUCTS[3], r=1e-2, size=SIZES[7], scatter=False)
+@example(prod=REGIME_PRODUCTS[4], r=300.0, size=SIZES[-1], scatter=False)
+@example(prod=REGIME_PRODUCTS[5], r=1e6, size=3, scatter=True)
+def test_log_abs_matches_the_step_loop(prod, r, size, scatter):
+    zs = scattered(r, size) if scatter else circle(r, size)
+    with np.errstate(all="ignore"):
+        got = prod.log_abs(zs)
+        want = log_abs_ref(prod, zs)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("prod", REGIME_PRODUCTS, ids=list(REGIMES))
+@pytest.mark.parametrize("size", [2, 3, 512, 4097])
+def test_log_abs_through_lattice_zeros_matches_the_step_loop(prod, size):
+    zeros = [z for z, _ in prod.zeros_up_to(1e8)]
+    # circles through a lattice zero at their node 0, then all the
+    # zeros, some non-finite points and 0 as arrays of their own
+    arrays = [z * circle(1.0, size) for z in zeros[::7]]
+    arrays += [np.array(zeros), np.array(zeros).reshape(-1, 1),
+               np.array([zeros[3], np.inf, 2.0]),
+               np.array([zeros[3], complex(np.nan, 1.0), 0.0])]
+    for zs in arrays:
+        with np.errstate(all="ignore"):
+            got = prod.log_abs(zs)
+            want = log_abs_ref(prod, zs)
+            vals = prod.eval(zs)
+        assert got.tobytes() == want.tobytes()
+        finite = np.isfinite(zs)
+        assert not np.any(np.isnan(got[finite]))
+        assert np.array_equal(np.isneginf(got[finite]), vals[finite] == 0)
+    if prod.qp.q.imag == 0.0:  # real q meets its zeros exactly
+        with np.errstate(divide="ignore"):
+            la = prod.log_abs(zeros[0] * circle(1.0, size))
+        assert np.isneginf(la[0])
+

@@ -132,6 +132,15 @@ class TestProximity:
             # node at angle 0 lands exactly on the pole
             proximity(model, 2.0, M=512)
 
+    @pytest.mark.parametrize("M", [1, 2, 512, 1024, 4096])
+    def test_kept_unit_circle_gives_the_same_nodes(self, M):
+        unit = nevanlinna._unit_circle(M)
+        assert unit is nevanlinna._unit_circle(M)
+        assert not unit.flags.writeable
+        th = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
+        for r in (1e-2, 1.0, 10.5, 3e5, 1e8):
+            assert (r * unit).tobytes() == (r * np.exp(1j * th)).tobytes()
+
 
 class TestModelShapes:
     """Every shape answers the same questions; a divisor is (origin

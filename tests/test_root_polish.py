@@ -15,7 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from jacksonq.errors import JacksonQError, MultiplicityAmbiguous
+from jacksonq.errors import (
+    JacksonQError,
+    MultiplicityAmbiguous,
+    RootFindingFailed,
+)
 from jacksonq.polyroots import (
     CLUSTER_TOL,
     _cluster,
@@ -64,7 +68,11 @@ def _roots_ref(coeffs, cluster_tol=CLUSTER_TOL, strict_ambiguity=False):
     deg = arr.size - 1
     if deg == 0:
         return []
-    raw = np.roots(arr[::-1])
+    try:
+        raw = np.roots(arr[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise RootFindingFailed(
+            f"companion eigenvalues failed: {exc}") from exc
     scale = max(1.0, float(np.max(np.abs(raw))))
     dcoef = poly_derivative(arr)
     out = []
@@ -93,12 +101,12 @@ def _bits(z):
 
 
 def _outcome(fn, *args, **kwargs):
-    # np.roots raises LinAlgError when dividing by a subnormal leading
-    # coefficient overflows; both routes must then raise it alike
+    # a typed error is an outcome both routes must share; anything else,
+    # numpy's LinAlgError included, fails the test
     try:
         with np.errstate(all="ignore"):
             return [(_bits(z), m) for z, m in fn(*args, **kwargs)]
-    except (JacksonQError, np.linalg.LinAlgError) as exc:
+    except JacksonQError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -153,7 +161,7 @@ def test_cluster_matches_the_reference(coeffs):
     try:
         with np.errstate(all="ignore"):
             raw = np.roots(poly_trim(coeffs)[::-1])
-    except np.linalg.LinAlgError:  # see _outcome
+    except np.linalg.LinAlgError:  # a subnormal leading coefficient
         raw = np.array([np.nan])
     assume(np.all(np.isfinite(raw)))
     raw = list(raw)
@@ -173,3 +181,14 @@ def test_ambiguous_clusters_raise_in_both_routes(strict):
     got = _outcome(roots_with_multiplicity, coeffs, strict_ambiguity=strict)
     assert got == _outcome(_roots_ref, coeffs, strict_ambiguity=strict)
     assert (got[0] == "MultiplicityAmbiguous") == strict
+
+
+@pytest.mark.parametrize("coeffs", [[0, 0, -5e-324, 5e-324],
+                                    [1e-322, 3e-323, 1e-323j]])
+def test_subnormal_leading_coefficient_raises_a_typed_error(coeffs):
+    # np.roots divides by the subnormal leading coefficient, the companion
+    # matrix fills with inf/NaN and numpy raises LinAlgError
+    with np.errstate(all="ignore"), pytest.raises(RootFindingFailed):
+        roots_with_multiplicity(coeffs)
+    assert _outcome(roots_with_multiplicity, coeffs) == _outcome(
+        _roots_ref, coeffs)
