@@ -181,13 +181,14 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     min|t_0| (ratio (1 - 1e-12))^K >= 4 cutoff, ratio = min(|q|, 1/|q|):
     the margins exceed the rounding of K steps, so every point is live
     through all of them and no mask is needed. The rows t_1 .. t_K are
-    built one ufunc call per row: t/q; times a real q on the float64
-    view, which is _times up to the sign of zero that |t| and |1 - t|
-    ignore; for complex q inside the unit circle, _times' four real
-    products, never numpy's complex multiply, whose fused multiply-adds
-    move last bits. The rows come in blocks of about _BLOCK elements (at
-    least two rows) spanning all points. A block takes log|1 - t_n| in
-    one pass, the running sum goes in as its first row and
+    built one row at a time by the loop's own step, t/q or _times(t, q),
+    whose four real products stand in for numpy's complex multiply: its
+    fused multiply-adds move last bits. A real q inside the unit circle
+    multiplies the float64 view instead, one ufunc call for _times' six:
+    the same products but for the sign of zero, which |t| and |1 - t|
+    ignore. The rows come in blocks of about _BLOCK elements (at least
+    two rows) spanning all points. A block takes log|1 - t_n| in one
+    pass, the running sum goes in as its first row and
     np.add.reduce(axis=0) adds the rows in order, as the loop does; numpy
     would sum a one-column block pairwise instead, so arrays of one point
     skip the bulk. The masked loop then finishes from t_K.
@@ -214,12 +215,19 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     return out
 
 
-def _times(x: np.ndarray, m) -> np.ndarray:
+def _times(x: np.ndarray, m, out=None, scratch=None) -> np.ndarray:
     """x * m rounded as the one-point loop rounds it: numpy's array
-    product may fuse a multiply and an add, which moves last bits."""
-    out = np.empty(np.broadcast(x, m).shape, dtype=np.complex128)
-    out.real = x.real * m.real - x.imag * m.imag
-    out.imag = x.real * m.imag + x.imag * m.real
+    product may fuse a multiply and an add, which moves last bits. out
+    (not x) and a float scratch of its shape may be given to reuse."""
+    if out is None:
+        out = np.empty(np.broadcast(x, m).shape, dtype=np.complex128)
+    if scratch is None:
+        scratch = np.empty(out.shape)
+    re, im = out.real, out.imag
+    np.subtract(np.multiply(x.real, m.real, out=re),
+                np.multiply(x.imag, m.imag, out=scratch), out=re)
+    np.add(np.multiply(x.real, m.imag, out=im),
+           np.multiply(x.imag, m.real, out=scratch), out=im)
     return out
 
 
@@ -238,7 +246,7 @@ def _bulk_steps(flat: np.ndarray, q: complex, shrink: bool,
     if not (np.isfinite(mags.max()) and lo >= floor >= np.finfo(float).tiny):
         return 0
     ratio = (1.0 / abs(q) if shrink else abs(q)) * (1.0 - 1e-12)
-    steps = int(math.log(lo / floor) / -math.log(ratio))
+    steps = int((math.log(lo) - math.log(floor)) / -math.log(ratio))
     while steps and lo * ratio ** steps < floor:
         steps -= 1
     return steps
@@ -263,13 +271,8 @@ def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, cutoff: float):
                 np.divide(x, q, out=y)
             elif q.imag == 0.0:  # _times up to the sign of zero
                 np.multiply(x.view(np.float64), q.real, out=y.view(np.float64))
-            else:  # _times, one real product per ufunc call
-                np.multiply(x.real, q.real, out=y.real)
-                np.subtract(y.real, np.multiply(x.imag, q.imag, out=tmp),
-                            out=y.real)
-                np.multiply(x.real, q.imag, out=y.imag)
-                np.add(y.imag, np.multiply(x.imag, q.real, out=tmp),
-                       out=y.imag)
+            else:
+                _times(x, q, y, tmp)
         logs = np.abs(np.subtract(1.0, rows[:n], out=rows[:n]))
         np.log(logs, out=logs)
         logs[0] += out  # the running sum comes first, as in the loop

@@ -11,8 +11,9 @@ log_abs runs most lattice steps in unmasked blocks of rows and only the
 last few as masked per-step array operations. It must give, bit for
 bit, what the all-masked per-step loop below gives (the route the
 blocks replaced): in every q regime, at sizes 1, 2, 3 and either side
-of the block boundaries, from r = 1e-2 to 1e8, on scattered points and
-through exact lattice zeros, where it is -inf and never NaN. Each
+of the block boundaries, from r = 1e-2 to 1e8 and near overflow (r =
+1e300, moduli up to 1e307), on scattered points and through exact
+lattice zeros, where it is -inf and never NaN. Each
 regime keeps one pinned example, which runs in every collection of the
 tests, whatever examples hypothesis draws there.
 """
@@ -253,6 +254,12 @@ def scattered(r: float, size: int) -> np.ndarray:
 @example(prod=REGIME_PRODUCTS[3], r=1e-2, size=SIZES[7], scatter=False)
 @example(prod=REGIME_PRODUCTS[4], r=300.0, size=SIZES[-1], scatter=False)
 @example(prod=REGIME_PRODUCTS[5], r=1e6, size=3, scatter=True)
+# near overflow: circles at r = 1e300, scattered moduli up to 1e307
+@example(prod=REGIME_PRODUCTS[0], r=1e300, size=SIZES[4], scatter=False)
+@example(prod=REGIME_PRODUCTS[3], r=1e300, size=2, scatter=False)
+@example(prod=REGIME_PRODUCTS[5], r=1e300, size=SIZES[4], scatter=False)
+@example(prod=REGIME_PRODUCTS[1], r=1e305, size=SIZES[4], scatter=True)
+@example(prod=REGIME_PRODUCTS[4], r=1e305, size=SIZES[4], scatter=True)
 def test_log_abs_matches_the_step_loop(prod, r, size, scatter):
     zs = scattered(r, size) if scatter else circle(r, size)
     with np.errstate(all="ignore"):
