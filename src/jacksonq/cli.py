@@ -31,6 +31,7 @@ from .errors import (
     JacksonQError,
     RegimeMismatch,
     SchemaError,
+    TruncationTooShort,
     UnknownFunction,
 )
 from .nevanlinna import (
@@ -383,25 +384,37 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
     grid = cfg.radial_grid()
     estimates = []
     samples = []
+    refusals = []
     for est_name in wanted:
-        if est_name == "nu":
-            if series is None:
-                raise SchemaError(f"{name} has no series route")
-            est = log_order_from_nu(series, grid)
-        elif est_name == "counting":
-            if "counting" not in auto:  # only the products carry a lattice
-                raise SchemaError(f"{name} has no zero lattice")
-            est = log_order_from_counting(model, grid, target=0.0)
-        elif est_name == "T":
-            if model is None:
-                raise SchemaError(f"{name} has no sweepable model")
-            samples = [characteristic(model, r, cfg.nodes)
-                       for r in grid.avoiding(
-                           model.known_moduli(grid.radii[-1] * 2)).radii]
-            est = log_order_from_T(samples)
-        else:
-            raise SchemaError(f"unknown estimator {estimator!r}")
+        try:
+            if est_name == "nu":
+                if series is None:
+                    raise SchemaError(f"{name} has no series route")
+                est = log_order_from_nu(series, grid)
+            elif est_name == "counting":
+                if "counting" not in auto:  # only the products carry a lattice
+                    raise SchemaError(f"{name} has no zero lattice")
+                est = log_order_from_counting(model, grid, target=0.0)
+            elif est_name == "T":
+                if model is None:
+                    raise SchemaError(f"{name} has no sweepable model")
+                samples = [characteristic(model, r, cfg.nodes)
+                           for r in grid.avoiding(
+                               model.known_moduli(grid.radii[-1] * 2)).radii]
+                est = log_order_from_T(samples)
+            else:
+                raise SchemaError(f"unknown estimator {estimator!r}")
+        except TruncationTooShort as e:
+            # the series is too short for this grid; auto keeps the rest
+            refusals.append(f"{est_name}: TruncationTooShort: {e}")
+            continue
         estimates.append(est)
+    if refusals and (estimator != "auto" or not estimates):
+        for line in refusals:
+            print(f"error: {line}", file=sys.stderr)
+        return 1
+    for line in refusals:
+        print(f"# skipped estimator {line}", file=sys.stderr)
     print(f"# logarithmic order of {name} at q = {format_complex(cfg.q)}")
     for est in estimates:
         print(f"sigma_log[{est.estimator:>8s}] = {est.value:.4f} "

@@ -780,8 +780,15 @@ class WimanValironSample:
 def max_term_central_index(f: TruncatedSeries, r: float) -> WimanValironSample:
     """mu(r) = max |c_n| r^n and nu(r) = the largest maximising index.
 
-    Requires the maximiser to sit in the lower half of the stored range,
-    otherwise the stored truncation is too short to trust it."""
+    Requires r within the certified radius of a series that is not an
+    exact polynomial (past it the maximiser may be a coefficient that
+    saturated to zero, or one the truncation dropped), and the maximiser
+    in the lower half of the stored range; otherwise the stored
+    truncation is too short to trust it."""
+    R = f.safe_radius
+    if R is not None and r > R * (1.0 + 1e-12):
+        raise TruncationTooShort(
+            f"radius {r:g} exceeds the certified radius {R:g} of the series")
     mags = np.abs(f.coeffs)
     with np.errstate(divide="ignore"):
         logs = np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)),

@@ -15,7 +15,7 @@ of logarithms, so relative error stays at the n-times-ulp scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,20 @@ class QParam:
     Construction rejects |q| in {0, 1} and any q whose powers come within
     ``guard_tol`` of 1 up to ``guard_order``; that keeps every bracket
     [n]_q used by series arithmetic safely away from zero.
+
+    An instance also keeps the coefficient ladders that depend on q alone
+    (the brackets of q_brackets, the 1/[n]_q! of qspecial.exp_q) for its
+    whole lifetime, rebuilt whenever a longer one is asked for. They take
+    no part in equality, hashing or repr.
     """
 
     q: complex
     guard_order: int = 128
     guard_tol: float = _ROOT_OF_UNITY_TOL
+    _brackets: list = field(default_factory=list, init=False, repr=False,
+                            compare=False)
+    _exp_coeffs: np.ndarray = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         q = complex(self.q)
@@ -88,10 +97,23 @@ def q_bracket(n: int, qp: QParam) -> complex:
 
 
 def q_brackets(N: int, qp: QParam) -> list:
-    """The ladder [0]_q, [1]_q, .. [N]_q as a list of Python complex.
+    """The ladder [0]_q, [1]_q, .. [N]_q as a fresh list of Python complex.
 
     Each entry equals q_bracket(n, qp) bit for bit, signs of zero and the
-    inf + 0j saturation included. _pow forms q^n by multiplying the
+    inf + 0j saturation included, so a prefix of a longer ladder is the
+    shorter ladder. qp keeps the longest ladder built so far for its
+    lifetime and rebuilds it only when a larger N is asked for; every
+    call returns a new list, so a caller may change it freely.
+    """
+    if N < 0:
+        raise DomainError("q_brackets requires N >= 0")
+    if len(qp._brackets) <= N:
+        object.__setattr__(qp, "_brackets", _bracket_ladder(qp.q, N))
+    return qp._brackets[: N + 1]
+
+
+def _bracket_ladder(q: complex, N: int) -> list:
+    """[0]_q .. [N]_q in one pass. _pow forms q^n by multiplying the
     squares q^(2^i) of the set bits of n into 1, lowest bit first, so
     its last product is q^(n - 2^t) * q^(2^t) for the top bit t of n:
     the ladder reuses q^(n - 2^t) from its own earlier entry, and flags
@@ -100,9 +122,6 @@ def q_brackets(N: int, qp: QParam) -> list:
     Python complex: numpy divides complex numbers by another method than
     CPython and would move last bits.
     """
-    if N < 0:
-        raise DomainError("q_brackets requires N >= 0")
-    q = qp.q
     qm1 = q - 1.0
     inf = complex(math.inf, 0.0)
     out = [0.0 + 0.0j, 1.0 + 0.0j][: N + 1]

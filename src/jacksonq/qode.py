@@ -135,14 +135,23 @@ class RationalFunction:
     def origin_series(self, order: int) -> TruncatedSeries:
         """Taylor expansion at the origin; requires den(0) != 0. A
         constant denominator divides each coefficient once, which is what
-        the long division gives for it, bit for bit."""
+        the long division gives for it, bit for bit.
+
+        The expansion at each order is kept on the instance for its
+        lifetime, so a repeated call returns the same series; treat it
+        as read-only."""
         if abs(self.den[0]) == 0.0:
             raise CoefficientPoleAtOrigin("denominator vanishes at z = 0")
-        nums = TruncatedSeries.from_polynomial(self.num, order=order)
-        dens = TruncatedSeries.from_polynomial(self.den, order=order)
-        if self.den.size == 1:
-            return nums._wrap(nums.coeffs / self.den[0], dens)
-        return nums.divide(dens)
+        # setdefault: reciprocal() builds instances without __init__
+        kept = self.__dict__.setdefault("_origin_series", {})
+        if order not in kept:
+            nums = TruncatedSeries.from_polynomial(self.num, order=order)
+            dens = TruncatedSeries.from_polynomial(self.den, order=order)
+            if self.den.size == 1:
+                kept[order] = nums._wrap(nums.coeffs / self.den[0], dens)
+            else:
+                kept[order] = nums.divide(dens)
+        return kept[order]
 
     # -- rational arithmetic used by counting and operator routines ---------
 

@@ -113,16 +113,26 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
 
 def exp_q(qp: QParam, N: int) -> TruncatedSeries:
     """q-exponential e_q^z = sum z^n/[n]_q!; the solution of D_q f = f
-    with f(0) = 1. Identity: e_q^z = etilde_q((1-q) z)."""
-    coeffs = np.zeros(N + 1, dtype=np.complex128)
-    c = 1.0 + 0.0j
-    coeffs[0] = c
-    brackets = q_brackets(N, qp)
-    for n in range(1, N + 1):
-        br = brackets[n]
-        c = c / br if (math.isfinite(br.real) and abs(br) > 0) else 0.0
-        coeffs[n] = c
-    return TruncatedSeries(coeffs)
+    with f(0) = 1. Identity: e_q^z = etilde_q((1-q) z).
+
+    The coefficients 1/[n]_q! are kept read-only on qp for its lifetime
+    and rebuilt only when a larger N is asked for; each is the running
+    quotient over the brackets up to n, so a prefix of a longer ladder is
+    the shorter one. Every call builds its own series and certifies its
+    radius on the first N + 1 coefficients."""
+    coeffs = qp._exp_coeffs
+    if coeffs is None or coeffs.size <= N:
+        coeffs = np.zeros(N + 1, dtype=np.complex128)
+        c = 1.0 + 0.0j
+        coeffs[0] = c
+        brackets = q_brackets(N, qp)
+        for n in range(1, N + 1):
+            br = brackets[n]
+            c = c / br if (math.isfinite(br.real) and abs(br) > 0) else 0.0
+            coeffs[n] = c
+        coeffs.setflags(write=False)
+        object.__setattr__(qp, "_exp_coeffs", coeffs)
+    return TruncatedSeries(coeffs[: N + 1])
 
 
 def etilde_q(qp: QParam, N: int) -> TruncatedSeries:

@@ -7,6 +7,9 @@ passes, and _certify_radius takes the ratios of adjacent coefficients
 as one array and stops its bisection at the fixed point; each must
 return exactly what the long route returns. The route pins patch
 the long routes to raise, so a solve that still returns never took them.
+A QParam keeps its bracket and 1/[n]_q! ladders, and a RationalFunction
+its origin expansions; whatever a cache holds, every result must equal
+what a fresh object gives.
 """
 
 import cmath
@@ -14,12 +17,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jacksonq
-from jacksonq import qcore
-from jacksonq.errors import BracketOverflow, DomainError
+from jacksonq import qcore, qspecial
+from jacksonq.errors import BracketOverflow, BracketUnderflow, DomainError
 from jacksonq.qcore import (
     QParam,
     TruncatedSeries,
@@ -330,3 +333,183 @@ def test_series_layer_skips_the_long_routes(long_routes_raise, qv):
     solve_shifted_series(2, A, qp, (1.0, 0.0), 120)
     exp_q(qp, 120)
     sinq_cosq(qp, 120)
+
+
+# ---------------------------------------------------------------------------
+# ladders kept on the QParam, origin expansions kept on the RationalFunction
+# ---------------------------------------------------------------------------
+
+# one pinned q per regime, so each regime runs whatever hypothesis draws
+REGIME_Q = {
+    "inside": 0.5,
+    "outside": 2.0,
+    "negative_inside": -0.7,
+    "negative_outside": -1.7,
+    "complex": 1.5 + 0.8j,
+    "near_root": 1.001 * cmath.exp(2j * math.pi / 3),
+}
+
+
+@st.composite
+def regime_q(draw):
+    """q from one of the six regimes of REGIME_Q, as a complex number."""
+    regime = draw(st.sampled_from(sorted(REGIME_Q)))
+    inside, outside = draw(st.floats(0.05, 0.95)), draw(st.floats(1.05, 8.0))
+    if regime == "inside":
+        return complex(inside)
+    if regime == "outside":
+        return complex(outside)
+    if regime == "negative_inside":
+        return complex(-inside)
+    if regime == "negative_outside":
+        return complex(-outside)
+    if regime == "complex":
+        return draw(st.sampled_from([inside, outside])) * cmath.exp(
+            1j * draw(st.floats(0.1, 3.0)))
+    m = draw(st.integers(2, 12))
+    mod = 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(
+        st.floats(1e-3, 1e-2))
+    return mod * cmath.exp(2j * math.pi * draw(st.integers(1, m - 1)) / m)
+
+
+def _qparam(qv):
+    try:
+        return QParam(qv)
+    except DomainError:  # too near a root of unity for the guard
+        return QParam(2.0 * qv)
+
+
+def _problem(qp, k):
+    A = RationalFunction([-1.0, 0.25, 0.5j], [1.0, -0.3])
+    return QdeProblem(k, A, RationalFunction([1.0, -0.5]), qp,
+                      (1.0, -0.5, 0.25)[:k])
+
+
+def _results(qp, N, k):
+    """Every ladder reader on qp at order N, each as its coefficient
+    array and radius, or as the error it raised."""
+    out = {"q_brackets": (q_brackets(N, qp), None)}
+
+    def keep(name, fn):
+        try:
+            f = fn()
+        except (BracketOverflow, BracketUnderflow) as exc:
+            out[name] = (type(exc).__name__, str(exc))
+        else:
+            out[name] = (f.coeffs, f.safe_radius)
+
+    prob = _problem(qp, k)
+    keep("exp_q", lambda: exp_q(qp, N))
+    keep("sin_q", lambda: sinq_cosq(qp, N)[0])
+    keep("cos_q", lambda: sinq_cosq(qp, N)[1])
+    keep("dqk_series", lambda: dqk_series(
+        TruncatedSeries(np.linspace(1.0, 0.5j, N + 1) ** 3), qp, k))
+    keep("solve_series", lambda: solve_series(prob, N))
+    keep("residual", lambda: residual(prob, solve_series(prob, N))[0])
+    keep("solve_shifted_series", lambda: solve_shifted_series(
+        k, prob.A, qp, prob.initial, N))
+    return out
+
+
+def _assert_same_results(got, want):
+    assert got.keys() == want.keys()
+    for name in want:
+        (g, g_radius), (w, w_radius) = got[name], want[name]
+        if isinstance(w, str):
+            assert (g, g_radius) == (w, w_radius), name
+        else:
+            assert_same_bits(g, w)
+            assert g_radius == w_radius, name
+
+
+@pytest.mark.filterwarnings("ignore::jacksonq.errors.ConditioningWarning")
+@pytest.mark.filterwarnings("ignore::jacksonq.errors.FormalRegimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(qv=regime_q(), big=st.integers(40, 400), small=st.integers(3, 39),
+       k=st.integers(1, 3))
+@example(qv=REGIME_Q["inside"], big=300, small=20, k=1)
+@example(qv=REGIME_Q["outside"], big=400, small=39, k=2)
+@example(qv=REGIME_Q["negative_inside"], big=120, small=3, k=3)
+@example(qv=REGIME_Q["negative_outside"], big=250, small=30, k=1)
+@example(qv=REGIME_Q["complex"], big=200, small=25, k=2)
+@example(qv=REGIME_Q["near_root"], big=160, small=12, k=3)
+def test_kept_ladders_give_what_a_fresh_qparam_gives(qv, big, small, k):
+    warm = _qparam(qv)
+    _results(warm, big, k)  # fills every cache to the larger order first
+    for N in (small, big):
+        _assert_same_results(_results(warm, N, k),
+                             _results(_qparam(qv), N, k))
+
+
+@pytest.mark.parametrize("qv", sorted(REGIME_Q.values(), key=str))
+def test_changing_a_returned_ladder_changes_no_later_result(qv):
+    qp, N = _qparam(qv), 60
+    want = _results(_qparam(qv), N, 2)
+    ladder = q_brackets(N, qp)
+    ladder[:] = [complex(math.nan, 1.0)] * len(ladder)
+    ladder.append(0j)
+    _assert_same_results(_results(qp, N, 2), want)
+    kept = exp_q(qp, N).coeffs
+    with pytest.raises(ValueError):
+        kept[1] = 0.0
+    with pytest.raises(ValueError):
+        qp._exp_coeffs[1] = 0.0
+
+
+def test_kept_ladders_leave_equality_and_hash_alone():
+    qp = QParam(1.5 + 0.8j)
+    before = (hash(qp), repr(qp))
+    exp_q(qp, 50)
+    assert (hash(qp), repr(qp)) == before
+    assert qp == QParam(1.5 + 0.8j)
+
+
+@pytest.mark.parametrize("rf", [
+    RationalFunction([0.3, 0.2]),
+    RationalFunction([1.0, 0.5], [1.0, -0.25]),
+    RationalFunction([0.3, -1.0, 0.2], [2.0, 0.5, 0.1j]),
+    RationalFunction([1.0, -0.5, 0.2j], [1.0, 0.3]).reciprocal(),
+])
+@pytest.mark.parametrize("order", [0, 7, 200])
+def test_repeated_origin_series_is_the_first_bit_for_bit(rf, order):
+    first = rf.origin_series(order)
+    coeffs, radius = first.coeffs.copy(), first.safe_radius
+    rf.origin_series(order + 3)
+    again = rf.origin_series(order)
+    assert_same_bits(again.coeffs, coeffs)
+    assert again.safe_radius == radius
+
+
+@pytest.mark.filterwarnings("ignore::jacksonq.errors.ConditioningWarning")
+@pytest.mark.filterwarnings("ignore::jacksonq.errors.FormalRegimeWarning")
+@pytest.mark.parametrize("qv", sorted(REGIME_Q.values(), key=str))
+def test_a_solve_and_check_builds_each_ladder_once(monkeypatch, qv):
+    built = {"brackets": [], "exp_q": [], "A expansions": []}
+    ladder, exp_brackets = qcore._bracket_ladder, qspecial.q_brackets
+    divide = TruncatedSeries.divide
+
+    def count_divide(num, den):
+        built["A expansions"].append(num.order)
+        return divide(num, den)
+
+    def count_ladder(q, N):
+        built["brackets"].append(N)
+        return ladder(q, N)
+
+    def count_exp(N, qp):
+        built["exp_q"].append(N)
+        return exp_brackets(N, qp)
+
+    monkeypatch.setattr(qcore, "_bracket_ladder", count_ladder)
+    monkeypatch.setattr(qspecial, "q_brackets", count_exp)
+    monkeypatch.setattr(TruncatedSeries, "divide", count_divide)
+    qp, N = _qparam(qv), 150
+    prob = _problem(qp, 2)
+    f = solve_series(prob, N)
+    residual(prob, f)
+    exp_q(qp, N)
+    sinq_cosq(qp, N)
+    solve_shifted_series(2, prob.A, qp, prob.initial, N // 2)
+    # residual reuses the expansion of A that solve_series made
+    assert built == {"brackets": [N], "exp_q": [N],
+                     "A expansions": [N, N // 2]}

@@ -200,6 +200,34 @@ class TestOrder:
     def test_wrong_regime_exit_2(self):
         assert main(["order", "--model", "etilde_q", "--q", "0.5"]) == 2
 
+    def test_nu_refuses_radii_past_the_series(self, capsys):
+        # the series' certified radius is 2.7e12; the grid runs to 1e40
+        code = main(["order", "--model", "etilde_q", "--q", "2", "--N", "300",
+                     "--estimator", "nu", "--grid", "1e10:1e40:9"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "TruncationTooShort" in captured.err
+
+    def test_auto_skips_a_refused_estimator(self, capsys):
+        # the default N = 48 series cannot reach 1e8; counting can
+        code = main(["order", "--model", "E_q", "--q", "0.5",
+                     "--grid", "1e2:1e8:9", "--nodes", "4096"])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert lines[0] == "# logarithmic order of E_q at q = 0.5"
+        assert [ln.split("]")[0] for ln in lines[1:]] == [
+            "sigma_log[counting"]
+        assert captured.err.startswith(
+            "# skipped estimator nu: TruncationTooShort:")
+
+    def test_auto_fails_only_when_every_estimator_is_refused(self, capsys):
+        assert main(["order", "--model", "exp_q", "--q", "2",
+                     "--grid", "1e10:1e40:9"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: nu: TruncationTooShort:")
+
     @pytest.mark.parametrize("model,extra", [
         ("polynomial", ["--coeffs", "1,0,2"]),
         ("exp_q", ["--q", "2"]),

@@ -548,6 +548,17 @@ class TestWimanValiron:
         with pytest.raises(TruncationTooShort):
             max_term_central_index(f, 3.0)
 
+    def test_refuses_past_the_certified_radius(self):
+        # etilde_q at q = 2: the stored coefficients underflow to 0 past
+        # n = 45, so far out nu would sit at 45 for every r
+        f = etilde_q(QParam(2.0), 300)
+        assert 1e12 < f.safe_radius < 1e13
+        assert max_term_central_index(f, 1e12).nu < 45
+        with pytest.raises(TruncationTooShort, match="certified radius"):
+            max_term_central_index(f, 1e20)
+        with pytest.raises(TruncationTooShort):
+            log_order_from_nu(f, RadialGrid.log_spaced(1e10, 1e40, 9))
+
     def test_deviation_below_point3_at_q_half(self):
         # q = 0.5 context: limiting deviation |log q - (q-1)|/|log q| ~ 0.28
         qp = QParam(0.5)
