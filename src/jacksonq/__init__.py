@@ -30,13 +30,13 @@ from .qoperator import (
 from .qspecial import (
     BigEProduct,
     EtildeProduct,
+    LatticeProduct,
     PhiParams,
-    big_e_product,
     big_e_q,
-    etilde_product,
     etilde_q,
     exp_q,
     phi_rs,
+    product_solution,
     sinq_cosq,
 )
 from .qode import (
@@ -47,7 +47,6 @@ from .qode import (
     dqk_quotient,
     dqk_rational,
     polynomial_degree_condition,
-    product_solution,
     residual,
     shifted_to_plain,
     solve_series,
@@ -92,10 +91,10 @@ __all__ = [
     "dqk_sample", "dqk_closed_form", "jackson_integral", "casorati",
     "kernel_check", "series_sampler",
     "PhiParams", "phi_rs", "exp_q", "etilde_q", "big_e_q", "sinq_cosq",
-    "EtildeProduct", "BigEProduct", "etilde_product", "big_e_product",
+    "LatticeProduct", "EtildeProduct", "BigEProduct", "product_solution",
     "RationalFunction", "QdeProblem", "DegreeCondition", "solve_series",
     "residual", "verify_pointwise", "polynomial_degree_condition",
-    "product_solution", "solve_shifted_series", "shifted_to_plain",
+    "solve_shifted_series", "shifted_to_plain",
     "dq_rational", "dqk_rational", "dqk_quotient",
     "INF", "MeroModel", "RadialGrid", "NevanlinnaSample", "DefectReport",
     "WimanValironSample", "LogOrderEstimate", "GrowthReport",

@@ -47,7 +47,7 @@ from .polyroots import poly_eval, roots_with_multiplicity
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_quotient, dqk_rational
 from .qoperator import Sampler, dqk_closed_form, series_sampler
-from .qspecial import BigEProduct, EtildeProduct
+from .qspecial import LatticeProduct
 
 INF = math.inf
 
@@ -120,9 +120,9 @@ class MeroModel:
     SeriesModel    an entire TruncatedSeries with a certified radius; zero
                    moduli from companion eigenvalues, each annulus count
                    certified by one argument-principle winding number
-    ProductModel   an entire product with an exact zero lattice and an
-                   overflow-free log_eval (when bound to an EtildeProduct
-                   or BigEProduct, log|f| is the product's real log_abs,
+    ProductModel   an entire product with f(0) = 1, an exact zero
+                   lattice and an overflow-free log_eval (when bound to a
+                   LatticeProduct, log|f| is the product's real log_abs,
                    one array per circle; else the real part of log_eval,
                    one point per call), and an optional shift ratio R,
                    f(qz) = R(z) f(z) at its own base qp, which makes
@@ -153,15 +153,13 @@ class MeroModel:
     def from_q_product(cls, zeros_up_to: Callable[[float], list],
                        log_eval: Callable[[complex], complex],
                        eval_fn: Optional[Callable[[complex], complex]] = None,
-                       origin_value: complex = 1.0,
                        qp: Optional[QParam] = None,
                        shift_ratio: Optional[RationalFunction] = None
                        ) -> "MeroModel":
-        """shift_ratio is the structural R with f(qz) = R(z) f(z) for
-        q = qp.q (EtildeProduct.shift_ratio, BigEProduct.shift_ratio);
-        it needs qp."""
-        return ProductModel(zeros_up_to, log_eval, eval_fn,
-                            complex(origin_value), qp, shift_ratio)
+        """An entire product with f(0) = 1. shift_ratio is the
+        structural R with f(qz) = R(z) f(z) for q = qp.q (the shift_ratio
+        of a LatticeProduct); it needs qp."""
+        return ProductModel(zeros_up_to, log_eval, eval_fn, qp, shift_ratio)
 
     @classmethod
     def from_sampler(cls, sampler: Sampler, entire: bool = False,
@@ -330,7 +328,6 @@ class ProductModel(MeroModel):
     zeros_fn: Callable[[float], list]
     log_eval: Callable[[complex], complex]
     eval_fn: Optional[Callable[[complex], complex]] = None
-    origin_value: complex = 1.0
     qp: Optional[QParam] = None
     shift_ratio: Optional[RationalFunction] = None
 
@@ -339,7 +336,7 @@ class ProductModel(MeroModel):
             raise DomainError("a shift ratio needs the product's base qp")
         log_eval = self.log_eval
         owner = getattr(log_eval, "__self__", None)
-        if isinstance(owner, (BigEProduct, EtildeProduct)):
+        if isinstance(owner, LatticeProduct):
             self._log_eval_flat = log_eval
             self._log_abs_flat = owner.log_abs
         else:
@@ -372,7 +369,7 @@ class ProductModel(MeroModel):
         return _split_origin(self.zeros_fn(r))
 
     def origin_leading(self):
-        return 0, self.origin_value
+        return 0, 1.0 + 0.0j
 
 
 @dataclass(eq=False)
@@ -960,23 +957,6 @@ def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
         ref = ((qk - 1.0) * wv.nu).real  # qp.q is always complex
         rows.append(WvRow(r, wv.nu, wv.mu, z_star, obs, float(ref)))
     return rows
-
-
-def polynomial_wv_identity(f: TruncatedSeries, qp: QParam, k: int,
-                           r: float) -> tuple:
-    """For polynomial f of degree d, |f(q^k z)/f(z)| tends to |q|^{k d} at
-    the max-modulus point; returns (observed, |q|^{k d})."""
-    mags = np.abs(f.coeffs)
-    d = int(np.flatnonzero(mags > 0)[-1])
-    z_star = _argmax_on_circle(f, r)
-    obs = abs(f.eval(qp.q**k * z_star) / f.eval(z_star))
-    return obs, abs(qp.q) ** (k * d)
-
-
-def _argmax_on_circle(f: TruncatedSeries, r: float, nodes: int = 1024):
-    zs = r * _unit_circle(nodes)
-    vals = np.abs(f.eval(zs))
-    return complex(zs[int(np.argmax(vals))])
 
 
 @dataclass

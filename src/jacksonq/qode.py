@@ -33,7 +33,6 @@ from .errors import (
     DomainError,
     FormalRegimeWarning,
     OutsideDomain,
-    RegimeMismatch,
 )
 from .polyroots import (
     poly_deflate,
@@ -440,32 +439,6 @@ def polynomial_degree_condition(prob: QdeProblem) -> DegreeCondition:
     if not prob.B.is_zero:
         raise DomainError("degree condition applies to homogeneous problems")
     return DegreeCondition(prob.A.num_degree, prob.A.den_degree, prob.k)
-
-
-def product_solution(P, qp: QParam, z: complex, tol: float = 1e-12,
-                     f0: complex = 1.0) -> complex:
-    """Entire solution of D_q f = P(z) f(qz) for |q| < 1 and polynomial P:
-
-        f(z) = f(0) prod_{j>=0} (1 + (1-q) q^j z P(q^j z)).
-
-    For constant P = a this is f(0) exp_{1/q}(a z). The product truncates
-    once the factor offset falls below tol * (1 - |q|).
-    """
-    if abs(qp.q) >= 1.0:
-        raise RegimeMismatch("product solution requires |q| < 1")
-    Parr = np.asarray(P, dtype=np.complex128)
-    q = qp.q
-    out = complex(f0)
-    qj = 1.0 + 0.0j
-    cutoff = tol * (1.0 - abs(q))
-    for _ in range(100000):
-        w = qj * z
-        offset = (1.0 - q) * w * poly_eval(Parr, w)
-        out *= 1.0 + offset
-        qj *= q
-        if abs(offset) < cutoff:
-            break
-    return out
 
 
 def solve_shifted_series(k: int, A: RationalFunction, qp: QParam,

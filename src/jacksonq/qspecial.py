@@ -11,11 +11,17 @@ and the basic hypergeometric series
     phi_rs: sum_j  prod(alpha_i;q)_j / prod(beta_i;q)_j
                    * [(-1)^j q^{j(j-1)/2}]^{1+s-r} * z^j / (q;q)_j.
 
-Product forms carry exact zero lattices, which downstream counting
-functions use verbatim:
+Product forms are LatticeProducts: the entire f with f(qz) = R(z) f(z)
+and f(0) = 1 for a rational shift ratio R with R(0) = 1. Their zeros are
+exact lattices over the roots of R's polynomial side, which downstream
+counting functions use verbatim:
 
-    etilde_q(z) = prod_{n>=1} (1 - q^{-n} z)   (|q| > 1, zeros at q^n)
-    big_e_q(z)  = prod_{n>=0} (1 + q^n z)      (|q| < 1, zeros at -q^{-n})
+    etilde_q(z) = prod_{n>=1} (1 - q^{-n} z)   (|q| > 1, R = 1 - z,
+                                                zeros at q^n)
+    big_e_q(z)  = prod_{n>=0} (1 + q^n z)      (|q| < 1, R = 1/(1 + z),
+                                                zeros at -q^{-n})
+    product_solution(P): the solution of D_q f = P(z) f(qz), |q| < 1,
+                         R = 1/(1 + (1-q) z P(z))
 
 etilde_q and big_e_q are phi_rs at fixed parameters, so they share its
 one coefficient ladder; exp_q keeps its own ladder over [n]_q (its
@@ -29,13 +35,15 @@ inside the certified radius.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DenominatorPochhammerZero, RegimeMismatch
+from .errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
 from .qcore import QParam, TruncatedSeries, q_brackets
 from .qode import RationalFunction
 from .qoperator import Sampler
@@ -300,106 +308,127 @@ _REDUCTIONS = {
 }
 
 
-def _lattice_zeros(zero: complex, q: complex, radius: float) -> list:
-    """(z_n, 1) for the zeros z_0 = zero, z_{n+1} = z_n q if |q| > 1, else
-    z_n/q, up to modulus radius: the zeros of prod_n (1 - z/z_n)."""
-    out = []
-    zn = complex(zero)
-    while abs(zn) <= radius:
-        out.append((zn, 1))
-        zn = zn * q if abs(q) > 1.0 else zn / q
-    return out
-
-
 @dataclass(frozen=True)
-class EtildeProduct:
-    """etilde_q as the entire product prod_{n>=1}(1 - q^{-n} z), |q| > 1.
+class LatticeProduct:
+    """The entire f with f(qz) = R(z) f(z) and f(0) = 1, for the rational
+    shift ratio R with R(0) = 1:
 
-    Zeros sit exactly on the geometric lattice {q^n : n >= 1}, all simple;
-    f(qz) = (1 - z) f(z), so D_q f / f = -1/(q-1). eval and log_eval
-    take a point or a numpy array of points; log_abs gives log|f| as the
-    real sum of log|1 - q^{-n} z|, the one reduction a quadrature circle
-    needs, on an array (a point is a one-element array).
+        f(z) = prod_{j>=1} R(z/q^j)       (|q| > 1, R a polynomial)
+        f(z) = prod_{j>=0} 1/R(q^j z)     (|q| < 1, 1/R a polynomial).
+
+    Each root a of that polynomial, of multiplicity m, gives m copies of
+    the lattice prod_n (1 - z/z_n), z_0 = a q and z_{n+1} = z_n q for
+    |q| > 1, z_0 = a and z_{n+1} = z_n/q for |q| < 1; these are all the
+    zeros of f. The roots are read once, at construction. eval and
+    log_eval take a point or a numpy array of points; log_abs gives log|f|
+    as a real sum, without a complex log, on an array (a point is a
+    one-element array), the one reduction a quadrature circle needs. Each
+    runs _lattice_product once per lattice at t_0 = z/z_0 and combines the
+    results starting from the first, so a single lattice gives that call's
+    value unchanged.
     """
 
+    shift_ratio: RationalFunction
     qp: QParam
     tol: float = 1e-14
 
     def __post_init__(self):
-        if abs(self.qp.q) <= 1.0:
-            raise RegimeMismatch("etilde product form requires |q| > 1")
+        R, q = self.shift_ratio, self.qp.q  # QParam refuses |q| = 1
+        if R.den[0] == 0 or abs(R.num[0] - R.den[0]) > 1e-12 * abs(R.den[0]):
+            raise DomainError("shift ratio must equal 1 at the origin")
+        grow = abs(q) > 1.0
+        if R.den_degree if grow else R.num_degree:
+            raise DomainError("this shift ratio gives f poles; a lattice "
+                              "product is entire")
+        roots = R.zeros() if grow else R.poles()
+        object.__setattr__(self, "_lattices",
+                           tuple((a * q if grow else a, m) for a, m in roots))
+
+    def _reduce(self, z, reduce: str):
+        q, tol = self.qp.q, self.tol
+        parts = []
+        for z0, m in self._lattices:
+            parts += [_lattice_product(z / z0, q, tol, reduce)] * m
+        if not parts:  # R = 1, so f = 1
+            return np.full(np.shape(z), _REDUCTIONS[reduce][0])[()]
+        combine = operator.mul if reduce == "prod" else operator.add
+        return functools.reduce(combine, parts)
 
     def eval(self, z):
-        return _lattice_product(z / self.qp.q, self.qp.q, self.tol, "prod")
+        return self._reduce(z, "prod")
 
     def log_eval(self, z):
         """Principal-branch sum of logs; real part is log|f|."""
-        return _lattice_product(z / self.qp.q, self.qp.q, self.tol, "log")
+        return self._reduce(z, "log")
 
     def log_abs(self, z):
         """log|f| as a float array shaped like z, without a complex log."""
         z = np.asarray(z, dtype=np.complex128)
-        return _lattice_product(np.atleast_1d(z) / self.qp.q, self.qp.q,
-                                self.tol, "log_abs").reshape(z.shape)
+        return self._reduce(np.atleast_1d(z), "log_abs").reshape(z.shape)
 
     def zeros_up_to(self, radius: float):
-        """All lattice zeros with modulus <= radius, as (location, mult)."""
-        return _lattice_zeros(self.qp.q, self.qp.q, radius)
-
-    @property
-    def shift_ratio(self) -> RationalFunction:
-        """R with f(qz) = R(z) f(z): here R(z) = 1 - z."""
-        return RationalFunction([1.0, -1.0])
+        """All zeros with modulus <= radius, lattice by lattice, as
+        (location, mult)."""
+        q = self.qp.q
+        grow = abs(q) > 1.0
+        out = []
+        for zn, m in self._lattices:
+            while abs(zn) <= radius:
+                out.append((zn, m))
+                zn = zn * q if grow else zn / q
+        return out
 
     def sampler(self) -> Sampler:
         return Sampler(self.eval)
 
 
-@dataclass(frozen=True)
-class BigEProduct:
-    """big_e_q as the entire product prod_{n>=0}(1 + q^n z), |q| < 1.
+# The two fixed shift ratios, built once with their exact roots attached,
+# so that constructing either product solves no polynomial.
+_ETILDE_RATIO = RationalFunction.from_roots([1.0], [], lead=-1.0)  # 1 - z
+_BIG_E_RATIO = RationalFunction.from_roots([], [-1.0])  # 1/(1 + z)
 
-    Zeros sit exactly on {-q^{-n} : n >= 0}, all simple; f(qz) =
-    f(z)/(1 + z), so D_q f + f/((q-1)(z+1)) = 0. eval and log_eval take
-    a point or a numpy array of points; log_abs gives log|f| as the real
-    sum of log|1 + q^n z|, without a complex log, as EtildeProduct does.
+
+class EtildeProduct(LatticeProduct):
+    """etilde_q as the entire product prod_{n>=1}(1 - q^{-n} z), |q| > 1:
+    the LatticeProduct of R(z) = 1 - z. Zeros sit exactly on the geometric
+    lattice {q^n : n >= 1}, all simple, and D_q f / f = -1/(q-1).
     """
 
-    qp: QParam
-    tol: float = 1e-14
+    def __init__(self, qp: QParam, tol: float = 1e-14):
+        if abs(qp.q) <= 1.0:
+            raise RegimeMismatch("etilde product form requires |q| > 1")
+        super().__init__(_ETILDE_RATIO, qp, tol)
 
-    def __post_init__(self):
-        if abs(self.qp.q) >= 1.0:
+    # an attribute of this class, so that each product's log_eval can be
+    # wrapped and counted on its own class
+    log_eval = LatticeProduct.log_eval
+
+
+class BigEProduct(LatticeProduct):
+    """big_e_q as the entire product prod_{n>=0}(1 + q^n z), |q| < 1: the
+    LatticeProduct of R(z) = 1/(1 + z). Zeros sit exactly on
+    {-q^{-n} : n >= 0}, all simple, and D_q f + f/((q-1)(z+1)) = 0.
+    """
+
+    def __init__(self, qp: QParam, tol: float = 1e-14):
+        if abs(qp.q) >= 1.0:
             raise RegimeMismatch("big-E product form requires |q| < 1")
+        super().__init__(_BIG_E_RATIO, qp, tol)
 
-    def eval(self, z):
-        return _lattice_product(z / (-1.0 + 0.0j), self.qp.q, self.tol, "prod")
-
-    def log_eval(self, z):
-        return _lattice_product(z / (-1.0 + 0.0j), self.qp.q, self.tol, "log")
-
-    def log_abs(self, z):
-        z = np.asarray(z, dtype=np.complex128)
-        return _lattice_product(np.atleast_1d(z) / (-1.0 + 0.0j), self.qp.q,
-                                self.tol, "log_abs").reshape(z.shape)
-
-    def zeros_up_to(self, radius: float):
-        return _lattice_zeros(-1.0 + 0.0j, self.qp.q, radius)
-
-    @property
-    def shift_ratio(self) -> RationalFunction:
-        """R with f(qz) = R(z) f(z): here R(z) = 1/(1 + z)."""
-        return RationalFunction([1.0], [1.0, 1.0])
-
-    def sampler(self) -> Sampler:
-        return Sampler(self.eval)
+    # as for EtildeProduct.log_eval
+    log_eval = LatticeProduct.log_eval
 
 
-def etilde_product(z: complex, qp: QParam, tol: float = 1e-14) -> complex:
-    """Pointwise etilde_q(z) by its infinite product (|q| > 1)."""
-    return EtildeProduct(qp, tol).eval(z)
+def product_solution(P, qp: QParam, tol: float = 1e-14) -> LatticeProduct:
+    """The entire solution with f(0) = 1 of D_q f = P(z) f(qz), for
+    |q| < 1 and a polynomial P (coefficients lowest first):
 
+        f(z) = prod_{j>=0} (1 + (1-q) q^j z P(q^j z)),
 
-def big_e_product(z: complex, qp: QParam, tol: float = 1e-14) -> complex:
-    """Pointwise big_e_q(z) by its infinite product (|q| < 1)."""
-    return BigEProduct(qp, tol).eval(z)
+    the LatticeProduct of R = 1/(1 + (1-q) z P(z)). For constant P = a
+    this is exp_{1/q}(a z).
+    """
+    if abs(qp.q) >= 1.0:
+        raise RegimeMismatch("product solution requires |q| < 1")
+    den = np.append(1.0, (1.0 - qp.q) * np.asarray(P, dtype=np.complex128))
+    return LatticeProduct(RationalFunction([1.0], den), qp, tol)

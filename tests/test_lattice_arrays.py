@@ -35,7 +35,12 @@ from jacksonq.nevanlinna import (
     jensen_residual,
 )
 from jacksonq.qcore import QParam
-from jacksonq.qspecial import _BLOCK, BigEProduct, EtildeProduct
+from jacksonq.qspecial import (
+    _BLOCK,
+    BigEProduct,
+    EtildeProduct,
+    LatticeProduct,
+)
 
 # (|q| range, real sign or None for complex q); |q| keeps away from 1 so
 # that a point needs at most a few hundred lattice factors
@@ -144,19 +149,27 @@ def test_model_circles_match_point_loop(prod, r, nodes):
                                   BigEProduct(QParam(0.5))])
 def test_one_log_abs_call_per_circle(prod, monkeypatch):
     calls = {"log_abs": [], "log_eval": []}
-    cls = type(prod)
+    # each method is counted on the class that defines it: log_abs on
+    # LatticeProduct, log_eval on LatticeProduct and on the product's class
     for name in calls:
-        real = cls.__dict__[name]
-
-        def counted(self, z, real=real, name=name):
-            calls[name].append(np.size(z))
-            return real(self, z)
-
-        monkeypatch.setattr(cls, name, counted)
+        for cls in (LatticeProduct, type(prod)):
+            if name in cls.__dict__:
+                count_calls(monkeypatch, cls, name, calls[name])
     model = MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
                                      qp=prod.qp)
     characteristic(model, 10.5, 1024)
     assert calls == {"log_abs": [1024], "log_eval": []}
+
+
+def count_calls(monkeypatch, cls, name: str, sizes: list):
+    """Patch cls.name to append the size of its argument to sizes."""
+    real = cls.__dict__[name]
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return real(self, z)
+
+    monkeypatch.setattr(cls, name, counted)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

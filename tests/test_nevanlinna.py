@@ -30,7 +30,6 @@ from jacksonq.nevanlinna import (
     log_order_from_nu,
     logderiv_lemma_check,
     max_term_central_index,
-    polynomial_wv_identity,
     proximity,
     samples_to_csv,
     series_zero_moduli,
@@ -588,10 +587,7 @@ class TestWimanValiron:
         assert row2.log_ratio == pytest.approx(part1 + part2, rel=1e-9)
 
     def test_polynomial_identity(self):
-        qp = QParam(2.0)
         f = TruncatedSeries.from_polynomial([3.0, 0, 0, 1.0], order=12)
-        obs, expect = polynomial_wv_identity(f, qp, 2, 1e5)
-        assert obs == pytest.approx(expect, rel=1e-3)
         assert max_term_central_index(f, 1e5).nu == 3
 
 

@@ -18,14 +18,13 @@ from jacksonq.qode import (
     dq_rational,
     dqk_rational,
     polynomial_degree_condition,
-    product_solution,
     residual,
     shifted_to_plain,
     solve_series,
     solve_shifted_series,
     verify_pointwise,
 )
-from jacksonq.qspecial import exp_q, sinq_cosq
+from jacksonq.qspecial import exp_q, product_solution, sinq_cosq
 
 RNG = np.random.default_rng(31182)
 
@@ -292,14 +291,14 @@ class TestDegreeCondition:
 class TestProductSolution:
     def test_value_at_origin(self):
         qp = QParam(0.5)
-        assert product_solution([1.0], qp, 0.0, f0=2.5) == pytest.approx(2.5)
+        assert product_solution([1.0], qp).eval(0.0) == 1.0
 
     def test_constant_p_matches_exp_inverse_base(self):
         # P = a: f = exp_{1/q}(a z) = sum a^n z^n/[n]_{1/q}!
         qp = QParam(0.5)
         a = 0.8
         for z in [0.3, 1.0, -0.6 + 0.4j]:
-            val = product_solution([a], qp, z, tol=1e-14)
+            val = product_solution([a], qp).eval(z)
             qinv = qp.inverse()
             expect = sum((a * z) ** n / q_factorial(n, qinv) for n in range(60))
             assert abs(val - expect) <= 1e-9 * max(1.0, abs(expect))
@@ -308,7 +307,7 @@ class TestProductSolution:
         # D_q f - P f(qz) = 0 with P(z) = z
         qp = QParam(0.5)
         P = [0.0, 1.0]
-        f = Sampler(lambda z: product_solution(P, qp, z, tol=1e-14))
+        f = product_solution(P, qp).sampler()
         for _ in range(6):
             z = complex(RNG.uniform(0.2, 1.5) * np.exp(1j * RNG.uniform(0, 2 * np.pi)))
             dq = (f(qp.q * z) - f(z)) / ((qp.q - 1) * z)
@@ -317,7 +316,7 @@ class TestProductSolution:
 
     def test_regime_guard(self):
         with pytest.raises(RegimeMismatch):
-            product_solution([1.0], QParam(2.0), 1.0)
+            product_solution([1.0], QParam(2.0))
 
 
 class TestCasoratiRelation:

@@ -8,9 +8,7 @@ from jacksonq.qspecial import (
     BigEProduct,
     EtildeProduct,
     PhiParams,
-    big_e_product,
     big_e_q,
-    etilde_product,
     etilde_q,
     exp_q,
     phi_rs,
@@ -158,8 +156,8 @@ class TestInversionIdentities:
 class TestProductForms:
     def test_etilde_product_basics(self):
         qp = QParam(2.0)
-        assert etilde_product(0.0, qp) == 1.0
-        assert abs(etilde_product(qp.q, qp)) < 1e-14
+        assert EtildeProduct(qp).eval(0.0) == 1.0
+        assert abs(EtildeProduct(qp).eval(qp.q)) < 1e-14
 
     def test_etilde_product_vs_series(self):
         qp = QParam(2.0)
@@ -169,7 +167,7 @@ class TestProductForms:
             if abs(z) > 1.5:
                 continue
             sv = series.eval(z)
-            pv = etilde_product(z, qp)
+            pv = EtildeProduct(qp).eval(z)
             assert abs(sv - pv) <= 1e-9 * max(1.0, abs(pv))
 
     def test_etilde_zero_lattice(self):
@@ -184,8 +182,8 @@ class TestProductForms:
 
     def test_big_e_product_basics(self):
         qp = QParam(0.5)
-        assert big_e_product(0.0, qp) == 1.0
-        assert abs(big_e_product(-1.0, qp)) < 1e-14
+        assert BigEProduct(qp).eval(0.0) == 1.0
+        assert abs(BigEProduct(qp).eval(-1.0)) < 1e-14
 
     def test_big_e_product_equation_pointwise(self):
         # D_q f + f/((q-1)(z+1)) = 0 at sample points
@@ -208,7 +206,7 @@ class TestProductForms:
         for z in [0.5, -0.3 + 0.4j, 2.0, 5.0 + 1.0j]:
             z = complex(z)
             sv = series.eval(z)
-            pv = big_e_product(z, qp)
+            pv = BigEProduct(qp).eval(z)
             assert abs(sv - pv) <= 1e-9 * max(1.0, abs(pv))
 
     def test_log_eval_consistency(self):

@@ -1,10 +1,11 @@
 """D_q^k f / f in closed form for the lattice products.
 
-EtildeProduct and BigEProduct satisfy f(qz) = R(z) f(z) with a rational
-shift ratio R, so D_q^k f / f is a rational function (dqk_quotient). A
-q_product model that carries R takes that exact route in
-logderiv_lemma_check when the operator has the product's own base; it
-must agree with the pointwise orbit sum dqk_closed_form(s, z) / s(z).
+EtildeProduct, BigEProduct and product_solution satisfy
+f(qz) = R(z) f(z) with a rational shift ratio R, so D_q^k f / f is a
+rational function (dqk_quotient). A q_product model that carries R
+takes that exact route in logderiv_lemma_check when the operator has
+the product's own base; it must agree with the pointwise orbit sum
+dqk_closed_form(s, z) / s(z).
 """
 
 import cmath
@@ -21,7 +22,7 @@ from jacksonq.nevanlinna import MeroModel, RadialGrid, logderiv_lemma_check
 from jacksonq.qcore import QParam
 from jacksonq.qode import RationalFunction, dqk_quotient
 from jacksonq.qoperator import dqk_closed_form
-from jacksonq.qspecial import BigEProduct, EtildeProduct
+from jacksonq.qspecial import BigEProduct, EtildeProduct, product_solution
 
 # (|q| range, real sign or None for complex q)
 REGIMES = {
@@ -142,6 +143,20 @@ def test_routes_agree_on_rows(monkeypatch):
         assert a.r == b.r and a.T == b.T
         assert a.m_ratio == pytest.approx(b.m_ratio, rel=1e-9, abs=1e-12)
     assert exact[0].m_ratio > 0.0
+
+
+def test_product_solution_takes_the_exact_route(monkeypatch):
+    prod = product_solution([1.0, -0.5j], QParam(0.6))
+    grid = RadialGrid.log_spaced(1.5, 40.0, 4, angular_nodes=128)
+    calls = count_orbit_sums(monkeypatch)
+    exact = logderiv_lemma_check(product_model(prod), prod.qp, 2, grid)
+    assert calls == []
+    pointwise = logderiv_lemma_check(product_model(prod, with_ratio=False),
+                                     prod.qp, 2, grid)
+    assert len(calls) > 0
+    for a, b in zip(exact, pointwise):
+        assert a.r == b.r and a.T == b.T
+        assert a.m_ratio == pytest.approx(b.m_ratio, rel=1e-9, abs=1e-12)
 
 
 def test_other_base_keeps_pointwise_route(monkeypatch):
