@@ -8,12 +8,17 @@ Normalisations:
 
 f is a MeroModel of one of four typed shapes (rational, entire series,
 q-product, sampler), and the functionals ask every shape the same
-questions. Counting integrals are evaluated in closed form from its
-divisor, (origin multiplicity, [(modulus, multiplicity)]), never by
-numerical t-integration. A rational model's divisor does not depend on
-r: the a-points of each target, and per base q the Jackson weights
-h - min(h, k') read off the zeros of D_q f, are found once and kept on
-the model, so a radius loop only re-sums them. A failed computation (an
+questions; a shape that cannot answer one raises TargetUnsupported.
+Jackson weights and D_q f come from rational models only. The shift
+ratio R, f(qz) = R(z) f(z), which makes D_q^k f / f one exact rational
+function, comes from a product at its own base and from a rational model
+with f(0) not in {0, infinity} at any base. Counting integrals are
+evaluated in closed form from the divisor, (origin multiplicity,
+[(modulus, multiplicity)]), never by numerical t-integration. A
+rational model's divisor does not depend on r: the a-points of each
+target, and per base q the Jackson weights h - min(h, k') read off the
+zeros of D_q f, are found once and kept on the model, so a radius loop
+only re-sums them. A failed computation (an
 ambiguous root cluster, a constant f) is not kept and raises again on
 the next call. The proximity integral is a composite trapezoid on
 equally spaced angles (spectrally accurate for circles that keep away
@@ -43,9 +48,9 @@ from .errors import (
     TargetUnsupported,
     TruncationTooShort,
 )
-from .polyroots import poly_eval, roots_with_multiplicity
+from .polyroots import poly_eval, poly_mul, roots_with_multiplicity
 from .qcore import QParam, TruncatedSeries
-from .qode import RationalFunction, dq_rational, dqk_quotient, dqk_rational
+from .qode import RationalFunction, dq_rational, dqk_quotient
 from .qoperator import Sampler, dqk_closed_form, series_sampler
 from .qspecial import LatticeProduct
 
@@ -54,6 +59,9 @@ INF = math.inf
 _NUDGE_MARGIN = 1e-6
 _NUDGE_STEP = 1e-5
 _MAX_NUDGES = 64
+_WINDING_NODES = 512
+_WINDING_MAX_NODES = 65536
+_RESIDUAL_POINTS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +124,8 @@ class MeroModel:
                    f - a and the divisor per target, the Jackson weights
                    per (target, QParam) and D_q f per QParam are kept from
                    first use and reused at every radius and call
-                   (failures are not)
+                   (failures are not); the shift ratio at any base when
+                   f(0) is neither 0 nor infinity
     SeriesModel    an entire TruncatedSeries with a certified radius; zero
                    moduli from companion eigenvalues, each annulus count
                    certified by one argument-principle winding number
@@ -132,8 +141,9 @@ class MeroModel:
 
     A question a shape cannot answer raises TargetUnsupported; the
     defaults below are those of an entire function known by its zero
-    divisor. Shapes supply _log_abs, never log_abs, so every log|f| goes
-    through this class's one method.
+    divisor, with no Jackson weights, no D_q f and the shift ratio only
+    of a product at its own base. Shapes supply _log_abs, never log_abs,
+    so every log|f| goes through this class's one method.
     """
 
     qp: Optional[QParam]
@@ -202,6 +212,22 @@ class MeroModel:
         """(lam, c_lam) of the local behaviour c_lam z^lam at the origin."""
         raise TargetUnsupported(f"{type(self).__name__} has no origin data")
 
+    def shift_ratio_at(self, qp: QParam) -> Optional[RationalFunction]:
+        """The rational R with f(qz) = R(z) f(z) and R(0) = 1 for
+        q = qp.q, or None when the shape does not know one."""
+        if self.shift_ratio is not None and self.qp.q == qp.q:
+            return self.shift_ratio
+        return None
+
+    def jackson_weights(self, target, qp: QParam):
+        """[(modulus, h - min(h, k'))] over the points where f = target."""
+        raise TargetUnsupported("Jackson truncated counting needs exact "
+                                "zero/pole structure (rational model)")
+
+    def dq_model(self, qp: QParam) -> "MeroModel":
+        """D_q f as a model, per QParam."""
+        raise TargetUnsupported("margins need a rational model")
+
 
 @dataclass(eq=False)
 class RationalModel(MeroModel):
@@ -269,6 +295,18 @@ class RationalModel(MeroModel):
     def zero_data(self):
         """_rational_zero_data of f."""
         return self._keep("zeros", lambda: _rational_zero_data(self.rational))
+
+    def shift_ratio_at(self, qp: QParam) -> Optional[RationalFunction]:
+        """R = P(qz) Q(z) / (P(z) Q(qz)) for f = P/Q at any base, or None
+        when f(0) is 0 or infinity (R(0) = q^lam there). Both constant
+        terms are P(0) Q(0), so R(0) = 1 exactly; R is left uncancelled,
+        which needs no root solve."""
+        P, Q = self.rational.num, self.rational.den
+        if P[0] * Q[0] == 0:
+            return None
+        fq = self.rational.scale_arg(qp.q)
+        return RationalFunction(poly_mul(fq.num, Q), poly_mul(P, fq.den),
+                                cancel=False)
 
     def dq_model(self, qp: QParam) -> "RationalModel":
         """D_q f, per QParam: D_q(f - a) = D_q f serves every finite
@@ -424,16 +462,15 @@ def _origin_multiplicity(coeffs: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def winding_number(eval_vec: Callable[[np.ndarray], np.ndarray], r: float,
-                   nodes: int = 512, max_nodes: int = 65536) -> int:
+def winding_number(eval_vec: Callable[[np.ndarray], np.ndarray],
+                   r: float) -> int:
     """Winding of f around 0 along |z| = r, by summing angle increments.
 
-    The node count doubles until every increment is below pi/2 and the
-    total is within 1e-2 of an integer."""
-    M = nodes
+    The node count doubles from 512 until every increment is below pi/2
+    and the total is within 1e-2 of an integer (at most 65536 nodes)."""
+    M = _WINDING_NODES
     while True:
-        th = np.linspace(0.0, 2.0 * np.pi, M, endpoint=False)
-        vals = np.asarray(eval_vec(r * np.exp(1j * th)))
+        vals = np.asarray(eval_vec(r * _unit_circle(M)))
         if np.any(vals == 0) or not np.all(np.isfinite(vals)):
             raise PoleOnCircle(f"zero/invalid value on circle r = {r:g}")
         rolled = np.roll(vals, -1)
@@ -442,7 +479,7 @@ def winding_number(eval_vec: Callable[[np.ndarray], np.ndarray], r: float,
         if np.max(np.abs(inc)) < 0.5 * np.pi and abs(total - round(total)) < 1e-2:
             return int(round(total))
         M *= 2
-        if M > max_nodes:
+        if M > _WINDING_MAX_NODES:
             raise DomainError(
                 f"winding number did not stabilise at r = {r:g}")
 
@@ -590,9 +627,12 @@ def characteristic(model: MeroModel, r: float, M: int = 4096) -> NevanlinnaSampl
         N0 = math.nan
     sample = NevanlinnaSample(r=r, m=mval, N0=N0, Ninf=Ninf, T=mval + Ninf,
                               quad_err=err)
-    if isinstance(model, RationalModel) and model.qp is not None:
-        sample.nJ0 = jackson_truncated_counting(model, r, 0.0, model.qp)[1]
-        sample.nJinf = jackson_truncated_counting(model, r, INF, model.qp)[1]
+    if model.qp is not None:
+        try:
+            sample.nJ0 = jackson_truncated_counting(model, r, 0.0, model.qp)[1]
+            sample.nJinf = jackson_truncated_counting(model, r, INF, model.qp)[1]
+        except TargetUnsupported:  # no Jackson weights: the columns stay NaN
+            pass
     return sample
 
 
@@ -625,7 +665,8 @@ def _match_multiplicity(point: complex, zero_list, scale: float) -> int:
 
 def jackson_truncated_counting(model: MeroModel, r: float, target,
                                qp: QParam):
-    """Jackson-type truncated counting for a rational model.
+    """Jackson-type truncated counting, from the model's Jackson weights
+    (rational models only; other shapes raise TargetUnsupported).
 
     Every point with f = target (multiplicity h) contributes
     h - min(h, k'), where k' is the multiplicity of the zero of D_q f at
@@ -636,9 +677,6 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     MultiplicityAmbiguous: the h and k' bookkeeping would depend on the
     tolerance there.
     """
-    if not isinstance(model, RationalModel):
-        raise TargetUnsupported("Jackson truncated counting needs exact "
-                                "zero/pole structure (rational model)")
     contributions = model.jackson_weights(target, qp)
     ntilde_r = float(sum(w for mod, w in contributions if mod < r))
     return ntilde_r, _integrated_counting(*_split_origin(contributions), r)
@@ -720,15 +758,15 @@ class LogOrderEstimate:
     data: tuple
 
 
-def _loglog_regression(radii, ys, estimator: str, offset: float = 0.0,
-                       top_half: bool = True) -> LogOrderEstimate:
+def _loglog_regression(radii, ys, estimator: str,
+                       offset: float = 0.0) -> LogOrderEstimate:
     radii = np.asarray(radii, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if radii.size < 6:
         raise InsufficientGrid("need at least 6 radii")
     if radii[-1] / radii[0] < 0.999e3:
         raise InsufficientGrid("grid must span at least 3 decades")
-    start = radii.size // 2 if top_half else 0
+    start = radii.size // 2
     x = np.log(np.log(radii[start:]))
     y = ys[start:]
     if float(np.max(np.abs(y))) < 1e-12:
@@ -826,21 +864,21 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
                          grid: RadialGrid, M: Optional[int] = None) -> list:
     """Table of (r, m(r, D_q^k f / f), T(r,f)) rows.
 
-    The quotient is one exact rational function for a rational model
-    (D_q^k f times 1/f) and for a model that carries its shift ratio R,
-    when qp has the model's own base (built from R by dqk_quotient). Any
-    other model, or a product checked at another base, evaluates D_q^k f
-    by the closed-form orbit sum on its sampler, one point per call."""
+    When the model gives its shift ratio R at qp (MeroModel.shift_ratio_at:
+    a product at its own base, a rational f with f(0) not in {0, infinity}
+    at any base), the quotient is one exact rational function built from R
+    by dqk_quotient, with no root solve for R. Any other model, including
+    a rational f with a zero or a pole at the origin and a product checked
+    at another base, evaluates D_q^k f by the closed-form orbit sum on its
+    sampler, one point per call. A constant f (R = 1) raises DomainError."""
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * abs(qp.q) ** k * 2.0))
     rows = []
-    if isinstance(model, RationalModel):
-        rf = model.rational
-        if rf.num_degree == 0 and rf.den_degree == 0:
+    R = model.shift_ratio_at(qp)
+    if R is not None:
+        if R.num_degree == 0 and R.den_degree == 0:
             raise DomainError("logarithmic difference needs a nonconstant f")
-        ratio_model = RationalModel(dqk_rational(rf, qp, k) * rf.reciprocal())
-    elif model.shift_ratio is not None and model.qp.q == qp.q:
-        ratio_model = RationalModel(dqk_quotient(model.shift_ratio, qp, k))
+        ratio_model = RationalModel(dqk_quotient(R, qp, k))
     else:
         s = model.sampler()
 
@@ -873,18 +911,18 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
 
     margin        = sum_j Ntilde_J(r, f=a_j) - (p-2) T(r,f)
     margin_sharp  = sum_j N(r, f=a_j) - N_J(r) - log r - (p-2) T(r,f)
-    with N_J = 2N(r,f) - N(r, D_q f) + N(r, 1/D_q f).
+    with N_J = 2N(r,f) - N(r, D_q f) + N(r, 1/D_q f). The model must
+    give D_q f and its Jackson weights (a rational model); other shapes
+    raise TargetUnsupported.
     """
     p = len(targets)
     if p < 3:
         raise DomainError("need at least 3 targets for a nontrivial margin")
-    if not isinstance(model, RationalModel):
-        raise TargetUnsupported("margins need a rational model")
+    df_model = model.dq_model(qp)
     if len(set(map(complex, [t if t != INF else complex(1e308) for t in targets]))) != p:
         raise DomainError("targets must be distinct")
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
-    df_model = model.dq_model(qp)
     rows = []
     for r in grid.radii:
         T = characteristic(model, r, M).T
@@ -979,14 +1017,13 @@ class GrowthReport:
 def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
                              qp: QParam, k: int, grid: RadialGrid,
                              M: Optional[int] = None,
-                             residual_tol: float = 1e-6,
-                             points_per_circle: int = 4) -> GrowthReport:
+                             residual_tol: float = 1e-6) -> GrowthReport:
     """Estimate sigma_log on both sides of D_q^k f + A f = 0 and report
     the gap sigma_log(f) - sigma_log(A) - 1.
 
     The pair is first verified: the pointwise relative residual of the
-    equation must stay below residual_tol at sample points on the grid
-    circles. Circles where the function values leave double range are
+    equation must stay below residual_tol at four points on each grid
+    circle. Circles where the function values leave double range are
     skipped, but at least half of the circles must verify. Rational f
     means a polynomial-type solution; the growth floor concerns
     transcendental solutions only, so the check is skipped. Rational A
@@ -996,8 +1033,8 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
     verified = 0
     for r in grid.radii:
         circle_ok = True
-        for j in range(points_per_circle):
-            z = r * np.exp(2j * np.pi * (j + 0.31) / points_per_circle)
+        for j in range(_RESIDUAL_POINTS):
+            z = r * np.exp(2j * np.pi * (j + 0.31) / _RESIDUAL_POINTS)
             d = dqk_closed_form(fs, z, qp, k)
             af = A_model.eval(z) * fs(z)
             if not (np.isfinite(d) and np.isfinite(af)):

@@ -71,7 +71,6 @@ def poly_from_roots(roots, lead: complex = 1.0) -> np.ndarray:
 
 
 def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL,
-                            polish: bool = True,
                             strict_ambiguity: bool = False):
     """Roots of a polynomial as (location, multiplicity) pairs.
 
@@ -98,7 +97,7 @@ def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL,
     out = []
     for pts, loc in _cluster(list(raw), cluster_tol * scale):
         mult = len(pts)
-        if polish and mult == 1:
+        if mult == 1:
             loc = _newton(rev, drev, loc)
         out.append((loc, mult))
     if strict_ambiguity:

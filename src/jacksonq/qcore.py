@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivisorSingular, DomainError, OutsideSafeRadius
+from .polyroots import poly_eval
 
 _ROOT_OF_UNITY_TOL = 1e-9
 _DEFAULT_TAIL_TOL = 1e-12
@@ -478,9 +479,7 @@ class TruncatedSeries:
             if np.any(np.abs(zs) > self.safe_radius * (1.0 + 1e-12)):
                 raise OutsideSafeRadius(
                     f"|z| exceeds certified radius {self.safe_radius:g}")
-        res = np.zeros_like(zs)
-        for cn in self._coeffs[::-1]:
-            res = res * zs + cn
+        res = poly_eval(self._coeffs, zs)
         if np.ndim(z) == 0:
             return complex(res)
         return res

@@ -180,6 +180,24 @@ class TestModelShapes:
         with pytest.raises(TargetUnsupported):
             MeroModel.from_sampler(Sampler(lambda z: z)).poles_up_to(1.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda qp: MeroModel.from_series(
+            TruncatedSeries.from_polynomial([1.0, -0.5, 0.25]), qp),
+        lambda qp: big_e_model(qp=qp),
+        lambda qp: MeroModel.from_sampler(Sampler(lambda z: 1.0 + z),
+                                          entire=True, qp=qp),
+    ], ids=["series", "product", "sampler"])
+    def test_only_rational_models_have_jackson_weights(self, make):
+        qp = QParam(0.5)
+        model = make(qp)
+        with pytest.raises(TargetUnsupported):
+            jackson_truncated_counting(model, 3.0, 0.0, qp)
+        with pytest.raises(TargetUnsupported):
+            sft_check(model, [0.0, 1.0, INF], qp, RadialGrid((3.0, 5.0), 64))
+        sample = characteristic(model, 3.0, 64)
+        assert math.isnan(sample.nJ0) and math.isnan(sample.nJinf)
+        assert math.isfinite(sample.T)
+
     def test_shift_ratio_needs_the_base(self):
         prod = EtildeProduct(QParam(2.0))
         with pytest.raises(DomainError):

@@ -343,11 +343,14 @@ class TestCasoratiRelation:
 
         qp = QParam(0.5)
         A = const_rf(1.0)
-        f1 = solve_series(QdeProblem.homogeneous(2, A, qp, (1.0, 2.0)), 20)
-        f2 = solve_series(QdeProblem.homogeneous(2, A, qp, (2.0, 4.0)), 20)
+        with pytest.warns(FormalRegimeWarning):
+            f1 = solve_series(QdeProblem.homogeneous(2, A, qp, (1.0, 2.0)), 20)
+        with pytest.warns(FormalRegimeWarning):
+            f2 = solve_series(QdeProblem.homogeneous(2, A, qp, (2.0, 4.0)), 20)
         C = casorati(CasoratiPair(f1, f2, qp))
         assert np.max(np.abs(C.coeffs)) < 1e-12
-        f3 = solve_series(QdeProblem.homogeneous(2, A, qp, (1.0, -1.0)), 20)
+        with pytest.warns(FormalRegimeWarning):
+            f3 = solve_series(QdeProblem.homogeneous(2, A, qp, (1.0, -1.0)), 20)
         C2 = casorati(CasoratiPair(f1, f3, qp))
         assert np.max(np.abs(C2.coeffs)) > 1e-6
 

@@ -1,11 +1,13 @@
-"""D_q^k f / f in closed form for the lattice products.
+"""D_q^k f / f in closed form from the shift ratio.
 
 EtildeProduct, BigEProduct and product_solution satisfy
 f(qz) = R(z) f(z) with a rational shift ratio R, so D_q^k f / f is a
 rational function (dqk_quotient). A q_product model that carries R
 takes that exact route in logderiv_lemma_check when the operator has
 the product's own base; it must agree with the pointwise orbit sum
-dqk_closed_form(s, z) / s(z).
+dqk_closed_form(s, z) / s(z). A rational f = P/Q with f(0) not in
+{0, infinity} takes the same route at any base, with
+R = P(qz) Q(z) / (P(z) Q(qz)); it must agree with D_q^k f times 1/f.
 """
 
 import cmath
@@ -13,14 +15,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import jacksonq.nevanlinna as nevanlinna
 from jacksonq.errors import DomainError
-from jacksonq.nevanlinna import MeroModel, RadialGrid, logderiv_lemma_check
+from jacksonq.nevanlinna import (
+    MeroModel,
+    RadialGrid,
+    RationalModel,
+    logderiv_lemma_check,
+    proximity,
+)
 from jacksonq.qcore import QParam
-from jacksonq.qode import RationalFunction, dqk_quotient
+from jacksonq.qode import RationalFunction, dqk_quotient, dqk_rational
 from jacksonq.qoperator import dqk_closed_form
 from jacksonq.qspecial import BigEProduct, EtildeProduct, product_solution
 
@@ -36,16 +44,18 @@ REGIMES = {
 
 
 @st.composite
-def lattice_products(draw):
+def bases(draw):
     (lo, hi), sign = REGIMES[draw(st.sampled_from(sorted(REGIMES)))]
     modulus = draw(st.floats(lo, hi))
     if sign is None:
         angle = draw(st.floats(0.05, math.pi - 0.05))
-        q = modulus * cmath.exp(1j * angle * draw(st.sampled_from((1, -1))))
-    else:
-        q = sign * modulus
-    qp = QParam(q)
-    return EtildeProduct(qp) if modulus > 1.0 else BigEProduct(qp)
+        return modulus * cmath.exp(1j * angle * draw(st.sampled_from((1, -1))))
+    return sign * modulus
+
+
+def lattice_products():
+    return bases().map(lambda q: EtildeProduct(QParam(q)) if abs(q) > 1.0
+                       else BigEProduct(QParam(q)))
 
 
 def between_lattice(prod, n: int) -> float:
@@ -176,3 +186,81 @@ def test_etilde_reads_k_log_one_over_q_minus_one(k):
     for row in rows:
         assert row.m_ratio == pytest.approx(k * math.log(1.0 / 0.3),
                                             rel=1e-13)
+
+
+def off_origin_points(lo: int, hi: int):
+    """Lists of lo..hi points with moduli in [0.3, 2]."""
+    return st.lists(st.builds(cmath.rect, st.floats(0.3, 2.0),
+                              st.floats(-math.pi, math.pi)),
+                    min_size=lo, max_size=hi)
+
+
+APART_NODES = 64
+
+
+def grid_apart(f: RationalFunction, qp: QParam, k: int) -> RadialGrid:
+    """Radii geometrically between the nonzero moduli of the poles of
+    D_q^k f / f (the zeros of f and the poles of f(q^j z), j <= k), one
+    below and one above them all: circles that keep away from the poles,
+    where |D_q^k f / f| still exceeds 1 on part of some circle."""
+    mods = sorted(({abs(z) for z, _ in f.zeros()}
+                   | {abs(p) / abs(qp.q) ** j for p, _ in f.poles()
+                      for j in range(k + 1)}) - {0.0})
+    radii = ([mods[0] / 1.5]
+             + [math.sqrt(a * b) for a, b in zip(mods, mods[1:]) if b > 1.3 * a]
+             + [mods[-1] * 1.5])
+    return RadialGrid(tuple(radii), APART_NODES)
+
+
+def old_route_rows(f: RationalFunction, qp: QParam, k: int, rows) -> list:
+    """m(r, D_q^k f / f) at each row's radius, with the quotient formed as
+    D_q^k f times 1/f, which cancels shared factors by root solving."""
+    ratio = RationalModel(dqk_rational(f, qp, k) * f.reciprocal())
+    return [proximity(ratio, row.r, APART_NODES) for row in rows]
+
+
+# The root-solving cancel of the old route moves its rows by up to about
+# 3e-6 relative at k = 3 (seen against a 40-digit evaluation of the
+# quotient on the same nodes), so the routes are compared at 1e-5.
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(q=bases(), zeros=off_origin_points(1, 3),
+       poles=off_origin_points(0, 2), k=st.integers(1, 3))
+@example(q=0.5, zeros=[0.8, -1.1j], poles=[1.5], k=1)
+@example(q=-0.6, zeros=[0.5 + 0.5j, 1.7], poles=[-0.4j], k=2)
+@example(q=2.0, zeros=[1.2, 0.4j, -0.9], poles=[0.7 - 0.7j], k=3)
+@example(q=-1.7, zeros=[1.9j], poles=[0.35, -1.0], k=1)
+@example(q=0.7 * cmath.exp(1.1j), zeros=[-0.3 + 0.2j], poles=[1.0j], k=2)
+@example(q=1.6 * cmath.exp(-2.4j), zeros=[1.0, 1.5j, -0.6 - 0.6j, 0.4],
+         poles=[], k=3)
+def test_rational_takes_the_exact_route(q, zeros, poles, k):
+    assume(all(abs(a - b) > 0.1 for a in zeros for b in poles))
+    qp = QParam(q)
+    f = RationalFunction.from_roots(zeros, poles, lead=0.7 - 0.2j)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_orbit_sums(mp)
+        rows = logderiv_lemma_check(MeroModel.from_rational(f, qp), qp, k,
+                                    grid_apart(f, qp, k))
+    assert calls == []
+    # rows that all read 0 compare nothing (each pinned example has some)
+    assume(max(row.m_ratio for row in rows) > 0.0)
+    for row, want in zip(rows, old_route_rows(f, qp, k, rows)):
+        assert row.m_ratio == pytest.approx(want, rel=1e-5, abs=1e-12)
+
+
+@pytest.mark.parametrize("f", [
+    RationalFunction.from_roots([0.0, 0.8, -0.5j], [1.3]),
+    RationalFunction.from_roots([0.6 + 0.6j], [0.0, -1.2]),
+], ids=["zero at 0", "pole at 0"])
+@pytest.mark.parametrize("qv", [0.5, 2.0])
+def test_origin_zero_or_pole_takes_the_orbit_route(f, qv, monkeypatch):
+    # R(0) = q^lam != 1 here, which dqk_quotient refuses. The orbit rows
+    # match a 40-digit evaluation to 3e-16; the old route's are off by up
+    # to 4e-9, hence the tolerance.
+    qp = QParam(qv)
+    calls = count_orbit_sums(monkeypatch)
+    rows = logderiv_lemma_check(MeroModel.from_rational(f, qp), qp, 2,
+                                grid_apart(f, qp, 2))
+    assert len(calls) > 0
+    for row, want in zip(rows, old_route_rows(f, qp, 2, rows)):
+        assert row.m_ratio == pytest.approx(want, rel=1e-7, abs=1e-12)
+    assert max(row.m_ratio for row in rows) > 0.0
