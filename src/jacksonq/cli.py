@@ -141,7 +141,6 @@ class RunConfig:
     """Everything a command run depends on; fixed config means identical
     output bytes."""
 
-    command: str
     q: complex = 0.5
     N: int = 48
     grid: tuple = (1e2, 1e6, 9)
@@ -154,8 +153,6 @@ class RunConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise SchemaError("tolerance must be positive")
-        if self.grid[2] < 4:
-            raise SchemaError("grid needs at least 4 points")
 
     def radial_grid(self) -> RadialGrid:
         return RadialGrid.log_spaced(self.grid[0], self.grid[1], self.grid[2],
@@ -382,6 +379,12 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
     auto, series, model = _order_models(name, qp, cfg.N, coeffs)
     wanted = auto if estimator == "auto" else [estimator]
     grid = cfg.radial_grid()
+
+    def sweep():
+        return [characteristic(model, r, cfg.nodes)
+                for r in grid.avoiding(
+                    model.known_moduli(grid.radii[-1] * 2)).radii]
+
     estimates = []
     samples = []
     refusals = []
@@ -398,9 +401,7 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
             elif est_name == "T":
                 if model is None:
                     raise SchemaError(f"{name} has no sweepable model")
-                samples = [characteristic(model, r, cfg.nodes)
-                           for r in grid.avoiding(
-                               model.known_moduli(grid.radii[-1] * 2)).radii]
+                samples = sweep()
                 est = log_order_from_T(samples)
             else:
                 raise SchemaError(f"unknown estimator {estimator!r}")
@@ -420,9 +421,7 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
         print(f"sigma_log[{est.estimator:>8s}] = {est.value:.4f} "
               f"+- {est.half_width:.4f}")
     if cfg.out and cfg.fmt == "csv" and not samples and model is not None:
-        samples = [characteristic(model, r, cfg.nodes)
-                   for r in grid.avoiding(
-                       model.known_moduli(grid.radii[-1] * 2)).radii]
+        samples = sweep()
     csv_text = samples_to_csv(samples) if samples else (
         "estimator,sigma_log,half_width\n" + "".join(
             f"{e.estimator},{e.value:.16e},{e.half_width:.16e}\n"
@@ -532,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args) -> RunConfig:
     return RunConfig(
-        command=args.command,
         q=parse_complex(args.q),
         N=args.N if args.N is not None else 48,
         grid=parse_grid(args.grid),

@@ -15,10 +15,11 @@ function, comes from a product at its own base and from a rational model
 with f(0) not in {0, infinity} at any base. Counting integrals are
 evaluated in closed form from the divisor, (origin multiplicity,
 [(modulus, multiplicity)]), never by numerical t-integration. A
-rational model's divisor does not depend on r: the a-points of each
-target, and per base q the Jackson weights h - min(h, k') read off the
-zeros of D_q f, are found once and kept on the model, so a radius loop
-only re-sums them. A failed computation (an
+rational model's divisor does not depend on r: every rational question
+reads the root lists that RationalFunction finds once and keeps
+(zeros() and poles() of f, of each f - a and of D_q f), and per base q
+the Jackson weights h - min(h, k') are kept on the model, so a radius
+loop only re-sums them. A failed computation (an
 ambiguous root cluster, a constant f) is not kept and raises again on
 the next call. The proximity integral is a composite trapezoid on
 equally spaced angles (spectrally accurate for circles that keep away
@@ -48,7 +49,7 @@ from .errors import (
     TargetUnsupported,
     TruncationTooShort,
 )
-from .polyroots import poly_eval, poly_mul, roots_with_multiplicity
+from .polyroots import check_unambiguous, poly_eval, poly_mul
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_quotient
 from .qoperator import Sampler, dqk_closed_form, series_sampler
@@ -120,12 +121,12 @@ class MeroModel:
     """A meromorphic function f of zero order, in one of four shapes,
     each built by its factory:
 
-    RationalModel  exact zeros and poles from the coefficient arrays;
-                   f - a and the divisor per target, the Jackson weights
-                   per (target, QParam) and D_q f per QParam are kept from
-                   first use and reused at every radius and call
-                   (failures are not); the shift ratio at any base when
-                   f(0) is neither 0 nor infinity
+    RationalModel  divisors read off the root lists of f and of f - a
+                   (RationalFunction.zeros/poles); f - a per target, the
+                   Jackson weights per (target, QParam) and D_q f per
+                   QParam are kept from first use and reused at every
+                   radius and call (failures are not); the shift ratio at
+                   any base when f(0) is neither 0 nor infinity
     SeriesModel    an entire TruncatedSeries with a certified radius; zero
                    moduli from companion eigenvalues, each annulus count
                    certified by one argument-principle winding number
@@ -236,8 +237,9 @@ class RationalModel(MeroModel):
     _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def _keep(self, key, compute: Callable[[], object]):
-        """Radius-independent divisor data under key, computed on first
-        use; a computation that raises keeps nothing."""
+        """Radius-independent data under key (f - a, D_q f, Jackson
+        weights), computed on first use; a computation that raises keeps
+        nothing."""
         if key not in self._kept:
             self._kept[key] = compute()
         return self._kept[key]
@@ -265,36 +267,27 @@ class RationalModel(MeroModel):
         return [(z, m) for z, m in self.rational.poles() if abs(z) <= r]
 
     def divisor(self, r: float, target=0.0):
-        """Any finite target (the roots of num - a den) and infinity (the
+        """Any finite target (the zeros of f - a) and infinity (the
         poles), over the whole plane."""
-        def compute():
-            rf = self.rational
-            if target == INF:
-                return _split_origin(rf.poles())
-            origin, rest = (self.zero_data() if target == 0
-                            else _rational_zero_data(self._minus(target)))
-            return origin, [(abs(z), m) for z, m in rest]
-        return self._keep(("N", target), compute)
+        if target == INF:
+            return _split_origin(self.rational.poles())
+        return _split_origin(self._minus(target).zeros())
 
     def known_moduli(self, r: float):
         rf = self.rational
-        # without a zero list at hand, the kept counting solve serves
-        zeros = rf.zeros() if rf.zeros_known else self.zero_data()[1]
-        return [m for m in (abs(z) for z, _ in zeros + rf.poles())
+        return [m for m in (abs(z) for z, _ in rf.zeros() + rf.poles())
                 if 0 < m <= r]
 
     def origin_leading(self):
         return self.rational.origin_leading()
 
     def _minus(self, target) -> RationalFunction:
-        """f - target for a finite target, shared by divisor and
-        jackson_weights (each subtract_const runs two root solves)."""
+        """f - target for a finite target (f itself for 0), kept per
+        target, so divisor and jackson_weights read one zero list."""
+        if target == 0:
+            return self.rational
         return self._keep(("minus", target),
                           lambda: self.rational.subtract_const(target))
-
-    def zero_data(self):
-        """_rational_zero_data of f."""
-        return self._keep("zeros", lambda: _rational_zero_data(self.rational))
 
     def shift_ratio_at(self, qp: QParam) -> Optional[RationalFunction]:
         """R = P(qz) Q(z) / (P(z) Q(qz)) for f = P/Q at any base, or None
@@ -321,19 +314,19 @@ class RationalModel(MeroModel):
     def jackson_weights(self, target, qp: QParam):
         """[(modulus, h - min(h, k'))] over the points where f = target,
         nonzero weights only; k' is read off the zeros of D_q f (of
-        D_q(1/f) for the poles)."""
+        D_q(1/f) for the poles). The points are the kept lists that
+        divisor reads; for a finite target the nonzero ones must pass
+        the band test check_unambiguous."""
         def compute():
             rf = self.rational
             if target == INF:
                 points = rf.poles()
                 dq_model = RationalModel(rf.reciprocal()).dq_model(qp)
             else:
-                shifted = rf if target == 0 else self._minus(target)
-                lam, rest = _rational_zero_data(shifted, strict=True)
-                points = ([(0.0 + 0.0j, lam)] if lam else []) + rest
+                points = self._minus(target).zeros()
+                check_unambiguous([(z, h) for z, h in points if z != 0])
                 dq_model = self.dq_model(qp)
-            lam, rest = dq_model.zero_data()
-            dq_zeros = ([(0.0 + 0.0j, lam)] if lam else []) + rest
+            dq_zeros = dq_model.rational.zeros()
             scale = max([1.0] + [abs(z) for z, _ in points])
             weights = [(abs(z), h - min(h, _match_multiplicity(
                 z, dq_zeros, scale))) for z, h in points]
@@ -588,20 +581,6 @@ def counting_N(model: MeroModel, r: float, target=0.0) -> float:
     return _integrated_counting(origin, rest, r)
 
 
-def _rational_zero_data(rf: RationalFunction, strict: bool = False):
-    """Origin multiplicity and nonzero zeros of a rational function, with
-    the origin order read exactly off the coefficients."""
-    num = rf.num
-    scale = float(np.max(np.abs(num)))
-    if scale == 0.0:
-        raise DomainError("zero function has no zero-counting data")
-    lam = int(np.flatnonzero(np.abs(num) > 1e-13 * scale)[0])
-    deflated = num[lam:]
-    roots = (roots_with_multiplicity(deflated, strict_ambiguity=strict)
-             if deflated.size > 1 else [])
-    return lam, roots
-
-
 @dataclass
 class NevanlinnaSample:
     """One radius worth of functionals; nJ columns are NaN for models
@@ -673,9 +652,12 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     the point (for target = infinity: of D_q(1/f) at the pole). Returns
     the pair (ntilde at radius r, integrated Ntilde at radius r).
 
-    Root clusters at the edge of the merging tolerance raise
-    MultiplicityAmbiguous: the h and k' bookkeeping would depend on the
-    tolerance there.
+    The points are the kept zero list of f - target (the pole list for
+    infinity), the one list counting_N also reads. Two nonzero finite
+    a-points at the edge of the merging tolerance raise
+    MultiplicityAmbiguous (polyroots.check_unambiguous): the h and k'
+    bookkeeping would depend on the tolerance there, while the lenient
+    counting_N of the same target still answers.
     """
     contributions = model.jackson_weights(target, qp)
     ntilde_r = float(sum(w for mod, w in contributions if mod < r))

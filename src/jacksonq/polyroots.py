@@ -70,14 +70,9 @@ def poly_from_roots(roots, lead: complex = 1.0) -> np.ndarray:
     return out
 
 
-def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL,
-                            strict_ambiguity: bool = False):
-    """Roots of a polynomial as (location, multiplicity) pairs.
-
-    ``strict_ambiguity`` raises MultiplicityAmbiguous when two clusters
-    sit within a factor 3 of the merging tolerance of each other, i.e.
-    when the simple/multiple reading genuinely depends on the tolerance.
-    """
+def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL):
+    """Roots of a polynomial as (location, multiplicity) pairs, sorted by
+    modulus."""
     arr = poly_trim(coeffs, rel_tol=1e-14)
     deg = arr.size - 1
     if deg == 0:
@@ -100,16 +95,25 @@ def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL,
         if mult == 1:
             loc = _newton(rev, drev, loc)
         out.append((loc, mult))
-    if strict_ambiguity:
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                gap = abs(out[i][0] - out[j][0])
-                if cluster_tol * scale < gap < 3.0 * cluster_tol * scale:
-                    raise MultiplicityAmbiguous(
-                        f"root clusters separated by {gap:.3g}, at the edge "
-                        f"of tolerance {cluster_tol * scale:.3g}")
     out.sort(key=lambda p: (abs(p[0]), p[0].real, p[0].imag))
     return out
+
+
+def check_unambiguous(roots) -> list:
+    """roots, a (location, multiplicity) list, unchanged; raises
+    MultiplicityAmbiguous when two locations sit between the merging
+    tolerance CLUSTER_TOL and three times it (at scale max(1, max |z|)),
+    where the simple/multiple reading genuinely depends on the
+    tolerance."""
+    tol = CLUSTER_TOL * max([1.0] + [abs(z) for z, _ in roots])
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            gap = abs(roots[i][0] - roots[j][0])
+            if tol < gap < 3.0 * tol:
+                raise MultiplicityAmbiguous(
+                    f"root clusters separated by {gap:.3g}, at the edge "
+                    f"of tolerance {tol:.3g}")
+    return roots
 
 
 def _cluster(points, base_tol: float):

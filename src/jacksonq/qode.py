@@ -37,6 +37,7 @@ from .errors import (
 from .polyroots import (
     poly_deflate,
     poly_eval,
+    poly_from_roots,
     poly_mul,
     poly_trim,
     roots_with_multiplicity,
@@ -51,8 +52,14 @@ _CONDITION_WARN = 1e-3
 class RationalFunction:
     """Ratio of two complex polynomials, kept coprime by cancelling root
     clusters that the numerator and denominator share (within the
-    root-clustering tolerance). Zero and pole lists with multiplicities
-    are computed once and cached.
+    root-clustering tolerance) unless built with cancel=False.
+
+    zeros() and poles() are the function's root lists, sorted
+    (location, multiplicity) pairs kept on the instance: the lists
+    attached by from_roots, or else one solve per polynomial. A solve
+    reads the origin multiplicity exactly off the coefficients (the index
+    of the first one above 1e-13 of the largest) and finds the other
+    roots with roots_with_multiplicity on the rest.
     """
 
     def __init__(self, num, den=(1.0,), cancel: bool = True):
@@ -72,8 +79,6 @@ class RationalFunction:
                    lead: complex = 1.0) -> "RationalFunction":
         """Build from explicit zero/pole lists; the lists are attached
         exactly, bypassing the root finder."""
-        from .polyroots import poly_from_roots
-
         obj = cls(poly_from_roots(zeros, lead), poly_from_roots(poles),
                   cancel=False)
         obj._zeros = _group(zeros)
@@ -102,19 +107,14 @@ class RationalFunction:
     def __call__(self, z):
         return self.eval(z)
 
-    @property
-    def zeros_known(self) -> bool:
-        """True when zeros() needs no root solve (attached or cached)."""
-        return self._zeros is not None
-
     def zeros(self):
         if self._zeros is None:
-            self._zeros = roots_with_multiplicity(self.num) if self.num_degree else []
+            self._zeros = _root_list(self.num)
         return self._zeros
 
     def poles(self):
         if self._poles is None:
-            self._poles = roots_with_multiplicity(self.den) if self.den_degree else []
+            self._poles = _root_list(self.den)
         return self._poles
 
     def origin_order(self) -> tuple[int, int]:
@@ -159,7 +159,8 @@ class RationalFunction:
         num = np.zeros(n, dtype=np.complex128)
         num[: self.num.size] += self.num
         num[: self.den.size] -= a * self.den
-        return RationalFunction(num, self.den.copy(), cancel=True)
+        # gcd(P - aQ, Q) = gcd(P, Q): f - a is coprime exactly when f is
+        return RationalFunction(num, self.den.copy(), cancel=False)
 
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero:
@@ -190,6 +191,18 @@ class RationalFunction:
     def __repr__(self):
         return (f"RationalFunction(deg_num={self.num_degree}, "
                 f"deg_den={self.den_degree})")
+
+
+def _root_list(coeffs: np.ndarray) -> list:
+    """Roots of a polynomial with multiplicities: the origin entry read
+    exactly off the coefficients, then the solved roots of the rest."""
+    scale = float(np.max(np.abs(coeffs)))
+    if scale == 0.0:
+        raise DomainError("the zero polynomial has no root list")
+    lam = int(np.flatnonzero(np.abs(coeffs) > 1e-13 * scale)[0])
+    rest = coeffs[lam:]
+    roots = roots_with_multiplicity(rest) if rest.size > 1 else []
+    return ([(0j, lam)] if lam else []) + roots
 
 
 def _group(points):

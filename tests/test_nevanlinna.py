@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from jacksonq import nevanlinna, qode
+from jacksonq import checks, nevanlinna, polyroots
 from jacksonq.checks import sft_test_set
 from jacksonq.errors import (
     DomainError,
@@ -43,6 +44,24 @@ from jacksonq.qoperator import Sampler
 from jacksonq.qspecial import BigEProduct, EtildeProduct, big_e_q, etilde_q
 
 RNG = np.random.default_rng(90125)
+
+
+@pytest.fixture
+def root_solves(monkeypatch):
+    """A list that gains one entry per roots_with_multiplicity call, made
+    through polyroots or any jacksonq module that imports the name."""
+    calls = []
+    real = polyroots.roots_with_multiplicity
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("jacksonq.")
+                and getattr(module, "roots_with_multiplicity", None) is real):
+            monkeypatch.setattr(module, "roots_with_multiplicity", counted)
+    return calls
 
 
 def model_z() -> MeroModel:
@@ -366,6 +385,17 @@ class TestJacksonCounting:
         with pytest.raises(MultiplicityAmbiguous):
             jackson_truncated_counting(model, 5.0, 0.0, qp)
 
+    def test_origin_entry_is_not_in_the_band_test(self):
+        # f = z (z - 2e-7): the origin is exact, so its 2e-7 gap to the
+        # other zero is not a clustering question and nothing is refused
+        qp = QParam(2.0)
+        model = MeroModel.from_rational(RationalFunction([0.0, -2e-7, 1.0]), qp)
+        assert model.rational.zeros()[0] == (0j, 1)
+        nt, _ = jackson_truncated_counting(model, 5.0, 0.0, qp)
+        assert 0.0 <= nt <= 2.0
+        with pytest.raises(MultiplicityAmbiguous):
+            polyroots.check_unambiguous(model.rational.zeros())
+
     def test_pole_counting_reduced_by_reciprocal_derivative(self):
         qp = QParam(2.0)
         # f = 1/z^2: pole of order 2 at 0; D_q(1/f) = D_q z^2 = [2] z has a
@@ -400,25 +430,39 @@ class TestDivisorReuse:
                 assert (dataclasses.astuple(characteristic(kept, r, 256))
                         == dataclasses.astuple(characteristic(fresh(), r, 256)))
 
-    def test_root_solves_do_not_grow_with_the_grid(self, monkeypatch):
-        calls = []
-        real = nevanlinna.roots_with_multiplicity
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(nevanlinna, "roots_with_multiplicity", counted)
-        monkeypatch.setattr(qode, "roots_with_multiplicity", counted)
+    def test_root_solves_do_not_grow_with_the_grid(self, root_solves):
         qp = QParam(0.5)
         counts = []
         for points in (3, 7):
-            calls.clear()
+            root_solves.clear()
             model = MeroModel.from_rational(sft_test_set(20240501, 1)[0], qp)
             grid = RadialGrid.log_spaced(10.0, 1e4, points, angular_nodes=256)
             sft_check(model, list(self.TARGETS), qp, grid)
-            counts.append(len(calls))
+            counts.append(len(root_solves))
         assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("suite, most", [
+        (checks.run_sft, 90), (checks.run_defects, 40), (checks.run_jensen, 0)])
+    def test_suite_root_solve_counts(self, root_solves, suite, most):
+        # a from_roots model's attached lists serve target 0 and the
+        # poles, and f - a is built uncancelled: what is left are the
+        # solves of each f - a and of the two sides of D_q f
+        suite(seed=911)
+        assert len(root_solves) <= most
+
+    def test_attached_zeros_are_the_count(self, root_solves):
+        zeros = [0.0, 0.0, 0.4 - 1.1j, 0.4 - 1.1j, 2.5, -3.0j]
+        f = RationalFunction.from_roots(zeros, [1.7 + 0.2j, -0.9])
+        model = MeroModel.from_rational(f)
+        attached = [(0j, 2), (0.4 - 1.1j, 2), (2.5, 1), (-3.0j, 1)]
+        assert f.zeros() == attached
+        for r in (0.5, 1.5, 2.7, 4.0):
+            want = 2 * math.log(r)
+            for z, m in attached[1:]:
+                if abs(z) <= r:
+                    want += m * math.log(r / abs(z))
+            assert counting_N(model, r, 0.0) == want
+        assert root_solves == []
 
     def test_sft_builds_dq_f_once(self, monkeypatch):
         # D_q f is built once per QParam for the Jackson weights and the

@@ -5,7 +5,8 @@ Horner runs on Python complex, and _cluster keeps each cluster's mean
 instead of recomputing every mean for every point. Both must give, bit
 for bit, what the kept reference copies below give: Horner on numpy
 0-d arrays (numpy's scalar complex product rounds as CPython's does) and
-a fresh np.mean per comparison.
+a fresh np.mean per comparison. The strict reading runs the band test
+check_unambiguous on either route's finished list.
 """
 
 import cmath
@@ -24,6 +25,7 @@ from jacksonq.polyroots import (
     CLUSTER_TOL,
     _cluster,
     _newton,
+    check_unambiguous,
     poly_derivative,
     poly_eval,
     poly_from_roots,
@@ -63,7 +65,7 @@ def _newton_ref(coeffs, dcoeffs, z0, steps=3):
     return complex(z)
 
 
-def _roots_ref(coeffs, cluster_tol=CLUSTER_TOL, strict_ambiguity=False):
+def _roots_ref(coeffs, cluster_tol=CLUSTER_TOL):
     arr = poly_trim(coeffs, rel_tol=1e-14)
     deg = arr.size - 1
     if deg == 0:
@@ -82,16 +84,15 @@ def _roots_ref(coeffs, cluster_tol=CLUSTER_TOL, strict_ambiguity=False):
         if mult == 1:
             loc = _newton_ref(arr, dcoef, loc)
         out.append((loc, mult))
-    if strict_ambiguity:
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                gap = abs(out[i][0] - out[j][0])
-                if cluster_tol * scale < gap < 3.0 * cluster_tol * scale:
-                    raise MultiplicityAmbiguous(
-                        f"root clusters separated by {gap:.3g}, at the edge "
-                        f"of tolerance {cluster_tol * scale:.3g}")
     out.sort(key=lambda p: (abs(p[0]), p[0].real, p[0].imag))
     return out
+
+
+def _route(roots, strict):
+    """roots (a route), followed by the band test when strict."""
+    if not strict:
+        return roots
+    return lambda coeffs: check_unambiguous(roots(coeffs))
 
 
 def _bits(z):
@@ -141,9 +142,8 @@ def polynomials(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(coeffs=polynomials(), strict=st.booleans())
 def test_roots_match_the_reference_route(coeffs, strict):
-    assert _outcome(roots_with_multiplicity, coeffs,
-                    strict_ambiguity=strict) == _outcome(
-        _roots_ref, coeffs, strict_ambiguity=strict)
+    assert _outcome(_route(roots_with_multiplicity, strict), coeffs) == (
+        _outcome(_route(_roots_ref, strict), coeffs))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -176,11 +176,26 @@ def test_cluster_matches_the_reference(coeffs):
 @pytest.mark.parametrize("strict", [False, True])
 def test_ambiguous_clusters_raise_in_both_routes(strict):
     # two roots 2e-7 apart, between the merging tolerance (1e-7 at scale
-    # 1) and three times it: the band strict_ambiguity refuses
+    # 1) and three times it: the band check_unambiguous refuses
     coeffs = poly_from_roots([1.0, 1.0 + 2e-7, -0.5j])
-    got = _outcome(roots_with_multiplicity, coeffs, strict_ambiguity=strict)
-    assert got == _outcome(_roots_ref, coeffs, strict_ambiguity=strict)
+    got = _outcome(_route(roots_with_multiplicity, strict), coeffs)
+    assert got == _outcome(_route(_roots_ref, strict), coeffs)
     assert (got[0] == "MultiplicityAmbiguous") == strict
+
+
+@pytest.mark.parametrize("ratio, refused", [
+    (0.9, False), (1.1, True), (2.9, True), (3.1, False)])
+@pytest.mark.parametrize("base", [1.0, -0.5j, 1e3])
+def test_band_test_reads_its_scale_off_the_list(base, ratio, refused):
+    # two locations ratio * tol apart, tol = 1e-7 * max(1, max |z|): the
+    # band (tol, 3 tol) is refused, either side of it passes
+    gap = ratio * CLUSTER_TOL * max(1.0, abs(base))
+    roots = [(0.25 * base, 1), (base, 2), (base + gap, 1)]
+    if refused:
+        with pytest.raises(MultiplicityAmbiguous):
+            check_unambiguous(roots)
+    else:
+        assert check_unambiguous(roots) is roots
 
 
 @pytest.mark.parametrize("coeffs", [[0, 0, -5e-324, 5e-324],
