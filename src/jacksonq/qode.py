@@ -58,8 +58,8 @@ class RationalFunction:
     (location, multiplicity) pairs kept on the instance: the lists
     attached by from_roots, or else one solve per polynomial. A solve
     reads the origin multiplicity exactly off the coefficients (the index
-    of the first one above 1e-13 of the largest) and finds the other
-    roots with roots_with_multiplicity on the rest.
+    of the first nonzero one, the order origin_order gives) and finds the
+    other roots with roots_with_multiplicity on the rest.
     """
 
     def __init__(self, num, den=(1.0,), cancel: bool = True):
@@ -194,12 +194,13 @@ class RationalFunction:
 
 
 def _root_list(coeffs: np.ndarray) -> list:
-    """Roots of a polynomial with multiplicities: the origin entry read
-    exactly off the coefficients, then the solved roots of the rest."""
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
+    """Roots of a polynomial with multiplicities: the origin entry, one
+    per low coefficient that is exactly zero (as in origin_order), then
+    the solved roots of the rest."""
+    nonzero = np.flatnonzero(np.abs(coeffs) > 0)
+    if nonzero.size == 0:
         raise DomainError("the zero polynomial has no root list")
-    lam = int(np.flatnonzero(np.abs(coeffs) > 1e-13 * scale)[0])
+    lam = int(nonzero[0])
     rest = coeffs[lam:]
     roots = roots_with_multiplicity(rest) if rest.size > 1 else []
     return ([(0j, lam)] if lam else []) + roots

@@ -392,9 +392,23 @@ class TestJacksonCounting:
         model = MeroModel.from_rational(RationalFunction([0.0, -2e-7, 1.0]), qp)
         assert model.rational.zeros()[0] == (0j, 1)
         nt, _ = jackson_truncated_counting(model, 5.0, 0.0, qp)
-        assert 0.0 <= nt <= 2.0
+        # pins today's value; the right count is 2 (CHANGES.md, the FOUND
+        # line on _match_multiplicity)
+        assert nt == 0.0
         with pytest.raises(MultiplicityAmbiguous):
             polyroots.check_unambiguous(model.rational.zeros())
+
+    def test_small_low_coefficient_is_not_an_origin_root(self):
+        # 1/(1 + 1e13 z^20): den(0) = 1 is far below 1e-13 of the largest
+        # coefficient, yet the 20 poles sit at modulus 1e-13^(1/20)
+        model = MeroModel.from_rational(
+            RationalFunction([1.0], [1.0] + [0.0] * 19 + [1e13]), QParam(2.0))
+        rho = 1e-13 ** (1 / 20)
+        origin, rest = model.divisor(1.0, INF)
+        assert origin == 0 and len(rest) == 20
+        assert all(m == pytest.approx(rho, rel=1e-12) for m, _ in rest)
+        assert counting_N(model, 1.0, INF) == pytest.approx(
+            -20 * math.log(rho), rel=1e-12)
 
     def test_pole_counting_reduced_by_reciprocal_derivative(self):
         qp = QParam(2.0)

@@ -169,6 +169,22 @@ def test_product_solution_takes_the_exact_route(monkeypatch):
         assert a.m_ratio == pytest.approx(b.m_ratio, rel=1e-9, abs=1e-12)
 
 
+def test_product_solution_with_wide_coefficient_range():
+    # R = 1/(1 + 1e13 z^20) has R(0) = 1, so no lattice starts at the origin
+    qp = QParam(0.5)
+    P = [0.0] * 19 + [2e13]
+    prod = product_solution(P, qp)
+    # checked first: a lattice at the origin would never leave the disc
+    assert all(abs(a) > 0.2 for a, _ in prod.shift_ratio.poles())
+    assert len(prod.zeros_up_to(0.3)) == 20
+    z = 0.15 + 0.05j
+    want = 1.0 + 0j
+    for j in range(80):
+        w = qp.q ** j * z
+        want *= 1.0 + (1.0 - qp.q) * w * np.polyval(P[::-1], w)
+    assert prod.eval(z) == pytest.approx(want, rel=1e-12)
+
+
 def test_other_base_keeps_pointwise_route(monkeypatch):
     prod = EtildeProduct(QParam(2.0))
     calls = count_orbit_sums(monkeypatch)
