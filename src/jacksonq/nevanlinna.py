@@ -14,17 +14,18 @@ ratio R, f(qz) = R(z) f(z), which makes D_q^k f / f one exact rational
 function, comes from a product at its own base and from a rational model
 with f(0) not in {0, infinity} at any base. Counting integrals are
 evaluated in closed form from the divisor, (origin multiplicity,
-[(modulus, multiplicity)]), never by numerical t-integration. A
-rational model's divisor does not depend on r: every rational question
-reads the root lists that RationalFunction finds once and keeps
-(zeros() and poles() of f, of each f - a and of D_q f), and per base q
-the Jackson weights h - min(h, k') are kept on the model, so a radius
-loop only re-sums them. A failed computation (an
-ambiguous root cluster, a constant f) is not kept and raises again on
-the next call. The proximity integral is a composite trapezoid on
-equally spaced angles (spectrally accurate for circles that keep away
-from zeros and poles), with the step-halving difference reported as its
-error estimate.
+[(modulus, multiplicity)]), never by numerical t-integration. A rational
+model's divisor does not depend on r: every rational question reads the
+root lists that RationalFunction finds once and keeps (zeros() and
+poles() of f and of each f - a). The Jackson weight h - min(h, k') of a
+point of multiplicity h, k' the order of D_q f there, is read off the
+same list as h - min(h, h'), h' the multiplicity of its q-image; per
+base q the weights are kept on the model, so a radius loop only re-sums
+them. A failed computation (an ambiguous root cluster or q-image, a
+constant f) is not kept and raises again on the next call. The proximity
+integral is a composite trapezoid on equally spaced angles (spectrally
+accurate for circles that keep away from zeros and poles), with the
+step-halving difference reported as its error estimate.
 
 Limit quantities (logarithmic order, defects, the second-fundamental-
 theorem margin, Wiman-Valiron ratios) are reported as finite-radius
@@ -45,11 +46,13 @@ from .errors import (
     DomainError,
     InsufficientGrid,
     MaxModulusAmbiguous,
+    MultiplicityAmbiguous,
     PoleOnCircle,
     TargetUnsupported,
     TruncationTooShort,
 )
-from .polyroots import check_unambiguous, poly_eval, poly_mul
+from .polyroots import (check_unambiguous, image_multiplicities, poly_eval,
+                        poly_mul)
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_quotient
 from .qoperator import Sampler, dqk_closed_form, series_sampler
@@ -221,7 +224,7 @@ class MeroModel:
         return None
 
     def jackson_weights(self, target, qp: QParam):
-        """[(modulus, h - min(h, k'))] over the points where f = target."""
+        """[(modulus, h - min(h, k'))] at f = target; k' = ord D_q f there."""
         raise TargetUnsupported("Jackson truncated counting needs exact "
                                 "zero/pole structure (rational model)")
 
@@ -302,8 +305,7 @@ class RationalModel(MeroModel):
                                 cancel=False)
 
     def dq_model(self, qp: QParam) -> "RationalModel":
-        """D_q f, per QParam: D_q(f - a) = D_q f serves every finite
-        target."""
+        """D_q f, per QParam, for sft_check's N_J term."""
         def compute():
             df = dq_rational(self.rational, qp)
             if df.is_zero:
@@ -312,24 +314,23 @@ class RationalModel(MeroModel):
         return self._keep(("Dq", qp), compute)
 
     def jackson_weights(self, target, qp: QParam):
-        """[(modulus, h - min(h, k'))] over the points where f = target,
-        nonzero weights only; k' is read off the zeros of D_q f (of
-        D_q(1/f) for the poles). The points are the kept lists that
-        divisor reads; for a finite target the nonzero ones must pass
-        the band test check_unambiguous."""
+        """[(modulus, h - min(h, h'))] over the points z0 where f = target,
+        nonzero only, h' the multiplicity of q z0 in the same list: at
+        z0 != 0, D_q f (D_q(1/f) at poles) vanishes to order min(h, h')
+        if h != h', at least h if h = h'; the origin weighs 1, as
+        D_q z^h = [h]_q z^(h-1). A constant f raises DomainError."""
         def compute():
             rf = self.rational
+            if rf.num_degree == 0 and rf.den_degree == 0:
+                raise DomainError("D_q f vanishes identically; f is constant")
             if target == INF:
                 points = rf.poles()
-                dq_model = RationalModel(rf.reciprocal()).dq_model(qp)
             else:
                 points = self._minus(target).zeros()
                 check_unambiguous([(z, h) for z, h in points if z != 0])
-                dq_model = self.dq_model(qp)
-            dq_zeros = dq_model.rational.zeros()
-            scale = max([1.0] + [abs(z) for z, _ in points])
-            weights = [(abs(z), h - min(h, _match_multiplicity(
-                z, dq_zeros, scale))) for z, h in points]
+            images = image_multiplicities(points, qp.q)
+            weights = [(abs(z), 1 if z == 0 else h - min(h, h_image))
+                       for (z, h), h_image in zip(points, images)]
             return [(mod, w) for mod, w in weights if w]
         return self._keep(("J", target, qp), compute)
 
@@ -610,8 +611,8 @@ def characteristic(model: MeroModel, r: float, M: int = 4096) -> NevanlinnaSampl
         try:
             sample.nJ0 = jackson_truncated_counting(model, r, 0.0, model.qp)[1]
             sample.nJinf = jackson_truncated_counting(model, r, INF, model.qp)[1]
-        except TargetUnsupported:  # no Jackson weights: the columns stay NaN
-            pass
+        except (TargetUnsupported, MultiplicityAmbiguous):
+            pass  # no Jackson weights: the columns stay NaN
     return sample
 
 
@@ -635,13 +636,6 @@ def jensen_residual(model: MeroModel, r: float, M: int = 4096) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _match_multiplicity(point: complex, zero_list, scale: float) -> int:
-    for z, m in zero_list:
-        if abs(point - z) <= 1e-6 * max(1.0, scale):
-            return m
-    return 0
-
-
 def jackson_truncated_counting(model: MeroModel, r: float, target,
                                qp: QParam):
     """Jackson-type truncated counting, from the model's Jackson weights
@@ -653,11 +647,11 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     the pair (ntilde at radius r, integrated Ntilde at radius r).
 
     The points are the kept zero list of f - target (the pole list for
-    infinity), the one list counting_N also reads. Two nonzero finite
-    a-points at the edge of the merging tolerance raise
-    MultiplicityAmbiguous (polyroots.check_unambiguous): the h and k'
-    bookkeeping would depend on the tolerance there, while the lenient
-    counting_N of the same target still answers.
+    infinity), the one list counting_N also reads, and k' is read off it
+    too (RationalModel.jackson_weights). Nonzero finite a-points, or a
+    q-image and an entry, at the edge of the merging tolerance raise
+    MultiplicityAmbiguous: the bookkeeping would depend on the tolerance
+    there, while the lenient counting_N of the same target still answers.
     """
     contributions = model.jackson_weights(target, qp)
     ntilde_r = float(sum(w for mod, w in contributions if mod < r))
@@ -894,8 +888,8 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
     margin        = sum_j Ntilde_J(r, f=a_j) - (p-2) T(r,f)
     margin_sharp  = sum_j N(r, f=a_j) - N_J(r) - log r - (p-2) T(r,f)
     with N_J = 2N(r,f) - N(r, D_q f) + N(r, 1/D_q f). The model must
-    give D_q f and its Jackson weights (a rational model); other shapes
-    raise TargetUnsupported.
+    give its Jackson weights and D_q f, which only N_J reads (a rational
+    model); other shapes raise TargetUnsupported.
     """
     p = len(targets)
     if p < 3:

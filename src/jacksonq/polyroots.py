@@ -116,6 +116,21 @@ def check_unambiguous(roots) -> list:
     return roots
 
 
+def image_multiplicities(roots, q: complex) -> list:
+    """h' for each (z, h) of roots: the multiplicity of q z there, 0 if
+    none (the exact origin is its own image). An image in the band of
+    check_unambiguous from a nonzero entry raises MultiplicityAmbiguous."""
+    tol = CLUSTER_TOL * max([1.0] + [abs(z) for z, _ in roots])
+    out = []
+    for z, h in roots:
+        gaps = [(abs(q * z - w), m) for w, m in roots if w != 0 and z != 0]
+        if any(tol < gap < 3.0 * tol for gap, _ in gaps):
+            raise MultiplicityAmbiguous(
+                f"q-image of {z:.6g} at the edge of tolerance {tol:.3g}")
+        out.append(h if z == 0 else next((m for g, m in gaps if g <= tol), 0))
+    return out
+
+
 def _cluster(points, base_tol: float):
     """Single-linkage clustering with multiplicity-aware growth: a cluster
     of size k accepts new members within base_tol * k^2 of its mean, since

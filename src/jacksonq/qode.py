@@ -141,7 +141,6 @@ class RationalFunction:
         as read-only."""
         if abs(self.den[0]) == 0.0:
             raise CoefficientPoleAtOrigin("denominator vanishes at z = 0")
-        # setdefault: reciprocal() builds instances without __init__
         kept = self.__dict__.setdefault("_origin_series", {})
         if order not in kept:
             nums = TruncatedSeries.from_polynomial(self.num, order=order)
@@ -165,11 +164,8 @@ class RationalFunction:
     def reciprocal(self) -> "RationalFunction":
         if self.is_zero:
             raise DomainError("reciprocal of the zero function")
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = self.den.copy()
-        out.den = self.num.copy()
-        out._zeros = self._poles
-        out._poles = self._zeros
+        out = RationalFunction(self.den, self.num, cancel=False)
+        out._zeros, out._poles = self._poles, self._zeros
         return out
 
     def scale_arg(self, c: complex) -> "RationalFunction":

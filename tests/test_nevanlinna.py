@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from jacksonq import checks, nevanlinna, polyroots
+from jacksonq import checks, cli, nevanlinna, polyroots
 from jacksonq.checks import sft_test_set
 from jacksonq.errors import (
     DomainError,
@@ -386,17 +386,48 @@ class TestJacksonCounting:
             jackson_truncated_counting(model, 5.0, 0.0, qp)
 
     def test_origin_entry_is_not_in_the_band_test(self):
-        # f = z (z - 2e-7): the origin is exact, so its 2e-7 gap to the
-        # other zero is not a clustering question and nothing is refused
-        qp = QParam(2.0)
+        # f = z (z - 2e-7) at q = 4: the origin is exact, so its 2e-7 gap
+        # to the other zero is not a clustering question, and the q-image
+        # 8e-7 is far from both zeros; the two simple zeros count fully
+        qp = QParam(4.0)
         model = MeroModel.from_rational(RationalFunction([0.0, -2e-7, 1.0]), qp)
         assert model.rational.zeros()[0] == (0j, 1)
         nt, _ = jackson_truncated_counting(model, 5.0, 0.0, qp)
-        # pins today's value; the right count is 2 (CHANGES.md, the FOUND
-        # line on _match_multiplicity)
-        assert nt == 0.0
+        assert nt == 2.0
         with pytest.raises(MultiplicityAmbiguous):
             polyroots.check_unambiguous(model.rational.zeros())
+
+    def test_zeros_near_a_zero_of_dq_f_keep_their_weight(self):
+        # f = z (z - 1e-6) at q = 2: D_q f = 3z - 1e-6 vanishes 3.3e-7
+        # from both zeros, yet at neither; both are simple and count
+        qp = QParam(2.0)
+        model = MeroModel.from_rational(RationalFunction([0.0, -1e-6, 1.0]), qp)
+        nt, _ = jackson_truncated_counting(model, 5.0, 0.0, qp)
+        assert nt == 2.0
+
+    def test_q_image_in_the_band_is_refused(self):
+        # f = z (z - 2e-7) at q = 2: the image 4e-7 sits 2e-7 from the
+        # zero 2e-7, inside (1e-7, 3e-7), so h' depends on the tolerance
+        qp = QParam(2.0)
+        model = MeroModel.from_rational(RationalFunction([0.0, -2e-7, 1.0]), qp)
+        with pytest.raises(MultiplicityAmbiguous, match="q-image"):
+            jackson_truncated_counting(model, 5.0, 0.0, qp)
+
+    def test_ambiguous_weights_leave_nj_nan_and_t_answered(self):
+        # characteristic still answers where the weights refuse: T is the
+        # T of the same f without a QParam, bit for bit; the Jackson
+        # functionals themselves still refuse
+        qp = QParam(2.0)
+        f = RationalFunction([0.0, -2e-7, 1.0])
+        model = MeroModel.from_rational(f, qp)
+        sample = characteristic(model, 5.0)
+        assert sample.T == characteristic(MeroModel.from_rational(f), 5.0).T
+        assert math.isnan(sample.nJ0) and math.isnan(sample.nJinf)
+        grid = RadialGrid((3.0, 5.0), 64)
+        with pytest.raises(MultiplicityAmbiguous):
+            sft_check(model, [0.0, 1.0, INF], qp, grid)
+        with pytest.raises(MultiplicityAmbiguous):
+            defect_estimates(model, grid, [0.0])
 
     def test_small_low_coefficient_is_not_an_origin_root(self):
         # 1/(1 + 1e13 z^20): den(0) = 1 is far below 1e-13 of the largest
@@ -456,13 +487,20 @@ class TestDivisorReuse:
         assert counts[0] == counts[1] > 0
 
     @pytest.mark.parametrize("suite, most", [
-        (checks.run_sft, 90), (checks.run_defects, 40), (checks.run_jensen, 0)])
+        (checks.run_sft, 60), (checks.run_defects, 10),
+        (checks.run_logderiv, 6), (checks.run_jensen, 0)])
     def test_suite_root_solve_counts(self, root_solves, suite, most):
         # a from_roots model's attached lists serve target 0 and the
-        # poles, and f - a is built uncancelled: what is left are the
-        # solves of each f - a and of the two sides of D_q f
+        # poles, f - a is built uncancelled and the Jackson weights read
+        # the q-images in those lists: what is left are the solves of
+        # each f - a and of the two sides of the N_J term's D_q f (and,
+        # for logderiv, of its exact D_q f / f)
         suite(seed=911)
         assert len(root_solves) <= most
+
+    def test_verify_all_root_solve_count(self, root_solves, capsys):
+        assert cli.main(["verify", "--suite", "all", "--seed", "911"]) == 0
+        assert len(root_solves) <= 85
 
     def test_attached_zeros_are_the_count(self, root_solves):
         zeros = [0.0, 0.0, 0.4 - 1.1j, 0.4 - 1.1j, 2.5, -3.0j]
@@ -479,8 +517,8 @@ class TestDivisorReuse:
         assert root_solves == []
 
     def test_sft_builds_dq_f_once(self, monkeypatch):
-        # D_q f is built once per QParam for the Jackson weights and the
-        # N_J term alike, and once more as D_q(1/f) for the poles
+        # D_q f is built once per QParam, for the N_J term only: the
+        # Jackson weights of every target, infinity too, build none
         calls = []
         real = nevanlinna.dq_rational
 
@@ -494,7 +532,7 @@ class TestDivisorReuse:
         grid = RadialGrid.log_spaced(10.0, 1e4, 3, angular_nodes=256)
         for _ in range(2):
             sft_check(model, list(self.TARGETS), qp, grid)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_ambiguous_a_points_raise_on_every_call(self):
         # f - 1 has zeros 2e-7 apart, at the edge of the merging tolerance
@@ -514,9 +552,9 @@ class TestDivisorReuse:
     def test_constant_model_raises_on_every_call(self):
         qp = QParam(2.0)
         model = MeroModel.from_rational(RationalFunction([2.0]), qp)
-        for _ in range(2):
+        for target in (0.0, 0.0, INF, 2.0):
             with pytest.raises(DomainError):
-                jackson_truncated_counting(model, 5.0, 0.0, qp)
+                jackson_truncated_counting(model, 5.0, target, qp)
 
 
 class TestDefects:
