@@ -292,14 +292,6 @@ def run_jensen(seed: int = 20240501, count: int = 20, M: int = 4096,
     return out
 
 
-def _from_random_roots(rng, nz: int, np_: int, low: float) -> RationalFunction:
-    """nz zeros, then np_ poles, each at a uniform modulus in [low, 2]
-    and a uniform angle."""
-    roots = [[float(rng.uniform(low, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-              for _ in range(n)] for n in (nz, np_)]
-    return RationalFunction.from_roots(*roots)
-
-
 def sft_test_set(seed: int = 20240501, count: int = 10) -> list:
     """Rational functions of degree <= 4 with all zeros and poles inside
     |z| <= 2 (margins at small radii stay tame)."""
@@ -308,7 +300,11 @@ def sft_test_set(seed: int = 20240501, count: int = 10) -> list:
     for _ in range(count):
         nz = int(rng.integers(1, 5))
         np_ = int(rng.integers(1, 5))
-        fs.append(_from_random_roots(rng, nz, np_, 0.2))
+        zeros = [float(rng.uniform(0.2, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                 for _ in range(nz)]
+        poles = [float(rng.uniform(0.2, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                 for _ in range(np_)]
+        fs.append(RationalFunction.from_roots(zeros, poles))
     return fs
 
 
@@ -338,7 +334,11 @@ def run_logderiv(seed: int = 20240501, M: int = 512) -> list:
     out = []
     worst = 0.0
     for i in range(3):
-        f = _from_random_roots(rng, int(rng.integers(1, 4)), 1, 0.3)
+        deg = int(rng.integers(1, 4))
+        zeros = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                 for _ in range(deg)]
+        poles = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))]
+        f = RationalFunction.from_roots(zeros, poles)
         qp = QParam(2.0)
         rows = logderiv_lemma_check(MeroModel.from_rational(f, qp), qp, 1, grid)
         worst = max(worst, rows[-1].ratio)
@@ -421,7 +421,12 @@ def run_defects(seed: int = 20240501, count: int = 5, M: int = 512) -> list:
     for _ in range(count):
         nz = int(rng.integers(1, 4))
         np_ = int(rng.integers(1, 4))
-        model = MeroModel.from_rational(_from_random_roots(rng, nz, np_, 0.3), qp)
+        zeros = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                 for _ in range(nz)]
+        poles = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                 for _ in range(np_)]
+        f = RationalFunction.from_roots(zeros, poles)
+        model = MeroModel.from_rational(f, qp)
         reports = defect_estimates(model, grid, [0.0, 1.0, -1.0, INF])
         worst = max(worst, sum(r.theta_J for r in reports))
     return [_res("defects", f"max sum Theta_J over {count} functions",

@@ -320,11 +320,10 @@ class RationalModel(MeroModel):
         if h != h', at least h if h = h'; the origin weighs 1, as
         D_q z^h = [h]_q z^(h-1). A constant f raises DomainError."""
         def compute():
-            rf = self.rational
-            if rf.num_degree == 0 and rf.den_degree == 0:
+            if self.rational.num_degree == self.rational.den_degree == 0:
                 raise DomainError("D_q f vanishes identically; f is constant")
             if target == INF:
-                points = rf.poles()
+                points = self.rational.poles()
             else:
                 points = self._minus(target).zeros()
                 check_unambiguous([(z, h) for z, h in points if z != 0])
@@ -649,9 +648,9 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     The points are the kept zero list of f - target (the pole list for
     infinity), the one list counting_N also reads, and k' is read off it
     too (RationalModel.jackson_weights). Nonzero finite a-points, or a
-    q-image and an entry, at the edge of the merging tolerance raise
-    MultiplicityAmbiguous: the bookkeeping would depend on the tolerance
-    there, while the lenient counting_N of the same target still answers.
+    q-image and an entry (its own, below three tolerances), at the edge of
+    the merging tolerance raise MultiplicityAmbiguous: the bookkeeping
+    would depend on it there, while counting_N of the target still answers.
     """
     contributions = model.jackson_weights(target, qp)
     ntilde_r = float(sum(w for mod, w in contributions if mod < r))

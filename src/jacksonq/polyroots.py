@@ -117,14 +117,17 @@ def check_unambiguous(roots) -> list:
 
 
 def image_multiplicities(roots, q: complex) -> list:
-    """h' for each (z, h) of roots: the multiplicity of q z there, 0 if
-    none (the exact origin is its own image). An image in the band of
-    check_unambiguous from a nonzero entry raises MultiplicityAmbiguous."""
+    """h' per (z, h) of roots: the multiplicity of q z at another entry, 0
+    if none (the origin is its own image). For z != 0, q z in the band of
+    check_unambiguous from an entry, or within 3 tol of z itself (a root
+    there would have merged with z), raises MultiplicityAmbiguous."""
     tol = CLUSTER_TOL * max([1.0] + [abs(z) for z, _ in roots])
     out = []
-    for z, h in roots:
-        gaps = [(abs(q * z - w), m) for w, m in roots if w != 0 and z != 0]
-        if any(tol < gap < 3.0 * tol for gap, _ in gaps):
+    for i, (z, h) in enumerate(roots):
+        gaps = [(abs(q * z - w), m) for j, (w, m) in enumerate(roots)
+                if w != 0 and z != 0 and j != i]
+        if z != 0 and (abs(q * z - z) < 3.0 * tol
+                       or any(tol < gap < 3.0 * tol for gap, _ in gaps)):
             raise MultiplicityAmbiguous(
                 f"q-image of {z:.6g} at the edge of tolerance {tol:.3g}")
         out.append(h if z == 0 else next((m for g, m in gaps if g <= tol), 0))

@@ -161,13 +161,6 @@ class RationalFunction:
         # gcd(P - aQ, Q) = gcd(P, Q): f - a is coprime exactly when f is
         return RationalFunction(num, self.den.copy(), cancel=False)
 
-    def reciprocal(self) -> "RationalFunction":
-        if self.is_zero:
-            raise DomainError("reciprocal of the zero function")
-        out = RationalFunction(self.den, self.num, cancel=False)
-        out._zeros, out._poles = self._poles, self._zeros
-        return out
-
     def scale_arg(self, c: complex) -> "RationalFunction":
         """z -> f(c z)."""
         powers_n = c ** np.arange(self.num.size)

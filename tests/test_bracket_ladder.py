@@ -468,7 +468,7 @@ def test_kept_ladders_leave_equality_and_hash_alone():
     RationalFunction([0.3, 0.2]),
     RationalFunction([1.0, 0.5], [1.0, -0.25]),
     RationalFunction([0.3, -1.0, 0.2], [2.0, 0.5, 0.1j]),
-    RationalFunction([1.0, -0.5, 0.2j], [1.0, 0.3]).reciprocal(),
+    RationalFunction([1.0, 0.3], [1.0, -0.5, 0.2j], cancel=False),
 ])
 @pytest.mark.parametrize("order", [0, 7, 200])
 def test_repeated_origin_series_is_the_first_bit_for_bit(rf, order):

@@ -19,11 +19,18 @@ from jacksonq.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 
+# at most this many root solves per verify run: the Jackson weights read
+# q-images off the kept a-point lists (163 solves at seed 911 when they
+# root-solved D_q f and D_q(1/f))
+MOST_ROOT_SOLVES = {911: 85}
+
+
 @pytest.mark.parametrize("seed", [911, 20240501])
-def test_verify_all_matches_golden(seed, tmp_path, capsys):
+def test_verify_all_matches_golden(seed, tmp_path, capsys, root_solves):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--suite", "all", "--seed", str(seed),
                  "--out", str(out)]) == 0
+    assert len(root_solves) <= MOST_ROOT_SOLVES.get(seed, len(root_solves))
     stem = GOLDEN / f"verify_all_seed{seed}"
     assert capsys.readouterr().out.encode() == stem.with_suffix(
         ".stdout").read_bytes()

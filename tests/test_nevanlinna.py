@@ -1,11 +1,10 @@
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
 
-from jacksonq import checks, cli, nevanlinna, polyroots
+from jacksonq import checks, nevanlinna, polyroots
 from jacksonq.checks import sft_test_set
 from jacksonq.errors import (
     DomainError,
@@ -44,24 +43,6 @@ from jacksonq.qoperator import Sampler
 from jacksonq.qspecial import BigEProduct, EtildeProduct, big_e_q, etilde_q
 
 RNG = np.random.default_rng(90125)
-
-
-@pytest.fixture
-def root_solves(monkeypatch):
-    """A list that gains one entry per roots_with_multiplicity call, made
-    through polyroots or any jacksonq module that imports the name."""
-    calls = []
-    real = polyroots.roots_with_multiplicity
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if (name.startswith("jacksonq.")
-                and getattr(module, "roots_with_multiplicity", None) is real):
-            monkeypatch.setattr(module, "roots_with_multiplicity", counted)
-    return calls
 
 
 def model_z() -> MeroModel:
@@ -413,6 +394,19 @@ class TestJacksonCounting:
         with pytest.raises(MultiplicityAmbiguous, match="q-image"):
             jackson_truncated_counting(model, 5.0, 0.0, qp)
 
+    @pytest.mark.parametrize("roots, q", [
+        ([10.0, 5e-7], 2.0), ([5e-8], 2.0), ([1e-4], 1.001)],
+        ids=["beside_10", "alone", "q_near_1"])
+    def test_entry_is_never_its_own_q_image(self, roots, q):
+        # q z0 != z0, yet it lies within 3 tol of z0 (tol = 1e-7 at scale
+        # max(1, max |z|)); a root at q z0 would have merged with z0, so
+        # the weight is refused rather than read as h' = h, weight 0
+        qp = QParam(q)
+        model = MeroModel.from_rational(
+            RationalFunction(np.poly(roots)[::-1]), qp)
+        with pytest.raises(MultiplicityAmbiguous, match="q-image"):
+            jackson_truncated_counting(model, 20.0, 0.0, qp)
+
     def test_ambiguous_weights_leave_nj_nan_and_t_answered(self):
         # characteristic still answers where the weights refuse: T is the
         # T of the same f without a QParam, bit for bit; the Jackson
@@ -497,10 +491,6 @@ class TestDivisorReuse:
         # for logderiv, of its exact D_q f / f)
         suite(seed=911)
         assert len(root_solves) <= most
-
-    def test_verify_all_root_solve_count(self, root_solves, capsys):
-        assert cli.main(["verify", "--suite", "all", "--seed", "911"]) == 0
-        assert len(root_solves) <= 85
 
     def test_attached_zeros_are_the_count(self, root_solves):
         zeros = [0.0, 0.0, 0.4 - 1.1j, 0.4 - 1.1j, 2.5, -3.0j]
@@ -864,7 +854,8 @@ class TestFirstFundamentalTheorem:
             f0 = f.eval(0.0)
             if abs(f0 - a) < 0.05:
                 continue
-            g = f.subtract_const(a).reciprocal()
+            fa = f.subtract_const(a)
+            g = RationalFunction(fa.den, fa.num, cancel=False)  # 1/(f - a)
             C = (math.log(max(abs(a), 1.0)) + abs(math.log(abs(f0 - a))) + 1.0)
             for r in (10.0, 100.0, 1000.0):
                 Tf = characteristic(MeroModel.from_rational(f), r, 2048).T

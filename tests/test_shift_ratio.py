@@ -231,7 +231,8 @@ def grid_apart(f: RationalFunction, qp: QParam, k: int) -> RadialGrid:
 def old_route_rows(f: RationalFunction, qp: QParam, k: int, rows) -> list:
     """m(r, D_q^k f / f) at each row's radius, with the quotient formed as
     D_q^k f times 1/f, which cancels shared factors by root solving."""
-    ratio = RationalModel(dqk_rational(f, qp, k) * f.reciprocal())
+    recip = RationalFunction(f.den, f.num, cancel=False)
+    ratio = RationalModel(dqk_rational(f, qp, k) * recip)
     return [proximity(ratio, row.r, APART_NODES) for row in rows]
 
 
