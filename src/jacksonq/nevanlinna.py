@@ -610,8 +610,8 @@ def characteristic(model: MeroModel, r: float, M: int = 4096) -> NevanlinnaSampl
         try:
             sample.nJ0 = jackson_truncated_counting(model, r, 0.0, model.qp)[1]
             sample.nJinf = jackson_truncated_counting(model, r, INF, model.qp)[1]
-        except (TargetUnsupported, MultiplicityAmbiguous):
-            pass  # no Jackson weights: the columns stay NaN
+        except (TargetUnsupported, MultiplicityAmbiguous, DomainError):
+            pass  # no Jackson weights (or f constant): the columns stay NaN
     return sample
 
 

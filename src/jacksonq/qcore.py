@@ -480,7 +480,7 @@ class TruncatedSeries:
                 raise OutsideSafeRadius(
                     f"|z| exceeds certified radius {self.safe_radius:g}")
         res = poly_eval(self._coeffs, zs)
-        if np.ndim(z) == 0:
+        if zs.ndim == 0:
             return complex(res)
         return res
 

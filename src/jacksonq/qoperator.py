@@ -112,21 +112,28 @@ def _dq_step(f: TruncatedSeries, brackets: np.ndarray) -> TruncatedSeries:
 
 def dq_sample(f: Sampler, z: complex, qp: QParam) -> complex:
     """Divided difference (f(qz) - f(z)) / ((q-1) z); z must be nonzero."""
-    if z == 0:
-        raise OriginSingular("D_q at the origin is defined only on series")
-    q = qp.q
-    return (f(q * z) - f(z)) / ((q - 1.0) * z)
+    return dqk_sample(f, z, qp, 1)
 
 
 def dqk_sample(f: Sampler, z: complex, qp: QParam, k: int) -> complex:
-    """k-fold D_q by literal iteration of divided differences."""
-    if k == 0:
-        return f(z)
-    if k == 1:
-        return dq_sample(f, z, qp)
-    inner = Sampler(lambda w: dqk_sample(f, w, qp, k - 1),
-                    f.domain_radius, f.pole_list)
-    return dq_sample(inner, z, qp)
+    """k-fold D_q as a divided-difference table on p_0 = z, p_{m+1} = q p_m:
+    D^j(p_m) = (D^{j-1}(p_{m+1}) - D^{j-1}(p_m)) / ((q-1) p_m), D^0 = f.
+    The points and operations of k nested divided differences, so their
+    result bit for bit, from k+1 calls of f (p_k first) instead of 2^k.
+    Raises OriginSingular when some p_m, m < k, is 0."""
+    if k < 0:
+        raise DomainError("k must be nonnegative")
+    q = qp.q
+    orbit = [z]
+    for _ in range(k):
+        if orbit[-1] == 0:
+            raise OriginSingular("D_q at the origin is defined only on series")
+        orbit.append(q * orbit[-1])
+    vals = [f(p) for p in reversed(orbit)][::-1]
+    for j in range(k, 0, -1):
+        vals = [(vals[m + 1] - vals[m]) / ((q - 1.0) * orbit[m])
+                for m in range(j)]
+    return vals[0]
 
 
 def dqk_closed_form(f: Sampler, z: complex, qp: QParam, k: int) -> complex:

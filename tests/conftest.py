@@ -2,9 +2,10 @@
 
 import sys
 
+import numpy as np
 import pytest
 
-from jacksonq import polyroots
+from jacksonq import polyroots, qcore
 
 
 @pytest.fixture
@@ -22,4 +23,20 @@ def root_solves(monkeypatch):
         if (name.startswith("jacksonq.")
                 and getattr(module, "roots_with_multiplicity", None) is real):
             monkeypatch.setattr(module, "roots_with_multiplicity", counted)
+    return calls
+
+
+@pytest.fixture
+def series_evals(monkeypatch):
+    """A list that gains one entry per one-point TruncatedSeries.eval
+    call (an array of points does not count)."""
+    calls = []
+    real = qcore.TruncatedSeries.eval
+
+    def counted(self, z):
+        if np.ndim(z) == 0:
+            calls.append(1)
+        return real(self, z)
+
+    monkeypatch.setattr(qcore.TruncatedSeries, "eval", counted)
     return calls

@@ -23,14 +23,21 @@ GOLDEN = Path(__file__).parent / "golden"
 # q-images off the kept a-point lists (163 solves at seed 911 when they
 # root-solved D_q f and D_q(1/f))
 MOST_ROOT_SOLVES = {911: 85}
+# and this many one-point series evaluations: dqk_sample calls f on the
+# k+1 points of its q-orbit (4372 at seed 911 with the 2^k calls of
+# nested divided differences)
+MOST_SERIES_EVALS = {911: 3581}
 
 
 @pytest.mark.parametrize("seed", [911, 20240501])
-def test_verify_all_matches_golden(seed, tmp_path, capsys, root_solves):
+def test_verify_all_matches_golden(seed, tmp_path, capsys, root_solves,
+                                   series_evals):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--suite", "all", "--seed", str(seed),
                  "--out", str(out)]) == 0
     assert len(root_solves) <= MOST_ROOT_SOLVES.get(seed, len(root_solves))
+    assert len(series_evals) <= MOST_SERIES_EVALS.get(seed,
+                                                      len(series_evals))
     stem = GOLDEN / f"verify_all_seed{seed}"
     assert capsys.readouterr().out.encode() == stem.with_suffix(
         ".stdout").read_bytes()

@@ -546,6 +546,24 @@ class TestDivisorReuse:
             with pytest.raises(DomainError):
                 jackson_truncated_counting(model, 5.0, target, qp)
 
+    def test_constant_model_characteristic_has_nan_jackson_columns(self):
+        # T(r) of a constant is defined; only the Jackson weights are not.
+        # The counting functions built on the weights keep refusing.
+        qp = QParam(2.0)
+        rf = RationalFunction([2.0])
+        grid = RadialGrid((3.0, 5.0), 64)
+        plain = characteristic(MeroModel.from_rational(rf), 5.0)
+        model = MeroModel.from_rational(rf, qp)
+        sample = characteristic(model, 5.0)
+        assert sample.T == pytest.approx(math.log(2.0))
+        assert dataclasses.astuple(sample)[:5] == dataclasses.astuple(
+            plain)[:5]
+        assert math.isnan(sample.nJ0) and math.isnan(sample.nJinf)
+        with pytest.raises(DomainError):
+            sft_check(model, [0.0, 1.0, INF], qp, grid)
+        with pytest.raises(DomainError):
+            defect_estimates(model, grid, [0.0, INF])
+
 
 class TestDefects:
     def grid(self):

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from jacksonq.qcore import (
     q_pochhammer_inf,
     q_pochhammer_mp,
 )
+from jacksonq.qoperator import dq_series
+from jacksonq.qspecial import big_e_q, etilde_q, exp_q
 
 RNG = np.random.default_rng(20240817)
 
@@ -284,3 +287,35 @@ class TestTruncatedSeries:
         f = TruncatedSeries.from_polynomial([1, 2])
         g = f.shifted(2)
         assert np.allclose(g.coeffs, [0, 0, 1, 2])
+
+
+# one base per q regime: 0 < q < 1, q > 1, q < 0, complex inside and
+# outside the unit circle, next to a primitive cube root of unity
+REGIME_BASES = (0.5, 2.0, -0.7, 0.6 * cmath.exp(2.2j),
+                1.7 * cmath.exp(-0.4j), 1.001 * cmath.exp(2j * math.pi / 3))
+
+
+@pytest.mark.parametrize("q", REGIME_BASES)
+def test_one_point_eval_is_array_eval_bit_for_bit(q):
+    # A one-point eval and the same point inside a one-element array run
+    # the same Horner loop on a 0-d and a 1-d array: equal bits, for any
+    # scalar type of the point.
+    rng = np.random.default_rng([20240817, REGIME_BASES.index(q)])
+    qp = QParam(q)
+    deg = int(rng.integers(3, 16))
+    poly = TruncatedSeries.from_polynomial(
+        rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1))
+    series = [poly, dq_series(poly, qp)]
+    series += [make(qp, int(rng.integers(20, 90)))
+               for make in (exp_q, etilde_q, big_e_q)]
+    for f in series:
+        radius = f.safe_radius if f.safe_radius is not None else 2.0
+        radius = min(radius, 50.0)
+        for _ in range(40):
+            z = complex(radius * rng.uniform(0.0, 1.0)
+                        * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)))
+            want = f.eval(np.array([z])).view(np.uint64)
+            for point in (z, np.complex128(z), np.array(z)):
+                got = f.eval(point)
+                assert type(got) is complex
+                assert np.array_equal(np.array([got]).view(np.uint64), want)

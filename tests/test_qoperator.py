@@ -1,11 +1,17 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jacksonq.errors import (
     BracketOverflow,
     DomainError,
     NonconvergentSample,
     OriginSingular,
+    OutsideDomain,
 )
 from jacksonq.qcore import QParam, TruncatedSeries, q_bracket
 from jacksonq.qoperator import (
@@ -336,3 +342,150 @@ class TestSeriesSampler:
         assert s(1.5) == 1.5
         with pytest.raises(OutsideDomain):
             s(3.0)
+
+
+# The six q regimes; "root of unity" is (1 + eps) e^{2 pi i j / m}, just
+# off the unit circle next to a primitive m-th root.
+Q_REGIMES = ("0 < q < 1", "q > 1", "q < 0", "complex |q| < 1",
+             "complex |q| > 1", "root of unity")
+
+
+@st.composite
+def bases(draw):
+    regime = draw(st.sampled_from(Q_REGIMES))
+    inside = draw(st.floats(0.2, 0.9))
+    outside = draw(st.floats(1.1, 4.0))
+    angle = draw(st.floats(0.05, math.pi - 0.05)) * draw(
+        st.sampled_from((1, -1)))
+    if regime == "0 < q < 1":
+        return inside
+    if regime == "q > 1":
+        return outside
+    if regime == "q < 0":
+        return -draw(st.sampled_from((inside, outside)))
+    if regime == "root of unity":
+        m = draw(st.integers(3, 8))
+        eps = draw(st.floats(1e-4, 1e-2)) * draw(st.sampled_from((1, -1)))
+        return (1.0 + eps) * cmath.exp(2j * math.pi * draw(
+            st.integers(1, m - 1)) / m)
+    modulus = inside if regime == "complex |q| < 1" else outside
+    return modulus * cmath.exp(1j * angle)
+
+
+def one_point_function(fseed: int, kind: str):
+    """A seeded polynomial series (Python complex values) or a numpy
+    exponential (np.complex128 values)."""
+    rng = np.random.default_rng(fseed)
+    if kind == "series":
+        deg = int(rng.integers(0, 11))
+        return rand_poly(rng, deg).eval
+    a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    return lambda w: np.exp(a * w) + b * w
+
+
+def nested_dqk_sample(f: Sampler, z, qp: QParam, k: int):
+    """D_q^k as k nested divided differences, 2^k samples of f."""
+    if k == 0:
+        return f(z)
+    if k == 1:
+        if z == 0:
+            raise OriginSingular("D_q at the origin is defined only on series")
+        q = qp.q
+        return (f(q * z) - f(z)) / ((q - 1.0) * z)
+    inner = Sampler(lambda w: nested_dqk_sample(f, w, qp, k - 1),
+                    f.domain_radius)
+    return nested_dqk_sample(inner, z, qp, 1)
+
+
+def bits(w) -> list:
+    return np.array([w], dtype=np.complex128).view(np.uint64).tolist()
+
+
+def counted(fn):
+    calls = []
+
+    def one_point(w):
+        calls.append(w)
+        return fn(w)
+    return one_point, calls
+
+
+class TestDqkSampleOrbitTable:
+    """dqk_sample runs one divided-difference table over the orbit q^m z.
+    It must return what k nested divided differences return, bit for
+    bit, raise what they raise, and call f once per orbit point."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=150)
+    @given(q=bases(), z_log=st.floats(-1.0, 1.0),
+           z_arg=st.floats(0.0, 2 * math.pi), k=st.integers(0, 6),
+           fseed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(("series", "numpy")),
+           radius=st.none() | st.floats(0.5, 50.0))
+    @example(q=0.5, z_log=0.3, z_arg=1.0, k=6, fseed=1, kind="series",
+             radius=None)
+    @example(q=2.5, z_log=-0.7, z_arg=4.0, k=5, fseed=2, kind="numpy",
+             radius=None)
+    @example(q=-0.7, z_log=0.0, z_arg=2.0, k=6, fseed=3, kind="series",
+             radius=20.0)
+    @example(q=0.6 * cmath.exp(2.2j), z_log=0.5, z_arg=0.1, k=4, fseed=4,
+             kind="numpy", radius=None)
+    @example(q=1.7 * cmath.exp(-0.4j), z_log=-0.2, z_arg=5.5, k=3, fseed=5,
+             kind="series", radius=4.0)
+    @example(q=1.001 * cmath.exp(2j * math.pi / 3), z_log=0.2, z_arg=0.7,
+             k=6, fseed=6, kind="series", radius=None)
+    def test_bit_for_bit_with_nested_divided_differences(
+            self, q, z_log, z_arg, k, fseed, kind, radius):
+        qp = QParam(q)
+        z = 10.0 ** z_log * cmath.exp(1j * z_arg)
+        fn, calls = counted(one_point_function(fseed, kind))
+        f = Sampler(fn, radius)
+        try:
+            want = nested_dqk_sample(f, z, qp, k)
+        except OutsideDomain:
+            with pytest.raises(OutsideDomain):
+                dqk_sample(f, z, qp, k)
+            return
+        calls.clear()
+        got = dqk_sample(f, z, qp, k)
+        assert bits(got) == bits(want)
+        assert type(got) is type(want)
+        assert len(calls) == k + 1
+        assert len(set(calls)) == k + 1 or abs(qp.q ** k) == 1
+
+    def test_dq_sample_is_the_first_order_table(self):
+        qp = QParam(0.3 - 1.1j)
+        fn, calls = counted(one_point_function(11, "series"))
+        f = Sampler(fn)
+        z = 0.8 + 0.4j
+        assert bits(dq_sample(f, z, qp)) == bits(nested_dqk_sample(f, z, qp, 1))
+        assert calls[-2:] == [qp.q * z, z]
+
+    def test_orbit_underflow_to_origin_raises(self):
+        # z q^3 underflows to exactly 0 (1e-300 * 1e-30 past the
+        # subnormals); that point must still be differenced at k = 4
+        qp = QParam(1e-10)
+        fn, calls = counted(lambda w: w * w)
+        f = Sampler(fn)
+        for k in (4, 6):
+            with pytest.raises(OriginSingular):
+                dqk_sample(f, 1e-300, qp, k)
+            with pytest.raises(OriginSingular):
+                nested_dqk_sample(f, 1e-300, qp, k)
+        assert calls == []
+        # at k = 3 the zero point is only sampled, never a divisor
+        assert bits(dqk_sample(f, 1e-300, qp, 3)) == bits(
+            nested_dqk_sample(f, 1e-300, qp, 3))
+
+    def test_orbit_leaving_domain_raises(self):
+        # q^m z = 2^m: the point 16 leaves the radius 10 at k = 4
+        qp = QParam(2.0)
+        f = Sampler(lambda w: w ** 3, domain_radius=10.0)
+        assert dqk_sample(f, 1.0, qp, 3) == nested_dqk_sample(f, 1.0, qp, 3)
+        for k in (4, 6):
+            with pytest.raises(OutsideDomain):
+                dqk_sample(f, 1.0, qp, k)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(DomainError):
+            dqk_sample(Sampler(lambda w: w), 1.0, QParam(2.0), -1)
