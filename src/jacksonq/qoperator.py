@@ -129,10 +129,10 @@ def dqk_sample(f: Sampler, z: complex, qp: QParam, k: int) -> complex:
         if orbit[-1] == 0:
             raise OriginSingular("D_q at the origin is defined only on series")
         orbit.append(q * orbit[-1])
-    vals = [f(p) for p in reversed(orbit)][::-1]
-    for j in range(k, 0, -1):
-        vals = [(vals[m + 1] - vals[m]) / ((q - 1.0) * orbit[m])
-                for m in range(j)]
+    vals = [f(p) for p in orbit[::-1]][::-1]
+    for _ in range(k):
+        vals = [(b - a) / ((q - 1.0) * p)
+                for a, b, p in zip(vals, vals[1:], orbit)]
     return vals[0]
 
 
