@@ -336,8 +336,6 @@ class TestSeriesSampler:
         assert s.domain_radius == pytest.approx(f.safe_radius)
 
     def test_outside_domain_rejected(self):
-        from jacksonq.errors import OutsideDomain
-
         s = Sampler(lambda z: z, domain_radius=2.0)
         assert s(1.5) == 1.5
         with pytest.raises(OutsideDomain):
@@ -345,7 +343,7 @@ class TestSeriesSampler:
 
 
 # The six q regimes; "root of unity" is (1 + eps) e^{2 pi i j / m}, just
-# off the unit circle next to a primitive m-th root.
+# off the unit circle next to an m-th root of unity other than 1.
 Q_REGIMES = ("0 < q < 1", "q > 1", "q < 0", "complex |q| < 1",
              "complex |q| > 1", "root of unity")
 
