@@ -79,6 +79,13 @@ def _rand_poly(rng, deg, lo=-1.0, hi=1.0) -> TruncatedSeries:
     return TruncatedSeries.from_polynomial(c)
 
 
+def _random_points(rng, n: int, lo: float, hi: float) -> list:
+    """n points with modulus uniform in [lo, hi) and argument uniform in
+    [0, 2 pi), drawn modulus then argument, point by point."""
+    return [float(rng.uniform(lo, hi)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            for _ in range(n)]
+
+
 def _max_tail(series: TruncatedSeries, start: int = 1) -> float:
     return float(np.max(np.abs(series.coeffs[start:])))
 
@@ -284,9 +291,7 @@ def run_jensen(seed: int = 20240501, count: int = 20, M: int = 4096,
     out = [_res("jensen", f"{count} rational functions at r in {{2;10;100}}",
                 worst, tol)]
     qp = QParam(0.5)
-    prodE = BigEProduct(qp)
-    modelE = MeroModel.from_q_product(prodE.zeros_up_to, prodE.log_eval,
-                                      eval_fn=prodE.eval, qp=qp)
+    modelE = MeroModel.from_product(BigEProduct(qp))
     out.append(_res("jensen", "big-E product lattice vs quadrature (r=10)",
                     jensen_residual(modelE, 10.0, M), 1e-5))
     return out
@@ -300,10 +305,8 @@ def sft_test_set(seed: int = 20240501, count: int = 10) -> list:
     for _ in range(count):
         nz = int(rng.integers(1, 5))
         np_ = int(rng.integers(1, 5))
-        zeros = [float(rng.uniform(0.2, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                 for _ in range(nz)]
-        poles = [float(rng.uniform(0.2, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                 for _ in range(np_)]
+        zeros = _random_points(rng, nz, 0.2, 2.0)
+        poles = _random_points(rng, np_, 0.2, 2.0)
         fs.append(RationalFunction.from_roots(zeros, poles))
     return fs
 
@@ -335,9 +338,8 @@ def run_logderiv(seed: int = 20240501, M: int = 512) -> list:
     worst = 0.0
     for i in range(3):
         deg = int(rng.integers(1, 4))
-        zeros = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                 for _ in range(deg)]
-        poles = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))]
+        zeros = _random_points(rng, deg, 0.3, 2.0)
+        poles = _random_points(rng, 1, 0.3, 2.0)
         f = RationalFunction.from_roots(zeros, poles)
         qp = QParam(2.0)
         rows = logderiv_lemma_check(MeroModel.from_rational(f, qp), qp, 1, grid)
@@ -347,18 +349,12 @@ def run_logderiv(seed: int = 20240501, M: int = 512) -> list:
                                decr, rows[-1].ratio, rows[-2].ratio))
     out.append(_res("logderiv", "rational set ratio at r=1e4", worst, 0.2))
     qp = QParam(0.5)
-    prodE = BigEProduct(qp)
-    modelE = MeroModel.from_q_product(prodE.zeros_up_to, prodE.log_eval,
-                                      eval_fn=prodE.eval, qp=qp,
-                                      shift_ratio=prodE.shift_ratio)
+    modelE = MeroModel.from_product(BigEProduct(qp))
     rowsE = logderiv_lemma_check(modelE, qp, 1, grid, M=256)
     out.append(_res("logderiv", "big-E product ratio at r=1e4",
                     rowsE[-1].ratio, 0.2))
     qp2 = QParam(2.0)
-    prodT = EtildeProduct(qp2)
-    modelT = MeroModel.from_q_product(prodT.zeros_up_to, prodT.log_eval,
-                                      eval_fn=prodT.eval, qp=qp2,
-                                      shift_ratio=prodT.shift_ratio)
+    modelT = MeroModel.from_product(EtildeProduct(qp2))
     rowsT = logderiv_lemma_check(modelT, qp2, 1, grid, M=256)
     out.append(_res("logderiv", "etilde product ratio at r=1e4",
                     rowsT[-1].ratio, 0.2))
@@ -392,9 +388,7 @@ def run_orders(N: int = 72, M: int = 1024) -> list:
     out.append(CheckResult("orders", "etilde_q(q=2) nu-estimator",
                            1.8 <= est1.value <= 2.2, est1.value, 2.0))
     qp = QParam(0.5)
-    prodE = BigEProduct(qp)
-    modelE = MeroModel.from_q_product(prodE.zeros_up_to, prodE.log_eval,
-                                      eval_fn=prodE.eval, qp=qp)
+    modelE = MeroModel.from_product(BigEProduct(qp))
     est2 = log_order_from_counting(modelE, grid, target=0.0)
     out.append(CheckResult("orders", "big_e_q(q=0.5) counting estimator",
                            1.8 <= est2.value <= 2.2, est2.value, 2.0))
@@ -421,10 +415,8 @@ def run_defects(seed: int = 20240501, count: int = 5, M: int = 512) -> list:
     for _ in range(count):
         nz = int(rng.integers(1, 4))
         np_ = int(rng.integers(1, 4))
-        zeros = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                 for _ in range(nz)]
-        poles = [float(rng.uniform(0.3, 2.0)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-                 for _ in range(np_)]
+        zeros = _random_points(rng, nz, 0.3, 2.0)
+        poles = _random_points(rng, np_, 0.3, 2.0)
         f = RationalFunction.from_roots(zeros, poles)
         model = MeroModel.from_rational(f, qp)
         reports = defect_estimates(model, grid, [0.0, 1.0, -1.0, INF])

@@ -58,6 +58,9 @@ from .qspecial import (
 
 _EVAL_FNS = ("exp_q", "etilde_q", "E_q", "sin_q", "cos_q", "phi_rs")
 _ORDER_MODELS = ("etilde_q", "E_q", "exp_q", "polynomial")
+# the functions with a product form; each class raises RegimeMismatch on
+# the side of |q| = 1 where its product does not converge
+_PRODUCTS = {"etilde_q": EtildeProduct, "E_q": BigEProduct}
 
 
 # ---------------------------------------------------------------------------
@@ -191,41 +194,36 @@ def _eval_series(name: str, qp: QParam, N: int, alphas, betas) -> TruncatedSerie
     raise UnknownFunction(f"unknown function id {name!r}")
 
 
-def _eval_product(name: str, qp: QParam, z: complex, tol: float) -> complex:
-    if name == "etilde_q":
-        return EtildeProduct(qp, tol).eval(z)  # raises RegimeMismatch |q|<=1
-    if name == "E_q":
-        return BigEProduct(qp, tol).eval(z)
-    raise RegimeMismatch(f"{name} has no product form")
-
-
 def cmd_eval(cfg: RunConfig, name: str, zs, route: str, alphas, betas) -> int:
     if name not in _EVAL_FNS:
         raise UnknownFunction(
             f"unknown function id {name!r}; choose from {_EVAL_FNS}")
     qp = QParam(cfg.q)
     series = _eval_series(name, qp, cfg.N, alphas, betas)
+    try:
+        if name not in _PRODUCTS:
+            raise RegimeMismatch(f"{name} has no product form")
+        product = _PRODUCTS[name](qp, cfg.tol)
+    except RegimeMismatch:
+        if route == "product":
+            raise
+        product = None
     rows = []
     for z in zs:
         used = route
         if route == "auto":
             certified = (series.safe_radius is not None
                          and abs(z) <= series.safe_radius)
-            if certified:
-                used = "series"
-            else:
-                try:
-                    _eval_product(name, qp, 0.0, cfg.tol)
-                    used = "product"
-                except RegimeMismatch:
-                    used = "series"  # uncertified; error bound reported NaN
+            # past a certified radius the series raises OutsideSafeRadius;
+            # with no radius its error bound is reported NaN
+            used = "series" if certified or product is None else "product"
         if used == "series":
             val = series.eval(z)
             certified = (series.safe_radius is not None
                          and abs(z) <= series.safe_radius * (1 + 1e-12))
             err = series.tail_tol if certified else math.nan
         else:
-            val = _eval_product(name, qp, z, cfg.tol)
+            val = product.eval(z)
             err = 2.0 * cfg.tol * abs(val)
         rows.append((z, val, err))
     print(f"# {name} at q = {format_complex(cfg.q)} (N = {cfg.N})")
@@ -348,16 +346,12 @@ def _order_models(name: str, qp: QParam, N: int, coeffs):
     if name == "etilde_q":
         if abs(qp.q) <= 1.0:
             raise RegimeMismatch("etilde_q is entire only for |q| > 1")
-        prod = EtildeProduct(qp)
-        model = MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
-                                         eval_fn=prod.eval, qp=qp)
+        model = MeroModel.from_product(_PRODUCTS[name](qp))
         return ["nu", "counting"], etilde_q(qp, N), model
     if name == "E_q":
         if abs(qp.q) >= 1.0:
             raise RegimeMismatch("E_q is entire only for |q| < 1")
-        prod = BigEProduct(qp)
-        model = MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
-                                         eval_fn=prod.eval, qp=qp)
+        model = MeroModel.from_product(_PRODUCTS[name](qp))
         return ["counting", "nu"], big_e_q(qp, N), model
     if name == "exp_q":
         if abs(qp.q) <= 1.0:

@@ -8,7 +8,9 @@ Normalisations:
 
 f is a MeroModel of one of four typed shapes (rational, entire series,
 q-product, sampler), and the functionals ask every shape the same
-questions; a shape that cannot answer one raises TargetUnsupported.
+questions; a shape that cannot answer one raises TargetUnsupported. A
+product model holds its product (MeroModel.from_product) and reads its
+zeros, log|f|, base and shift ratio off it.
 Jackson weights and D_q f come from rational models only. The shift
 ratio R, f(qz) = R(z) f(z), which makes D_q^k f / f one exact rational
 function, comes from a product at its own base and from a rational model
@@ -133,25 +135,24 @@ class MeroModel:
     SeriesModel    an entire TruncatedSeries with a certified radius; zero
                    moduli from companion eigenvalues, each annulus count
                    certified by one argument-principle winding number
-    ProductModel   an entire product with f(0) = 1, an exact zero
-                   lattice and an overflow-free log_eval (when bound to a
-                   LatticeProduct, log|f| is the product's real log_abs,
-                   one array per circle; else the real part of log_eval,
-                   one point per call), and an optional shift ratio R,
-                   f(qz) = R(z) f(z) at its own base qp, which makes
-                   D_q^k f / f exact
+    ProductModel   an entire product with f(0) = 1, held whole (a
+                   LatticeProduct, or an object with its zeros_up_to,
+                   log_abs on arrays, eval, qp and shift_ratio): an exact
+                   zero lattice, log|f| as the product's real log_abs, one
+                   array per circle, and its base qp; its shift ratio R,
+                   f(qz) = R(z) f(z) at that base (None when unknown),
+                   makes D_q^k f / f exact
     SamplerModel   a black box; proximity only (declared entire when the
                    caller knows there are no poles)
 
     A question a shape cannot answer raises TargetUnsupported; the
     defaults below are those of an entire function known by its zero
-    divisor, with no Jackson weights, no D_q f and the shift ratio only
-    of a product at its own base. Shapes supply _log_abs, never log_abs,
-    so every log|f| goes through this class's one method.
+    divisor, with no Jackson weights, no D_q f and no shift ratio. Shapes
+    supply _log_abs, never log_abs, so every log|f| goes through this
+    class's one method.
     """
 
     qp: Optional[QParam]
-    shift_ratio: Optional[RationalFunction] = None
 
     @classmethod
     def from_rational(cls, rf: RationalFunction,
@@ -164,16 +165,30 @@ class MeroModel:
         return SeriesModel(ts, qp)
 
     @classmethod
-    def from_q_product(cls, zeros_up_to: Callable[[float], list],
-                       log_eval: Callable[[complex], complex],
-                       eval_fn: Optional[Callable[[complex], complex]] = None,
-                       qp: Optional[QParam] = None,
-                       shift_ratio: Optional[RationalFunction] = None
-                       ) -> "MeroModel":
-        """An entire product with f(0) = 1. shift_ratio is the
-        structural R with f(qz) = R(z) f(z) for q = qp.q (the shift_ratio
-        of a LatticeProduct); it needs qp."""
-        return ProductModel(zeros_up_to, log_eval, eval_fn, qp, shift_ratio)
+    def from_product(cls, product: LatticeProduct) -> "MeroModel":
+        """An entire product with f(0) = 1: a LatticeProduct, or any object
+        with its members zeros_up_to(r), log_abs(zs) on arrays, eval(z),
+        qp and shift_ratio (None when no rational R is known)."""
+        return ProductModel(product)
+
+    @classmethod
+    def from_q_product(cls, zeros_up_to, log_eval, eval_fn=None,
+                       qp: Optional[QParam] = None) -> "MeroModel":
+        """from_product(product) for the bound methods of one
+        LatticeProduct, the spelling of earlier releases. Plain callables,
+        and a qp other than the product's own, raise DomainError."""
+        product = getattr(log_eval, "__self__", None)
+        if not isinstance(product, LatticeProduct) or any(
+                getattr(fn, "__self__", None) is not product
+                for fn in (zeros_up_to, eval_fn) if fn is not None):
+            raise DomainError("from_q_product takes one LatticeProduct's "
+                              "bound methods; pass the product to "
+                              "MeroModel.from_product")
+        if qp is not None and qp.q != product.qp.q:
+            raise DomainError("qp differs from the product's own base; "
+                              "MeroModel.from_product takes it from the "
+                              "product")
+        return cls.from_product(product)
 
     @classmethod
     def from_sampler(cls, sampler: Sampler, entire: bool = False,
@@ -219,8 +234,6 @@ class MeroModel:
     def shift_ratio_at(self, qp: QParam) -> Optional[RationalFunction]:
         """The rational R with f(qz) = R(z) f(z) and R(0) = 1 for
         q = qp.q, or None when the shape does not know one."""
-        if self.shift_ratio is not None and self.qp.q == qp.q:
-            return self.shift_ratio
         return None
 
     def jackson_weights(self, target, qp: QParam):
@@ -356,51 +369,35 @@ class SeriesModel(MeroModel):
 
 @dataclass(eq=False)
 class ProductModel(MeroModel):
-    zeros_fn: Callable[[float], list]
-    log_eval: Callable[[complex], complex]
-    eval_fn: Optional[Callable[[complex], complex]] = None
-    qp: Optional[QParam] = None
-    shift_ratio: Optional[RationalFunction] = None
+    product: LatticeProduct
 
-    def __post_init__(self):
-        if self.shift_ratio is not None and self.qp is None:
-            raise DomainError("a shift ratio needs the product's base qp")
-        log_eval = self.log_eval
-        owner = getattr(log_eval, "__self__", None)
-        if isinstance(owner, LatticeProduct):
-            self._log_eval_flat = log_eval
-            self._log_abs_flat = owner.log_abs
-        else:
-            self._log_eval_flat = lambda flat: np.array(
-                [log_eval(z) for z in flat], dtype=np.complex128)
-            self._log_abs_flat = lambda flat: np.real(
-                self._log_eval_flat(flat))
-
-    def _log_eval_vec(self, zs):
-        flat = np.ravel(np.asarray(zs, dtype=np.complex128))
-        return self._log_eval_flat(flat).reshape(np.shape(zs))
+    @property
+    def qp(self) -> QParam:
+        return self.product.qp
 
     def eval(self, z):
-        if self.eval_fn is not None:
-            return _pointwise(self.eval_fn, z)
-        return np.exp(self._log_eval_vec(z))
+        return self.product.eval(z)
 
     def _log_abs(self, zs: np.ndarray) -> np.ndarray:
-        return self._log_abs_flat(np.ravel(zs)).reshape(np.shape(zs))
+        return self.product.log_abs(zs)
 
     def sampler(self) -> Sampler:
-        log_eval = self.log_eval
-        return Sampler(self.eval_fn if self.eval_fn is not None
-                       else (lambda z: np.exp(log_eval(z))))
+        return Sampler(self.product.eval)
 
     def zeros_up_to(self, r: float):
-        return list(self.zeros_fn(r))
+        return list(self.product.zeros_up_to(r))
 
     def _zero_divisor(self, r: float):
-        return _split_origin(self.zeros_fn(r))
+        return _split_origin(self.product.zeros_up_to(r))
 
     def origin_leading(self):
         return 0, 1.0 + 0.0j
+
+    def shift_ratio_at(self, qp: QParam) -> Optional[RationalFunction]:
+        """The product's own R at its own base, else None."""
+        if qp.q == self.product.qp.q:
+            return self.product.shift_ratio
+        return None
 
 
 @dataclass(eq=False)
@@ -410,7 +407,10 @@ class SamplerModel(MeroModel):
     qp: Optional[QParam] = None
 
     def eval(self, z):
-        return _pointwise(self.fn, z)
+        """fn at a point, or at each point of an array, one call per point."""
+        if np.ndim(z) == 0:
+            return self.fn(z)
+        return np.array([self.fn(w) for w in np.ravel(z)]).reshape(np.shape(z))
 
     def sampler(self) -> Sampler:
         return self.fn
@@ -434,13 +434,6 @@ def _split_origin(pts):
     """(origin multiplicity, [(modulus, multiplicity)]) of (z, m) pairs."""
     return (sum(m for z, m in pts if abs(z) == 0.0),
             [(abs(z), m) for z, m in pts if abs(z) > 0.0])
-
-
-def _pointwise(fn: Callable, z):
-    """fn at a point, or at each point of an array, one call per point."""
-    if np.ndim(z) == 0:
-        return fn(z)
-    return np.array([fn(w) for w in np.ravel(z)]).reshape(np.shape(z))
 
 
 def _origin_multiplicity(coeffs: np.ndarray) -> int:

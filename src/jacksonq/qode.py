@@ -35,6 +35,7 @@ from .errors import (
     OutsideDomain,
 )
 from .polyroots import (
+    CLUSTER_TOL,
     poly_deflate,
     poly_eval,
     poly_from_roots,
@@ -45,21 +46,21 @@ from .polyroots import (
 from .qcore import QParam, TruncatedSeries, q_brackets
 from .qoperator import Sampler, dqk_closed_form
 
-_COPRIME_CLUSTER_TOL = 1e-8
 _CONDITION_WARN = 1e-3
 
 
 class RationalFunction:
-    """Ratio of two complex polynomials, kept coprime by cancelling root
-    clusters that the numerator and denominator share (within the
-    root-clustering tolerance) unless built with cancel=False.
+    """Ratio of two complex polynomials, kept coprime by cancelling the
+    roots that the numerator and denominator share unless built with
+    cancel=False.
 
     zeros() and poles() are the function's root lists, sorted
     (location, multiplicity) pairs kept on the instance: the lists
     attached by from_roots, or else one solve per polynomial. A solve
     reads the origin multiplicity exactly off the coefficients (the index
     of the first nonzero one, the order origin_order gives) and finds the
-    other roots with roots_with_multiplicity on the rest.
+    other roots with roots_with_multiplicity on the rest. Cancelling
+    solves both polynomials at construction, so it keeps both lists.
     """
 
     def __init__(self, num, den=(1.0,), cancel: bool = True):
@@ -67,12 +68,12 @@ class RationalFunction:
         den = poly_trim(den)
         if np.all(np.abs(den) == 0.0):
             raise DomainError("denominator is identically zero")
-        if cancel and num.size > 1 and den.size > 1 and np.any(np.abs(num) > 0):
-            num, den = _cancel_common(num, den)
         self.num = num
         self.den = den
         self._zeros = None
         self._poles = None
+        if cancel and num.size > 1 and den.size > 1 and np.any(np.abs(num) > 0):
+            self._cancel_common()
 
     @classmethod
     def from_roots(cls, zeros: Sequence[complex], poles: Sequence[complex],
@@ -116,6 +117,31 @@ class RationalFunction:
         if self._poles is None:
             self._poles = _root_list(self.den)
         return self._poles
+
+    def _cancel_common(self):
+        """Pair each zero with a pole within CLUSTER_TOL of the scale
+        max(1, max |z|) of both lists, deflate num and den by the shared
+        multiplicity (at their midpoint, or at 0 within the tolerance of
+        the origin) and keep both lists less the shared entries."""
+        zeros, poles = _root_list(self.num), _root_list(self.den)
+        tol = CLUSTER_TOL * max([1.0] + [abs(z) for z, _ in zeros + poles])
+        num, den = self.num, self.den
+        for i, (zloc, zm) in enumerate(zeros):
+            for j, (ploc, pm) in enumerate(poles):
+                if pm and abs(zloc - ploc) <= tol:
+                    shared = min(zm, pm)
+                    root = 0.5 * (zloc + ploc)
+                    if abs(root) < tol:
+                        root = 0.0
+                    for _ in range(shared):
+                        num = poly_deflate(num, root)
+                        den = poly_deflate(den, root)
+                    zeros[i] = (zloc, zm - shared)
+                    poles[j] = (ploc, pm - shared)
+                    break
+        self.num, self.den = poly_trim(num), poly_trim(den)
+        self._zeros = [(z, m) for z, m in zeros if m]
+        self._poles = [(z, m) for z, m in poles if m]
 
     def origin_order(self) -> tuple[int, int]:
         """(ord_0 num, ord_0 den): indices of the first nonzero coefficients."""
@@ -206,25 +232,6 @@ def _group(points):
             out.append((complex(p), 1))
     out.sort(key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
     return out
-
-
-def _cancel_common(num: np.ndarray, den: np.ndarray):
-    zn = roots_with_multiplicity(num, cluster_tol=_COPRIME_CLUSTER_TOL)
-    zd = roots_with_multiplicity(den, cluster_tol=_COPRIME_CLUSTER_TOL)
-    scale = max([1.0] + [abs(z) for z, _ in zn + zd])
-    for zloc, zm in zn:
-        for i, (ploc, pm) in enumerate(zd):
-            if abs(zloc - ploc) <= _COPRIME_CLUSTER_TOL * scale:
-                shared = min(zm, pm)
-                root = 0.5 * (zloc + ploc)
-                if abs(root) < _COPRIME_CLUSTER_TOL * scale:
-                    root = 0.0
-                for _ in range(shared):
-                    num = poly_deflate(num, root)
-                    den = poly_deflate(den, root)
-                zd[i] = (ploc, pm - shared)
-                break
-    return poly_trim(num), poly_trim(den)
 
 
 def dq_rational(f: RationalFunction, qp: QParam) -> RationalFunction:

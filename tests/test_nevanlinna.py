@@ -50,17 +50,50 @@ def model_z() -> MeroModel:
 
 
 def big_e_model(qv=0.5, qp=None) -> MeroModel:
-    qp = qp or QParam(qv)
-    prod = BigEProduct(qp)
-    return MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
-                                    eval_fn=prod.eval, qp=qp)
+    return MeroModel.from_product(BigEProduct(qp or QParam(qv)))
 
 
 def etilde_model(qv=2.0, qp=None) -> MeroModel:
-    qp = qp or QParam(qv)
-    prod = EtildeProduct(qp)
-    return MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
-                                    eval_fn=prod.eval, qp=qp)
+    return MeroModel.from_product(EtildeProduct(qp or QParam(qv)))
+
+
+class WeightedLattice:
+    """f = prod_{n>=1} (1 - q^{-n} z)^n for |q| > 1, whose n-th zero q^n
+    has multiplicity n: an entire product that is no LatticeProduct,
+    summed one log per factor at each point. No shift ratio is known."""
+
+    shift_ratio = None
+
+    def __init__(self, qp: QParam):
+        self.qp = qp
+
+    def log_eval(self, z) -> complex:
+        q = self.qp.q
+        out = 0.0 + 0.0j
+        n = 1
+        while True:
+            w = z * q ** (-n)
+            if n * abs(w) < 1e-15 and abs(w) < 0.5:
+                break
+            out += n * np.log(1.0 - w)
+            n += 1
+        return complex(out)
+
+    def eval(self, z):
+        return np.exp(self.log_eval(z))
+
+    def log_abs(self, zs) -> np.ndarray:
+        return np.array([self.log_eval(z).real for z in np.ravel(zs)]
+                        ).reshape(np.shape(zs))
+
+    def zeros_up_to(self, R):
+        q = self.qp.q
+        out = []
+        n = 1
+        while abs(q) ** n <= R:
+            out.append((q**n, n))
+            n += 1
+        return out
 
 
 class TestRadialGrid:
@@ -197,13 +230,6 @@ class TestModelShapes:
         sample = characteristic(model, 3.0, 64)
         assert math.isnan(sample.nJ0) and math.isnan(sample.nJinf)
         assert math.isfinite(sample.T)
-
-    def test_shift_ratio_needs_the_base(self):
-        prod = EtildeProduct(QParam(2.0))
-        with pytest.raises(DomainError):
-            MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval,
-                                     shift_ratio=prod.shift_ratio)
-        assert MeroModel.from_rational(RationalFunction([1.0])).shift_ratio is None
 
 
 class TestCountingN:
@@ -793,27 +819,7 @@ class TestGrowthFloor:
         qp = QParam(2.0)
         q = qp.q
         prod = EtildeProduct(qp)
-
-        def f_log_eval(z):
-            out = 0.0 + 0.0j
-            n = 1
-            while True:
-                w = z * q ** (-n)
-                if n * abs(w) < 1e-15 and abs(w) < 0.5:
-                    break
-                out += n * np.log(1.0 - w)
-                n += 1
-            return complex(out)
-
-        def f_zeros_up_to(R):
-            out = []
-            n = 1
-            while abs(q) ** n <= R:
-                out.append((q**n, n))
-                n += 1
-            return out
-
-        f_model = MeroModel.from_q_product(f_zeros_up_to, f_log_eval, qp=qp)
+        f_model = MeroModel.from_product(WeightedLattice(qp))
 
         def A_eval(z):
             if abs(z) < 1e-8:

@@ -67,13 +67,19 @@ class TestRationalFunction:
         assert zs == pytest.approx([-1.0, 1.0])
         assert f.poles()[0][0] == 0
 
-    def test_common_factor_cancelled(self):
+    def test_common_factor_cancelled(self, root_solves):
         # (z-1)(z-2) / (z-1)(z+3) -> (z-2)/(z+3)
         num = np.convolve([-1, 1], [-2, 1])
         den = np.convolve([-1, 1], [3, 1])
         f = RationalFunction(num, den)
         assert f.num_degree == 1 and f.den_degree == 1
         assert f.eval(5.0) == pytest.approx(3.0 / 8.0)
+        # cancelling solved each side once and kept the lists less z = 1
+        solves = len(root_solves)
+        [(zero, zm)], [(pole, pm)] = f.zeros(), f.poles()
+        assert len(root_solves) == solves == 2
+        assert zero == pytest.approx(2.0, rel=1e-14) and zm == 1
+        assert pole == pytest.approx(-3.0, rel=1e-14) and pm == 1
 
     def test_origin_series_geometric(self):
         f = RationalFunction([1], [1, -1])

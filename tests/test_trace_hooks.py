@@ -50,12 +50,10 @@ def test_every_layer_resolves_and_uninstall_restores(tracing):
 
 
 def _shapes():
-    qp = QParam(0.5)
-    prod = BigEProduct(qp)
     return [
         MeroModel.from_rational(RationalFunction([1.0, 2.0], [3.0, 1.0])),
         MeroModel.from_series(etilde_q(QParam(2.0), 48)),
-        MeroModel.from_q_product(prod.zeros_up_to, prod.log_eval, qp=qp),
+        MeroModel.from_product(BigEProduct(QParam(0.5))),
         MeroModel.from_sampler(Sampler(lambda z: 1.0 + z), entire=True),
     ]
 
