@@ -15,24 +15,23 @@ Complex numbers are written "re+imi" on the command line ("2", "0.5i",
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .checks import SUITES, run_suite
 from .errors import (
+    DomainError,
     JacksonQError,
     RegimeMismatch,
     SchemaError,
     TruncationTooShort,
-    UnknownFunction,
 )
 from .nevanlinna import (
     MeroModel,
@@ -139,38 +138,19 @@ def parse_grid(text: str) -> tuple:
     return rmin, rmax, pts
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a command run depends on; fixed config means identical
-    output bytes."""
-
-    q: complex = 0.5
-    N: int = 48
-    grid: tuple = (1e2, 1e6, 9)
-    nodes: int = 512
-    tol: float = 1e-12
-    seed: int = 20240501
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise SchemaError("tolerance must be positive")
-
-    def radial_grid(self) -> RadialGrid:
-        return RadialGrid.log_spaced(self.grid[0], self.grid[1], self.grid[2],
-                                     angular_nodes=self.nodes)
-
-
-def _emit(cfg: RunConfig, csv_text: str, json_obj) -> None:
-    if cfg.out is None:
+def _emit(args, csv_text: str, json_obj) -> None:
+    if args.out is None:
         return
-    with open(cfg.out, "w") as fh:
-        if cfg.fmt == "csv":
+    with open(args.out, "w") as fh:
+        if args.fmt == "csv":
             fh.write(csv_text)
         else:
             json.dump(json_obj, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def _parse_list(text: str) -> list:
+    return [parse_complex(tok) for tok in text.split(",") if tok.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -189,44 +169,53 @@ def _eval_series(name: str, qp: QParam, N: int, alphas, betas) -> TruncatedSerie
         return sinq_cosq(qp, N)[0]
     if name == "cos_q":
         return sinq_cosq(qp, N)[1]
-    if name == "phi_rs":
-        return phi_rs(PhiParams(tuple(alphas), tuple(betas), qp), N)
-    raise UnknownFunction(f"unknown function id {name!r}")
+    # phi_rs, the one id left once argparse has checked --fn
+    return phi_rs(PhiParams(tuple(alphas), tuple(betas), qp), N)
 
 
-def cmd_eval(cfg: RunConfig, name: str, zs, route: str, alphas, betas) -> int:
-    if name not in _EVAL_FNS:
-        raise UnknownFunction(
-            f"unknown function id {name!r}; choose from {_EVAL_FNS}")
-    qp = QParam(cfg.q)
-    series = _eval_series(name, qp, cfg.N, alphas, betas)
+def cmd_eval(args) -> int:
+    if args.tol <= 0:
+        raise SchemaError("tolerance must be positive")
+    name, route, q = args.fn, args.route, parse_complex(args.q)
+    zs = [parse_complex(z) for z in (args.z or ["0"])]
+    alphas, betas = _parse_list(args.alpha), _parse_list(args.beta)
+    qp = QParam(q)
+    series = _eval_series(name, qp, args.N, alphas, betas)
     try:
         if name not in _PRODUCTS:
             raise RegimeMismatch(f"{name} has no product form")
-        product = _PRODUCTS[name](qp, cfg.tol)
+        product = _PRODUCTS[name](qp, args.tol)
     except RegimeMismatch:
         if route == "product":
             raise
         product = None
+    radius = series.safe_radius
     rows = []
     for z in zs:
         used = route
         if route == "auto":
-            certified = (series.safe_radius is not None
-                         and abs(z) <= series.safe_radius)
-            # past a certified radius the series raises OutsideSafeRadius;
-            # with no radius its error bound is reported NaN
-            used = "series" if certified or product is None else "product"
-        if used == "series":
-            val = series.eval(z)
-            certified = (series.safe_radius is not None
-                         and abs(z) <= series.safe_radius * (1 + 1e-12))
-            err = series.tail_tol if certified else math.nan
-        else:
-            val = product.eval(z)
-            err = 2.0 * cfg.tol * abs(val)
+            # the radius test TruncatedSeries.eval applies: past it the
+            # series raises OutsideSafeRadius, and with no radius its
+            # error bound is reported NaN
+            inside = radius is not None and abs(z) <= radius * (1 + 1e-12)
+            used = "series" if inside or product is None else "product"
+        # an overflow is refused below, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if used == "series":
+                val = series.eval(z)
+                err = series.tail_tol if radius is not None else math.nan
+            else:
+                val = product.eval(z)
+                err = 2.0 * args.tol * abs(val)
+        if not cmath.isfinite(val):
+            where = f"{name} at z = {format_complex(z)}"
+            if used == "product":
+                log_abs = float(product.log_abs(np.array([z]))[0])
+                raise DomainError(f"{where} leaves double range "
+                                  f"(log|f| = {log_abs:.17g})")
+            raise DomainError(f"{where} is not a finite number")
         rows.append((z, val, err))
-    print(f"# {name} at q = {format_complex(cfg.q)} (N = {cfg.N})")
+    print(f"# {name} at q = {format_complex(q)} (N = {args.N})")
     for z, val, err in rows:
         print(f"z = {format_complex(z):>24s}  ->  {format_complex(val)}"
               f"   (err <= {err:.3g})")
@@ -235,14 +224,14 @@ def cmd_eval(cfg: RunConfig, name: str, zs, route: str, alphas, betas) -> int:
         for z, v, e in rows)
     json_obj = {
         "function": name,
-        "q": [cfg.q.real, cfg.q.imag],
-        "N": cfg.N,
+        "q": [q.real, q.imag],
+        "N": args.N,
         "values": [
             {"z": [z.real, z.imag], "value": [v.real, v.imag], "err_bound": e}
             for z, v, e in rows
         ],
     }
-    _emit(cfg, csv_text, json_obj)
+    _emit(args, csv_text, json_obj)
     return 0
 
 
@@ -301,10 +290,10 @@ def load_problem(path: str):
     return prob, N
 
 
-def cmd_solve(cfg: RunConfig, path: str, N_override: Optional[int]) -> int:
-    prob, N = load_problem(path)
-    if N_override is not None:
-        N = N_override
+def cmd_solve(args) -> int:
+    prob, N = load_problem(args.problem)
+    if args.N is not None:
+        N = args.N
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         f = solve_series(prob, N)
@@ -329,7 +318,7 @@ def cmd_solve(cfg: RunConfig, path: str, N_override: Optional[int]) -> int:
         "residual_max": max_abs,
         "coefficients": [[f.c(n).real, f.c(n).imag] for n in range(N + 1)],
     }
-    _emit(cfg, csv_text, json_obj)
+    _emit(args, csv_text, json_obj)
     if not ok:
         print(f"# FAIL residual exceeds 1e-8 * scale", file=sys.stderr)
         return 1
@@ -357,25 +346,26 @@ def _order_models(name: str, qp: QParam, N: int, coeffs):
         if abs(qp.q) <= 1.0:
             raise RegimeMismatch("exp_q is entire only for |q| > 1")
         return ["nu"], exp_q(qp, N), None
-    if name == "polynomial":
-        if coeffs is None:
-            raise SchemaError("polynomial model needs --coeffs")
-        rf = RationalFunction(coeffs)
-        if rf.num_degree < 1:
-            raise SchemaError("polynomial must be nonconstant")
-        return ["T"], None, MeroModel.from_rational(rf)
-    raise UnknownFunction(
-        f"unknown order model {name!r}; choose from {_ORDER_MODELS}")
+    # polynomial, the one id left once argparse has checked --model
+    if coeffs is None:
+        raise SchemaError("polynomial model needs --coeffs")
+    rf = RationalFunction(coeffs)
+    if rf.num_degree < 1:
+        raise SchemaError("polynomial must be nonconstant")
+    return ["T"], None, MeroModel.from_rational(rf)
 
 
-def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
-    qp = QParam(cfg.q) if name != "polynomial" else QParam(0.5)
-    auto, series, model = _order_models(name, qp, cfg.N, coeffs)
+def cmd_order(args) -> int:
+    name, estimator = args.model, args.estimator
+    q, grid_spec = parse_complex(args.q), parse_grid(args.grid)
+    coeffs = _parse_list(args.coeffs) if args.coeffs else None
+    qp = QParam(q) if name != "polynomial" else QParam(0.5)
+    auto, series, model = _order_models(name, qp, args.N, coeffs)
     wanted = auto if estimator == "auto" else [estimator]
-    grid = cfg.radial_grid()
+    grid = RadialGrid.log_spaced(*grid_spec, angular_nodes=args.nodes)
 
     def sweep():
-        return [characteristic(model, r, cfg.nodes)
+        return [characteristic(model, r, args.nodes)
                 for r in grid.avoiding(
                     model.known_moduli(grid.radii[-1] * 2)).radii]
 
@@ -392,13 +382,11 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
                 if "counting" not in auto:  # only the products carry a lattice
                     raise SchemaError(f"{name} has no zero lattice")
                 est = log_order_from_counting(model, grid, target=0.0)
-            elif est_name == "T":
+            else:  # "T"
                 if model is None:
                     raise SchemaError(f"{name} has no sweepable model")
                 samples = sweep()
                 est = log_order_from_T(samples)
-            else:
-                raise SchemaError(f"unknown estimator {estimator!r}")
         except TruncationTooShort as e:
             # the series is too short for this grid; auto keeps the rest
             refusals.append(f"{est_name}: TruncationTooShort: {e}")
@@ -410,11 +398,11 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
         return 1
     for line in refusals:
         print(f"# skipped estimator {line}", file=sys.stderr)
-    print(f"# logarithmic order of {name} at q = {format_complex(cfg.q)}")
+    print(f"# logarithmic order of {name} at q = {format_complex(q)}")
     for est in estimates:
         print(f"sigma_log[{est.estimator:>8s}] = {est.value:.4f} "
               f"+- {est.half_width:.4f}")
-    if cfg.out and cfg.fmt == "csv" and not samples and model is not None:
+    if args.out and args.fmt == "csv" and not samples and model is not None:
         samples = sweep()
     csv_text = samples_to_csv(samples) if samples else (
         "estimator,sigma_log,half_width\n" + "".join(
@@ -422,8 +410,8 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
             for e in estimates))
     json_obj = {
         "model": name,
-        "q": [cfg.q.real, cfg.q.imag],
-        "grid": list(cfg.grid),
+        "q": [q.real, q.imag],
+        "grid": list(grid_spec),
         "estimates": [
             {"estimator": e.estimator, "sigma_log": e.value,
              "half_width": e.half_width} for e in estimates
@@ -434,7 +422,7 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
             for s in samples
         ],
     }
-    _emit(cfg, csv_text, json_obj)
+    _emit(args, csv_text, json_obj)
     return 0
 
 
@@ -443,11 +431,8 @@ def cmd_order(cfg: RunConfig, name: str, estimator: str, coeffs) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    if suite != "all" and suite not in SUITES:
-        raise SchemaError(
-            f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
-    rows = run_suite(suite, seed=cfg.seed)
+def cmd_verify(args) -> int:
+    rows = run_suite(args.suite, seed=args.seed)
     for row in rows:
         print(row.line())
     failures = [r for r in rows if not r.passed]
@@ -463,7 +448,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
         {"suite": r.suite, "name": r.name, "passed": r.passed,
          "value": r.value, "threshold": r.threshold} for r in rows
     ]
-    _emit(cfg, csv_text, json_obj)
+    _emit(args, csv_text, json_obj)
     return 1 if failures else 0
 
 
@@ -472,31 +457,37 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+# option -> argparse settings; each command names the ones it reads, so
+# a flag it would ignore is a usage error
+_OPTIONS = {
+    "--q": dict(default="0.5", help="base q as re+imi (default 0.5)"),
+    "--N": dict(type=int, default=48, help="truncation order (default 48)"),
+    "--grid": dict(default="1e2:1e6:9", help="rmin:rmax:points (log-spaced)"),
+    "--nodes": dict(type=int, default=512, help="angular quadrature nodes"),
+    "--tol": dict(type=float, default=1e-12),
+    "--seed": dict(type=int, default=20240501),
+    "--out": dict(default=None, help="artifact path"),
+    "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="jacksonq",
         description="Jackson q-difference calculus and Nevanlinna toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--q", default="0.5",
-                        help="base q as re+imi (default 0.5)")
-        sp.add_argument("--N", type=int, default=None,
-                        help="truncation order (default 48; solve: the "
-                             "problem file's N)")
-        sp.add_argument("--grid", default="1e2:1e6:9",
-                        help="rmin:rmax:points (log-spaced)")
-        sp.add_argument("--nodes", type=int, default=512,
-                        help="angular quadrature nodes")
-        sp.add_argument("--tol", type=float, default=1e-12)
-        sp.add_argument("--seed", type=int, default=20240501)
-        sp.add_argument("--out", default=None, help="artifact path")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default="csv")
+    def command(name, run, options, **kw):
+        sp = sub.add_parser(name, **kw)
+        for flag in options:
+            sp.add_argument(flag, **_OPTIONS[flag])
+        sp.set_defaults(run=run)
+        return sp
 
-    pe = sub.add_parser("eval", help="evaluate a q-special function")
-    common(pe)
-    pe.add_argument("--fn", required=True, help="|".join(_EVAL_FNS))
+    pe = command("eval", cmd_eval,
+                 ("--q", "--N", "--tol", "--out", "--format"),
+                 help="evaluate a q-special function")
+    pe.add_argument("--fn", required=True, choices=_EVAL_FNS)
     pe.add_argument("--z", action="append", default=None,
                     help="evaluation point re+imi (repeatable)")
     pe.add_argument("--route", choices=("auto", "series", "product"),
@@ -504,63 +495,35 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--alpha", default="", help="phi_rs upper params, comma-sep")
     pe.add_argument("--beta", default="", help="phi_rs lower params, comma-sep")
 
-    ps = sub.add_parser("solve", help="solve D_q^k f + A f = B from JSON")
-    common(ps)
+    ps = command("solve", cmd_solve, ("--out", "--format"),
+                 help="solve D_q^k f + A f = B from JSON")
+    ps.add_argument("--N", type=int, default=None,
+                    help="truncation order (default: the problem file's N)")
     ps.add_argument("--problem", required=True, help="problem JSON path")
 
-    po = sub.add_parser("order", help="logarithmic order estimation")
-    common(po)
-    po.add_argument("--model", required=True, help="|".join(_ORDER_MODELS))
+    po = command("order", cmd_order,
+                 ("--q", "--N", "--grid", "--nodes", "--out", "--format"),
+                 help="logarithmic order estimation")
+    po.add_argument("--model", required=True, choices=_ORDER_MODELS)
     po.add_argument("--estimator", choices=("auto", "nu", "counting", "T"),
                     default="auto")
     po.add_argument("--coeffs", default=None,
                     help="polynomial coefficients, comma-separated re+imi")
 
-    pv = sub.add_parser("verify", help="run a check suite")
-    common(pv)
-    pv.add_argument("--suite", required=True,
-                    help="|".join(sorted(SUITES)) + "|all")
+    pv = command("verify", cmd_verify, ("--seed", "--out", "--format"),
+                 help="run a check suite")
+    pv.add_argument("--suite", required=True, choices=[*sorted(SUITES), "all"])
     return p
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        q=parse_complex(args.q),
-        N=args.N if args.N is not None else 48,
-        grid=parse_grid(args.grid),
-        nodes=args.nodes,
-        tol=args.tol,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
-
-
-def _parse_list(text: str) -> list:
-    return [parse_complex(tok) for tok in text.split(",") if tok.strip()]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        cfg = _config_from(args)
-        if args.command == "eval":
-            zs = [parse_complex(z) for z in (args.z or ["0"])]
-            return cmd_eval(cfg, args.fn, zs, args.route,
-                            _parse_list(args.alpha), _parse_list(args.beta))
-        if args.command == "solve":
-            return cmd_solve(cfg, args.problem, args.N)
-        if args.command == "order":
-            coeffs = _parse_list(args.coeffs) if args.coeffs else None
-            return cmd_order(cfg, args.model, args.estimator, coeffs)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        raise SchemaError(f"unknown command {args.command!r}")
-    except (SchemaError, UnknownFunction, RegimeMismatch) as e:
+        return args.run(args)
+    except (SchemaError, RegimeMismatch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except JacksonQError as e:

@@ -79,10 +79,6 @@ class RegimeMismatch(DomainError):
     """Function form requested in the wrong |q| regime."""
 
 
-class UnknownFunction(JacksonQError):
-    """CLI asked for a special-function id that does not exist."""
-
-
 class SchemaError(JacksonQError):
     """Problem/model file does not match its JSON schema."""
 

@@ -270,8 +270,7 @@ class RationalModel(MeroModel):
                     - np.log(np.abs(poly_eval(rf.den, zs))))
 
     def sampler(self) -> Sampler:
-        rf = self.rational
-        return Sampler(rf.eval, None, tuple(rf.poles()))
+        return Sampler(self.rational.eval)
 
     def is_entire(self) -> bool:
         return self.rational.den_degree == 0

@@ -33,14 +33,11 @@ class Sampler:
     """A function of one complex variable as an evaluable object.
 
     ``eval`` must be deterministic and re-entrant. ``domain_radius``
-    restricts where evaluation is allowed (None = whole plane);
-    ``pole_list`` optionally records known poles as (location,
-    multiplicity) pairs for callers that must avoid them.
+    restricts where evaluation is allowed (None = whole plane).
     """
 
     eval: Callable[[complex], complex]
     domain_radius: Optional[float] = None
-    pole_list: Optional[tuple] = None
 
     def __call__(self, z: complex) -> complex:
         if self.domain_radius is not None and abs(z) > self.domain_radius:

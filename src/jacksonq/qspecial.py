@@ -156,18 +156,22 @@ def big_e_q(qp: QParam, N: int) -> TruncatedSeries:
 
 
 def sinq_cosq(qp: QParam, N: int):
-    """q-sine and q-cosine built from exp_q via z -> +-iz:
+    """q-sine and q-cosine from exp_q's coefficients e_n = 1/[n]_q!:
 
-        cos_q = (e_q^{iz} + e_q^{-iz})/2,   sin_q = (e_q^{iz} - e_q^{-iz})/(2i).
+        cos_q = (e_q^{iz} + e_q^{-iz})/2 = sum_n (-1)^n e_{2n} z^{2n},
+        sin_q = (e_q^{iz} - e_q^{-iz})/(2i) = sum_n (-1)^n e_{2n+1} z^{2n+1}.
 
     They solve D_q^2 f + f = 0 with D_q sin_q = cos_q and
-    D_q cos_q = -sin_q; sin_q keeps only odd powers, cos_q only even.
+    D_q cos_q = -sin_q. Every coefficient is 0 or +-e_n, so
+    |c_n| <= |e_n| for all n: exp_q's geometric tail model bounds both
+    tails too, and both carry exp_q's certified radius.
     """
     e = exp_q(qp, N)
-    ei = e.scale_arg(1j)
-    emi = e.scale_arg(-1j)
-    sin_q = (ei - emi) * (1.0 / 2j)
-    cos_q = (ei + emi) * 0.5
+    n = np.arange(N + 1)
+    signed = np.where(n % 4 < 2, e.coeffs, -e.coeffs)
+    odd = n % 2 == 1
+    sin_q = e._with_radius(np.where(odd, signed, 0.0), e.safe_radius)
+    cos_q = e._with_radius(np.where(odd, 0.0, signed), e.safe_radius)
     return sin_q, cos_q
 
 

@@ -1,13 +1,26 @@
+import argparse
 import csv
 import functools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from jacksonq import checks
-from jacksonq.cli import format_complex, main, parse_complex, parse_grid
+from jacksonq.cli import (
+    build_parser,
+    format_complex,
+    main,
+    parse_complex,
+    parse_grid,
+)
 from jacksonq.errors import SchemaError
 from jacksonq.qcore import QParam, q_pochhammer
+from jacksonq.qspecial import etilde_q
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestComplexParsing:
@@ -75,6 +88,36 @@ class TestEval:
     def test_phi_rs(self, capsys):
         assert main(["eval", "--fn", "phi_rs", "--q", "0.5", "--alpha", "0",
                      "--z", "0.25", "--N", "32"]) == 0
+
+    def test_value_past_double_range_exits_1(self, capsys):
+        # the product route: f overflows, log|f| = 729.49 does not
+        assert main(["eval", "--fn", "etilde_q", "--q", "2",
+                     "--z", "1e14"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: etilde_q at z = 100000000000000 leaves double range "
+            "(log|f| = 729.49")
+        assert "nan" not in captured.err
+
+    def test_series_overflow_exits_1(self, capsys):
+        # no certified radius and no product form: the series route
+        assert main(["eval", "--fn", "etilde_q", "--q", "0.5",
+                     "--z", "1e200"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not a finite number" in captured.err
+
+    def test_one_radius_rule(self, capsys):
+        # just past R but within R (1 + 1e-12), where the series still
+        # evaluates: auto takes the series and reports its tail bound
+        series = etilde_q(QParam(2.0), 48)
+        z = float(series.safe_radius) * (1 + 5e-13)
+        assert main(["eval", "--fn", "etilde_q", "--q", "2",
+                     "--z", repr(z)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert float(line.split("->")[1].split("(")[0]) == series.eval(z).real
+        assert line.endswith(f"(err <= {series.tail_tol:.3g})")
 
     def test_uncertified_series_reports_nan_bound(self, capsys, tmp_path):
         # |q| < 1: etilde_q has a finite radius (no safe_radius here) and
@@ -311,3 +354,66 @@ class TestRunSuite:
         monkeypatch.setitem(checks.SUITES, suite, counted)
         assert checks.run_suite(suite, seed=5) == []
         assert calls == [kwargs]
+
+
+class TestOptionSurface:
+    """Each command takes only the options it reads."""
+
+    # flags each command does not read
+    REMOVED = {
+        "verify": ["--q", "--N", "--grid", "--nodes", "--tol"],
+        "solve": ["--q", "--grid", "--nodes", "--tol", "--seed"],
+        "eval": ["--grid", "--nodes", "--seed"],
+        "order": ["--tol", "--seed"],
+    }
+    VALUES = {"--q": "2", "--N": "3", "--grid": "1e2:1e3:4", "--nodes": "64",
+              "--tol": "1e-10", "--seed": "3"}
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in REMOVED.items()
+        for flag in flags])
+    def test_removed_flag_is_a_usage_error(self, command, flag, tmp_path,
+                                           capsys):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "k": 1, "q": 0.5, "A": {"num": [-1.0]}, "initial": [1.0],
+            "N": 8}))
+        base = {
+            "verify": ["--suite", "casorati"],
+            "solve": ["--problem", str(problem)],
+            "eval": ["--fn", "exp_q", "--z", "1"],
+            "order": ["--model", "polynomial", "--coeffs", "1,0,2",
+                      "--grid", "1e2:1e5:6", "--nodes", "64"],
+        }[command]
+        assert main([command, *base]) == 0
+        capsys.readouterr()
+        assert main([command, *base, flag, self.VALUES[flag]]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @staticmethod
+    def _options(command):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        return {opt for action in sub.choices[command]._actions
+                for opt in action.option_strings if opt not in ("-h", "--help")}
+
+    def test_readme_table_lists_each_command_s_options(self):
+        rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", README.read_text(),
+                          flags=re.M)
+        table = {cmd: set(re.findall(r"`(--\w+)`", opts))
+                 for cmd, opts in rows}
+        assert table == {cmd: self._options(cmd)
+                         for cmd in ("eval", "solve", "order", "verify")}
+        assert sum(map(len, table.values())) == 27
+
+    def test_readme_examples_parse(self):
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.S)
+        lines = [ln for block in blocks for ln in block.splitlines()
+                 if ln.startswith("jacksonq ")]
+        assert len(lines) >= 7
+        parser = build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")

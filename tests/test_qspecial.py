@@ -134,6 +134,27 @@ class TestSinCos:
             resid = dqk_series(f, qp, 2) + f
             assert float(np.max(np.abs(resid.coeffs))) < 1e-10
 
+    @staticmethod
+    def _from_exp_q_of_pm_iz(qp, N):
+        # the series arithmetic sinq_cosq replaced, which certified a
+        # radius of its own at each of its six steps
+        e = exp_q(qp, N)
+        ei, emi = e.scale_arg(1j), e.scale_arg(-1j)
+        return (ei - emi) * (1.0 / 2j), (ei + emi) * 0.5
+
+    @pytest.mark.parametrize("qv", [1.5, 2.0, 0.5, 1.07, 0.3 + 0.4j, -1.7,
+                                    1.2 + 0.9j])
+    @pytest.mark.parametrize("N", [10, 48, 100, 300, 2000])
+    def test_coefficients_and_radius_come_from_exp_q(self, qv, N):
+        qp = QParam(qv)
+        e = exp_q(qp, N)
+        for got, want in zip(sinq_cosq(qp, N),
+                             self._from_exp_q_of_pm_iz(qp, N)):
+            assert np.array_equal(got.coeffs, want.coeffs)
+            # |c_n| <= |e_n|: exp_q's tail model bounds this tail too
+            assert np.all(np.abs(got.coeffs) <= np.abs(e.coeffs))
+            assert got.safe_radius == e.safe_radius
+
 
 class TestInversionIdentities:
     def test_exp_q_inverse_pair(self):
