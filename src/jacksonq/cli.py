@@ -359,7 +359,7 @@ def cmd_order(args) -> int:
     name, estimator = args.model, args.estimator
     q, grid_spec = parse_complex(args.q), parse_grid(args.grid)
     coeffs = _parse_list(args.coeffs) if args.coeffs else None
-    qp = QParam(q) if name != "polynomial" else QParam(0.5)
+    qp = QParam(q)
     auto, series, model = _order_models(name, qp, args.N, coeffs)
     wanted = auto if estimator == "auto" else [estimator]
     grid = RadialGrid.log_spaced(*grid_spec, angular_nodes=args.nodes)

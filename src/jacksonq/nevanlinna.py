@@ -57,7 +57,7 @@ from .polyroots import (check_unambiguous, image_multiplicities, poly_eval,
                         poly_mul)
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_quotient
-from .qoperator import Sampler, dqk_closed_form, series_sampler
+from .qoperator import Sampler, dqk_closed_form
 from .qspecial import LatticeProduct
 
 INF = math.inf
@@ -145,11 +145,12 @@ class MeroModel:
     SamplerModel   a black box; proximity only (declared entire when the
                    caller knows there are no poles)
 
-    A question a shape cannot answer raises TargetUnsupported; the
-    defaults below are those of an entire function known by its zero
-    divisor, with no Jackson weights, no D_q f and no shift ratio. Shapes
-    supply _log_abs, never log_abs, so every log|f| goes through this
-    class's one method.
+    Every count goes through divisor(r, a), every value through eval. A
+    question a shape cannot answer raises TargetUnsupported; the defaults
+    below are those of an entire function known by its zero divisor (no
+    points at infinity), with no Jackson weights, no D_q f and no shift
+    ratio. Shapes supply _log_abs, never log_abs, so every log|f| goes
+    through this class's one method.
     """
 
     qp: Optional[QParam]
@@ -204,28 +205,21 @@ class MeroModel:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.eval(zs)))
 
-    def is_entire(self) -> bool:
-        return True
-
-    def zeros_up_to(self, r: float):
-        """(location, multiplicity) pairs of the zeros with |z| <= r."""
-        raise TargetUnsupported(f"{type(self).__name__} has no zero locations")
-
-    def poles_up_to(self, r: float):
-        return []
-
     def divisor(self, r: float, target=0.0):
         """(origin multiplicity, [(modulus, multiplicity)]) of the points
         where f = target, at least all those with |z| <= r. An entire
-        shape resolves target 0 (and infinity trivially, in counting_N)."""
+        shape resolves target 0, and infinity as no points."""
+        if target == INF:
+            return 0, []
         if target != 0:
             raise TargetUnsupported(f"{type(self).__name__} counts only "
                                     "target 0 and infinity")
         return self._zero_divisor(r)
 
     def known_moduli(self, r: float):
-        """Moduli of stored zeros/poles up to r, for grid nudging."""
-        return [m for m, _ in self.divisor(r)[1]]
+        """Moduli of the zeros and poles up to r, for grid nudging."""
+        return [m for target in (0.0, INF)
+                for m, _ in self.divisor(r, target)[1] if m <= r]
 
     def origin_leading(self):
         """(lam, c_lam) of the local behaviour c_lam z^lam at the origin."""
@@ -269,29 +263,12 @@ class RationalModel(MeroModel):
             return (np.log(np.abs(poly_eval(rf.num, zs)))
                     - np.log(np.abs(poly_eval(rf.den, zs))))
 
-    def sampler(self) -> Sampler:
-        return Sampler(self.rational.eval)
-
-    def is_entire(self) -> bool:
-        return self.rational.den_degree == 0
-
-    def zeros_up_to(self, r: float):
-        return [(z, m) for z, m in self.rational.zeros() if abs(z) <= r]
-
-    def poles_up_to(self, r: float):
-        return [(z, m) for z, m in self.rational.poles() if abs(z) <= r]
-
     def divisor(self, r: float, target=0.0):
         """Any finite target (the zeros of f - a) and infinity (the
         poles), over the whole plane."""
         if target == INF:
             return _split_origin(self.rational.poles())
         return _split_origin(self._minus(target).zeros())
-
-    def known_moduli(self, r: float):
-        rf = self.rational
-        return [m for m in (abs(z) for z, _ in rf.zeros() + rf.poles())
-                if 0 < m <= r]
 
     def origin_leading(self):
         return self.rational.origin_leading()
@@ -354,9 +331,6 @@ class SeriesModel(MeroModel):
     def eval(self, z):
         return self.series.eval(z)
 
-    def sampler(self) -> Sampler:
-        return series_sampler(self.series)
-
     def _zero_divisor(self, r: float):
         lam = _origin_multiplicity(self.series.coeffs)
         return lam, series_zero_moduli(self.series, r)
@@ -380,12 +354,6 @@ class ProductModel(MeroModel):
     def _log_abs(self, zs: np.ndarray) -> np.ndarray:
         return self.product.log_abs(zs)
 
-    def sampler(self) -> Sampler:
-        return Sampler(self.product.eval)
-
-    def zeros_up_to(self, r: float):
-        return list(self.product.zeros_up_to(r))
-
     def _zero_divisor(self, r: float):
         return _split_origin(self.product.zeros_up_to(r))
 
@@ -401,7 +369,7 @@ class ProductModel(MeroModel):
 
 @dataclass(eq=False)
 class SamplerModel(MeroModel):
-    fn: Sampler
+    fn: Callable[[complex], complex]  # a Sampler, or any one-point callable
     entire: bool = False
     qp: Optional[QParam] = None
 
@@ -411,18 +379,10 @@ class SamplerModel(MeroModel):
             return self.fn(z)
         return np.array([self.fn(w) for w in np.ravel(z)]).reshape(np.shape(z))
 
-    def sampler(self) -> Sampler:
-        return self.fn
-
-    def is_entire(self) -> bool:
-        return self.entire
-
-    def poles_up_to(self, r: float):
-        if self.entire:
-            return []
-        raise TargetUnsupported("sampler models expose no pole structure")
-
     def divisor(self, r: float, target=0.0):
+        """No points at infinity when declared entire; nothing else."""
+        if target == INF and self.entire:
+            return 0, []
         raise TargetUnsupported("sampler models cannot count")
 
     def known_moduli(self, r: float):
@@ -566,10 +526,11 @@ def _integrated_counting(origin_mult: int, moduli_mults, r: float) -> float:
 def counting_N(model: MeroModel, r: float, target=0.0) -> float:
     """Integrated counting function N(r, f=target), summed from the
     model's divisor (MeroModel.divisor says which targets it resolves);
-    infinity counts nothing for an entire model."""
-    if target == INF and model.is_entire():
-        return 0.0
+    infinity counts +0.0 for a model without poles (the sum would give
+    -0.0 at r < 1)."""
     origin, rest = model.divisor(r, target)
+    if target == INF and not (origin or rest):
+        return 0.0
     return _integrated_counting(origin, rest, r)
 
 
@@ -837,7 +798,7 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
     by dqk_quotient, with no root solve for R. Any other model, including
     a rational f with a zero or a pole at the origin and a product checked
     at another base, evaluates D_q^k f by the closed-form orbit sum on its
-    sampler, one point per call. A constant f (R = 1) raises DomainError."""
+    eval, one point per call. A constant f (R = 1) raises DomainError."""
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * abs(qp.q) ** k * 2.0))
     rows = []
@@ -847,12 +808,10 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
             raise DomainError("logarithmic difference needs a nonconstant f")
         ratio_model = RationalModel(dqk_quotient(R, qp, k))
     else:
-        s = model.sampler()
-
         def ratio_eval(z):
-            return dqk_closed_form(s, z, qp, k) / s(z)
+            return dqk_closed_form(model.eval, z, qp, k) / model.eval(z)
 
-        ratio_model = SamplerModel(Sampler(ratio_eval))
+        ratio_model = SamplerModel(ratio_eval)
     for r in grid.radii:
         mval = proximity(ratio_model, r, M)
         T = characteristic(model, r, M).T
@@ -996,14 +955,13 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
     transcendental solutions only, so the check is skipped. Rational A
     is pinned at logarithmic order one (the exact value for any
     nonconstant rational; constants inherit the same baseline)."""
-    fs = f_model.sampler()
     verified = 0
     for r in grid.radii:
         circle_ok = True
         for j in range(_RESIDUAL_POINTS):
             z = r * np.exp(2j * np.pi * (j + 0.31) / _RESIDUAL_POINTS)
-            d = dqk_closed_form(fs, z, qp, k)
-            af = A_model.eval(z) * fs(z)
+            d = dqk_closed_form(f_model.eval, z, qp, k)
+            af = A_model.eval(z) * f_model.eval(z)
             if not (np.isfinite(d) and np.isfinite(af)):
                 circle_ok = False
                 break

@@ -24,6 +24,7 @@ from .polyroots import poly_eval
 
 _ROOT_OF_UNITY_TOL = 1e-9
 _DEFAULT_TAIL_TOL = 1e-12
+_POCHHAMMER_MAX_FACTORS = 100000
 
 
 @dataclass(frozen=True)
@@ -177,21 +178,27 @@ def q_pochhammer_inf(a: complex, qp: QParam, tol: float = 1e-14) -> complex:
     """(a;q)_inf = prod_{n>=0} (1 - a q^n), for |q| < 1.
 
     The partial product stops once |a q^n| < tol*(1-|q|); the dropped tail
-    then multiplies the result by a factor within exp(+-2*tol) of 1.
+    then multiplies the result by a factor within exp(+-2*tol) of 1. A
+    non-finite a, or a cutoff not reached within 100000 factors (|q| near
+    1), raises DomainError rather than return a truncated product.
     """
     if abs(qp.q) >= 1.0:
         raise DomainError("q_pochhammer_inf requires |q| < 1")
     if tol <= 0:
         raise DomainError("tol must be positive")
+    aqn = complex(a)
+    if not _finite(aqn):
+        raise DomainError("q_pochhammer_inf requires a finite a")
     cutoff = tol * (1.0 - abs(qp.q))
     out = 1.0 + 0.0j
-    aqn = complex(a)
-    for _ in range(100000):
+    for _ in range(_POCHHAMMER_MAX_FACTORS):
         if abs(aqn) < cutoff:
-            break
+            return out
         out *= 1.0 - aqn
         aqn *= qp.q
-    return out
+    raise DomainError(
+        f"(a;q)_inf did not reach |a q^n| < {cutoff:.3g} within "
+        f"{_POCHHAMMER_MAX_FACTORS} factors")
 
 
 def q_binomial(n: int, j: int, qp: QParam) -> complex:
@@ -320,14 +327,17 @@ class TruncatedSeries:
     def from_polynomial(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
         """Series that *is* a polynomial: infinite safe radius (None if a
         coefficient is not finite), optionally zero-padded up to
-        ``order``."""
+        ``order``. Cut to an ``order`` below a nonzero coefficient, it is
+        no longer the polynomial and certifies its radius as any series."""
         arr = list(np.asarray(coeffs, dtype=np.complex128))
+        exact = True
         if order is not None:
             if order + 1 < len(arr):
+                exact = not any(arr[order + 1:])
                 arr = arr[: order + 1]
             else:
                 arr = arr + [0.0] * (order + 1 - len(arr))
-        return cls(arr, exact_polynomial=True)
+        return cls(arr, exact_polynomial=exact)
 
     @property
     def coeffs(self) -> np.ndarray:

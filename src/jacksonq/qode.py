@@ -160,7 +160,8 @@ class RationalFunction:
     def origin_series(self, order: int) -> TruncatedSeries:
         """Taylor expansion at the origin; requires den(0) != 0. A
         constant denominator divides each coefficient once, which is what
-        the long division gives for it, bit for bit.
+        the long division gives for it, bit for bit; a polynomial that
+        fits the order stays an exact polynomial.
 
         The expansion at each order is kept on the instance for its
         lifetime, so a repeated call returns the same series; treat it
@@ -172,7 +173,8 @@ class RationalFunction:
             nums = TruncatedSeries.from_polynomial(self.num, order=order)
             dens = TruncatedSeries.from_polynomial(self.den, order=order)
             if self.den.size == 1:
-                kept[order] = nums._wrap(nums.coeffs / self.den[0], dens)
+                kept[order] = nums._wrap(nums.coeffs / self.den[0], dens,
+                                         nums.is_exact_polynomial)
             else:
                 kept[order] = nums.divide(dens)
         return kept[order]

@@ -46,7 +46,6 @@ import numpy as np
 from .errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
 from .qcore import QParam, TruncatedSeries, q_brackets
 from .qode import RationalFunction
-from .qoperator import Sampler
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,8 @@ def exp_q(qp: QParam, N: int) -> TruncatedSeries:
     quotient over the brackets up to n, so a prefix of a longer ladder is
     the shorter one. Every call builds its own series and certifies its
     radius on the first N + 1 coefficients."""
+    if N < 0:
+        raise DomainError("coefficients must form a nonempty 1-d list")
     coeffs = qp._exp_coeffs
     if coeffs is None or coeffs.size <= N:
         coeffs = np.zeros(N + 1, dtype=np.complex128)
@@ -381,9 +382,6 @@ class LatticeProduct:
                 out.append((zn, m))
                 zn = zn * q if grow else zn / q
         return out
-
-    def sampler(self) -> Sampler:
-        return Sampler(self.eval)
 
 
 # The two fixed shift ratios, built once with their exact roots attached,

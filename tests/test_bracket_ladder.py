@@ -211,7 +211,12 @@ def test_constant_denominator_matches_long_division(num, den, order):
     want = TruncatedSeries.from_polynomial(rf.num, order=order).divide(
         TruncatedSeries.from_polynomial(rf.den, order=order))
     assert_same_bits(got.coeffs, want.coeffs)
-    assert got.safe_radius == want.safe_radius
+    # a polynomial that fits the order has no tail; one cut short has the
+    # long division's radius
+    if rf.num.size <= order + 1:
+        assert got.safe_radius == math.inf
+    else:
+        assert got.safe_radius == want.safe_radius
 
 
 @pytest.mark.parametrize("num, den", [([1.0, 0.5], [1.0, -0.25]),

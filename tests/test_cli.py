@@ -85,6 +85,14 @@ class TestEval:
     def test_unknown_function_exit_2(self):
         assert main(["eval", "--fn", "gamma_q", "--z", "1"]) == 2
 
+    @pytest.mark.parametrize("fn", ["exp_q", "sin_q", "cos_q"])
+    def test_negative_order_exits_1(self, fn, capsys):
+        assert main(["eval", "--fn", fn, "--N", "-2", "--z", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: coefficients must form a nonempty 1-d list\n")
+
     def test_phi_rs(self, capsys):
         assert main(["eval", "--fn", "phi_rs", "--q", "0.5", "--alpha", "0",
                      "--z", "0.25", "--N", "32"]) == 0
@@ -229,6 +237,20 @@ class TestOrder:
         assert code == 0
         data = json.loads(out.read_text())
         assert abs(data["estimates"][0]["sigma_log"] - 1.0) < 0.1
+
+    def test_polynomial_reads_its_q(self, tmp_path, capsys):
+        # the T estimate does not depend on q; a bad q is refused
+        outs = []
+        for q in ("0.5", "2"):
+            out = tmp_path / f"poly{q}.csv"
+            assert main(["order", "--model", "polynomial", "--coeffs", "1,0,2",
+                         "--q", q, "--out", str(out), "--format", "csv"]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        capsys.readouterr()
+        assert main(["order", "--model", "polynomial", "--coeffs", "1,0,2",
+                     "--q", "1"]) == 1
+        assert capsys.readouterr().err == "error: |q| must differ from 1\n"
 
     def test_csv_samples_schema(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -193,8 +193,11 @@ class TestModelShapes:
         assert rest[0][0] == pytest.approx(3.0, rel=1e-14) and rest[0][1] == 1
         assert model.known_moduli(10.0) == [rest[0][0]]
         assert model.origin_leading() == (2, 3.0)
+        # zeros are known by modulus only, and infinity holds no points
+        assert type(rest[0][0]) is float
+        assert model.divisor(10.0, INF) == (0, [])
         with pytest.raises(TargetUnsupported):
-            model.zeros_up_to(10.0)  # zeros are known by modulus only
+            model.divisor(10.0, 1.0)
 
     def test_rational_divisor_of_any_target(self):
         # f - 1 = -2/(z + 1) for f = (z - 1)/(z + 1): no finite a-points
@@ -205,13 +208,25 @@ class TestModelShapes:
 
     def test_sampler_knows_no_divisor(self):
         model = MeroModel.from_sampler(Sampler(lambda z: 1.0 + z), entire=True)
-        assert model.known_moduli(10.0) == [] and model.poles_up_to(10.0) == []
+        # declared entire: no poles, and nothing else is known
+        assert model.known_moduli(10.0) == []
+        assert model.divisor(10.0, INF) == (0, [])
         for call in (lambda: model.divisor(10.0), model.origin_leading,
-                     lambda: model.zeros_up_to(10.0)):
+                     lambda: model.divisor(10.0, 1.0)):
             with pytest.raises(TargetUnsupported):
                 call()
         with pytest.raises(TargetUnsupported):
-            MeroModel.from_sampler(Sampler(lambda z: z)).poles_up_to(1.0)
+            MeroModel.from_sampler(Sampler(lambda z: z)).divisor(1.0, INF)
+
+    @pytest.mark.parametrize("model", [
+        MeroModel.from_series(TruncatedSeries.from_polynomial([1.0, -0.5])),
+        big_e_model(),
+        MeroModel.from_sampler(Sampler(lambda z: 1.0 + z), entire=True),
+    ], ids=["series", "product", "sampler"])
+    def test_entire_pole_count_is_positive_zero(self, model):
+        # 0 * log r would be -0.0 inside the unit circle
+        n_inf = counting_N(model, 0.5, INF)
+        assert n_inf == 0.0 and math.copysign(1.0, n_inf) == 1.0
 
     @pytest.mark.parametrize("make", [
         lambda qp: MeroModel.from_series(
@@ -893,7 +908,8 @@ class TestMonotonicity:
         model = MeroModel.from_rational(f)
         counts = []
         for r in np.linspace(0.1, 5.0, 60):
-            n_r = sum(m for _, m in model.zeros_up_to(float(r)))
+            origin, rest = model.divisor(float(r), 0.0)
+            n_r = origin + sum(m for mod, m in rest if mod <= r)
             counts.append(n_r)
         assert all(isinstance(c, int) for c in counts)
         assert all(b >= a for a, b in zip(counts, counts[1:]))

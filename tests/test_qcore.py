@@ -111,6 +111,25 @@ class TestBracketFactorialPochhammer:
         with pytest.raises(DomainError):
             q_pochhammer_inf(0.5, QParam(2.0))
 
+    def test_pochhammer_inf_near_one_matches_mpmath(self):
+        # log (a;q)_inf = -sum_m a^m / (m (1 - q^m)) at 50 digits; about
+        # 37000 factors at q = 0.999
+        import mpmath as mp
+
+        with mp.workdps(50):
+            a, q = mp.mpf("0.1"), mp.mpf("0.999")
+            want = complex(mp.exp(-mp.nsum(
+                lambda m: a**m / (m * (1 - q**m)), [1, mp.inf])))
+        got = q_pochhammer_inf(0.1, QParam(0.999))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("a, qv", [(0.001, 0.99999), (0.01, 0.9999),
+                                       (math.nan, 0.5), (complex(math.inf), 0.5)])
+    def test_pochhammer_inf_refuses_instead_of_truncating(self, a, qv):
+        # the first two need over 3e5 factors to reach the cutoff
+        with pytest.raises(DomainError):
+            q_pochhammer_inf(a, QParam(qv))
+
 
 class TestQBinomial:
     def test_edges(self):
@@ -247,6 +266,14 @@ class TestTruncatedSeries:
         f = TruncatedSeries.from_polynomial([1, 0, 0, 0, 1])
         assert math.isinf(f.safe_radius)
         f.eval(1e12)  # no complaint
+
+    def test_polynomial_cut_short_has_a_tail(self):
+        # cutting only zeros keeps the polynomial; cutting 3 z^2 does not
+        assert TruncatedSeries.from_polynomial([1, 2, 0, 0], order=1
+                                               ).is_exact_polynomial
+        cut = TruncatedSeries.from_polynomial([1, 2, 3], order=1)
+        assert not cut.is_exact_polynomial
+        assert cut.safe_radius == TruncatedSeries([1, 2]).safe_radius
 
     def test_safe_radius_decaying_series(self):
         # geometric coefficients 2^-n: tail at |z| < 2 controlled

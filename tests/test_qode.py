@@ -247,7 +247,7 @@ class TestVerifyPointwise:
         A = RationalFunction([1.0], [(qp.q - 1), (qp.q - 1)])  # 1/((q-1)(1+z))
         prob = QdeProblem.homogeneous(1, A, qp, (1.0,))
         pts = [0.7, -0.4 + 0.9j, 2.0, 1.5j]
-        assert max(verify_pointwise(prob, prod.sampler(), pts)) < 1e-9
+        assert max(verify_pointwise(prob, prod.eval, pts)) < 1e-9
 
     def test_etilde_product_against_equation(self):
         from jacksonq.qspecial import EtildeProduct
@@ -257,7 +257,7 @@ class TestVerifyPointwise:
         A = const_rf(1.0 / (qp.q - 1))
         prob = QdeProblem.homogeneous(1, A, qp, (1.0,))
         pts = [0.5, -1.2, 0.3 + 0.8j]
-        assert max(verify_pointwise(prob, prod.sampler(), pts)) < 1e-9
+        assert max(verify_pointwise(prob, prod.eval, pts)) < 1e-9
 
     def test_origin_rejected(self):
         qp = QParam(2.0)
@@ -313,7 +313,7 @@ class TestProductSolution:
         # D_q f - P f(qz) = 0 with P(z) = z
         qp = QParam(0.5)
         P = [0.0, 1.0]
-        f = product_solution(P, qp).sampler()
+        f = product_solution(P, qp).eval
         for _ in range(6):
             z = complex(RNG.uniform(0.2, 1.5) * np.exp(1j * RNG.uniform(0, 2 * np.pi)))
             dq = (f(qp.q * z) - f(z)) / ((qp.q - 1) * z)

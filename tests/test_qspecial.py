@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jacksonq.errors import DenominatorPochhammerZero, RegimeMismatch
+from jacksonq.errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
 from jacksonq.qcore import QParam, TruncatedSeries, q_factorial, q_pochhammer
 from jacksonq.qoperator import dq_series, dqk_series
 from jacksonq.qspecial import (
@@ -75,6 +75,17 @@ class TestExpQ:
             for n in range(31):
                 rhs = (1 - qp.q) ** n / q_pochhammer(qp.q, qp, n)
                 assert abs(e.c(n) - rhs) <= 1e-12 * max(abs(rhs), 1e-300)
+
+    def test_negative_order_is_refused(self):
+        # also once a longer ladder is kept on qp, whose [:N + 1] with
+        # N = -2 would be a nonempty slice
+        qp = QParam(0.5)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="nonempty 1-d list"):
+                exp_q(qp, -2)
+            exp_q(qp, 10)
+        with pytest.raises(DomainError, match="nonempty 1-d list"):
+            sinq_cosq(qp, -1)
 
     def test_matches_q_factorial(self):
         qp = QParam(0.5)

@@ -84,7 +84,7 @@ def test_exact_quotient_matches_orbit_sum(prod, n, k, phase):
     zs = r * np.exp(1j * (phase + np.linspace(0.0, 2.0 * np.pi, 6,
                                               endpoint=False)))
     ratio = dqk_quotient(prod.shift_ratio, prod.qp, k)
-    s = prod.sampler()
+    s = prod.eval
     want = np.array([dqk_closed_form(s, z, prod.qp, k) / s(z) for z in zs])
     got = ratio(zs)
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
