@@ -146,11 +146,9 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
         f = _rand_poly(rng, int(rng.integers(1, 7)))
         g = _rand_poly(rng, int(rng.integers(1, 7)))
         z = complex(rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        sf = Sampler(f.eval)
-        sg = Sampler(g.eval)
         lhs = dq_sample(Sampler(lambda w: f.eval(w) * g.eval(w)), z, qp)
-        v1 = g.eval(qp.q * z) * dq_sample(sf, z, qp) + f.eval(z) * dq_sample(sg, z, qp)
-        v2 = f.eval(qp.q * z) * dq_sample(sg, z, qp) + g.eval(z) * dq_sample(sf, z, qp)
+        v1 = g.eval(qp.q * z) * dq_sample(f, z, qp) + f.eval(z) * dq_sample(g, z, qp)
+        v2 = f.eval(qp.q * z) * dq_sample(g, z, qp) + g.eval(z) * dq_sample(f, z, qp)
         scale = max(1.0, abs(lhs))
         worst_prod = max(worst_prod, abs(lhs - v1) / scale, abs(lhs - v2) / scale)
     out.append(_res("rules", "product rule (both variants)", worst_prod, 1e-10))
@@ -165,8 +163,8 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
         if min(abs(gz), abs(gqz)) < 0.05:
             continue
         lhs = dq_sample(Sampler(lambda w: f.eval(w) / g.eval(w)), z, qp)
-        rhs = (gz * dq_sample(Sampler(f.eval), z, qp)
-               - f.eval(z) * dq_sample(Sampler(g.eval), z, qp)) / (gqz * gz)
+        rhs = (gz * dq_sample(f, z, qp)
+               - f.eval(z) * dq_sample(g, z, qp)) / (gqz * gz)
         worst_quot = max(worst_quot, abs(lhs - rhs) / max(1.0, abs(lhs)))
         done += 1
     out.append(_res("rules", "quotient rule", worst_quot, 1e-9))
@@ -182,8 +180,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
             skipped += 1  # degenerate factorisation point, recorded and skipped
             continue
         lhs = dq_sample(Sampler(lambda w: f.eval(g.eval(w))), z, qp)
-        rhs = (f.eval(gqz) - f.eval(gz)) / (gqz - gz) * dq_sample(
-            Sampler(g.eval), z, qp)
+        rhs = (f.eval(gqz) - f.eval(gz)) / (gqz - gz) * dq_sample(g, z, qp)
         worst_chain = max(worst_chain, abs(lhs - rhs) / max(1.0, abs(lhs)))
         done += 1
     out.append(_res("rules", "chain rule (two-factor)", worst_chain, 1e-9))
@@ -191,9 +188,8 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
     worst_ft = 0.0
     for _ in range(6):
         f = _rand_poly(rng, int(rng.integers(1, 6)))
-        s = Sampler(f.eval)
         z = complex(rng.uniform(0.3, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        F = Sampler(lambda w, s=s: jackson_integral(s, 0.0, w, qp, tol=1e-14))
+        F = Sampler(lambda w, f=f: jackson_integral(f, 0.0, w, qp, tol=1e-14))
         worst_ft = max(worst_ft,
                        abs(dq_sample(F, z, qp) - f.eval(z)) / max(1.0, abs(f.eval(z))))
     out.append(_res("rules", "fundamental theorem (a=0)", worst_ft, 1e-10))
@@ -202,14 +198,12 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
     for _ in range(6):
         f = _rand_poly(rng, int(rng.integers(1, 6)))
         g = _rand_poly(rng, int(rng.integers(1, 6)))
-        sf = Sampler(f.eval)
-        sg = Sampler(g.eval)
         left = jackson_integral(
-            Sampler(lambda w: f.eval(w) * dq_sample(sg, w, qp)), 0.0, 1.0,
+            Sampler(lambda w: f.eval(w) * dq_sample(g, w, qp)), 0.0, 1.0,
             qp, tol=1e-13)
         boundary = f.eval(1.0) * g.eval(1.0) - f.eval(0.0) * g.eval(0.0)
         right = boundary - jackson_integral(
-            Sampler(lambda w: g.eval(qp.q * w) * dq_sample(sf, w, qp)),
+            Sampler(lambda w: g.eval(qp.q * w) * dq_sample(f, w, qp)),
             0.0, 1.0, qp, tol=1e-13)
         worst_parts = max(worst_parts, abs(left - right) / max(1.0, abs(left)))
     out.append(_res("rules", "integration by parts [0,1]", worst_parts, 1e-8))
@@ -227,10 +221,9 @@ def run_operator_equivalence(seed: int = 20240501, count: int = 100,
         deg = int(rng.integers(1, 13))
         k = int(rng.integers(1, 6))
         f = _rand_poly(rng, deg)
-        s = Sampler(f.eval)
         z = complex(rng.uniform(0.3, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        a = dqk_closed_form(s, z, qp, k)
-        b = dqk_sample(s, z, qp, k)
+        a = dqk_closed_form(f, z, qp, k)
+        b = dqk_sample(f, z, qp, k)
         c = dqk_series(f, qp, k).eval(z)
         scale = max(1.0, abs(a))
         worst = max(worst, abs(a - b) / scale, abs(a - c) / scale)

@@ -14,13 +14,14 @@ of logarithms, so relative error stays at the n-times-ulp scale.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivisorSingular, DomainError, OutsideSafeRadius
-from .polyroots import poly_eval
+from .polyroots import poly_eval_desc
 
 _ROOT_OF_UNITY_TOL = 1e-9
 _DEFAULT_TAIL_TOL = 1e-12
@@ -306,7 +307,7 @@ class TruncatedSeries:
     rounding of the partial sum.
     """
 
-    __slots__ = ("_coeffs", "safe_radius", "tail_tol")
+    __slots__ = ("_coeffs", "safe_radius", "tail_tol", "_horner")
 
     def __init__(self, coeffs, tail_tol: float = _DEFAULT_TAIL_TOL,
                  exact_polynomial: bool = False):
@@ -315,6 +316,7 @@ class TruncatedSeries:
             raise DomainError("coefficients must form a nonempty 1-d list")
         arr.setflags(write=False)
         self._coeffs = arr
+        self._horner = None
         self.tail_tol = float(tail_tol)
         if exact_polynomial:
             # no tail to bound, but a non-finite coefficient certifies nothing
@@ -483,14 +485,35 @@ class TruncatedSeries:
         Raises OutsideSafeRadius when a certified radius is set and some
         |z| exceeds it; with radius ``None`` the caller takes
         responsibility for convergence.
+
+        An array rounds each element exactly as a 0-d array holding that
+        point alone (see polyroots.poly_eval), so the sampled operators
+        of qoperator read a whole q-orbit in one call. No Horner step
+        writes over its input, which would move last bits
+        (polyroots.poly_eval_desc). One point runs no numpy reduction.
+        The reversed coefficients are kept on first use, and at finite
+        points the exact-zero top ones are left out, which moves no bit
+        (_horner_lists).
         """
         zs = np.asarray(z, dtype=np.complex128)
-        if self.safe_radius is not None and not math.isinf(self.safe_radius):
-            if np.any(np.abs(zs) > self.safe_radius * (1.0 + 1e-12)):
+        one = zs.ndim == 0
+        if one:
+            z = complex(zs)
+        rad = self.safe_radius
+        if rad is not None and not math.isinf(rad):
+            # np.abs, not abs: |z| past double range reads inf, no error
+            far = np.abs(zs) > rad * (1.0 + 1e-12)
+            if far if one else far.any():
                 raise OutsideSafeRadius(
-                    f"|z| exceeds certified radius {self.safe_radius:g}")
-        res = poly_eval(self._coeffs, zs)
-        if zs.ndim == 0:
+                    f"|z| exceeds certified radius {rad:g}")
+        if self._horner is None:
+            self._horner = _horner_lists(self._coeffs)
+        full, kept = self._horner
+        if kept is not full and (cmath.isfinite(z) if one
+                                 else np.all(np.isfinite(zs))):
+            full = kept
+        res = poly_eval_desc(full, zs)
+        if one:
             return complex(res)
         return res
 
@@ -504,6 +527,7 @@ class TruncatedSeries:
         out = TruncatedSeries.__new__(TruncatedSeries)
         arr.setflags(write=False)
         out._coeffs, out.tail_tol, out.safe_radius = arr, self.tail_tol, radius
+        out._horner = None
         return out
 
     def _wrap(self, arr, other, exact: bool = False) -> "TruncatedSeries":
@@ -526,6 +550,25 @@ class TruncatedSeries:
         tail = ", ..." if self.order >= 4 else ""
         return (f"TruncatedSeries(order={self.order}, coeffs=[{head}{tail}], "
                 f"safe_radius={self.safe_radius})")
+
+
+def _horner_lists(coeffs: np.ndarray) -> tuple:
+    """The coefficients for Horner, highest power first, as numpy scalars:
+    (all of them, those for finite points). Horner's running value stays
+    a signed zero through the exact-zero top coefficients, and at a
+    finite z the first nonzero one, c, then replaces it by c exactly,
+    unless a component of c is -0.0 (-0.0 + 0.0 is +0.0). So, when that
+    holds, the second list leaves those zeros out (keeping at least c_0);
+    otherwise it is the first."""
+    rev = list(coeffs[::-1])
+    top = 0
+    while top < len(rev) - 1 and rev[top] == 0:
+        top += 1
+    c = rev[top]
+    if top == 0 or any(part == 0 and math.copysign(1.0, part) < 0
+                       for part in (c.real, c.imag)):
+        return rev, rev
+    return rev, rev[top:]
 
 
 def _min_radius(a, b):

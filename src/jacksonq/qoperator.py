@@ -8,6 +8,13 @@ lowering polynomial degree by one and reducing to d/dz as q -> 1. It has
 two faces here: an exact coefficient map on TruncatedSeries, and a
 divided-difference evaluation on black-box Samplers (rejected at z = 0,
 where only the series path is defined).
+
+The sampled operators (dqk_sample, dqk_closed_form, jackson_integral)
+read f on a q-orbit. A TruncatedSeries is evaluated on the orbit in one
+array call, which gives each point the bits a call at that point alone
+gives (numpy rounds each element of an array as it rounds a 0-d array;
+see polyroots.poly_eval); any other callable is called point by point,
+in orbit order.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 from .errors import (
     BracketOverflow,
     DomainError,
+    JacksonQError,
     NonconvergentSample,
     OriginSingular,
     OutsideDomain,
@@ -48,6 +56,8 @@ class Sampler:
 
 
 FunctionLike = Union[TruncatedSeries, Sampler]
+# what the sampled operators read: a series, a Sampler or any callable
+Pointwise = Callable[[complex], complex]
 
 
 @dataclass(frozen=True)
@@ -107,12 +117,12 @@ def _dq_step(f: TruncatedSeries, brackets: np.ndarray) -> TruncatedSeries:
                            exact_polynomial=f.is_exact_polynomial)
 
 
-def dq_sample(f: Sampler, z: complex, qp: QParam) -> complex:
+def dq_sample(f: Pointwise, z: complex, qp: QParam) -> complex:
     """Divided difference (f(qz) - f(z)) / ((q-1) z); z must be nonzero."""
     return dqk_sample(f, z, qp, 1)
 
 
-def dqk_sample(f: Sampler, z: complex, qp: QParam, k: int) -> complex:
+def dqk_sample(f: Pointwise, z: complex, qp: QParam, k: int) -> complex:
     """k-fold D_q as a divided-difference table on p_0 = z, p_{m+1} = q p_m:
     D^j(p_m) = (D^{j-1}(p_{m+1}) - D^{j-1}(p_m)) / ((q-1) p_m), D^0 = f.
     The points and operations of k nested divided differences, so their
@@ -126,14 +136,14 @@ def dqk_sample(f: Sampler, z: complex, qp: QParam, k: int) -> complex:
         if orbit[-1] == 0:
             raise OriginSingular("D_q at the origin is defined only on series")
         orbit.append(q * orbit[-1])
-    vals = [f(p) for p in orbit[::-1]][::-1]
+    vals = list(_orbit_values(f, orbit[::-1]))[::-1]
     for _ in range(k):
         vals = [(b - a) / ((q - 1.0) * p)
                 for a, b, p in zip(vals, vals[1:], orbit)]
     return vals[0]
 
 
-def dqk_closed_form(f: Sampler, z: complex, qp: QParam, k: int) -> complex:
+def dqk_closed_form(f: Pointwise, z: complex, qp: QParam, k: int) -> complex:
     """k-th Jackson difference in one pass over the orbit q^{k-j} z:
 
         D_q^k f(z) = (q-1)^{-k} z^{-k} q^{-k(k-1)/2}
@@ -146,17 +156,17 @@ def dqk_closed_form(f: Sampler, z: complex, qp: QParam, k: int) -> complex:
     if z == 0:
         raise OriginSingular("D_q^k at the origin is defined only on series")
     q = qp.q
+    vals = _orbit_values(f, [q ** (k - j) * z for j in range(k + 1)])
     acc = 0.0 + 0.0j
-    for j in range(k + 1):
-        w = q ** (k - j) * z
+    for j, val in enumerate(vals):
         term = ((-1) ** j * q_binomial(k, j, qp)
-                * q ** (j * (j - 1) // 2) * f(w))
+                * q ** (j * (j - 1) // 2) * val)
         acc += term
     pref = (q - 1.0) ** (-k) * z ** (-k) * q ** (-(k * (k - 1) // 2))
     return pref * acc
 
 
-def jackson_integral(f: Sampler, a: complex, z: complex, qp: QParam,
+def jackson_integral(f: Pointwise, a: complex, z: complex, qp: QParam,
                      tol: float = 1e-12) -> complex:
     """Jackson q-integral along the geometric spiral from a to z:
 
@@ -165,6 +175,10 @@ def jackson_integral(f: Sampler, a: complex, z: complex, qp: QParam,
     The sum truncates once |q|^j * sup|f| (sup estimated from the first
     200 orbit samples) drops below tol; the dropped tail is then bounded
     by 2 tol |z - a|. Inverts D_q when a = 0.
+
+    f is sampled in runs: each run holds the orbit points from the next
+    one up to the last the stop rule cannot end before, given the sup
+    seen so far, and a series takes a run in one array call.
     """
     if abs(qp.q) >= 1.0:
         raise DomainError("jackson_integral requires |q| < 1")
@@ -175,9 +189,13 @@ def jackson_integral(f: Sampler, a: complex, z: complex, qp: QParam,
     acc = 0.0 + 0.0j
     sup = 0.0
     first = None
+    left = 0
     for j in range(100000):
-        w = a + qj * (z - a)
-        val = f(w)
+        if not left:
+            run = _spiral_run(a, z, q, qj, j, max(sup, 1.0), tol)
+            left, vals = len(run), _orbit_values(f, run)
+        left -= 1
+        val = next(vals)
         av = abs(val)
         if first is None:
             first = max(av, 1.0)
@@ -191,6 +209,36 @@ def jackson_integral(f: Sampler, a: complex, z: complex, qp: QParam,
         if j >= 1 and abs(qj) * max(sup, 1.0) < tol:
             break
     return (z - a) * (1.0 - q) * acc
+
+
+def _spiral_run(a, z, q, qj, j, scale, tol) -> list:
+    """The points a + q^i (z - a), i = j, j+1, ..., formed as
+    jackson_integral forms them (q^j = qj, a running product), while its
+    stop rule cannot fire: that needs i >= 1 and |q^(i+1)| scale < tol,
+    and scale never exceeds the max(sup, 1) it tests."""
+    pts = [a + qj * (z - a)]
+    qj *= q
+    while j < 99999 and (j == 0 or abs(qj) * scale >= tol):
+        j += 1
+        pts.append(a + qj * (z - a))
+        qj *= q
+    return pts
+
+
+def _orbit_values(f, points):
+    """f at each point, as an iterator. A TruncatedSeries takes all the
+    points in one array call, in which a floating-point overflow or
+    invalid operation raises instead of warning. If that call raises,
+    and for any other callable, f is called one point at a time as the
+    iterator is read, so the first failing point raises or warns as it
+    always did, even where the caller stops reading before it."""
+    if isinstance(f, TruncatedSeries):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return iter(f.eval(np.array(points)).tolist())
+        except (JacksonQError, FloatingPointError):
+            pass
+    return map(f, points)
 
 
 def casorati(pair: CasoratiPair):

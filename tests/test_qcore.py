@@ -16,6 +16,7 @@ from jacksonq.qcore import (
     q_pochhammer_inf,
     q_pochhammer_mp,
 )
+from jacksonq.polyroots import poly_eval
 from jacksonq.qoperator import dq_series
 from jacksonq.qspecial import big_e_q, etilde_q, exp_q
 
@@ -309,6 +310,9 @@ class TestTruncatedSeries:
         f = TruncatedSeries(0.5 ** np.arange(40))
         with pytest.raises(OutsideSafeRadius):
             f.eval(10.0)
+        # |z| past double range is past any radius, for one point too
+        with pytest.raises(OutsideSafeRadius):
+            f.eval(complex(1.5e308, 1.5e308))
 
     def test_shifted(self):
         f = TruncatedSeries.from_polynomial([1, 2])
@@ -346,3 +350,38 @@ def test_one_point_eval_is_array_eval_bit_for_bit(q):
                 got = f.eval(point)
                 assert type(got) is complex
                 assert np.array_equal(np.array([got]).view(np.uint64), want)
+
+
+def bits(values) -> list:
+    """The bit patterns of complex values, every NaN read as one."""
+    out = np.array(values, dtype=np.complex128).ravel().view(np.uint64)
+    return np.where(np.isnan(out.view(np.float64)), 1, out).tolist()
+
+
+def test_skipped_top_zeros_move_no_bit():
+    # eval leaves out the exact-zero top coefficients at finite points;
+    # poly_eval runs every coefficient. Signed zeros in the coefficients
+    # and in z, an exact-zero top block of any length (the whole series
+    # too) and non-finite points must all give the bits of the full loop.
+    rng = np.random.default_rng(20261019)
+    signed_zeros = (0.0, -0.0)
+    for _ in range(3000):
+        deg = int(rng.integers(0, 12))
+        c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
+        for i in range(deg + 1):
+            if rng.random() < 0.3:
+                c[i] = complex(rng.choice(signed_zeros), c[i].imag)
+            if rng.random() < 0.3:
+                c[i] = complex(c[i].real, rng.choice(signed_zeros))
+        for i in range(int(rng.integers(0, deg + 2)), deg + 1):
+            c[i] = complex(rng.choice(signed_zeros), rng.choice(signed_zeros))
+        f = TruncatedSeries(c)
+        f.safe_radius = None
+        parts = (0.0, -0.0, rng.standard_normal())
+        zs = [complex(rng.choice(parts), rng.choice(parts)) for _ in range(3)]
+        if rng.random() < 0.2:
+            zs[0] = complex(rng.choice((math.inf, -math.inf, math.nan)), 0.0)
+        with np.errstate(all="ignore"):
+            want = poly_eval(c, np.array(zs))
+            assert bits([f.eval(z) for z in zs]) == bits(want)
+            assert bits(f.eval(np.array(zs))) == bits(want)
