@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from jacksonq.errors import DivisorSingular, DomainError, OutsideSafeRadius
+from jacksonq.polyroots import poly_eval
 from jacksonq.qcore import (
     QParam,
     TruncatedSeries,
@@ -16,7 +17,6 @@ from jacksonq.qcore import (
     q_pochhammer_inf,
     q_pochhammer_mp,
 )
-from jacksonq.polyroots import poly_eval
 from jacksonq.qoperator import dq_series
 from jacksonq.qspecial import big_e_q, etilde_q, exp_q
 
@@ -353,9 +353,9 @@ def test_one_point_eval_is_array_eval_bit_for_bit(q):
 
 
 def bits(values) -> list:
-    """The bit patterns of complex values, every NaN read as one."""
-    out = np.array(values, dtype=np.complex128).ravel().view(np.uint64)
-    return np.where(np.isnan(out.view(np.float64)), 1, out).tolist()
+    """The bit patterns of complex values, NaN payloads included."""
+    return np.array(values, dtype=np.complex128).ravel().view(
+        np.uint64).tolist()
 
 
 def test_skipped_top_zeros_move_no_bit():
@@ -376,7 +376,7 @@ def test_skipped_top_zeros_move_no_bit():
         for i in range(int(rng.integers(0, deg + 2)), deg + 1):
             c[i] = complex(rng.choice(signed_zeros), rng.choice(signed_zeros))
         f = TruncatedSeries(c)
-        f.safe_radius = None
+        f.safe_radius = None  # no radius test: evaluate anywhere
         parts = (0.0, -0.0, rng.standard_normal())
         zs = [complex(rng.choice(parts), rng.choice(parts)) for _ in range(3)]
         if rng.random() < 0.2:
