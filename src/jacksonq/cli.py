@@ -196,8 +196,10 @@ def cmd_eval(args) -> int:
         if route == "auto":
             # the radius test TruncatedSeries.eval applies: past it the
             # series raises OutsideSafeRadius, and with no radius its
-            # error bound is reported NaN
-            inside = radius is not None and abs(z) <= radius * (1 + 1e-12)
+            # error bound is reported NaN; np.abs reads |z| past double
+            # range as inf, where abs raises OverflowError
+            inside = (radius is not None
+                      and np.abs(z) <= radius * (1 + 1e-12))
             used = "series" if inside or product is None else "product"
         # an overflow is refused below, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):

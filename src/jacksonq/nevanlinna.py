@@ -235,6 +235,10 @@ class MeroModel:
         raise TargetUnsupported("Jackson truncated counting needs exact "
                                 "zero/pole structure (rational model)")
 
+    def _jackson_divisor(self, target, qp: QParam):
+        """jackson_weights split as (origin weight, [(modulus, weight)])."""
+        return _split_origin(self.jackson_weights(target, qp))
+
     def dq_model(self, qp: QParam) -> "MeroModel":
         """D_q f as a model, per QParam."""
         raise TargetUnsupported("margins need a rational model")
@@ -265,10 +269,13 @@ class RationalModel(MeroModel):
 
     def divisor(self, r: float, target=0.0):
         """Any finite target (the zeros of f - a) and infinity (the
-        poles), over the whole plane."""
-        if target == INF:
-            return _split_origin(self.rational.poles())
-        return _split_origin(self._minus(target).zeros())
+        poles), over the whole plane. The split does not depend on r, so
+        it is kept per target; callers must not change the list."""
+        def compute():
+            if target == INF:
+                return _split_origin(self.rational.poles())
+            return _split_origin(self._minus(target).zeros())
+        return self._keep(("divisor", target), compute)
 
     def origin_leading(self):
         return self.rational.origin_leading()
@@ -321,6 +328,12 @@ class RationalModel(MeroModel):
                        for (z, h), h_image in zip(points, images)]
             return [(mod, w) for mod, w in weights if w]
         return self._keep(("J", target, qp), compute)
+
+    def _jackson_divisor(self, target, qp: QParam):
+        """The split of the kept weights, kept too; callers must not
+        change the list."""
+        return self._keep(("J split", target, qp), lambda: _split_origin(
+            self.jackson_weights(target, qp)))
 
 
 @dataclass(eq=False)
@@ -607,7 +620,8 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     """
     contributions = model.jackson_weights(target, qp)
     ntilde_r = float(sum(w for mod, w in contributions if mod < r))
-    return ntilde_r, _integrated_counting(*_split_origin(contributions), r)
+    return ntilde_r, _integrated_counting(*model._jackson_divisor(target, qp),
+                                          r)
 
 
 # ---------------------------------------------------------------------------

@@ -423,19 +423,23 @@ class TruncatedSeries:
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Power-series long division; requires the divisor's constant term
-        to be nonzero. Quotients are never exact polynomials."""
+        to be nonzero. Quotients are never exact polynomials.
+
+        The quotient q_m = (a_m - sum_{j=1..m} b_j q_{m-j}) / b_0 is the
+        solver's recurrence with k = 1 and a constant denominator, on the
+        same kernel (_triangular_steps). The quotient is kept reversed, so
+        no dot operand has a negative stride, which numpy would copy
+        before BLAS reads it. Each dot stays full length even where b is
+        a short polynomial: banding it to b's degree moves last bits."""
         if abs(other._coeffs[0]) == 0.0:
             raise DivisorSingular("divisor has zero constant term")
         n = min(self.order, other.order)
         a = self.coeffs_to(n)
         b = other.coeffs_to(n)
-        out = np.zeros(n + 1, dtype=np.complex128)
-        for m in range(n + 1):
-            acc = a[m]
-            if m:
-                acc -= np.dot(b[1 : m + 1], out[m - 1 :: -1])
-            out[m] = acc / b[0]
-        return self._wrap(out, other)
+        rev = np.zeros(n + 1, dtype=np.complex128)
+        rev[n] = a[0] / b[0]
+        _triangular_steps(b[1:], a[1:], [b[0]] * n, rev, 1, 0, n)
+        return self._wrap(rev[::-1], other)
 
     def scale_arg(self, factor: complex) -> "TruncatedSeries":
         """Series of z -> f(factor * z): c_n -> factor^n c_n."""
@@ -569,6 +573,37 @@ def _horner_lists(coeffs: np.ndarray) -> tuple:
                        for part in (c.real, c.imag)):
         return rev, rev
     return rev, rev[top:]
+
+
+def _triangular_steps(g, rhs, denom, rev, k: int, start: int, stop: int,
+                      out=None, weights=None) -> None:
+    """Steps n = start .. stop - 1 of the lower-triangular recurrence
+
+        x_{n+k} = (rhs[n] - sum_{m=0..n} g[m] d_{n-m}) / denom[n],
+
+    the one loop behind the series solver (qode._recurrence) and series
+    division (TruncatedSeries.divide). Here d_j = weights[j] x_j, and out
+    takes each x_{n+k}, when weights are given; d_j = x_j otherwise.
+
+    The d_j sit reversed in rev, rev[N - j] = d_j with N = rev.size - 1,
+    so each sum is np.dot(g[:n+1], rev[N-n:]) on two contiguous
+    operands. d[n::-1] would hand BLAS the same values in the same
+    order, so the same bits, but numpy first copies an operand with a
+    negative stride into a fresh array. The dot stays full length:
+    banding it to the nonzero g moves last bits. Each step is numpy
+    scalar arithmetic, as the loops it replaced were; a Python complex
+    mixed in would move last bits too. No value is checked here: the
+    caller reads out or rev for non-finite entries.
+    """
+    dot = np.dot
+    N = rev.size - 1
+    if weights is None:
+        for n in range(start, stop):
+            rev[N - n - k] = (rhs[n] - dot(g[: n + 1], rev[N - n:])) / denom[n]
+    else:
+        for n in range(start, stop):
+            out[n + k] = x = (rhs[n] - dot(g[: n + 1], rev[N - n:])) / denom[n]
+            rev[N - n - k] = weights[n + k] * x
 
 
 def _min_radius(a, b):

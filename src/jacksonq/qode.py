@@ -17,7 +17,6 @@ not finite, and never return non-finite coefficients.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,8 +42,8 @@ from .polyroots import (
     poly_trim,
     roots_with_multiplicity,
 )
-from .qcore import QParam, TruncatedSeries, q_brackets
-from .qoperator import Sampler, dqk_closed_form
+from .qcore import QParam, TruncatedSeries, _triangular_steps, q_brackets
+from .qoperator import Sampler, _closed_form
 
 _CONDITION_WARN = 1e-3
 
@@ -347,10 +346,20 @@ def solve_series(prob: QdeProblem, N: int) -> TruncatedSeries:
 
 
 def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
-    """c_0..c_N from the recurrence with weights q^{s(n-m)}. The weighted
-    coefficients d_j = q^{s j} c_j sit in one array (c itself for s = 0),
-    so each sum is one dot product. A sum that overflows, through a term
-    or a power of q, leaves c_{n+k} non-finite and so raises too."""
+    """c_0..c_N from the recurrence with weights q^{s(n-m)}, on qcore's
+    triangular kernel with d_j = q^{s j} c_j (c itself for s = 0). The
+    kernel keeps the d_j reversed, since numpy would copy the
+    negative-stride d[n::-1] before each dot; each dot stays full length,
+    since banding it to deg A moves last bits.
+
+    The bracket products are checked before the loop. It runs up to the
+    first order whose product is not finite (BracketOverflow) or below
+    the guard (BracketUnderflow), in segments split at the orders whose
+    product is below _CONDITION_WARN, so each ConditioningWarning comes
+    before its coefficient, in order. A sum that overflows, through a
+    term or a power of q, leaves c_{n+k} non-finite and raises
+    BracketOverflow at the first such order, after the warnings before
+    it."""
     if N < prob.k:
         raise DomainError("truncation order must be at least k")
     qp, k = prob.qp, prob.k
@@ -360,34 +369,44 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
     c = np.zeros(N + 1, dtype=np.complex128)
     c[:k] = prob.initial
     brackets = q_brackets(N, qp)
+    denoms = [math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j)
+              for n in range(N - k + 1)]
     # an overflowing sum raises BracketOverflow below; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        # abs of each product, bit for bit: np.hypot on the parts is libm's
+        # hypot, as abs is (np.abs of a complex array takes another route
+        # that moves last bits), and reads inf where abs raises
+        # OverflowError (finite parts, modulus beyond double range)
+        parts = np.array(denoms)
+        sizes = np.hypot(parts.real, parts.imag)
+        bad = np.flatnonzero(~(np.isfinite(sizes) & (sizes >= qp.guard_tol)))
+        stop = int(bad[0]) if bad.size else N - k + 1
         weights = np.cumprod(np.concatenate(([1.0], np.full(N, qp.q ** s))))
-        d = c * weights if s else c
-        for n in range(0, N - k + 1):
-            denom = math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j)
-            try:
-                size = abs(denom)
-            except OverflowError:  # finite parts, modulus beyond double range
-                size = math.inf
-            if not math.isfinite(size):
-                raise BracketOverflow(
-                    f"bracket product at order {n + k} is not finite")
-            if size < qp.guard_tol:
-                raise BracketUnderflow(
-                    f"bracket product at order {n + k} below guard")
-            if size < _CONDITION_WARN:
+        rev = (c * weights if s else c)[::-1].copy()
+        out = c if s else rev[::-1]
+        weak = np.flatnonzero(sizes[:stop] < _CONDITION_WARN).tolist()
+        lo = 0
+        for hi in weak + [stop]:
+            _triangular_steps(a, b, denoms, rev, k, lo, hi,
+                              c if s else None, weights if s else None)
+            nonfinite = np.flatnonzero(~np.isfinite(out[lo + k: hi + k]))
+            if nonfinite.size:
+                raise BracketOverflow(f"coefficient at order "
+                                      f"{lo + k + int(nonfinite[0])} "
+                                      "is not finite")
+            if hi < stop:
                 warnings.warn(
-                    f"bracket product {size:.2e} at order {n + k}; "
-                    "coefficient poorly conditioned", ConditioningWarning,
-                    stacklevel=3)
-            c[n + k] = cn = (b[n] - np.dot(a[: n + 1], d[n::-1])) / denom
-            if not cmath.isfinite(cn):
-                raise BracketOverflow(
-                    f"coefficient at order {n + k} is not finite")
-            if s:
-                d[n + k] = weights[n + k] * cn
-    return TruncatedSeries(c)
+                    f"bracket product {float(sizes[hi]):.2e} at order "
+                    f"{hi + k}; coefficient poorly conditioned",
+                    ConditioningWarning, stacklevel=3)
+            lo = hi
+    if stop <= N - k:
+        if np.isfinite(sizes[stop]):
+            raise BracketUnderflow(
+                f"bracket product at order {stop + k} below guard")
+        raise BracketOverflow(
+            f"bracket product at order {stop + k} is not finite")
+    return TruncatedSeries(out)
 
 
 def residual(prob: QdeProblem, f: TruncatedSeries):
@@ -419,8 +438,8 @@ def verify_pointwise(prob: QdeProblem, f: Sampler, points) -> list:
             if abs(poly_eval(rf.den, z)) < 1e-12 * max(
                     1.0, float(np.max(np.abs(rf.den)))) * max(1.0, abs(z)) ** rf.den_degree:
                 raise OutsideDomain(f"point {z} is numerically at a pole")
-        d = dqk_closed_form(f, z, prob.qp, prob.k)
-        af = prob.A.eval(z) * f(z)
+        d, fz = _closed_form(f, z, prob.qp, prob.k)
+        af = prob.A.eval(z) * fz
         bv = prob.B.eval(z)
         scale = max(1.0, abs(d), abs(af), abs(bv))
         out.append(abs(d + af - bv) / scale)

@@ -151,6 +151,13 @@ def dqk_closed_form(f: Pointwise, z: complex, qp: QParam, k: int) -> complex:
 
     Collapses to the plain divided difference at k = 1.
     """
+    return _closed_form(f, z, qp, k)[0]
+
+
+def _closed_form(f: Pointwise, z: complex, qp: QParam, k: int) -> tuple:
+    """(D_q^k f(z) as dqk_closed_form gives it, f at the orbit's last
+    point q^0 z). That point is z up to the sign of a zero part, so a
+    caller that needs f(z) beside D_q^k f(z) need not sample z again."""
     if k < 1:
         raise DomainError("k must be >= 1")
     if z == 0:
@@ -163,7 +170,7 @@ def dqk_closed_form(f: Pointwise, z: complex, qp: QParam, k: int) -> complex:
                 * q ** (j * (j - 1) // 2) * val)
         acc += term
     pref = (q - 1.0) ** (-k) * z ** (-k) * q ** (-(k * (k - 1) // 2))
-    return pref * acc
+    return pref * acc, val
 
 
 def jackson_integral(f: Pointwise, a: complex, z: complex, qp: QParam,

@@ -116,6 +116,20 @@ class TestEval:
         assert captured.out == ""
         assert "is not a finite number" in captured.err
 
+    @pytest.mark.parametrize("fn, q, tail", [
+        ("etilde_q", "2", "leaves double range (log|f| = 363221.72"),
+        ("sin_q", "0.5", "|z| exceeds certified radius"),
+    ])
+    def test_modulus_past_double_range_exits_1(self, capsys, fn, q, tail):
+        # both parts finite, |z| not: refused with a typed error by the
+        # product route or by the series radius, never a traceback
+        assert main(["eval", "--fn", fn, "--q", q,
+                     "--z", "1.5e308+1.5e308i"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert tail in captured.err
+
     def test_one_radius_rule(self, capsys):
         # just past R but within R (1 + 1e-12), where the series still
         # evaluates: auto takes the series and reports its tail bound

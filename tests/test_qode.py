@@ -259,6 +259,19 @@ class TestVerifyPointwise:
         pts = [0.5, -1.2, 0.3 + 0.8j]
         assert max(verify_pointwise(prob, prod.eval, pts)) < 1e-9
 
+    def test_samples_each_orbit_point_once(self):
+        # f(z) is the orbit's last sample, not one more call
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return z**5 + 1
+
+        prob = QdeProblem.homogeneous(2, quintic_second_order(2.0),
+                                      QParam(2.0), (1.0, 0.0))
+        [res] = verify_pointwise(prob, f, [0.5])
+        assert calls == [2.0, 1.0, 0.5] and res < 1e-9
+
     def test_origin_rejected(self):
         qp = QParam(2.0)
         prob = QdeProblem.homogeneous(1, const_rf(-1.0), qp, (1.0,))
