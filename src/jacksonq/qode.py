@@ -366,29 +366,35 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
     # only a[: n + 1] and b[n] with n <= N - k are read
     a = prob.A.origin_series(N).coeffs
     b = prob.B.origin_series(N).coeffs
-    c = np.zeros(N + 1, dtype=np.complex128)
-    c[:k] = prob.initial
     brackets = q_brackets(N, qp)
-    denoms = [math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j)
-              for n in range(N - k + 1)]
+    denoms = np.fromiter(
+        (math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j)
+         for n in range(N - k + 1)), dtype=np.complex128, count=N - k + 1)
     # an overflowing sum raises BracketOverflow below; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         # abs of each product, bit for bit: np.hypot on the parts is libm's
         # hypot, as abs is (np.abs of a complex array takes another route
         # that moves last bits), and reads inf where abs raises
         # OverflowError (finite parts, modulus beyond double range)
-        parts = np.array(denoms)
-        sizes = np.hypot(parts.real, parts.imag)
+        sizes = np.hypot(denoms.real, denoms.imag)
         bad = np.flatnonzero(~(np.isfinite(sizes) & (sizes >= qp.guard_tol)))
         stop = int(bad[0]) if bad.size else N - k + 1
-        weights = np.cumprod(np.concatenate(([1.0], np.full(N, qp.q ** s))))
-        rev = (c * weights if s else c)[::-1].copy()
-        out = c if s else rev[::-1]
+        if s:
+            c = np.zeros(N + 1, dtype=np.complex128)
+            c[:k] = prob.initial
+            weights = np.cumprod(np.concatenate(([1.0],
+                                                 np.full(N, qp.q ** s))))
+            rev = (c * weights)[::-1].copy()
+            out = c
+        else:  # d is c itself: c reads rev backwards
+            c = weights = None
+            rev = np.zeros(N + 1, dtype=np.complex128)
+            rev[N - k + 1:] = prob.initial[::-1]
+            out = rev[::-1]
         weak = np.flatnonzero(sizes[:stop] < _CONDITION_WARN).tolist()
         lo = 0
         for hi in weak + [stop]:
-            _triangular_steps(a, b, denoms, rev, k, lo, hi,
-                              c if s else None, weights if s else None)
+            _triangular_steps(a, b, denoms, rev, k, lo, hi, c, weights)
             nonfinite = np.flatnonzero(~np.isfinite(out[lo + k: hi + k]))
             if nonfinite.size:
                 raise BracketOverflow(f"coefficient at order "

@@ -26,14 +26,13 @@ from jacksonq.errors import (
 )
 from jacksonq.qcore import QParam, TruncatedSeries, q_brackets
 from jacksonq.qode import (
+    _CONDITION_WARN,
     QdeProblem,
     RationalFunction,
     solve_series,
     solve_shifted_series,
 )
 from test_bracket_ladder import REGIME_Q, regime_q
-
-_CONDITION_WARN = 1e-3
 
 
 def reference_recurrence(prob, N, s):
