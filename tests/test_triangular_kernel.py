@@ -103,9 +103,9 @@ def outcome(solve):
     return result, [str(w.message) for w in kept], {w.filename for w in kept}
 
 
-def _polynomial(draw, size, low=1):
+def _polynomial(draw, size):
     return [complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
-            for _ in range(draw(st.integers(low, size)))]
+            for _ in range(draw(st.integers(1, size)))]
 
 
 @st.composite
