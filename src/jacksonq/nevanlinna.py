@@ -138,7 +138,8 @@ class MeroModel:
     ProductModel   an entire product with f(0) = 1, held whole (a
                    LatticeProduct, or an object with its zeros_up_to,
                    log_abs on arrays, eval, qp and shift_ratio): an exact
-                   zero lattice, log|f| as the product's real log_abs, one
+                   zero lattice (its split kept for the largest radius
+                   asked), log|f| as the product's real log_abs, one
                    array per circle, and its base qp; its shift ratio R,
                    f(qz) = R(z) f(z) at that base (None when unknown),
                    makes D_q^k f / f exact
@@ -356,6 +357,9 @@ class SeriesModel(MeroModel):
 @dataclass(eq=False)
 class ProductModel(MeroModel):
     product: LatticeProduct
+    # (radius, split) of the zeros up to the largest radius asked so far;
+    # not a field: the model holds its product only
+    _kept = (-INF, None)
 
     @property
     def qp(self) -> QParam:
@@ -368,7 +372,13 @@ class ProductModel(MeroModel):
         return self.product.log_abs(zs)
 
     def _zero_divisor(self, r: float):
-        return _split_origin(self.product.zeros_up_to(r))
+        """The split of the zeros up to the largest radius asked so far,
+        at least all those with |z| <= r; counting sums filter it in list
+        order, which is that of zeros_up_to(r) with the farther zeros
+        left out. Callers must not change the list."""
+        if not r <= self._kept[0]:
+            self._kept = (r, _split_origin(self.product.zeros_up_to(r)))
+        return self._kept[1]
 
     def origin_leading(self):
         return 0, 1.0 + 0.0j
@@ -452,7 +462,10 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
     Moduli within relative rel_tol merge into one (mean modulus, count)
     pair; each count is certified by the argument principle, one winding
     number in the gap above its group and one at r, and a count that
-    disagrees raises DomainError."""
+    disagrees raises DomainError. The first-pass circles of all those
+    winding numbers, each rho * _unit_circle(512) as winding_number
+    builds it, take one ts.eval call (each element rounds as it would
+    alone); a circle whose node count doubles calls ts.eval again."""
     if ts.safe_radius is not None and r > ts.safe_radius:
         raise DomainError("radius beyond certified evaluation disc")
     coeffs = ts.coeffs
@@ -482,15 +495,27 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
         else:
             groups.append([m])
     radii = [math.sqrt(a[-1] * b[0]) for a, b in zip(groups, groups[1:])]
+    radii.append(r)
+    unit = _unit_circle(_WINDING_NODES)
+    first_pass = ts.eval(np.concatenate([rho * unit for rho in radii]))
     inner = lam  # the winding number just outside the origin
-    for count, rho in zip([len(g) for g in groups] or [0], radii + [r]):
-        outer = winding_number(ts.eval, rho)
+    for count, rho, vals in zip([len(g) for g in groups] or [0], radii,
+                                first_pass.reshape(len(radii), -1)):
+        outer = winding_number(_first_pass_eval(ts, vals), rho)
         if outer - inner != count:
             raise DomainError(
                 f"winding count {outer - inner} in the annulus up to "
                 f"r = {rho:g} disagrees with {count} eigenvalues")
         inner = outer
     return [(sum(g) / len(g), len(g)) for g in groups]
+
+
+def _first_pass_eval(ts: TruncatedSeries, vals: np.ndarray):
+    """An eval_vec for winding_number that serves one circle's values at
+    its first node count from vals and calls ts.eval at any other."""
+    def eval_vec(zs):
+        return vals if len(zs) == _WINDING_NODES else ts.eval(zs)
+    return eval_vec
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +606,13 @@ def characteristic(model: MeroModel, r: float, M: int = 4096) -> NevanlinnaSampl
     return sample
 
 
+def _characteristic_T(model: MeroModel, r: float, M: int) -> float:
+    """characteristic(model, r, M).T, summed as there, without the N0
+    and Jackson columns, for the checks that read T alone."""
+    mval, _ = _circle_mean(model, r, M, positive_part=True)
+    return mval + counting_N(model, r, INF)
+
+
 def jensen_residual(model: MeroModel, r: float, M: int = 4096) -> float:
     """Absolute defect in the Jensen identity
 
@@ -665,7 +697,7 @@ def defect_estimates(model: MeroModel, grid: RadialGrid, targets,
     if qp is None:
         raise DomainError("defect estimates need the model's QParam")
     out = []
-    Ts = [characteristic(model, r, M).T for r in grid.radii]
+    Ts = [_characteristic_T(model, r, M) for r in grid.radii]
     for a in targets:
         Ns = [counting_N(model, r, a) for r in grid.radii]
         Nts = [jackson_truncated_counting(model, r, a, qp)[1]
@@ -730,8 +762,12 @@ def _loglog_regression(radii, ys, estimator: str,
 
 def log_order_from_T(samples: Sequence[NevanlinnaSample]) -> LogOrderEstimate:
     """sigma_log proxy: slope of log+ T against log log r, top half."""
-    radii = [s.r for s in samples]
-    ys = [math.log(max(s.T, 1.0)) for s in samples]
+    return _log_order_from_Ts([s.r for s in samples], [s.T for s in samples])
+
+
+def _log_order_from_Ts(radii, Ts) -> LogOrderEstimate:
+    """log_order_from_T from the radii and T at each."""
+    ys = [math.log(max(T, 1.0)) for T in Ts]
     if all(abs(y) < 1e-12 for y in ys):
         raise InsufficientGrid("characteristic does not grow")
     return _loglog_regression(radii, ys, "T")
@@ -762,14 +798,27 @@ def max_term_central_index(f: TruncatedSeries, r: float) -> WimanValironSample:
     saturated to zero, or one the truncation dropped), and the maximiser
     in the lower half of the stored range; otherwise the stored
     truncation is too short to trust it."""
+    return _max_term(f, r, lambda: _log_moduli(f))
+
+
+def _log_moduli(f: TruncatedSeries) -> np.ndarray:
+    """log|c_n| of the coefficients, -inf at exact zeros."""
+    mags = np.abs(f.coeffs)
+    with np.errstate(divide="ignore"):
+        return np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)),
+                        -math.inf)
+
+
+def _max_term(f: TruncatedSeries, r: float,
+              log_c: Callable[[], np.ndarray]) -> WimanValironSample:
+    """max_term_central_index, reading _log_moduli(f), which does not
+    depend on r, from log_c() once r passes the radius check."""
     R = f.safe_radius
     if R is not None and r > R * (1.0 + 1e-12):
         raise TruncationTooShort(
             f"radius {r:g} exceeds the certified radius {R:g} of the series")
-    mags = np.abs(f.coeffs)
-    with np.errstate(divide="ignore"):
-        logs = np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)),
-                        -math.inf) + np.arange(mags.size) * math.log(r)
+    logs = log_c()
+    logs = logs + np.arange(logs.size) * math.log(r)
     best = float(np.max(logs))
     nu = int(np.flatnonzero(logs == best)[-1])
     if nu > 0 and 2 * nu >= f.order:
@@ -781,7 +830,8 @@ def max_term_central_index(f: TruncatedSeries, r: float) -> WimanValironSample:
 
 def log_order_from_nu(f: TruncatedSeries, grid: RadialGrid) -> LogOrderEstimate:
     """sigma_log proxy: slope of log+ nu against log log r, plus one."""
-    nus = [max_term_central_index(f, r).nu for r in grid.radii]
+    log_c = functools.cache(lambda: _log_moduli(f))  # once per series
+    nus = [_max_term(f, r, log_c).nu for r in grid.radii]
     ys = [math.log(max(nu, 1)) for nu in nus]
     return _loglog_regression(grid.radii, ys, "nu", offset=1.0)
 
@@ -828,7 +878,7 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
         ratio_model = SamplerModel(ratio_eval)
     for r in grid.radii:
         mval = proximity(ratio_model, r, M)
-        T = characteristic(model, r, M).T
+        T = _characteristic_T(model, r, M)
         rows.append(LogDerivRow(r, mval, T))
     return rows
 
@@ -865,7 +915,7 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
     rows = []
     for r in grid.radii:
-        T = characteristic(model, r, M).T
+        T = _characteristic_T(model, r, M)
         S = 0.0
         Nsum = 0.0
         for a in targets:
@@ -995,17 +1045,17 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
     if isinstance(A_model, RationalModel):
         sigma_A, half_A = 1.0, 0.0
     else:
-        samples = [characteristic(A_model, r, M) for r in
-                   grid.avoiding(A_model.known_moduli(grid.radii[-1] * 2.0)).radii]
-        est = log_order_from_T(samples)
+        radii = grid.avoiding(A_model.known_moduli(grid.radii[-1] * 2.0)).radii
+        est = _log_order_from_Ts(radii, [_characteristic_T(A_model, r, M)
+                                         for r in radii])
         sigma_A, half_A = est.value, est.half_width
     if isinstance(f_model, SeriesModel):
         est_f = log_order_from_nu(f_model.series, grid)
     elif isinstance(f_model, ProductModel):
         est_f = log_order_from_counting(f_model, grid, target=0.0)
     else:
-        est_f = log_order_from_T([characteristic(f_model, r, M)
-                                  for r in grid.radii])
+        est_f = _log_order_from_Ts(grid.radii, [
+            _characteristic_T(f_model, r, M) for r in grid.radii])
     return GrowthReport(sigma_A, half_A, est_f.value, est_f.half_width)
 
 

@@ -48,10 +48,15 @@ class Sampler:
     domain_radius: Optional[float] = None
 
     def __call__(self, z: complex) -> complex:
-        if self.domain_radius is not None and abs(z) > self.domain_radius:
-            raise OutsideDomain(
-                f"|z| = {abs(z):g} outside sampler domain "
-                f"radius {self.domain_radius:g}")
+        if self.domain_radius is not None:
+            try:
+                mod = abs(z)
+            except OverflowError:  # |z| past double range
+                mod = math.inf
+            if mod > self.domain_radius:
+                raise OutsideDomain(
+                    f"|z| = {mod:g} outside sampler domain "
+                    f"radius {self.domain_radius:g}")
         return self.eval(z)
 
 
@@ -203,7 +208,12 @@ def jackson_integral(f: Pointwise, a: complex, z: complex, qp: QParam,
             left, vals = len(run), _orbit_values(f, run)
         left -= 1
         val = next(vals)
-        av = abs(val)
+        try:
+            av = abs(val)
+        except OverflowError:
+            raise NonconvergentSample(
+                "sample modulus leaves double range along the integration "
+                "orbit") from None
         if first is None:
             first = max(av, 1.0)
         if j < 200:

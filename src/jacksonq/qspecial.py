@@ -206,15 +206,23 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     through all of them and no mask is needed. The rows t_1 .. t_K are
     built one row at a time by the loop's own step, t/q or _times(t, q),
     whose four real products stand in for numpy's complex multiply: its
-    fused multiply-adds move last bits. A real q inside the unit circle
-    multiplies the float64 view instead, one ufunc call for _times' six:
-    the same products but for the sign of zero, which |t| and |1 - t|
-    ignore. The rows come in blocks of about _BLOCK elements (at least
-    two rows) spanning all points. A block takes log|1 - t_n| in one
-    pass, the running sum goes in as its first row and
-    np.add.reduce(axis=0) adds the rows in order, as the loop does; numpy
-    would sum a one-column block pairwise instead, so arrays of one point
-    skip the bulk. The masked loop then finishes from t_K.
+    fused multiply-adds move last bits. A real q multiplies the float64
+    view instead, one ufunc call per row: by q inside the unit circle,
+    the same products as _times' six calls, and by 1/q outside it, which
+    is what numpy's complex division by a divisor with a zero imaginary
+    part computes (Smith's quotient with ratio 0 scales by 1/q). Both
+    agree with the loop's step but for the sign of zero, which |t| and
+    |1 - t| ignore; tests/test_lattice_step.py pins the quotient on
+    finite points from 1e-300 to 1e300. Complex q keeps np.divide and
+    _times. The rows come in blocks of about _BLOCK elements (at least
+    two rows) spanning all points: a 512-node circle takes one or two
+    blocks, whose rows and float buffer for log|1 - t_n| take under
+    400 kB (a larger _BLOCK raised the peak RSS of a product's circles
+    for little speed). A block takes log|1 - t_n| in one pass, the
+    running sum goes in as its first row and np.add.reduce(axis=0) adds
+    the rows in order, as the loop does; numpy would sum a one-column
+    block pairwise instead, so arrays of one point skip the bulk. The
+    masked loop then finishes from t_K.
     """
     shrink = abs(q) > 1.0
     cutoff = tol * (1.0 - (1.0 / abs(q) if shrink else abs(q)))
@@ -254,7 +262,7 @@ def _times(x: np.ndarray, m, out=None, scratch=None) -> np.ndarray:
     return out
 
 
-_BLOCK = 2 ** 12  # elements in one block of rows of the log_abs bulk phase
+_BLOCK = 2 ** 14  # elements in one block of rows of the log_abs bulk phase
 
 
 def _bulk_steps(flat: np.ndarray, q: complex, shrink: bool,
@@ -285,21 +293,28 @@ def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, cutoff: float):
     height = min(steps, max(1, _BLOCK // flat.size))
     rows = np.empty((height + 1, flat.size), dtype=np.complex128)
     rows[0] = flat
+    floats = None
+    if q.imag == 0.0:  # step the float view; t/q divides by exactly 1/q
+        floats, factor = rows.view(np.float64), (1.0 / q.real if shrink
+                                                 else q.real)
+    logs = np.empty((height, flat.size))
     out = np.zeros(flat.size)
     tmp = np.empty(flat.size)
     while steps:
         n = min(steps, height)
-        for x, y in zip(rows[:n], rows[1:n + 1]):
-            if shrink:
-                np.divide(x, q, out=y)
-            elif q.imag == 0.0:  # _times up to the sign of zero
-                np.multiply(x.view(np.float64), q.real, out=y.view(np.float64))
-            else:
-                _times(x, q, y, tmp)
-        logs = np.abs(np.subtract(1.0, rows[:n], out=rows[:n]))
-        np.log(logs, out=logs)
-        logs[0] += out  # the running sum comes first, as in the loop
-        out = np.add.reduce(logs, axis=0)
+        if floats is not None:  # t/q or _times(t, q) up to the sign of zero
+            for x, y in zip(floats[:n], floats[1:n + 1]):
+                np.multiply(x, factor, out=y)
+        else:
+            for x, y in zip(rows[:n], rows[1:n + 1]):
+                if shrink:
+                    np.divide(x, q, out=y)
+                else:
+                    _times(x, q, y, tmp)
+        block = np.abs(np.subtract(1.0, rows[:n], out=rows[:n]), out=logs[:n])
+        np.log(block, out=block)
+        block[0] += out  # the running sum comes first, as in the loop
+        np.add.reduce(block, axis=0, out=out)
         rows[0] = rows[n]
         steps -= n
     return out.reshape(t.shape), rows[0].reshape(t.shape)

@@ -5,6 +5,8 @@ its members zeros_up_to, log_abs (on arrays), eval, qp and shift_ratio,
 and reads everything off it. from_q_product survives only as the
 bound-method spelling of earlier releases: it must give the same model,
 bit for bit, and refuse whatever is not one lattice product's methods.
+The model keeps the split of its zeros up to the largest radius asked,
+and every count read off it is the count of a fresh split.
 """
 
 import ast
@@ -16,13 +18,15 @@ import pytest
 import jacksonq
 from jacksonq.errors import DomainError
 from jacksonq.nevanlinna import (
+    INF,
     MeroModel,
     ProductModel,
     characteristic,
+    counting_N,
     jensen_residual,
 )
 from jacksonq.qcore import QParam
-from jacksonq.qspecial import BigEProduct, EtildeProduct
+from jacksonq.qspecial import BigEProduct, EtildeProduct, LatticeProduct
 
 PRODUCTS = [BigEProduct(QParam(0.5)), EtildeProduct(QParam(2.0))]
 IDS = ["E_q q=0.5", "etilde_q q=2"]
@@ -77,3 +81,25 @@ def test_no_module_calls_the_bound_method_spelling():
                     and node.attr == "from_q_product"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+@pytest.mark.parametrize("prod", PRODUCTS, ids=IDS)
+def test_zero_split_kept_for_the_largest_radius(prod, monkeypatch):
+    asked = []
+    real = LatticeProduct.zeros_up_to
+
+    def counted(self, radius):
+        asked.append(radius)
+        return real(self, radius)
+
+    model = MeroModel.from_product(prod)
+    radii = (100.0, 10.5, 3.3e5, 1e3, 3.3e5, 7.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(LatticeProduct, "zeros_up_to", counted)
+        kept = [counting_N(model, r) for r in radii]
+        moduli = model.known_moduli(1e3)
+    assert asked == [100.0, 3.3e5]
+    fresh = [counting_N(MeroModel.from_product(prod), r) for r in radii]
+    assert [x.hex() for x in kept] == [x.hex() for x in fresh]
+    assert moduli == MeroModel.from_product(prod).known_moduli(1e3)
+    assert counting_N(model, 1e3, INF) == 0.0

@@ -326,6 +326,39 @@ class TestCharacteristic:
         s = characteristic(MeroModel.from_rational(f), 7.0, M=1024)
         assert s.T == pytest.approx(s.m + s.Ninf)
 
+    @pytest.mark.parametrize("model", [
+        MeroModel.from_rational(RationalFunction.from_roots([0.5, -1.5],
+                                                            [2.5j]),
+                                QParam(0.5)),
+        MeroModel.from_series(etilde_q(QParam(2.0), 48), QParam(2.0)),
+        big_e_model(),
+        MeroModel.from_sampler(Sampler(lambda z: 1.0 + z * z), entire=True),
+    ], ids=["rational", "series", "product", "sampler"])
+    def test_T_alone_is_characteristics_T(self, model):
+        # the checks that read T alone take it without N0 or nJ columns
+        for r in (0.7, 7.0, 1.5e3):
+            want = characteristic(model, r, 512).T
+            assert nevanlinna._characteristic_T(model, r, 512).hex() \
+                == want.hex()
+
+    def test_T_readers_count_no_jackson_weights(self, monkeypatch):
+        qp = QParam(0.5)
+        f = RationalFunction.from_roots([0.5, -1.5], [2.5j])
+        model = MeroModel.from_rational(f, qp)
+        grid = RadialGrid.log_spaced(10.0, 1e3, 6, angular_nodes=256)
+        calls = []
+        real = nevanlinna.jackson_truncated_counting
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(nevanlinna, "jackson_truncated_counting", counted)
+        logderiv_lemma_check(model, qp, 1, grid)
+        assert calls == []
+        defect_estimates(model, grid, [0.0, 1.0])
+        assert calls == [0.0] * 6 + [1.0] * 6
+
 
 class TestJensen:
     def test_z_minus_2_at_r1(self):

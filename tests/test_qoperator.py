@@ -285,6 +285,17 @@ class TestJacksonIntegral:
         with pytest.raises(NonconvergentSample):
             jackson_integral(wild, 0.0, 1.0, qp)
 
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_sample_modulus_past_double_range_is_typed(self, j):
+        # abs(1.5e308 + 1.5e308j) raises OverflowError; the first sample
+        # and a later one are refused alike
+        qp = QParam(0.5)
+        huge = complex(1.5e308, 1.5e308)
+        orbit = [qp.q ** i for i in range(j + 1)]
+        f = Sampler(lambda z: huge if z == orbit[j] else 1.0 + 0j)
+        with pytest.raises(NonconvergentSample, match="double range"):
+            jackson_integral(f, 0.0, 1.0, qp)
+
 
 class TestCasorati:
     def test_dependent_pair_vanishes(self):
@@ -340,6 +351,13 @@ class TestSeriesSampler:
         assert s(1.5) == 1.5
         with pytest.raises(OutsideDomain):
             s(3.0)
+
+    def test_point_past_double_range_is_outside(self):
+        s = Sampler(lambda z: z, domain_radius=2.0)
+        with pytest.raises(OutsideDomain, match="inf"):
+            s(complex(1.5e308, 1.5e308))
+        # no radius, no modulus: the point goes to eval as before
+        assert Sampler(lambda z: 7.0)(complex(1.5e308, 1.5e308)) == 7.0
 
 
 # The six q regimes; "root of unity" is (1 + eps) e^{2 pi i j / m}, just

@@ -5,7 +5,9 @@ certifies each annulus count by one winding number in the gap above it.
 On etilde_q (|q| > 1) and big_e_q (|q| < 1) the counts must equal the
 exact lattice counts and the moduli must match the lattice moduli; a
 count the winding numbers do not confirm, or coefficients that are not
-finite, must raise DomainError.
+finite, must raise DomainError. All first-pass winding circles are
+evaluated in one array call; a circle whose node count doubles evaluates
+again at the new count.
 """
 
 import cmath
@@ -14,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacksonq import nevanlinna, polyroots, qode
@@ -87,6 +89,20 @@ def q_values(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(q=q_values(), index=st.integers(0, N))
+# one pinned example per regime of REGIMES, in its order, which runs in
+# every collection whatever examples hypothesis draws there
+@example(q=2.0, index=0)
+@example(q=-2.3, index=17)
+@example(q=cmath.rect(2.1, 0.6), index=N)
+@example(q=0.5, index=40)
+@example(q=-0.45, index=5)
+@example(q=cmath.rect(0.48, -0.9), index=61)
+@example(q=1.45, index=90)
+@example(q=-1.35, index=1)
+@example(q=cmath.rect(1.4, -1.2), index=33)
+@example(q=0.7, index=72)
+@example(q=-0.75, index=N - 1)
+@example(q=cmath.rect(0.65, 2.5), index=48)
 def test_locator_matches_lattice_and_fails_loudly(q, index):
     series, lattice = series_and_lattice(q)
     r = between_lattice(lattice, min(300.0, 0.5 * series.safe_radius))
@@ -169,3 +185,24 @@ def test_winding_calls_one_per_group():
                               side_effect=AssertionError):
         groups = series_zero_moduli(series, r)
     assert len(calls) == len(groups) and calls[-1] == r
+
+
+def test_one_series_eval_for_all_first_pass_circles(monkeypatch):
+    sizes = []
+    real = TruncatedSeries.eval
+
+    def counted(self, z):
+        sizes.append(np.size(z))
+        return real(self, z)
+
+    monkeypatch.setattr(TruncatedSeries, "eval", counted)
+    series, lattice = series_and_lattice(2.0)
+    groups = series_zero_moduli(series, between_lattice(lattice, 300.0))
+    assert len(groups) == 8 and sizes == [8 * nevanlinna._WINDING_NODES]
+
+    # z^200 (1 + z/10) winds 200 times around |z| = 2, too fast for 512
+    # nodes: that circle evaluates again at 1024
+    sizes.clear()
+    ts = TruncatedSeries.from_polynomial(np.r_[np.zeros(200), 1.0, 0.1])
+    assert series_zero_moduli(ts, 2.0) == []
+    assert sizes == [512, 1024]
