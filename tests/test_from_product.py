@@ -18,7 +18,6 @@ import pytest
 import jacksonq
 from jacksonq.errors import DomainError
 from jacksonq.nevanlinna import (
-    INF,
     MeroModel,
     ProductModel,
     characteristic,
@@ -102,4 +101,3 @@ def test_zero_split_kept_for_the_largest_radius(prod, monkeypatch):
     fresh = [counting_N(MeroModel.from_product(prod), r) for r in radii]
     assert [x.hex() for x in kept] == [x.hex() for x in fresh]
     assert moduli == MeroModel.from_product(prod).known_moduli(1e3)
-    assert counting_N(model, 1e3, INF) == 0.0
