@@ -34,6 +34,7 @@ from .qode import QdeProblem, RationalFunction, solve_series, verify_pointwise
 from .qoperator import (
     CasoratiPair,
     Sampler,
+    _PartsIntegrand,
     casorati,
     dq_sample,
     dq_series,
@@ -198,13 +199,12 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
     for _ in range(6):
         f = _rand_poly(rng, int(rng.integers(1, 6)))
         g = _rand_poly(rng, int(rng.integers(1, 6)))
-        left = jackson_integral(
-            Sampler(lambda w: f.eval(w) * dq_sample(g, w, qp)), 0.0, 1.0,
-            qp, tol=1e-13)
+        # f(w) D_q g(w) and g(qw) D_q f(w)
+        left = jackson_integral(_PartsIntegrand(f, g, qp), 0.0, 1.0, qp,
+                                tol=1e-13)
         boundary = f.eval(1.0) * g.eval(1.0) - f.eval(0.0) * g.eval(0.0)
         right = boundary - jackson_integral(
-            Sampler(lambda w: g.eval(qp.q * w) * dq_sample(f, w, qp)),
-            0.0, 1.0, qp, tol=1e-13)
+            _PartsIntegrand(g, f, qp, shifted=True), 0.0, 1.0, qp, tol=1e-13)
         worst_parts = max(worst_parts, abs(left - right) / max(1.0, abs(left)))
     out.append(_res("rules", "integration by parts [0,1]", worst_parts, 1e-8))
     return out
@@ -215,9 +215,10 @@ def run_operator_equivalence(seed: int = 20240501, count: int = 100,
     """dqk_closed_form == iterated dq_sample == dqk_series on random
     polynomials (degree <= 12, k <= 5, q in {0.5, 2})."""
     rng = np.random.default_rng(seed)
+    qps = (QParam(0.5), QParam(2.0))
     worst = 0.0
     for i in range(count):
-        qp = QParam(0.5 if i % 2 == 0 else 2.0)
+        qp = qps[i % 2]
         deg = int(rng.integers(1, 13))
         k = int(rng.integers(1, 6))
         f = _rand_poly(rng, deg)

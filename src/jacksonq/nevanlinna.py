@@ -532,10 +532,45 @@ def _unit_circle(M: int) -> np.ndarray:
     return unit
 
 
+_CIRCLE_POINTS = 4096  # points in one log_abs call of _circle_means
+
+
+def _circle_means(model: MeroModel, radii, M: int, positive_part: bool):
+    """_circle_mean at each radius, as an iterator. Circles go to
+    model.log_abs in chunks of up to _CIRCLE_POINTS points, one (radii x
+    M) array per chunk (a sampler model takes one radius per call; it
+    calls its function point by point anyway); a row's means are the
+    bits its circle alone gives. A chunk's floating-point overflow,
+    invalid operation or division by zero raises instead of warning; if
+    the chunk raises, its radii are computed one at a time as the
+    iterator is read, so the first failing radius raises or warns as it
+    would alone, in the caller's order."""
+    unit = _unit_circle(M)
+    per = 1 if isinstance(model, SamplerModel) else max(
+        1, _CIRCLE_POINTS // M)
+    for i in range(0, len(radii), per):
+        chunk = radii[i:i + per]
+        rows = None
+        if len(chunk) > 1:
+            try:
+                with np.errstate(over="raise", invalid="raise",
+                                 divide="raise"):
+                    rows = model.log_abs(np.multiply.outer(chunk, unit))
+            except Exception:  # raised again below, at its own radius
+                pass
+        for j, r in enumerate(chunk):
+            la = model.log_abs(r * unit) if rows is None else rows[j]
+            yield _log_means(la, r, positive_part)
+
+
 def _circle_mean(model: MeroModel, r: float, M: int, positive_part: bool):
     """Trapezoid mean of log|f| (or log+|f|) over |z| = r, plus the
     step-halving error estimate (floored near machine precision)."""
-    la = model.log_abs(r * _unit_circle(M))
+    return next(_circle_means(model, (r,), M, positive_part))
+
+
+def _log_means(la: np.ndarray, r: float, positive_part: bool):
+    """_circle_mean from log|f| on the circle |z| = r."""
     if np.any(np.isposinf(la)) or np.any(np.isnan(la)):
         raise PoleOnCircle(f"pole on quadrature circle r = {r:g}")
     vals = np.maximum(la, 0.0) if positive_part else la
@@ -606,11 +641,13 @@ def characteristic(model: MeroModel, r: float, M: int = 4096) -> NevanlinnaSampl
     return sample
 
 
-def _characteristic_T(model: MeroModel, r: float, M: int) -> float:
-    """characteristic(model, r, M).T, summed as there, without the N0
-    and Jackson columns, for the checks that read T alone."""
-    mval, _ = _circle_mean(model, r, M, positive_part=True)
-    return mval + counting_N(model, r, INF)
+def _characteristic_Ts(model: MeroModel, radii, M: int):
+    """characteristic(model, r, M).T at each radius, summed as there,
+    without the N0 and Jackson columns, for the checks that read T
+    alone; an iterator, whose circles come from _circle_means."""
+    means = _circle_means(model, radii, M, positive_part=True)
+    for r, (mval, _) in zip(radii, means):
+        yield mval + counting_N(model, r, INF)
 
 
 def jensen_residual(model: MeroModel, r: float, M: int = 4096) -> float:
@@ -697,7 +734,7 @@ def defect_estimates(model: MeroModel, grid: RadialGrid, targets,
     if qp is None:
         raise DomainError("defect estimates need the model's QParam")
     out = []
-    Ts = [_characteristic_T(model, r, M) for r in grid.radii]
+    Ts = list(_characteristic_Ts(model, grid.radii, M))
     for a in targets:
         Ns = [counting_N(model, r, a) for r in grid.radii]
         Nts = [jackson_truncated_counting(model, r, a, qp)[1]
@@ -876,9 +913,9 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
             return dqk_closed_form(model.eval, z, qp, k) / model.eval(z)
 
         ratio_model = SamplerModel(ratio_eval)
-    for r in grid.radii:
-        mval = proximity(ratio_model, r, M)
-        T = _characteristic_T(model, r, M)
+    means = _circle_means(ratio_model, grid.radii, M, positive_part=True)
+    Ts = _characteristic_Ts(model, grid.radii, M)
+    for r, (mval, _), T in zip(grid.radii, means, Ts):
         rows.append(LogDerivRow(r, mval, T))
     return rows
 
@@ -914,8 +951,7 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
     M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
     rows = []
-    for r in grid.radii:
-        T = _characteristic_T(model, r, M)
+    for r, T in zip(grid.radii, _characteristic_Ts(model, grid.radii, M)):
         S = 0.0
         Nsum = 0.0
         for a in targets:
@@ -1046,16 +1082,16 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
         sigma_A, half_A = 1.0, 0.0
     else:
         radii = grid.avoiding(A_model.known_moduli(grid.radii[-1] * 2.0)).radii
-        est = _log_order_from_Ts(radii, [_characteristic_T(A_model, r, M)
-                                         for r in radii])
+        est = _log_order_from_Ts(radii, list(_characteristic_Ts(A_model,
+                                                                radii, M)))
         sigma_A, half_A = est.value, est.half_width
     if isinstance(f_model, SeriesModel):
         est_f = log_order_from_nu(f_model.series, grid)
     elif isinstance(f_model, ProductModel):
         est_f = log_order_from_counting(f_model, grid, target=0.0)
     else:
-        est_f = _log_order_from_Ts(grid.radii, [
-            _characteristic_T(f_model, r, M) for r in grid.radii])
+        est_f = _log_order_from_Ts(grid.radii, list(
+            _characteristic_Ts(f_model, grid.radii, M)))
     return GrowthReport(sigma_A, half_A, est_f.value, est_f.half_width)
 
 

@@ -13,8 +13,9 @@ The sampled operators (dqk_sample, dqk_closed_form, jackson_integral)
 read f on a q-orbit. A TruncatedSeries is evaluated on the orbit in one
 array call, which gives each point the bits a call at that point alone
 gives (numpy rounds each element of an array as it rounds a 0-d array;
-see polyroots.poly_eval); any other callable is called point by point,
-in orbit order.
+see polyroots.poly_eval), and so is each series of an integration-by-parts
+integrand u(s w) D_q v(w) (_PartsIntegrand); any other callable is called
+point by point, in orbit order.
 """
 
 from __future__ import annotations
@@ -186,7 +187,9 @@ def jackson_integral(f: Pointwise, a: complex, z: complex, qp: QParam,
 
     The sum truncates once |q|^j * sup|f| (sup estimated from the first
     200 orbit samples) drops below tol; the dropped tail is then bounded
-    by 2 tol |z - a|. Inverts D_q when a = 0.
+    by 2 tol |z - a|. Inverts D_q when a = 0. A sample that is not
+    finite, or whose modulus leaves double range, raises
+    NonconvergentSample.
 
     f is sampled in runs: each run holds the orbit points from the next
     one up to the last the stop rule cannot end before, given the sup
@@ -211,9 +214,11 @@ def jackson_integral(f: Pointwise, a: complex, z: complex, qp: QParam,
         try:
             av = abs(val)
         except OverflowError:
+            av = math.inf
+        if not math.isfinite(av):  # inf, nan, or |val| past double range
             raise NonconvergentSample(
-                "sample modulus leaves double range along the integration "
-                "orbit") from None
+                "sample is not finite or its modulus leaves double range "
+                "along the integration orbit")
         if first is None:
             first = max(av, 1.0)
         if j < 200:
@@ -242,19 +247,51 @@ def _spiral_run(a, z, q, qj, j, scale, tol) -> list:
     return pts
 
 
+@dataclass(frozen=True)
+class _PartsIntegrand:
+    """w -> u(s w) D_q v(w) for series u and v, s = q if shifted else 1:
+    an integrand of Jackson integration by parts. A call takes one point,
+    u.eval(s w) * dq_sample(v, w, qp); _orbit_values reads a run of
+    points through _values."""
+
+    u: TruncatedSeries
+    v: TruncatedSeries
+    qp: QParam
+    shifted: bool = False
+
+    def __call__(self, w):
+        return (self.u.eval(self.qp.q * w if self.shifted else w)
+                * dq_sample(self.v, w, self.qp))
+
+    def _values(self, points):
+        """The calls' values at nonzero points, from one array call of u
+        and one of v on [q w ...] + [w ...]; the Python-complex steps of
+        a call (q w, the difference, the division by (q - 1) w and the
+        product) run one point at a time as the iterator is read."""
+        q, n = self.qp.q, len(points)
+        qw = [q * w for w in points]
+        us = self.u.eval(np.array(qw if self.shifted else points)).tolist()
+        vs = self.v.eval(np.array(qw + points)).tolist()
+        return (a * ((b - c) / ((q - 1.0) * w))
+                for a, b, c, w in zip(us, vs[:n], vs[n:], points))
+
+
 def _orbit_values(f, points):
     """f at each point, as an iterator. A TruncatedSeries takes all the
-    points in one array call, in which a floating-point overflow or
-    invalid operation raises instead of warning. If that call raises,
-    and for any other callable, f is called one point at a time as the
-    iterator is read, so the first failing point raises or warns as it
-    always did, even where the caller stops reading before it."""
-    if isinstance(f, TruncatedSeries):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
+    points in one array call, and a _PartsIntegrand off the origin one
+    call of each series, in which a floating-point overflow or invalid
+    operation raises instead of warning. If that call raises, and for
+    any other callable, f is called one point at a time as the iterator
+    is read, so the first failing point raises or warns as it always
+    did, even where the caller stops reading before it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if isinstance(f, TruncatedSeries):
                 return iter(f.eval(np.array(points)).tolist())
-        except (JacksonQError, FloatingPointError):
-            pass
+            if isinstance(f, _PartsIntegrand) and 0 not in points:
+                return f._values(points)
+    except (JacksonQError, FloatingPointError):
+        pass
     return map(f, points)
 
 

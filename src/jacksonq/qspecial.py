@@ -89,6 +89,12 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
 
         t_{j+1}/t_j = prod_i (1 - alpha_i q^j) / prod_i (1 - beta_i q^j)
                       * [(-1) q^j]^{1+s-r} / (1 - q^{j+1}).
+
+    A term that is not finite saturates to exact zero, and so do all
+    after it. That includes a factor [(-1) q^j]^{1+s-r} that is
+    infinite: |q^j|^{1+s-r} past double range, or q^j underflowed to 0
+    with 1+s-r < 0. A beta with beta q^j = 1 exactly past guard_order
+    raises DenominatorPochhammerZero, as PhiParams does up to it.
     """
     q = params.qp.q
     alphas, betas = params.alphas, params.betas
@@ -96,17 +102,21 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
     t = 1.0 + 0.0j
     qj = 1.0 + 0.0j  # q^j
     expo = 1 + params.s - params.r
-    for _ in range(N + 1):
+    for j in range(N + 1):
         terms.append(t)
         for a in alphas:
             t *= 1.0 - a * qj
         for b in betas:
-            t /= 1.0 - b * qj
+            try:
+                t /= 1.0 - b * qj
+            except ZeroDivisionError:
+                raise DenominatorPochhammerZero(
+                    f"beta = {b} equals q^-{j}; series undefined") from None
         if expo:
             try:
                 t *= (-qj) ** expo
-            except OverflowError:  # |q^j| ** expo left double range;
-                # the non-finite rule below saturates t to exact zero
+            except (OverflowError, ZeroDivisionError):  # an infinite
+                # factor; the non-finite rule below saturates t to zero
                 t = complex(math.nan, math.nan)
         t /= 1.0 - qj * q
         qj *= q

@@ -335,11 +335,12 @@ class TestCharacteristic:
         MeroModel.from_sampler(Sampler(lambda z: 1.0 + z * z), entire=True),
     ], ids=["rational", "series", "product", "sampler"])
     def test_T_alone_is_characteristics_T(self, model):
-        # the checks that read T alone take it without N0 or nJ columns
-        for r in (0.7, 7.0, 1.5e3):
-            want = characteristic(model, r, 512).T
-            assert nevanlinna._characteristic_T(model, r, 512).hex() \
-                == want.hex()
+        # the checks that read T alone take it without N0 or nJ columns,
+        # a grid's circles in one log_abs call
+        radii = (0.7, 7.0, 1.5e3)
+        got = nevanlinna._characteristic_Ts(model, radii, 512)
+        for r, T in zip(radii, got):
+            assert T.hex() == characteristic(model, r, 512).T.hex()
 
     def test_T_readers_count_no_jackson_weights(self, monkeypatch):
         qp = QParam(0.5)
