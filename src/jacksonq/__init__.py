@@ -16,7 +16,6 @@ from .qcore import (
 )
 from .qoperator import (
     CasoratiPair,
-    Sampler,
     casorati,
     dq_sample,
     dq_series,
@@ -87,7 +86,7 @@ __all__ = [
     "QParam", "TruncatedSeries", "q_bracket", "q_brackets", "q_factorial",
     "q_pochhammer", "q_pochhammer_inf", "q_binomial", "q_pochhammer_mp",
     "q_binomial_mp",
-    "Sampler", "CasoratiPair", "dq_series", "dqk_series", "dq_sample",
+    "CasoratiPair", "dq_series", "dqk_series", "dq_sample",
     "dqk_sample", "dqk_closed_form", "jackson_integral", "casorati",
     "kernel_check", "series_sampler",
     "PhiParams", "phi_rs", "exp_q", "etilde_q", "big_e_q", "sinq_cosq",

@@ -33,7 +33,6 @@ from .qcore import QParam, TruncatedSeries
 from .qode import QdeProblem, RationalFunction, solve_series, verify_pointwise
 from .qoperator import (
     CasoratiPair,
-    Sampler,
     _PartsIntegrand,
     casorati,
     dq_sample,
@@ -147,7 +146,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
         f = _rand_poly(rng, int(rng.integers(1, 7)))
         g = _rand_poly(rng, int(rng.integers(1, 7)))
         z = complex(rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        lhs = dq_sample(Sampler(lambda w: f.eval(w) * g.eval(w)), z, qp)
+        lhs = dq_sample(lambda w: f.eval(w) * g.eval(w), z, qp)
         v1 = g.eval(qp.q * z) * dq_sample(f, z, qp) + f.eval(z) * dq_sample(g, z, qp)
         v2 = f.eval(qp.q * z) * dq_sample(g, z, qp) + g.eval(z) * dq_sample(f, z, qp)
         scale = max(1.0, abs(lhs))
@@ -163,7 +162,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
         gz, gqz = g.eval(z), g.eval(qp.q * z)
         if min(abs(gz), abs(gqz)) < 0.05:
             continue
-        lhs = dq_sample(Sampler(lambda w: f.eval(w) / g.eval(w)), z, qp)
+        lhs = dq_sample(lambda w: f.eval(w) / g.eval(w), z, qp)
         rhs = (gz * dq_sample(f, z, qp)
                - f.eval(z) * dq_sample(g, z, qp)) / (gqz * gz)
         worst_quot = max(worst_quot, abs(lhs - rhs) / max(1.0, abs(lhs)))
@@ -180,7 +179,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
         if abs(gqz - gz) < 1e-6:
             skipped += 1  # degenerate factorisation point, recorded and skipped
             continue
-        lhs = dq_sample(Sampler(lambda w: f.eval(g.eval(w))), z, qp)
+        lhs = dq_sample(lambda w: f.eval(g.eval(w)), z, qp)
         rhs = (f.eval(gqz) - f.eval(gz)) / (gqz - gz) * dq_sample(g, z, qp)
         worst_chain = max(worst_chain, abs(lhs - rhs) / max(1.0, abs(lhs)))
         done += 1
@@ -190,7 +189,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
     for _ in range(6):
         f = _rand_poly(rng, int(rng.integers(1, 6)))
         z = complex(rng.uniform(0.3, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
-        F = Sampler(lambda w, f=f: jackson_integral(f, 0.0, w, qp, tol=1e-14))
+        F = lambda w, f=f: jackson_integral(f, 0.0, w, qp, tol=1e-14)
         worst_ft = max(worst_ft,
                        abs(dq_sample(F, z, qp) - f.eval(z)) / max(1.0, abs(f.eval(z))))
     out.append(_res("rules", "fundamental theorem (a=0)", worst_ft, 1e-10))
@@ -442,7 +441,7 @@ def run_quintic_equations(seed: int = 20240501) -> list:
     out = []
     pts = [complex(rng.uniform(0.1, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
            for _ in range(20)]
-    poly = Sampler(lambda z: z**5 + 1)
+    poly = lambda z: z**5 + 1
     for qv in (2.0, 0.5):
         qp = QParam(qv)
         num1 = np.zeros(5, dtype=complex)

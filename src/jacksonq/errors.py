@@ -22,7 +22,8 @@ class OriginSingular(JacksonQError):
 
 
 class OutsideDomain(JacksonQError):
-    """Sampler evaluation outside its declared domain radius."""
+    """Pointwise residual requested at the origin or numerically at a
+    pole of the equation's coefficients."""
 
 
 class NonconvergentSample(JacksonQError):

@@ -57,7 +57,7 @@ from .polyroots import (check_unambiguous, image_multiplicities, poly_eval,
                         poly_mul)
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_quotient
-from .qoperator import Sampler, dqk_closed_form
+from .qoperator import Pointwise, dqk_closed_form
 from .qspecial import LatticeProduct
 
 INF = math.inf
@@ -193,7 +193,7 @@ class MeroModel:
         return cls.from_product(product)
 
     @classmethod
-    def from_sampler(cls, sampler: Sampler, entire: bool = False,
+    def from_sampler(cls, sampler: Pointwise, entire: bool = False,
                      qp: Optional[QParam] = None) -> "MeroModel":
         return SamplerModel(sampler, entire, qp)
 
@@ -392,7 +392,7 @@ class ProductModel(MeroModel):
 
 @dataclass(eq=False)
 class SamplerModel(MeroModel):
-    fn: Callable[[complex], complex]  # a Sampler, or any one-point callable
+    fn: Pointwise  # any one-point callable, a TruncatedSeries included
     entire: bool = False
     qp: Optional[QParam] = None
 

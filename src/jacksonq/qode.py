@@ -43,7 +43,7 @@ from .polyroots import (
     roots_with_multiplicity,
 )
 from .qcore import QParam, TruncatedSeries, _triangular_steps, q_brackets
-from .qoperator import Sampler, _closed_form
+from .qoperator import Pointwise, _closed_form
 
 _CONDITION_WARN = 1e-3
 
@@ -430,7 +430,7 @@ def residual(prob: QdeProblem, f: TruncatedSeries):
     return res, float(np.max(np.abs(res.coeffs)))
 
 
-def verify_pointwise(prob: QdeProblem, f: Sampler, points) -> list:
+def verify_pointwise(prob: QdeProblem, f: Pointwise, points) -> list:
     """Relative residual |D_q^k f + A f - B| / scale at each point, where
     scale is the largest magnitude among the three terms (floored at 1).
 

@@ -6,8 +6,9 @@ The Jackson difference operator acts on a function f as
 
 lowering polynomial degree by one and reducing to d/dz as q -> 1. It has
 two faces here: an exact coefficient map on TruncatedSeries, and a
-divided-difference evaluation on black-box Samplers (rejected at z = 0,
-where only the series path is defined).
+divided-difference evaluation on one-point callables (rejected at z = 0,
+where only the series path is defined). A TruncatedSeries is itself a
+one-point callable, refusing past its certified radius by its own rule.
 
 The sampled operators (dqk_sample, dqk_closed_form, jackson_integral)
 read f on a q-orbit. A TruncatedSeries is evaluated on the orbit in one
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -32,37 +33,11 @@ from .errors import (
     JacksonQError,
     NonconvergentSample,
     OriginSingular,
-    OutsideDomain,
 )
 from .qcore import QParam, TruncatedSeries, q_binomial, q_brackets
 
 
-@dataclass(frozen=True)
-class Sampler:
-    """A function of one complex variable as an evaluable object.
-
-    ``eval`` must be deterministic and re-entrant. ``domain_radius``
-    restricts where evaluation is allowed (None = whole plane).
-    """
-
-    eval: Callable[[complex], complex]
-    domain_radius: Optional[float] = None
-
-    def __call__(self, z: complex) -> complex:
-        if self.domain_radius is not None:
-            try:
-                mod = abs(z)
-            except OverflowError:  # |z| past double range
-                mod = math.inf
-            if mod > self.domain_radius:
-                raise OutsideDomain(
-                    f"|z| = {mod:g} outside sampler domain "
-                    f"radius {self.domain_radius:g}")
-        return self.eval(z)
-
-
-FunctionLike = Union[TruncatedSeries, Sampler]
-# what the sampled operators read: a series, a Sampler or any callable
+# what the sampled operators read: a TruncatedSeries or any one-point callable
 Pointwise = Callable[[complex], complex]
 
 
@@ -70,8 +45,8 @@ Pointwise = Callable[[complex], complex]
 class CasoratiPair:
     """Two nonconstant functions sharing a base q, for C_J(f1, f2)."""
 
-    f1: FunctionLike
-    f2: FunctionLike
+    f1: Pointwise
+    f2: Pointwise
     qp: QParam
 
     def __post_init__(self):
@@ -299,20 +274,18 @@ def casorati(pair: CasoratiPair):
     """Jackson q-Casorati determinant C_J = f1 D_q f2 - f2 D_q f1.
 
     Returns a TruncatedSeries when both operands are series, otherwise a
-    Sampler evaluating the determinant pointwise. C_J vanishes
-    identically exactly when f1, f2 are linearly dependent.
+    one-point closure evaluating the determinant, at which a series
+    operand refuses by its own radius rule. C_J vanishes identically
+    exactly when f1, f2 are linearly dependent.
     """
     f1, f2, qp = pair.f1, pair.f2, pair.qp
     if isinstance(f1, TruncatedSeries) and isinstance(f2, TruncatedSeries):
         return f1 * dq_series(f2, qp) - f2 * dq_series(f1, qp)
-    s1 = _as_sampler(f1)
-    s2 = _as_sampler(f2)
-    rad = _min_opt(s1.domain_radius, s2.domain_radius)
 
     def det(z: complex) -> complex:
-        return s1(z) * dq_sample(s2, z, qp) - s2(z) * dq_sample(s1, z, qp)
+        return f1(z) * dq_sample(f2, z, qp) - f2(z) * dq_sample(f1, z, qp)
 
-    return Sampler(det, rad)
+    return det
 
 
 def kernel_check(f: TruncatedSeries, qp: QParam, tol: float = 1e-12) -> bool:
@@ -323,23 +296,9 @@ def kernel_check(f: TruncatedSeries, qp: QParam, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs(df.coeffs) < tol * scale))
 
 
-def series_sampler(f: TruncatedSeries) -> Sampler:
-    """Wrap a series as a Sampler honoring its certified radius."""
-    rad = f.safe_radius
-    if rad is not None and math.isinf(rad):
-        rad = None
-    return Sampler(lambda z: f.eval(z), rad)
-
-
-def _as_sampler(f: FunctionLike) -> Sampler:
-    if isinstance(f, Sampler):
-        return f
-    return series_sampler(f)
-
-
-def _min_opt(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+def series_sampler(f: TruncatedSeries) -> TruncatedSeries:
+    """f itself: a series is its own one-point callable and refuses past
+    its certified radius by its own rule. Kept only as the name that
+    perfbench's series_solve check calls; it goes when that check passes
+    the series itself (ROADMAP item 9)."""
+    return f

@@ -24,8 +24,8 @@ from jacksonq.errors import (NonconvergentSample, OriginSingular,
 from jacksonq.nevanlinna import MeroModel, _circle_mean, _circle_means
 from jacksonq.qcore import QParam, TruncatedSeries
 from jacksonq.qode import RationalFunction
-from jacksonq.qoperator import (Sampler, _orbit_values, _PartsIntegrand,
-                                dq_sample, jackson_integral)
+from jacksonq.qoperator import (_orbit_values, _PartsIntegrand, dq_sample,
+                                jackson_integral)
 from jacksonq.qspecial import (BigEProduct, EtildeProduct, exp_q, etilde_q,
                                product_solution)
 
@@ -35,8 +35,8 @@ QS = [0.5, 0.3, -0.6, 0.45 * cmath.exp(0.7j), 0.8 * cmath.exp(-2.1j)]
 def one_point(u, v, qp, shifted):
     """The integrand as the rules suite wrote it, one point per call."""
     if shifted:
-        return Sampler(lambda w: u.eval(qp.q * w) * dq_sample(v, w, qp))
-    return Sampler(lambda w: u.eval(w) * dq_sample(v, w, qp))
+        return lambda w: u.eval(qp.q * w) * dq_sample(v, w, qp)
+    return lambda w: u.eval(w) * dq_sample(v, w, qp)
 
 
 def rand_poly(rng, deg, scale=1.0):

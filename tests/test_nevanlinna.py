@@ -39,7 +39,6 @@ from jacksonq.nevanlinna import (
 )
 from jacksonq.qcore import QParam, TruncatedSeries
 from jacksonq.qode import RationalFunction
-from jacksonq.qoperator import Sampler
 from jacksonq.qspecial import BigEProduct, EtildeProduct, big_e_q, etilde_q
 
 RNG = np.random.default_rng(90125)
@@ -207,7 +206,7 @@ class TestModelShapes:
         assert model.divisor(5.0, INF) == (0, [(1.0, 1)])
 
     def test_sampler_knows_no_divisor(self):
-        model = MeroModel.from_sampler(Sampler(lambda z: 1.0 + z), entire=True)
+        model = MeroModel.from_sampler(lambda z: 1.0 + z, entire=True)
         # declared entire: no poles, and nothing else is known
         assert model.known_moduli(10.0) == []
         assert model.divisor(10.0, INF) == (0, [])
@@ -216,12 +215,12 @@ class TestModelShapes:
             with pytest.raises(TargetUnsupported):
                 call()
         with pytest.raises(TargetUnsupported):
-            MeroModel.from_sampler(Sampler(lambda z: z)).divisor(1.0, INF)
+            MeroModel.from_sampler(lambda z: z).divisor(1.0, INF)
 
     @pytest.mark.parametrize("model", [
         MeroModel.from_series(TruncatedSeries.from_polynomial([1.0, -0.5])),
         big_e_model(),
-        MeroModel.from_sampler(Sampler(lambda z: 1.0 + z), entire=True),
+        MeroModel.from_sampler(lambda z: 1.0 + z, entire=True),
     ], ids=["series", "product", "sampler"])
     def test_entire_pole_count_is_positive_zero(self, model):
         # 0 * log r would be -0.0 inside the unit circle
@@ -232,7 +231,7 @@ class TestModelShapes:
         lambda qp: MeroModel.from_series(
             TruncatedSeries.from_polynomial([1.0, -0.5, 0.25]), qp),
         lambda qp: big_e_model(qp=qp),
-        lambda qp: MeroModel.from_sampler(Sampler(lambda z: 1.0 + z),
+        lambda qp: MeroModel.from_sampler(lambda z: 1.0 + z,
                                           entire=True, qp=qp),
     ], ids=["series", "product", "sampler"])
     def test_only_rational_models_have_jackson_weights(self, make):
@@ -332,7 +331,7 @@ class TestCharacteristic:
                                 QParam(0.5)),
         MeroModel.from_series(etilde_q(QParam(2.0), 48), QParam(2.0)),
         big_e_model(),
-        MeroModel.from_sampler(Sampler(lambda z: 1.0 + z * z), entire=True),
+        MeroModel.from_sampler(lambda z: 1.0 + z * z, entire=True),
     ], ids=["rational", "series", "product", "sampler"])
     def test_T_alone_is_characteristics_T(self, model):
         # the checks that read T alone take it without N0 or nJ columns,
@@ -878,7 +877,7 @@ class TestGrowthFloor:
                 z = complex(eps, eps)
             return -((1.0 - z) * prod.eval(z) - 1.0) / ((q - 1.0) * z)
 
-        A_model = MeroModel.from_sampler(Sampler(A_eval), entire=True, qp=qp)
+        A_model = MeroModel.from_sampler(A_eval, entire=True, qp=qp)
         grid = RadialGrid.log_spaced(1e2, 1e5, 8, angular_nodes=256)
         rep = growth_lower_bound_check(A_model, f_model, qp, 1, grid,
                                        residual_tol=1e-6)

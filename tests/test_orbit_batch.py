@@ -8,7 +8,8 @@ below). A failing point must raise the same error on both: an orbit
 leaving the certified radius raises OutsideSafeRadius, and a growing
 integrand raises NonconvergentSample, even where the batch also holds
 later points past the radius or past double range. verify_pointwise,
-which reads its series through dqk_closed_form, follows.
+which reads its series through dqk_closed_form, follows, and so does the
+Casorati determinant of a series beside a plain callable.
 
 The draws cover the six q regimes of test_lattice_arrays, k <= 5,
 polynomials (infinite radius, some with exact-zero top coefficients) and
@@ -29,7 +30,13 @@ from hypothesis import strategies as st
 from jacksonq.errors import NonconvergentSample, OutsideSafeRadius
 from jacksonq.qcore import QParam, TruncatedSeries
 from jacksonq.qode import QdeProblem, RationalFunction, verify_pointwise
-from jacksonq.qoperator import dqk_closed_form, dqk_sample, jackson_integral
+from jacksonq.qoperator import (
+    CasoratiPair,
+    casorati,
+    dqk_closed_form,
+    dqk_sample,
+    jackson_integral,
+)
 
 # (|q| range, real sign or None for complex q), as in test_lattice_arrays
 REGIMES = {
@@ -121,6 +128,11 @@ def jackson_loop(f, a, z, qp, tol):
     return (z - a) * (1.0 - q) * acc
 
 
+def casorati_beside_identity(f, z, qp):
+    """C_J(f, w -> w) at z, a mixed pair when f is a series."""
+    return casorati(CasoratiPair(f, lambda w: w, qp))(z)
+
+
 def routes_agree(fn, f, *args):
     got = outcome(fn, f, *args)
     assert got == outcome(fn, one_point(f), *args)
@@ -149,6 +161,9 @@ def test_orbit_call_matches_one_point_route(case):
         prob = QdeProblem(k, RationalFunction([0.3, -0.2j]),
                           RationalFunction([1.0 + 0.5j]), qp, (1.0,) * k)
         routes_agree(lambda g: verify_pointwise(prob, g, [z, 0.5 * z]), f)
+    if not f.is_constant():  # a constant series is no Casorati operand
+        got = routes_agree(casorati_beside_identity, f, z, qp)
+        assert type(got) is bytes or got[0] is OutsideSafeRadius
     inner = qp if abs(case.q) < 1.0 else qp.inverse()
     for a in (0.0, case.a):
         got = routes_agree(jackson_integral, f, a, z, inner, 1e-13)
@@ -161,6 +176,9 @@ def test_orbit_past_the_radius_raises_on_both_routes():
     got = routes_agree(dqk_sample, case.f, case.z, QParam(case.q), 5)
     assert got[0] is OutsideSafeRadius
     got = routes_agree(dqk_closed_form, case.f, case.z, QParam(case.q), 5)
+    assert got[0] is OutsideSafeRadius
+    # 1 lies inside the radius, q = 2.6 past it
+    got = routes_agree(casorati_beside_identity, case.f, 1.0, QParam(case.q))
     assert got[0] is OutsideSafeRadius
 
 

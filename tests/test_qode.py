@@ -11,7 +11,7 @@ from jacksonq.errors import (
     RegimeMismatch,
 )
 from jacksonq.qcore import QParam, TruncatedSeries, q_bracket, q_factorial, q_pochhammer
-from jacksonq.qoperator import Sampler, dq_series
+from jacksonq.qoperator import dq_series
 from jacksonq.qode import (
     QdeProblem,
     RationalFunction,
@@ -229,7 +229,7 @@ class TestVerifyPointwise:
     @pytest.mark.parametrize("qv", [2.0, 0.5])
     def test_quintic_both_orders(self, qv):
         qp = QParam(qv)
-        poly = Sampler(lambda z: z**5 + 1)
+        poly = lambda z: z**5 + 1
         pts = [complex(RNG.uniform(0.2, 2.0) * np.exp(1j * RNG.uniform(0, 2 * np.pi)))
                for _ in range(10)]
         prob1 = QdeProblem.homogeneous(1, quintic_first_order(qv), qp, (1.0,))
@@ -276,7 +276,7 @@ class TestVerifyPointwise:
         qp = QParam(2.0)
         prob = QdeProblem.homogeneous(1, const_rf(-1.0), qp, (1.0,))
         with pytest.raises(OutsideDomain):
-            verify_pointwise(prob, Sampler(lambda z: z), [0.0])
+            verify_pointwise(prob, lambda z: z, [0.0])
 
 
 class TestDegreeCondition:

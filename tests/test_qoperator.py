@@ -11,12 +11,11 @@ from jacksonq.errors import (
     DomainError,
     NonconvergentSample,
     OriginSingular,
-    OutsideDomain,
+    OutsideSafeRadius,
 )
 from jacksonq.qcore import QParam, TruncatedSeries, q_bracket
 from jacksonq.qoperator import (
     CasoratiPair,
-    Sampler,
     casorati,
     dq_sample,
     dq_series,
@@ -27,7 +26,7 @@ from jacksonq.qoperator import (
     kernel_check,
     series_sampler,
 )
-from jacksonq.qspecial import exp_q
+from jacksonq.qspecial import etilde_q, exp_q
 
 RNG = np.random.default_rng(7415)
 
@@ -39,8 +38,9 @@ def rand_poly(rng, deg):
     return TruncatedSeries.from_polynomial(c)
 
 
-def poly_sampler(f: TruncatedSeries) -> Sampler:
-    return Sampler(lambda z: f.eval(z))
+def poly_sampler(f: TruncatedSeries):
+    """f as a plain one-point callable, off the series' orbit route."""
+    return lambda z: f.eval(z)
 
 
 class TestDqSeries:
@@ -101,8 +101,8 @@ class TestDqSeries:
 class TestDqSample:
     def test_identity_and_constant(self):
         qp = QParam(2.0)
-        ident = Sampler(lambda z: z)
-        const = Sampler(lambda z: 4.2 + 0j)
+        ident = lambda z: z
+        const = lambda z: 4.2 + 0j
         for z in [1.0, -0.3 + 2j, 5j]:
             assert dq_sample(ident, z, qp) == pytest.approx(1.0)
             assert dq_sample(const, z, qp) == pytest.approx(0.0)
@@ -110,12 +110,12 @@ class TestDqSample:
     def test_hand_value(self):
         # f(z) = z^5 + 1, q = 2, z = 1: (2^5 + 1 - 2)/1 = 31
         qp = QParam(2.0)
-        f = Sampler(lambda z: z**5 + 1)
+        f = lambda z: z**5 + 1
         assert dq_sample(f, 1.0, qp) == pytest.approx(31.0)
 
     def test_origin_rejected(self):
         with pytest.raises(OriginSingular):
-            dq_sample(Sampler(lambda z: z), 0.0, QParam(2.0))
+            dq_sample(lambda z: z, 0.0, QParam(2.0))
 
 
 class TestDqkEquivalence:
@@ -170,7 +170,7 @@ class TestProductQuotientChainRules:
             f = rand_poly(RNG, int(RNG.integers(1, 7)))
             g = rand_poly(RNG, int(RNG.integers(1, 7)))
             sf, sg = poly_sampler(f), poly_sampler(g)
-            prod = Sampler(lambda z, f=f, g=g: f.eval(z) * g.eval(z))
+            prod = lambda z, f=f, g=g: f.eval(z) * g.eval(z)
             z = complex(RNG.uniform(0.2, 1.5) * np.exp(1j * RNG.uniform(0, 2 * np.pi)))
             lhs = dq_sample(prod, z, qp)
             v1 = g.eval(qp.q * z) * dq_sample(sf, z, qp) + f.eval(z) * dq_sample(sg, z, qp)
@@ -189,7 +189,7 @@ class TestProductQuotientChainRules:
             gz, gqz = g.eval(z), g.eval(qp.q * z)
             if min(abs(gz), abs(gqz)) < 0.05:
                 continue
-            quot = Sampler(lambda w, f=f, g=g: f.eval(w) / g.eval(w))
+            quot = lambda w, f=f, g=g: f.eval(w) / g.eval(w)
             lhs = dq_sample(quot, z, qp)
             rhs = (gz * dq_sample(poly_sampler(f), z, qp)
                    - f.eval(z) * dq_sample(poly_sampler(g), z, qp)) / (gqz * gz)
@@ -209,7 +209,7 @@ class TestProductQuotientChainRules:
             if abs(gqz - gz) < 1e-6:
                 skipped += 1
                 continue
-            comp = Sampler(lambda w, f=f, g=g: f.eval(g.eval(w)))
+            comp = lambda w, f=f, g=g: f.eval(g.eval(w))
             lhs = dq_sample(comp, z, qp)
             rhs = (f.eval(gqz) - f.eval(gz)) / (gqz - gz) * dq_sample(
                 poly_sampler(g), z, qp)
@@ -233,13 +233,13 @@ class TestProductQuotientChainRules:
 class TestJacksonIntegral:
     def test_constant_gives_z(self):
         qp = QParam(0.5)
-        f = Sampler(lambda z: 1.0 + 0j)
+        f = lambda z: 1.0 + 0j
         for z in [1.0, 2j, -0.7 + 0.4j]:
             assert jackson_integral(f, 0.0, z, qp) == pytest.approx(z)
 
     def test_identity_gives_z2_over_bracket2(self):
         qp = QParam(0.5)
-        f = Sampler(lambda z: z)
+        f = lambda z: z
         z = 1.3 - 0.4j
         expect = z**2 / q_bracket(2, qp)
         assert jackson_integral(f, 0.0, z, qp) == pytest.approx(expect)
@@ -251,10 +251,10 @@ class TestJacksonIntegral:
             f = rand_poly(RNG, int(RNG.integers(1, 7)))
             s = poly_sampler(f)
             z = complex(RNG.uniform(0.3, 1.5) * np.exp(1j * RNG.uniform(0, 2 * np.pi)))
-            F = Sampler(lambda w, s=s: jackson_integral(s, 0.0, w, qp, tol=1e-14))
+            F = lambda w, s=s: jackson_integral(s, 0.0, w, qp, tol=1e-14)
             lhs = dq_sample(F, z, qp)
             assert abs(lhs - f.eval(z)) <= 1e-10 * max(1.0, abs(f.eval(z)))
-            ds = Sampler(lambda w, s=s: dq_sample(s, w, qp))
+            ds = lambda w, s=s: dq_sample(s, w, qp)
             val = jackson_integral(ds, 0.0, z, qp, tol=1e-14)
             assert abs(val - (f.eval(z) - f.eval(0.0))) <= 1e-10 * max(
                 1.0, abs(f.eval(z)))
@@ -267,21 +267,21 @@ class TestJacksonIntegral:
             g = rand_poly(RNG, int(RNG.integers(1, 6)))
             sf, sg = poly_sampler(f), poly_sampler(g)
             left = jackson_integral(
-                Sampler(lambda w: f.eval(w) * dq_sample(sg, w, qp)),
+                lambda w: f.eval(w) * dq_sample(sg, w, qp),
                 0.0, 1.0, qp, tol=1e-13)
             boundary = f.eval(1.0) * g.eval(1.0) - f.eval(0.0) * g.eval(0.0)
             right = boundary - jackson_integral(
-                Sampler(lambda w: g.eval(qp.q * w) * dq_sample(sf, w, qp)),
+                lambda w: g.eval(qp.q * w) * dq_sample(sf, w, qp),
                 0.0, 1.0, qp, tol=1e-13)
             assert abs(left - right) <= 1e-8 * max(1.0, abs(left))
 
     def test_rejects_outer_regime(self):
         with pytest.raises(DomainError):
-            jackson_integral(Sampler(lambda z: 1.0), 0.0, 1.0, QParam(2.0))
+            jackson_integral(lambda z: 1.0, 0.0, 1.0, QParam(2.0))
 
     def test_rejects_growing_orbit(self):
         qp = QParam(0.5)
-        wild = Sampler(lambda z: 1.0 / (abs(z) ** 8 + 1e-30))
+        wild = lambda z: 1.0 / (abs(z) ** 8 + 1e-30)
         with pytest.raises(NonconvergentSample):
             jackson_integral(wild, 0.0, 1.0, qp)
 
@@ -292,7 +292,7 @@ class TestJacksonIntegral:
         qp = QParam(0.5)
         huge = complex(1.5e308, 1.5e308)
         orbit = [qp.q ** i for i in range(j + 1)]
-        f = Sampler(lambda z: huge if z == orbit[j] else 1.0 + 0j)
+        f = lambda z: huge if z == orbit[j] else 1.0 + 0j
         with pytest.raises(NonconvergentSample, match="double range"):
             jackson_integral(f, 0.0, 1.0, qp)
 
@@ -311,9 +311,10 @@ class TestCasorati:
             # constants are rejected as Casorati operands
             CasoratiPair(TruncatedSeries.from_polynomial([1.0], order=3),
                          TruncatedSeries.from_polynomial([0, 1]), qp)
-        # nearby nonconstant check: f1 = 1 + 0*z is constant too; use samplers
-        s1 = Sampler(lambda z: 1.0 + 0j)
-        s2 = Sampler(lambda z: z)
+        # nearby nonconstant check: f1 = 1 + 0*z is constant too; use
+        # plain callables
+        s1 = lambda z: 1.0 + 0j
+        s2 = lambda z: z
         det = casorati(CasoratiPair(s1, s2, qp))
         assert det(0.7 + 0.2j) == pytest.approx(1.0)
 
@@ -340,24 +341,19 @@ class TestKernelCheck:
         assert not kernel_check(TruncatedSeries.from_polynomial([0, 1]), qp, 1e-12)
 
 
-class TestSeriesSampler:
-    def test_respects_radius(self):
-        f = TruncatedSeries(0.5 ** np.arange(30))
-        s = series_sampler(f)
-        assert s.domain_radius == pytest.approx(f.safe_radius)
-
-    def test_outside_domain_rejected(self):
-        s = Sampler(lambda z: z, domain_radius=2.0)
-        assert s(1.5) == 1.5
-        with pytest.raises(OutsideDomain):
-            s(3.0)
-
-    def test_point_past_double_range_is_outside(self):
-        s = Sampler(lambda z: z, domain_radius=2.0)
-        with pytest.raises(OutsideDomain, match="inf"):
-            s(complex(1.5e308, 1.5e308))
-        # no radius, no modulus: the point goes to eval as before
-        assert Sampler(lambda z: 7.0)(complex(1.5e308, 1.5e308)) == 7.0
+def test_a_series_refuses_by_its_own_radius_rule():
+    # one rule, TruncatedSeries.eval's: a point past R by less than the
+    # 1e-12 margin still evaluates, in a Casorati determinant with a
+    # plain-callable operand too, and one whose orbit leaves it raises
+    qp = QParam(2.0)
+    f = etilde_q(qp, 48)
+    R = f.safe_radius
+    assert series_sampler(f) is f
+    det = casorati(CasoratiPair(f, lambda z: z, qp))
+    z = R * (1 + 5e-13)
+    assert cmath.isfinite(det(z / 2))
+    with pytest.raises(OutsideSafeRadius):
+        det(z)
 
 
 # The six q regimes; "root of unity" is (1 + eps) e^{2 pi i j / m}, just
@@ -399,7 +395,7 @@ def one_point_function(fseed: int, kind: str):
     return lambda w: np.exp(a * w) + b * w
 
 
-def nested_dqk_sample(f: Sampler, z, qp: QParam, k: int):
+def nested_dqk_sample(f, z, qp: QParam, k: int):
     """D_q^k as k nested divided differences, 2^k samples of f."""
     if k == 0:
         return f(z)
@@ -408,9 +404,18 @@ def nested_dqk_sample(f: Sampler, z, qp: QParam, k: int):
             raise OriginSingular("D_q at the origin is defined only on series")
         q = qp.q
         return (f(q * z) - f(z)) / ((q - 1.0) * z)
-    inner = Sampler(lambda w: nested_dqk_sample(f, w, qp, k - 1),
-                    f.domain_radius)
-    return nested_dqk_sample(inner, z, qp, 1)
+    return nested_dqk_sample(
+        lambda w: nested_dqk_sample(f, w, qp, k - 1), z, qp, 1)
+
+
+def within(fn, radius):
+    """fn refusing, as a series does past its radius, a point with
+    |w| > radius (no refusal when radius is None)."""
+    def call(w):
+        if radius is not None and np.abs(w) > radius:
+            raise OutsideSafeRadius(f"|w| = {np.abs(w):g} past {radius:g}")
+        return fn(w)
+    return call
 
 
 def bits(w) -> list:
@@ -455,11 +460,11 @@ class TestDqkSampleOrbitTable:
         qp = QParam(q)
         z = 10.0 ** z_log * cmath.exp(1j * z_arg)
         fn, calls = counted(one_point_function(fseed, kind))
-        f = Sampler(fn, radius)
+        f = within(fn, radius)
         try:
             want = nested_dqk_sample(f, z, qp, k)
-        except OutsideDomain:
-            with pytest.raises(OutsideDomain):
+        except OutsideSafeRadius:
+            with pytest.raises(OutsideSafeRadius):
                 dqk_sample(f, z, qp, k)
             return
         calls.clear()
@@ -470,8 +475,7 @@ class TestDqkSampleOrbitTable:
 
     def test_dq_sample_is_the_first_order_table(self):
         qp = QParam(0.3 - 1.1j)
-        fn, calls = counted(one_point_function(11, "series"))
-        f = Sampler(fn)
+        f, calls = counted(one_point_function(11, "series"))
         z = 0.8 + 0.4j
         assert bits(dq_sample(f, z, qp)) == bits(nested_dqk_sample(f, z, qp, 1))
         assert calls[-2:] == [qp.q * z, z]
@@ -480,8 +484,7 @@ class TestDqkSampleOrbitTable:
         # z q^3 underflows to exactly 0 (1e-300 * 1e-30 past the
         # subnormals); that point must still be differenced at k = 4
         qp = QParam(1e-10)
-        fn, calls = counted(lambda w: w * w)
-        f = Sampler(fn)
+        f, calls = counted(lambda w: w * w)
         for k in (4, 6):
             with pytest.raises(OriginSingular):
                 dqk_sample(f, 1e-300, qp, k)
@@ -495,12 +498,12 @@ class TestDqkSampleOrbitTable:
     def test_orbit_leaving_domain_raises(self):
         # q^m z = 2^m: the point 16 leaves the radius 10 at k = 4
         qp = QParam(2.0)
-        f = Sampler(lambda w: w ** 3, domain_radius=10.0)
+        f = within(lambda w: w ** 3, 10.0)
         assert dqk_sample(f, 1.0, qp, 3) == nested_dqk_sample(f, 1.0, qp, 3)
         for k in (4, 6):
-            with pytest.raises(OutsideDomain):
+            with pytest.raises(OutsideSafeRadius):
                 dqk_sample(f, 1.0, qp, k)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
-            dqk_sample(Sampler(lambda w: w), 1.0, QParam(2.0), -1)
+            dqk_sample(lambda w: w, 1.0, QParam(2.0), -1)

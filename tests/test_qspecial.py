@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from jacksonq.qspecial import (
     phi_rs,
     sinq_cosq,
 )
+from test_lattice_arrays import REGIMES
 
 QS = [QParam(2.0), QParam(0.5), QParam(1 + 0.5j)]
 
@@ -246,3 +250,40 @@ class TestProductForms:
         z = 3.0 + 2.0j
         assert prod.log_eval(z).real == pytest.approx(
             np.log(abs(prod.eval(z))), rel=1e-12)
+
+
+SERIES = {
+    "exp_q": exp_q,
+    "etilde_q": etilde_q,
+    "E_q": big_e_q,
+    "sin_q": lambda qp, N: sinq_cosq(qp, N)[0],
+    "cos_q": lambda qp, N: sinq_cosq(qp, N)[1],
+}
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_short_series_radius_holds_against_a_long_one(name, regime):
+    # one stored coefficient shows no decay, so N = 0 certifies no
+    # radius; at N = 1, 2 every point inside a radius claimed matches
+    # N = 120
+    rng = np.random.default_rng(sorted(REGIMES).index(regime))
+    (lo, hi), sign = REGIMES[regime]
+    modulus = rng.uniform(lo, hi)
+    qp = QParam(modulus * cmath.exp(1j * rng.uniform(0.05, 3.1))
+                if sign is None else sign * modulus)
+    ref = SERIES[name](qp, 120)
+    assert SERIES[name](qp, 0).safe_radius is None
+    for N in (1, 2):
+        short = SERIES[name](qp, N)
+        if short.safe_radius is None:
+            continue
+        # the long series may claim no radius (etilde_q at |q| < 1 does
+        # not decay), but 120 terms converge inside the short one's
+        cap = min(r for r in (short.safe_radius, ref.safe_radius, 1e3)
+                  if r is not None)
+        for _ in range(8):
+            r = cap * math.sqrt(rng.random())
+            z = r * cmath.exp(2j * math.pi * rng.random())
+            want = ref.eval(z)
+            assert abs(short.eval(z) - want) <= 1e-10 * max(1.0, abs(want))

@@ -13,7 +13,6 @@ import jacksonq.cli  # noqa: F401  (the tracer wraps cli.main)
 from jacksonq.nevanlinna import MeroModel, proximity
 from jacksonq.qcore import QParam
 from jacksonq.qode import RationalFunction
-from jacksonq.qoperator import Sampler
 from jacksonq.qspecial import BigEProduct, etilde_q
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -54,7 +53,7 @@ def _shapes():
         MeroModel.from_rational(RationalFunction([1.0, 2.0], [3.0, 1.0])),
         MeroModel.from_series(etilde_q(QParam(2.0), 48)),
         MeroModel.from_product(BigEProduct(QParam(0.5))),
-        MeroModel.from_sampler(Sampler(lambda z: 1.0 + z), entire=True),
+        MeroModel.from_sampler(lambda z: 1.0 + z, entire=True),
     ]
 
 
