@@ -52,6 +52,8 @@ from .qspecial import (
     sinq_cosq,
 )
 
+_JENSEN_RADII = (2.0, 10.0, 100.0)  # the jensen suite's quadrature radii
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -93,8 +95,9 @@ def _max_tail(series: TruncatedSeries, start: int = 1) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run_identities(N: int = 30, tol: float = 1e-9) -> list:
+def run_identities() -> list:
     """Series identity suite at q in {2, 0.5, 1 + 0.5i}."""
+    N, tol = 30, 1e-9
     out = []
     for qv in (2.0, 0.5, 1 + 0.5j):
         qp = QParam(qv)
@@ -134,7 +137,7 @@ def run_identities(N: int = 30, tol: float = 1e-9) -> list:
     return out
 
 
-def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
+def run_operator_rules(seed: int = 20240501) -> list:
     """Operator rules: product, quotient, chain, fundamental theorem,
     integration by parts."""
     rng = np.random.default_rng(seed)
@@ -142,7 +145,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
     out = []
 
     worst_prod = 0.0
-    for _ in range(samples):
+    for _ in range(12):
         f = _rand_poly(rng, int(rng.integers(1, 7)))
         g = _rand_poly(rng, int(rng.integers(1, 7)))
         z = complex(rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
@@ -155,7 +158,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
 
     worst_quot = 0.0
     done = 0
-    while done < samples:
+    while done < 12:
         f = _rand_poly(rng, int(rng.integers(1, 6)))
         g = _rand_poly(rng, int(rng.integers(1, 6)))
         z = complex(rng.uniform(0.2, 1.5) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
@@ -171,7 +174,7 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
 
     worst_chain = 0.0
     done = skipped = 0
-    while done < samples and skipped < 300:
+    while done < 12 and skipped < 300:
         f = _rand_poly(rng, int(rng.integers(1, 5)))
         g = _rand_poly(rng, int(rng.integers(1, 5)))
         z = complex(rng.uniform(0.2, 1.2) * np.exp(1j * rng.uniform(0, 2 * np.pi)))
@@ -209,14 +212,13 @@ def run_operator_rules(seed: int = 20240501, samples: int = 12) -> list:
     return out
 
 
-def run_operator_equivalence(seed: int = 20240501, count: int = 100,
-                             tol: float = 1e-9) -> list:
+def run_operator_equivalence(seed: int = 20240501) -> list:
     """dqk_closed_form == iterated dq_sample == dqk_series on random
     polynomials (degree <= 12, k <= 5, q in {0.5, 2})."""
     rng = np.random.default_rng(seed)
     qps = (QParam(0.5), QParam(2.0))
     worst = 0.0
-    for i in range(count):
+    for i in range(100):
         qp = qps[i % 2]
         deg = int(rng.integers(1, 13))
         k = int(rng.integers(1, 6))
@@ -227,31 +229,30 @@ def run_operator_equivalence(seed: int = 20240501, count: int = 100,
         c = dqk_series(f, qp, k).eval(z)
         scale = max(1.0, abs(a))
         worst = max(worst, abs(a - b) / scale, abs(a - c) / scale)
-    return [_res("operator", f"triple equivalence ({count} draws)", worst, tol)]
+    return [_res("operator", "triple equivalence (100 draws)", worst, 1e-9)]
 
 
-def run_casorati(N: int = 40, tol: float = 1e-8) -> list:
-    """sin_q/cos_q Casorati determinant at q=2: outside Ker(D_q) and
-    satisfying D_q C = (q-1) z C for the equation D_q^2 f + f = 0."""
+def run_casorati() -> list:
+    """sin_q/cos_q Casorati determinant at q=2, 40 terms: outside Ker(D_q)
+    and satisfying D_q C = (q-1) z C for the equation D_q^2 f + f = 0."""
     qp = QParam(2.0)
-    s, c = sinq_cosq(qp, N)
+    s, c = sinq_cosq(qp, 40)
     C = casorati(CasoratiPair(s, c, qp))
     out = [CheckResult("casorati", "kernel_check(C) is False",
-                       not kernel_check(C, qp, 1e-12), 0.0, 0.0)]
+                       not kernel_check(C, qp), 0.0, 0.0)]
     lhs = dq_series(C, qp)
     rhs = (qp.q - 1.0) * C.shifted(1)
     n = min(lhs.order, rhs.order)
     resid = float(np.max(np.abs(lhs.coeffs[: n + 1] - rhs.coeffs[: n + 1])))
-    out.append(_res("casorati", "Dq C = (q-1) z C residual", resid, tol))
+    out.append(_res("casorati", "Dq C = (q-1) z C residual", resid, 1e-8))
     return out
 
 
-def jensen_test_set(seed: int = 20240501, count: int = 20,
-                    radii=(2.0, 10.0, 100.0)) -> list:
-    """Random rational functions whose zero/pole moduli keep clear of the
-    quadrature radii (relative margin 10%)."""
+def jensen_test_set(seed: int = 20240501) -> list:
+    """20 random rational functions whose zero/pole moduli keep clear of
+    the quadrature radii (relative margin 10%)."""
     rng = np.random.default_rng(seed)
-    bands = [(r * 0.9, r * 1.1) for r in radii]
+    bands = [(r * 0.9, r * 1.1) for r in _JENSEN_RADII]
 
     def draw_moduli(n):
         out = []
@@ -262,7 +263,7 @@ def jensen_test_set(seed: int = 20240501, count: int = 20,
         return out
 
     fs = []
-    for _ in range(count):
+    for _ in range(20):
         nz = int(rng.integers(1, 5))
         np_ = int(rng.integers(0, 4))
         zeros = [m * np.exp(1j * rng.uniform(0, 2 * np.pi))
@@ -274,28 +275,29 @@ def jensen_test_set(seed: int = 20240501, count: int = 20,
     return fs
 
 
-def run_jensen(seed: int = 20240501, count: int = 20, M: int = 4096,
-               tol: float = 1e-6) -> list:
+def run_jensen(seed: int = 20240501) -> list:
+    fs = jensen_test_set(seed)
     worst = 0.0
-    for f in jensen_test_set(seed, count):
+    for f in fs:
         model = MeroModel.from_rational(f)
-        for r in (2.0, 10.0, 100.0):
-            worst = max(worst, jensen_residual(model, r, M))
-    out = [_res("jensen", f"{count} rational functions at r in {{2;10;100}}",
-                worst, tol)]
+        for r in _JENSEN_RADII:
+            worst = max(worst, jensen_residual(model, r, 4096))
+    radii = ";".join(f"{r:g}" for r in _JENSEN_RADII)
+    out = [_res("jensen", f"{len(fs)} rational functions at r in {{{radii}}}",
+                worst, 1e-6)]
     qp = QParam(0.5)
     modelE = MeroModel.from_product(BigEProduct(qp))
     out.append(_res("jensen", "big-E product lattice vs quadrature (r=10)",
-                    jensen_residual(modelE, 10.0, M), 1e-5))
+                    jensen_residual(modelE, 10.0, 4096), 1e-5))
     return out
 
 
-def sft_test_set(seed: int = 20240501, count: int = 10) -> list:
-    """Rational functions of degree <= 4 with all zeros and poles inside
-    |z| <= 2 (margins at small radii stay tame)."""
+def sft_test_set(seed: int = 20240501) -> list:
+    """10 rational functions of degree <= 4 with all zeros and poles
+    inside |z| <= 2 (margins at small radii stay tame)."""
     rng = np.random.default_rng(seed)
     fs = []
-    for _ in range(count):
+    for _ in range(10):
         nz = int(rng.integers(1, 5))
         np_ = int(rng.integers(1, 5))
         zeros = _random_points(rng, nz, 0.2, 2.0)
@@ -304,29 +306,30 @@ def sft_test_set(seed: int = 20240501, count: int = 10) -> list:
     return fs
 
 
-def run_sft(seed: int = 20240501, count: int = 10, M: int = 1024) -> list:
+def run_sft(seed: int = 20240501) -> list:
     """Second-fundamental-theorem margins with targets {0, 1, -1, inf}."""
     qp = QParam(0.5)
-    grid = RadialGrid.log_spaced(10.0, 1e4, 7, angular_nodes=M)
+    grid = RadialGrid.log_spaced(10.0, 1e4, 7, angular_nodes=1024)
+    fs = sft_test_set(seed)
     worst_margin = math.inf
     worst_rel = math.inf
-    for f in sft_test_set(seed, count):
+    for f in fs:
         model = MeroModel.from_rational(f, qp)
         rows = sft_check(model, [0.0, 1.0, -1.0, INF], qp, grid)
         worst_margin = min(worst_margin, min(r.margin for r in rows))
         top = rows[-1]
         worst_rel = min(worst_rel, top.margin / top.T)
     return [
-        _res("sft", f"min margin over {count} functions on r in [10;1e4]",
+        _res("sft", f"min margin over {len(fs)} functions on r in [10;1e4]",
              worst_margin, -10.0, larger_ok=True),
         _res("sft", "top-radius margin/T", worst_rel, -0.05, larger_ok=True),
     ]
 
 
-def run_logderiv(seed: int = 20240501, M: int = 512) -> list:
+def run_logderiv(seed: int = 20240501) -> list:
     """m(r, D_q f / f)/T(r,f) at r = 1e4 for the zero-order test set."""
     rng = np.random.default_rng(seed)
-    grid = RadialGrid.log_spaced(10.0, 1e4, 5, angular_nodes=M)
+    grid = RadialGrid.log_spaced(10.0, 1e4, 5, angular_nodes=512)
     out = []
     worst = 0.0
     for i in range(3):
@@ -341,28 +344,29 @@ def run_logderiv(seed: int = 20240501, M: int = 512) -> list:
         out.append(CheckResult("logderiv", f"rational #{i} ratio decreasing",
                                decr, rows[-1].ratio, rows[-2].ratio))
     out.append(_res("logderiv", "rational set ratio at r=1e4", worst, 0.2))
+    product_grid = RadialGrid.log_spaced(10.0, 1e4, 5, angular_nodes=256)
     qp = QParam(0.5)
     modelE = MeroModel.from_product(BigEProduct(qp))
-    rowsE = logderiv_lemma_check(modelE, qp, 1, grid, M=256)
+    rowsE = logderiv_lemma_check(modelE, qp, 1, product_grid)
     out.append(_res("logderiv", "big-E product ratio at r=1e4",
                     rowsE[-1].ratio, 0.2))
     qp2 = QParam(2.0)
     modelT = MeroModel.from_product(EtildeProduct(qp2))
-    rowsT = logderiv_lemma_check(modelT, qp2, 1, grid, M=256)
+    rowsT = logderiv_lemma_check(modelT, qp2, 1, product_grid)
     out.append(_res("logderiv", "etilde product ratio at r=1e4",
                     rowsT[-1].ratio, 0.2))
     return out
 
 
-def run_wiman(N: int = 72) -> list:
+def run_wiman() -> list:
     """Wiman-Valiron deviation trend for the q-series test set (operator
     base q = 1.5, where the finite-radius deviation decays onto its
     limiting offset from above)."""
     qp = QParam(1.5)
-    grid = RadialGrid.log_spaced(1e2, 1e6, 5)
+    grid = RadialGrid.log_spaced(1e2, 1e6, 5, angular_nodes=1024)
     out = []
-    for name, f in (("etilde(q=2)", etilde_q(QParam(2.0), N)),
-                    ("bigE(q=0.5)", big_e_q(QParam(0.5), N))):
+    for name, f in (("etilde(q=2)", etilde_q(QParam(2.0), 72)),
+                    ("bigE(q=0.5)", big_e_q(QParam(0.5), 72))):
         rows = wiman_valiron_check(f, qp, 1, grid)
         devs = [r.deviation for r in rows]
         mono = devs[-3] > devs[-2] > devs[-1]
@@ -372,12 +376,12 @@ def run_wiman(N: int = 72) -> list:
     return out
 
 
-def run_orders(N: int = 72, M: int = 1024) -> list:
+def run_orders() -> list:
     """Logarithmic-order windows: the named q-series sit at 2, the
     polynomial control at 1."""
     out = []
     grid = RadialGrid.log_spaced(1e2, 1e6, 9)
-    est1 = log_order_from_nu(etilde_q(QParam(2.0), N), grid)
+    est1 = log_order_from_nu(etilde_q(QParam(2.0), 72), grid)
     out.append(CheckResult("orders", "etilde_q(q=2) nu-estimator",
                            1.8 <= est1.value <= 2.2, est1.value, 2.0))
     qp = QParam(0.5)
@@ -386,26 +390,26 @@ def run_orders(N: int = 72, M: int = 1024) -> list:
     out.append(CheckResult("orders", "big_e_q(q=0.5) counting estimator",
                            1.8 <= est2.value <= 2.2, est2.value, 2.0))
     poly = MeroModel.from_rational(RationalFunction([1.0, 0.5, 0.0, 2.0]))
-    samples = [characteristic(poly, r, M)
+    samples = [characteristic(poly, r, 1024)
                for r in RadialGrid.log_spaced(1e2, 1e6, 8).radii]
     est3 = log_order_from_T(samples)
     out.append(CheckResult("orders", "cubic polynomial T-estimator",
                            0.9 <= est3.value <= 1.1, est3.value, 1.0))
-    exp_inv_sol = exp_q(QParam(2.0), N).scale_arg(0.8)
+    exp_inv_sol = exp_q(QParam(2.0), 72).scale_arg(0.8)
     est4 = log_order_from_nu(exp_inv_sol, grid)
     out.append(CheckResult("orders", "exp_{1/q}(az) solution nu-estimator",
                            1.8 <= est4.value <= 2.2, est4.value, 2.0))
     return out
 
 
-def run_defects(seed: int = 20240501, count: int = 5, M: int = 512) -> list:
+def run_defects(seed: int = 20240501) -> list:
     """Ramification-proxy sum over targets {0, 1, -1, inf} stays below
     2.1 at the top radius."""
     rng = np.random.default_rng(seed)
     qp = QParam(0.5)
-    grid = RadialGrid.log_spaced(10.0, 1e4, 8, angular_nodes=M)
+    grid = RadialGrid.log_spaced(10.0, 1e4, 8, angular_nodes=512)
     worst = -math.inf
-    for _ in range(count):
+    for _ in range(5):
         nz = int(rng.integers(1, 4))
         np_ = int(rng.integers(1, 4))
         zeros = _random_points(rng, nz, 0.3, 2.0)
@@ -414,7 +418,7 @@ def run_defects(seed: int = 20240501, count: int = 5, M: int = 512) -> list:
         model = MeroModel.from_rational(f, qp)
         reports = defect_estimates(model, grid, [0.0, 1.0, -1.0, INF])
         worst = max(worst, sum(r.theta_J for r in reports))
-    return [_res("defects", f"max sum Theta_J over {count} functions",
+    return [_res("defects", "max sum Theta_J over 5 functions",
                  worst, 2.1)]
 
 

@@ -68,6 +68,7 @@ _MAX_NUDGES = 64
 _WINDING_NODES = 512
 _WINDING_MAX_NODES = 65536
 _RESIDUAL_POINTS = 4
+_RESIDUAL_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +233,10 @@ class MeroModel:
         return None
 
     def jackson_weights(self, target, qp: QParam):
-        """[(modulus, h - min(h, k'))] at f = target; k' = ord D_q f there."""
+        """(origin weight, [(modulus, h - min(h, k'))]) at f = target,
+        the shape of divisor; k' = ord D_q f there."""
         raise TargetUnsupported("Jackson truncated counting needs exact "
                                 "zero/pole structure (rational model)")
-
-    def _jackson_divisor(self, target, qp: QParam):
-        """jackson_weights split as (origin weight, [(modulus, weight)])."""
-        return _split_origin(self.jackson_weights(target, qp))
 
     def dq_model(self, qp: QParam) -> "MeroModel":
         """D_q f as a model, per QParam."""
@@ -311,11 +309,11 @@ class RationalModel(MeroModel):
         return self._keep(("Dq", qp), compute)
 
     def jackson_weights(self, target, qp: QParam):
-        """[(modulus, h - min(h, h'))] over the points z0 where f = target,
-        nonzero only, h' the multiplicity of q z0 in the same list: at
-        z0 != 0, D_q f (D_q(1/f) at poles) vanishes to order min(h, h')
-        if h != h', at least h if h = h'; the origin weighs 1, as
-        D_q z^h = [h]_q z^(h-1). A constant f raises DomainError."""
+        """(origin weight, [(modulus, h - min(h, h'))]), kept, over the
+        points z0 where f = target, h' the multiplicity of q z0 in the same
+        list: at z0 != 0, D_q f (D_q(1/f) at poles) vanishes to order
+        min(h, h') if h != h', at least h if h = h'; the origin weighs 1,
+        as D_q z^h = [h]_q z^(h-1). A constant f raises DomainError."""
         def compute():
             if self.rational.num_degree == self.rational.den_degree == 0:
                 raise DomainError("D_q f vanishes identically; f is constant")
@@ -325,16 +323,11 @@ class RationalModel(MeroModel):
                 points = self._minus(target).zeros()
                 check_unambiguous([(z, h) for z, h in points if z != 0])
             images = image_multiplicities(points, qp.q)
-            weights = [(abs(z), 1 if z == 0 else h - min(h, h_image))
-                       for (z, h), h_image in zip(points, images)]
-            return [(mod, w) for mod, w in weights if w]
+            weights = [(abs(z), h - min(h, h_image))
+                       for (z, h), h_image in zip(points, images) if z != 0]
+            return (sum(1 for z, _ in points if z == 0),
+                    [(mod, w) for mod, w in weights if w])
         return self._keep(("J", target, qp), compute)
-
-    def _jackson_divisor(self, target, qp: QParam):
-        """The split of the kept weights, kept too; callers must not
-        change the list."""
-        return self._keep(("J split", target, qp), lambda: _split_origin(
-            self.jackson_weights(target, qp)))
 
 
 @dataclass(eq=False)
@@ -687,10 +680,9 @@ def jackson_truncated_counting(model: MeroModel, r: float, target,
     the merging tolerance raise MultiplicityAmbiguous: the bookkeeping
     would depend on it there, while counting_N of the target still answers.
     """
-    contributions = model.jackson_weights(target, qp)
-    ntilde_r = float(sum(w for mod, w in contributions if mod < r))
-    return ntilde_r, _integrated_counting(*model._jackson_divisor(target, qp),
-                                          r)
+    origin, weights = model.jackson_weights(target, qp)
+    ntilde_r = float(origin + sum(w for mod, w in weights if mod < r))
+    return ntilde_r, _integrated_counting(origin, weights, r)
 
 
 # ---------------------------------------------------------------------------
@@ -725,16 +717,14 @@ def _clamp(x: float):
     return min(1.1, max(-0.1, x)), not (-0.1 <= x <= 1.1)
 
 
-def defect_estimates(model: MeroModel, grid: RadialGrid, targets,
-                     M: Optional[int] = None) -> list:
+def defect_estimates(model: MeroModel, grid: RadialGrid, targets) -> list:
     """Defect/ramification proxies for each target over the grid."""
-    M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
     qp = model.qp
     if qp is None:
         raise DomainError("defect estimates need the model's QParam")
     out = []
-    Ts = list(_characteristic_Ts(model, grid.radii, M))
+    Ts = list(_characteristic_Ts(model, grid.radii, grid.angular_nodes))
     for a in targets:
         Ns = [counting_N(model, r, a) for r in grid.radii]
         Nts = [jackson_truncated_counting(model, r, a, qp)[1]
@@ -835,7 +825,7 @@ def max_term_central_index(f: TruncatedSeries, r: float) -> WimanValironSample:
     saturated to zero, or one the truncation dropped), and the maximiser
     in the lower half of the stored range; otherwise the stored
     truncation is too short to trust it."""
-    return _max_term(f, r, lambda: _log_moduli(f))
+    return _max_term(f, r, _log_moduli(f))
 
 
 def _log_moduli(f: TruncatedSeries) -> np.ndarray:
@@ -847,15 +837,14 @@ def _log_moduli(f: TruncatedSeries) -> np.ndarray:
 
 
 def _max_term(f: TruncatedSeries, r: float,
-              log_c: Callable[[], np.ndarray]) -> WimanValironSample:
-    """max_term_central_index, reading _log_moduli(f), which does not
-    depend on r, from log_c() once r passes the radius check."""
+              log_c: np.ndarray) -> WimanValironSample:
+    """max_term_central_index from log_c = _log_moduli(f), which does
+    not depend on r."""
     R = f.safe_radius
     if R is not None and r > R * (1.0 + 1e-12):
         raise TruncationTooShort(
             f"radius {r:g} exceeds the certified radius {R:g} of the series")
-    logs = log_c()
-    logs = logs + np.arange(logs.size) * math.log(r)
+    logs = log_c + np.arange(log_c.size) * math.log(r)
     best = float(np.max(logs))
     nu = int(np.flatnonzero(logs == best)[-1])
     if nu > 0 and 2 * nu >= f.order:
@@ -867,7 +856,7 @@ def _max_term(f: TruncatedSeries, r: float,
 
 def log_order_from_nu(f: TruncatedSeries, grid: RadialGrid) -> LogOrderEstimate:
     """sigma_log proxy: slope of log+ nu against log log r, plus one."""
-    log_c = functools.cache(lambda: _log_moduli(f))  # once per series
+    log_c = _log_moduli(f)
     nus = [_max_term(f, r, log_c).nu for r in grid.radii]
     ys = [math.log(max(nu, 1)) for nu in nus]
     return _loglog_regression(grid.radii, ys, "nu", offset=1.0)
@@ -890,7 +879,7 @@ class LogDerivRow:
 
 
 def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
-                         grid: RadialGrid, M: Optional[int] = None) -> list:
+                         grid: RadialGrid) -> list:
     """Table of (r, m(r, D_q^k f / f), T(r,f)) rows.
 
     When the model gives its shift ratio R at qp (MeroModel.shift_ratio_at:
@@ -900,7 +889,6 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
     a rational f with a zero or a pole at the origin and a product checked
     at another base, evaluates D_q^k f by the closed-form orbit sum on its
     eval, one point per call. A constant f (R = 1) raises DomainError."""
-    M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * abs(qp.q) ** k * 2.0))
     rows = []
     R = model.shift_ratio_at(qp)
@@ -913,8 +901,9 @@ def logderiv_lemma_check(model: MeroModel, qp: QParam, k: int,
             return dqk_closed_form(model.eval, z, qp, k) / model.eval(z)
 
         ratio_model = SamplerModel(ratio_eval)
-    means = _circle_means(ratio_model, grid.radii, M, positive_part=True)
-    Ts = _characteristic_Ts(model, grid.radii, M)
+    means = _circle_means(ratio_model, grid.radii, grid.angular_nodes,
+                          positive_part=True)
+    Ts = _characteristic_Ts(model, grid.radii, grid.angular_nodes)
     for r, (mval, _), T in zip(grid.radii, means, Ts):
         rows.append(LogDerivRow(r, mval, T))
     return rows
@@ -932,8 +921,7 @@ class SftRow:
     margin_sharp: float
 
 
-def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
-              M: Optional[int] = None) -> list:
+def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid) -> list:
     """Margins of the second fundamental theorem over the grid.
 
     margin        = sum_j Ntilde_J(r, f=a_j) - (p-2) T(r,f)
@@ -948,10 +936,10 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid,
     df_model = model.dq_model(qp)
     if len(set(map(complex, [t if t != INF else complex(1e308) for t in targets]))) != p:
         raise DomainError("targets must be distinct")
-    M = M or grid.angular_nodes
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
     rows = []
-    for r, T in zip(grid.radii, _characteristic_Ts(model, grid.radii, M)):
+    for r, T in zip(grid.radii, _characteristic_Ts(model, grid.radii,
+                                                   grid.angular_nodes)):
         S = 0.0
         Nsum = 0.0
         for a in targets:
@@ -982,9 +970,9 @@ class WvRow:
 
 
 def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
-                        grid: RadialGrid, angular_nodes: int = 1024) -> list:
+                        grid: RadialGrid) -> list:
     """Rows (r, nu, mu, z*, log|f(q^k z*)/f(z*)|, (q^k-1) nu) with z* the
-    max-modulus point on |z| = r found by dense angular scan.
+    max-modulus point on |z| = r, scanned at the grid's angular nodes.
 
     The reference column is the Wiman-Valiron exponent (q^k - 1) nu(r)
     (real part for complex q); the deviation normalises by the larger of
@@ -996,7 +984,7 @@ def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
     qk = qp.q ** k
     for r in grid.radii:
         wv = max_term_central_index(f, r)
-        zs = r * _unit_circle(angular_nodes)
+        zs = r * _unit_circle(grid.angular_nodes)
         vals = np.abs(f.eval(zs))
         order = np.argsort(vals)
         i_best = int(order[-1])
@@ -1009,7 +997,7 @@ def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
         i_second = None
         for idx in order[-2 ::-1][:8]:
             gap = abs(zs[idx] - z_star)
-            if gap > 4.0 * r * (2 * np.pi / angular_nodes):
+            if gap > 4.0 * r * (2 * np.pi / grid.angular_nodes):
                 i_second = int(idx)
                 break
         if i_second is not None and vals[i_second] > 0.999999 * vals[i_best]:
@@ -1041,14 +1029,13 @@ class GrowthReport:
 
 
 def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
-                             qp: QParam, k: int, grid: RadialGrid,
-                             M: Optional[int] = None,
-                             residual_tol: float = 1e-6) -> GrowthReport:
+                             qp: QParam, k: int,
+                             grid: RadialGrid) -> GrowthReport:
     """Estimate sigma_log on both sides of D_q^k f + A f = 0 and report
     the gap sigma_log(f) - sigma_log(A) - 1.
 
     The pair is first verified: the pointwise relative residual of the
-    equation must stay below residual_tol at four points on each grid
+    equation must stay below 1e-6 at four points on each grid
     circle. Circles where the function values leave double range are
     skipped, but at least half of the circles must verify. Rational f
     means a polynomial-type solution; the growth floor concerns
@@ -1066,7 +1053,7 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
                 circle_ok = False
                 break
             scale = max(1.0, abs(d), abs(af))
-            if abs(d + af) / scale > residual_tol:
+            if abs(d + af) / scale > _RESIDUAL_TOL:
                 raise DomainError(
                     f"pair does not satisfy the equation at r = {r:g} "
                     f"(residual {abs(d + af) / scale:.2e})")
@@ -1077,7 +1064,7 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
     if isinstance(f_model, RationalModel):
         return GrowthReport(1.0, 0.0, math.nan, math.nan, skipped=True,
                             reason="solution is rational, not transcendental")
-    M = M or grid.angular_nodes
+    M = grid.angular_nodes
     if isinstance(A_model, RationalModel):
         sigma_A, half_A = 1.0, 0.0
     else:

@@ -97,9 +97,9 @@ def poly_from_roots(roots, lead: complex = 1.0) -> np.ndarray:
     return out
 
 
-def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL):
+def roots_with_multiplicity(coeffs):
     """Roots of a polynomial as (location, multiplicity) pairs, sorted by
-    modulus."""
+    modulus; clusters grow from CLUSTER_TOL times max(1, max |root|)."""
     arr = poly_trim(coeffs, rel_tol=1e-14)
     deg = arr.size - 1
     if deg == 0:
@@ -117,7 +117,7 @@ def roots_with_multiplicity(coeffs, cluster_tol: float = CLUSTER_TOL):
     rev = arr[::-1].tolist()
     drev = poly_derivative(arr)[::-1].tolist()
     out = []
-    for pts, loc in _cluster(list(raw), cluster_tol * scale):
+    for pts, loc in _cluster(list(raw), CLUSTER_TOL * scale):
         mult = len(pts)
         if mult == 1:
             loc = _newton(rev, drev, loc)

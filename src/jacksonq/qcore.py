@@ -72,11 +72,6 @@ class QParam:
     def inverse(self) -> "QParam":
         return QParam(1.0 / self.q, self.guard_order, self.guard_tol)
 
-    @property
-    def regime(self) -> str:
-        """'inside' for |q| < 1, 'outside' for |q| > 1."""
-        return "inside" if abs(self.q) < 1.0 else "outside"
-
 
 def q_bracket(n: int, qp: QParam) -> complex:
     """q-analogue of the integer n: (q^n - 1)/(q - 1), for one n.

@@ -465,12 +465,6 @@ class DegreeCondition:
     def polynomial_admissible(self) -> bool:
         return self.deg_den - self.deg_num == self.k
 
-    @property
-    def classification(self) -> str:
-        return ("polynomial solutions admissible"
-                if self.polynomial_admissible
-                else "any nonzero solution must be transcendental")
-
 
 def polynomial_degree_condition(prob: QdeProblem) -> DegreeCondition:
     if not prob.B.is_zero:

@@ -288,12 +288,12 @@ def casorati(pair: CasoratiPair):
     return det
 
 
-def kernel_check(f: TruncatedSeries, qp: QParam, tol: float = 1e-12) -> bool:
-    """True iff D_q f is the zero series to within tol, relative to the
-    coefficient scale of f (constants are the whole kernel)."""
+def kernel_check(f: TruncatedSeries, qp: QParam) -> bool:
+    """True iff D_q f is the zero series to within 1e-12, relative to
+    the coefficient scale of f (constants are the whole kernel)."""
     scale = max(1.0, float(np.max(np.abs(f.coeffs))) if f.coeffs.size else 1.0)
     df = dq_series(f, qp)
-    return bool(np.all(np.abs(df.coeffs) < tol * scale))
+    return bool(np.all(np.abs(df.coeffs) < 1e-12 * scale))
 
 
 def series_sampler(f: TruncatedSeries) -> TruncatedSeries:

@@ -44,7 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
-from .qcore import QParam, TruncatedSeries, q_brackets
+from .qcore import (_POCHHAMMER_MAX_FACTORS, QParam, TruncatedSeries,
+                    q_brackets)
 from .qode import RationalFunction
 
 
@@ -232,28 +233,48 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     running sum goes in as its first row and np.add.reduce(axis=0) adds
     the rows in order, as the loop does; numpy would sum a one-column
     block pairwise instead, so arrays of one point skip the bulk. The
-    masked loop then finishes from t_K.
+    masked loop then finishes from t_K. A finite t_0 that needs more than
+    _POCHHAMMER_MAX_FACTORS steps (|q| near 1) raises DomainError first.
     """
     shrink = abs(q) > 1.0
-    cutoff = tol * (1.0 - (1.0 / abs(q) if shrink else abs(q)))
+    ratio = 1.0 / abs(q) if shrink else abs(q)
+    cutoff = tol * (1.0 - ratio)
     if not isinstance(t, np.ndarray):
+        _check_factor_budget(abs(t), ratio, cutoff)
         log = reduce == "log"
         out = 0.0 + 0.0j if log else 1.0 + 0.0j
         while abs(t) >= cutoff:
             out = out + np.log(1.0 - t) if log else out * (1.0 - t)
             t = t / q if shrink else t * q
         return complex(out)
+    mags = np.abs(t)
+    top = float(mags.max(initial=0.0))
+    _check_factor_budget(top if math.isfinite(top) else float(
+        mags.max(initial=0.0, where=np.isfinite(mags))), ratio, cutoff)
     start, step = _REDUCTIONS[reduce]
     if reduce == "log_abs":
-        out, t = _log_abs_bulk(t, q, shrink, cutoff)
+        steps = _bulk_steps(mags, top, ratio, cutoff)
+        out, t = _log_abs_bulk(t, q, shrink, steps)
+        mags = np.abs(t)
     else:
         out = np.full(t.shape, start)
-    live = np.abs(t) >= cutoff
+    live = mags >= cutoff
     while live.any():
         out = np.where(live, step(out, 1.0 - t), out)
         t = t / q if shrink else _times(t, q)
         live &= np.abs(t) >= cutoff
     return out
+
+
+def _check_factor_budget(top: float, ratio: float, cutoff: float) -> None:
+    """Refuse a finite top = max|t_0| that needs more than
+    _POCHHAMMER_MAX_FACTORS steps of ratio to fall below cutoff."""
+    if math.isfinite(top) and top >= cutoff and (
+            cutoff <= 0.0 or math.log(top) - math.log(cutoff)
+            >= _POCHHAMMER_MAX_FACTORS * -math.log(ratio)):
+        raise DomainError(
+            f"the lattice product needs more than {_POCHHAMMER_MAX_FACTORS} "
+            f"factors to reach |t_n| < {cutoff:.3g}: |q| is too close to 1")
 
 
 def _times(x: np.ndarray, m, out=None, scratch=None) -> np.ndarray:
@@ -275,29 +296,27 @@ def _times(x: np.ndarray, m, out=None, scratch=None) -> np.ndarray:
 _BLOCK = 2 ** 14  # elements in one block of rows of the log_abs bulk phase
 
 
-def _bulk_steps(flat: np.ndarray, q: complex, shrink: bool,
+def _bulk_steps(mags: np.ndarray, top: float, ratio: float,
                 cutoff: float) -> int:
-    """K, the most lattice steps with min|t_0| (ratio (1 - 1e-12))^K >=
-    4 cutoff; 0 for fewer than two points, whose one-column block numpy
-    would sum pairwise, or for non-finite ones."""
-    if flat.size < 2:
+    """K, the most lattice steps with min(mags) (ratio (1 - 1e-12))^K >=
+    4 cutoff, mags = |t_0| and top = max(mags); 0 for fewer than two
+    points (numpy would sum a one-column block pairwise) or non-finite."""
+    if mags.size < 2:
         return 0
-    mags = np.abs(flat)
     lo, floor = float(mags.min()), 4.0 * cutoff
-    if not (np.isfinite(mags.max()) and lo >= floor >= np.finfo(float).tiny):
+    if not (math.isfinite(top) and lo >= floor >= np.finfo(float).tiny):
         return 0
-    ratio = (1.0 / abs(q) if shrink else abs(q)) * (1.0 - 1e-12)
+    ratio *= 1.0 - 1e-12
     steps = int((math.log(lo) - math.log(floor)) / -math.log(ratio))
     while steps and lo * ratio ** steps < floor:
         steps -= 1
     return steps
 
 
-def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, cutoff: float):
-    """(sum_{n<K} log|1 - t_n|, t_K): the unmasked first K steps of the
-    "log_abs" reduction, K = _bulk_steps."""
+def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, steps: int):
+    """(sum_{n<K} log|1 - t_n|, t_K): the unmasked first K = steps steps
+    of the "log_abs" reduction, K from _bulk_steps."""
     flat = t.reshape(-1)
-    steps = _bulk_steps(flat, q, shrink, cutoff)
     if not steps:
         return np.zeros(t.shape), t
     height = min(steps, max(1, _BLOCK // flat.size))

@@ -68,14 +68,14 @@ def test_02_quintic_exactness():
 
 def test_03_identity_suite():
     t = time.time()
-    rows = run_identities(N=30, tol=1e-9)
+    rows = run_identities()
     report("03 identity suite (residuals < 1e-9, q in {2, 0.5, 1+0.5i})",
            rows, time.time() - t, budget=1.0)
 
 
 def test_04_operator_equivalence():
     t = time.time()
-    rows = run_operator_equivalence(seed=SEED, count=100, tol=1e-9)
+    rows = run_operator_equivalence(seed=SEED)
     report("04 operator equivalence (100 polys, deg<=12, k<=5, rel < 1e-9)",
            rows, time.time() - t, budget=5.0)
 
@@ -110,28 +110,28 @@ def test_05_logarithmic_order_two(tmp_path):
 
 def test_06_jensen_residual():
     t = time.time()
-    rows = run_jensen(seed=SEED, count=20, M=4096, tol=1e-6)
+    rows = run_jensen(seed=SEED)
     report("06 Jensen residual (20 rationals, r in {2,10,100}, M=4096, < 1e-6)",
            rows, time.time() - t, budget=10.0)
 
 
 def test_07_sft_margin():
     t = time.time()
-    rows = run_sft(seed=SEED, count=10)
+    rows = run_sft(seed=SEED)
     report("07 second-fundamental-theorem margin (>= -10; margin/T > -0.05)",
            rows, time.time() - t)
 
 
 def test_08_casorati_non_kernel():
     t = time.time()
-    rows = run_casorati(N=40, tol=1e-8)
+    rows = run_casorati()
     report("08 Casorati outside Ker(D_q) + first-order relation (< 1e-8)",
            rows, time.time() - t, budget=1.0)
 
 
 def test_09_wiman_valiron_trend():
     t = time.time()
-    rows = run_wiman(N=72)
+    rows = run_wiman()
     report("09 Wiman-Valiron deviation trend (monotone top-3, final < 0.3)",
            rows, time.time() - t)
 
@@ -145,7 +145,7 @@ def test_10_logderiv_ratio():
 
 def test_11_defect_relation_proxy():
     t = time.time()
-    rows = run_defects(seed=SEED, count=5)
+    rows = run_defects(seed=SEED)
     report("11 defect relation proxy (sum Theta_J <= 2.1 at top radius)",
            rows, time.time() - t)
 

@@ -108,6 +108,16 @@ class TestEval:
             "(log|f| = 729.49")
         assert "nan" not in captured.err
 
+    def test_q_near_one_exits_1(self, capsys):
+        # the product route refuses on its factor budget instead of running
+        # about 4.8e8 steps
+        assert main(["eval", "--fn", "E_q", "--q", "0.9999999",
+                     "--z", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the lattice product needs "
+                                       "more than 100000 factors")
+
     def test_series_overflow_exits_1(self, capsys):
         # no certified radius and no product form: the series route
         assert main(["eval", "--fn", "etilde_q", "--q", "0.5",

@@ -105,13 +105,15 @@ def _dq_numerator(q, zeros, poles) -> list:
     return [a - b for a, b in zip(left, right)]
 
 
-def _oracle_weights(points, numerator) -> list:
+def _oracle_weights(points, numerator):
+    """(origin weight, [(modulus, weight)]) of the nonzero weights."""
     out = []
     for z0, h in points:
         k = _order_at(numerator, z0) - (1 if z0 == 0 else 0)
         if h - min(h, k):
             out.append((abs(z0), h - min(h, k)))
-    return out
+    return (sum(w for mod, w in out if mod == 0),
+            [(mod, w) for mod, w in out if mod])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)

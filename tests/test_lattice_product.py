@@ -12,6 +12,7 @@ poles, is refused with a typed error.
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from jacksonq.qode import RationalFunction, solve_shifted_series
 from jacksonq.qspecial import (
     _BIG_E_RATIO,
     _ETILDE_RATIO,
+    BigEProduct,
+    EtildeProduct,
     LatticeProduct,
     product_solution,
 )
@@ -97,6 +100,21 @@ def test_multiple_root_and_unit_ratio():
     assert one.zeros_up_to(1e9) == []
     assert one.eval(3.0) == 1.0 and np.all(one.eval(zs) == 1.0)
     assert np.all(one.log_abs(zs) == 0.0) and one.log_eval(3.0) == 0.0
+
+
+@pytest.mark.parametrize("product", [BigEProduct(QParam(1 - 1e-7)),
+                                     EtildeProduct(QParam(1 + 1e-7))],
+                         ids=["E_q", "etilde_q"])
+@pytest.mark.parametrize("reduce, z", [
+    ("eval", 1.0), ("log_eval", 1.0), ("eval", np.array([1.0, 2.0j])),
+    ("log_abs", 10.0 * np.exp(2j * np.pi * np.arange(512) / 512))])
+def test_q_near_one_refuses_before_the_first_step(product, reduce, z):
+    # |t_0| = 1 needs about 4.8e8 factors to reach the cutoff 1e-21: the
+    # kernel refuses on the factor budget of q_pochhammer_inf instead
+    t = time.perf_counter()
+    with pytest.raises(DomainError, match="more than 100000 factors"):
+        getattr(product, reduce)(z)
+    assert time.perf_counter() - t < 1.0
 
 
 def test_typed_refusals():

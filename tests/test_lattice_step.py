@@ -73,9 +73,11 @@ def test_bulk_rows_follow_the_loop_step(q):
     cutoff = 1e-300 * (1.0 - (1.0 / abs(q) if shrink else abs(q)))
     t = spread(np.random.default_rng(7), 2049)
     t = t[np.abs(t) >= 1e-290]
-    steps = _bulk_steps(t, q, shrink, cutoff)
+    mags = np.abs(t)
+    ratio = 1.0 / abs(q) if shrink else abs(q)
+    steps = _bulk_steps(mags, float(mags.max()), ratio, cutoff)
     assert steps > 0
-    _, got = _log_abs_bulk(t, q, shrink, cutoff)
+    _, got = _log_abs_bulk(t, q, shrink, steps)
     want = t
     for _ in range(steps):
         want = np.divide(want, q) if shrink else _times(want, q)

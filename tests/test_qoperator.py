@@ -334,11 +334,11 @@ class TestKernelCheck:
     def test_constants_in_kernel(self):
         qp = QParam(2.0)
         f = TruncatedSeries.from_polynomial([7.7], order=8)
-        assert kernel_check(f, qp, 1e-12)
+        assert kernel_check(f, qp)
 
     def test_z_not_in_kernel(self):
         qp = QParam(2.0)
-        assert not kernel_check(TruncatedSeries.from_polynomial([0, 1]), qp, 1e-12)
+        assert not kernel_check(TruncatedSeries.from_polynomial([0, 1]), qp)
 
 
 def test_a_series_refuses_by_its_own_radius_rule():
