@@ -29,7 +29,7 @@ from .nevanlinna import (
     sft_check,
     wiman_valiron_check,
 )
-from .qcore import QParam, TruncatedSeries
+from .qcore import QParam, TruncatedSeries, q_pochhammer
 from .qode import QdeProblem, RationalFunction, solve_series, verify_pointwise
 from .qoperator import (
     CasoratiPair,
@@ -424,8 +424,6 @@ def run_defects(seed: int = 20240501) -> list:
 
 def run_solver_fidelity() -> list:
     """D_q f = f at q = 0.5: solver coefficients against the closed form."""
-    from .qcore import q_pochhammer
-
     qp = QParam(0.5)
     prob = QdeProblem.homogeneous(1, RationalFunction([-1.0]), qp, (1.0,))
     with warnings.catch_warnings():

@@ -194,12 +194,10 @@ def cmd_eval(args) -> int:
     for z in zs:
         used = route
         if route == "auto":
-            # the radius test TruncatedSeries.eval applies: past it the
-            # series raises OutsideSafeRadius, and with no radius its
-            # error bound is reported NaN; np.abs reads |z| past double
-            # range as inf, where abs raises OverflowError
-            inside = (radius is not None
-                      and np.abs(z) <= radius * (1 + 1e-12))
+            # the series' own radius test; with no radius, or at a NaN
+            # |z| (which no radius test refuses), the product is taken
+            inside = (radius is not None and not np.isnan(np.abs(z))
+                      and not series.past_radius(z))
             used = "series" if inside or product is None else "product"
         # an overflow is refused below, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):

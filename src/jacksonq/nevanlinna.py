@@ -57,7 +57,7 @@ from .polyroots import (check_unambiguous, image_multiplicities, poly_eval,
                         poly_mul)
 from .qcore import QParam, TruncatedSeries
 from .qode import RationalFunction, dq_rational, dqk_quotient
-from .qoperator import Pointwise, dqk_closed_form
+from .qoperator import Pointwise, _closed_form, dqk_closed_form
 from .qspecial import LatticeProduct
 
 INF = math.inf
@@ -459,7 +459,7 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
     winding numbers, each rho * _unit_circle(512) as winding_number
     builds it, take one ts.eval call (each element rounds as it would
     alone); a circle whose node count doubles calls ts.eval again."""
-    if ts.safe_radius is not None and r > ts.safe_radius:
+    if ts.past_radius(r):
         raise DomainError("radius beyond certified evaluation disc")
     coeffs = ts.coeffs
     if not np.all(np.isfinite(coeffs)):
@@ -840,10 +840,9 @@ def _max_term(f: TruncatedSeries, r: float,
               log_c: np.ndarray) -> WimanValironSample:
     """max_term_central_index from log_c = _log_moduli(f), which does
     not depend on r."""
-    R = f.safe_radius
-    if R is not None and r > R * (1.0 + 1e-12):
-        raise TruncationTooShort(
-            f"radius {r:g} exceeds the certified radius {R:g} of the series")
+    if f.past_radius(r):
+        raise TruncationTooShort(f"radius {r:g} exceeds the certified "
+                                 f"radius {f.safe_radius:g} of the series")
     logs = log_c + np.arange(log_c.size) * math.log(r)
     best = float(np.max(logs))
     nu = int(np.flatnonzero(logs == best)[-1])
@@ -1047,8 +1046,8 @@ def growth_lower_bound_check(A_model: MeroModel, f_model: MeroModel,
         circle_ok = True
         for j in range(_RESIDUAL_POINTS):
             z = r * np.exp(2j * np.pi * (j + 0.31) / _RESIDUAL_POINTS)
-            d = dqk_closed_form(f_model.eval, z, qp, k)
-            af = A_model.eval(z) * f_model.eval(z)
+            d, fz = _closed_form(f_model.eval, z, qp, k)
+            af = A_model.eval(z) * fz
             if not (np.isfinite(d) and np.isfinite(af)):
                 circle_ok = False
                 break

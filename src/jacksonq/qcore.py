@@ -175,8 +175,9 @@ def q_pochhammer_inf(a: complex, qp: QParam, tol: float = 1e-14) -> complex:
 
     The partial product stops once |a q^n| < tol*(1-|q|); the dropped tail
     then multiplies the result by a factor within exp(+-2*tol) of 1. A
-    non-finite a, or a cutoff not reached within 100000 factors (|q| near
-    1), raises DomainError rather than return a truncated product.
+    non-finite a, or a cutoff that needs more than 100000 factors (|q|
+    near 1, _check_factor_budget), raises DomainError before the first
+    factor rather than return a truncated product.
     """
     if abs(qp.q) >= 1.0:
         raise DomainError("q_pochhammer_inf requires |q| < 1")
@@ -186,15 +187,29 @@ def q_pochhammer_inf(a: complex, qp: QParam, tol: float = 1e-14) -> complex:
     if not _finite(aqn):
         raise DomainError("q_pochhammer_inf requires a finite a")
     cutoff = tol * (1.0 - abs(qp.q))
+    _check_factor_budget(abs(aqn), abs(qp.q), cutoff,
+                         "(a;q)_inf needs more than {n} factors to reach "
+                         "|a q^n| < {cutoff:.3g}")
     out = 1.0 + 0.0j
-    for _ in range(_POCHHAMMER_MAX_FACTORS):
-        if abs(aqn) < cutoff:
-            return out
+    while abs(aqn) >= cutoff:
         out *= 1.0 - aqn
         aqn *= qp.q
-    raise DomainError(
-        f"(a;q)_inf did not reach |a q^n| < {cutoff:.3g} within "
-        f"{_POCHHAMMER_MAX_FACTORS} factors")
+    return out
+
+
+def _check_factor_budget(top: float, ratio: float, cutoff: float,
+                         message: str = "the lattice product needs more "
+                         "than {n} factors to reach |t_n| < {cutoff:.3g}"):
+    """The step budget of every lattice walk, checked before its first
+    step: refuse a finite top that needs more than _POCHHAMMER_MAX_FACTORS
+    steps of ratio < 1 to fall below cutoff (a log estimate of the count).
+    message names the walk; it is formatted with n, top and cutoff."""
+    if math.isfinite(top) and top >= cutoff and (
+            cutoff <= 0.0 or math.log(top) - math.log(cutoff)
+            >= _POCHHAMMER_MAX_FACTORS * -math.log(ratio)):
+        raise DomainError(message.format(
+            n=_POCHHAMMER_MAX_FACTORS, top=top, cutoff=cutoff)
+            + ": |q| is too close to 1")
 
 
 def q_binomial(n: int, j: int, qp: QParam) -> complex:
@@ -293,26 +308,25 @@ class TruncatedSeries:
     minimum truncation order of the operands.
 
     ``safe_radius`` is a certified evaluation radius: for |z| inside it,
-    the dropped tail sum_{n>N} c_n z^n is bounded by ``tail_tol``. It is
-    certified by a geometric extrapolation of the coefficient decay seen
-    on the last quarter of the stored range; ``None`` means the
-    coefficients do not decay or some coefficient is not finite, and no
-    radius is claimed; ``inf`` marks an exact polynomial with no tail at
-    all. The certificate bounds the truncation tail only, not the
-    rounding of the partial sum.
+    the dropped tail sum_{n>N} c_n z^n is bounded by ``tail_tol``, a
+    class constant. It is certified by a geometric extrapolation of the
+    coefficient decay seen on the last quarter of the stored range;
+    ``None`` means the coefficients do not decay or some coefficient is
+    not finite, and no radius is claimed; ``inf`` marks an exact
+    polynomial with no tail at all. The certificate bounds the truncation
+    tail only, not the rounding of the partial sum.
     """
 
-    __slots__ = ("_coeffs", "safe_radius", "tail_tol", "_horner")
+    __slots__ = ("_coeffs", "safe_radius", "_horner")
+    tail_tol = _DEFAULT_TAIL_TOL
 
-    def __init__(self, coeffs, tail_tol: float = _DEFAULT_TAIL_TOL,
-                 exact_polynomial: bool = False):
+    def __init__(self, coeffs, *, exact_polynomial: bool = False):
         arr = np.asarray(coeffs, dtype=np.complex128).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("coefficients must form a nonempty 1-d list")
         arr.setflags(write=False)
         self._coeffs = arr
         self._horner = None
-        self.tail_tol = float(tail_tol)
         if exact_polynomial:
             # no tail to bound, but a non-finite coefficient certifies nothing
             self.safe_radius = (math.inf if np.all(np.isfinite(arr))
@@ -357,8 +371,8 @@ class TruncatedSeries:
         out[:m] = self._coeffs[:m]
         return out
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self._coeffs[1:]) <= tol))
+    def is_constant(self) -> bool:
+        return not self._coeffs[1:].any()
 
     @property
     def is_exact_polynomial(self) -> bool:
@@ -382,7 +396,9 @@ class TruncatedSeries:
                      and max(self._degree(), other._degree()) <= n)
             return self._wrap(self._coeffs[: n + 1] + other._coeffs[: n + 1],
                               other, exact)
-        return self._wrap_scalar_add(complex(other))
+        arr = self._coeffs.copy()
+        arr[0] += complex(other)
+        return self._wrap(arr, self, self.is_exact_polynomial)
 
     __radd__ = __add__
 
@@ -445,17 +461,14 @@ class TruncatedSeries:
             powers[n] = p
             p *= fac
         arr = self._coeffs * powers
-        if self.is_exact_polynomial:
-            return TruncatedSeries(arr, self.tail_tol, exact_polynomial=True)
         if fac in (1, -1, 1j, -1j):
             # every |c_n| is unchanged, so the certificate (or its
             # absence) carries over
             return self._with_radius(arr, self.safe_radius)
-        out = TruncatedSeries(arr, self.tail_tol)
-        if self.safe_radius is not None and fac != 0:
-            inherited = self.safe_radius / abs(fac)
-            out.safe_radius = _min_radius(out.safe_radius, inherited)
-        return out
+        if self.is_exact_polynomial or self.safe_radius is None or fac == 0:
+            return self._derived(arr, self.is_exact_polynomial)
+        # f's certified radius R bounds f(factor z) at R/|factor|
+        return self._derived(arr, False, self.safe_radius / abs(fac))
 
     def shifted(self, m: int) -> "TruncatedSeries":
         """Series of z^m * f(z); exact, order grows by m."""
@@ -463,12 +476,7 @@ class TruncatedSeries:
             raise DomainError("shift must be nonnegative")
         out_arr = np.concatenate([np.zeros(m, dtype=np.complex128),
                                   self._coeffs])
-        if self.is_exact_polynomial:
-            return TruncatedSeries(out_arr, self.tail_tol,
-                                   exact_polynomial=True)
-        out = TruncatedSeries(out_arr, self.tail_tol)
-        out.safe_radius = _min_radius(out.safe_radius, self.safe_radius)
-        return out
+        return self._wrap(out_arr, self, self.is_exact_polynomial)
 
     def truncated(self, order: int) -> "TruncatedSeries":
         if order >= self.order:
@@ -478,12 +486,23 @@ class TruncatedSeries:
 
     # -- evaluation ---------------------------------------------------------
 
+    def past_radius(self, z) -> bool:
+        """The one radius test: R = safe_radius is finite and some |z| >
+        R (1 + 1e-12), read with np.abs, so a modulus past double range
+        reads inf. A NaN point is never past, and with R ``None`` the
+        caller takes responsibility for convergence. One point runs no
+        numpy reduction."""
+        rad = self.safe_radius
+        if rad is None or math.isinf(rad):
+            return False
+        far = np.abs(z) > rad * (1.0 + 1e-12)
+        return bool(far if far.ndim == 0 else far.any())
+
     def eval(self, z):
         """Horner evaluation at a scalar or array of points.
 
-        Raises OutsideSafeRadius when a certified radius is set and some
-        |z| exceeds it; with radius ``None`` the caller takes
-        responsibility for convergence.
+        Raises OutsideSafeRadius when some point is past the certified
+        radius (past_radius).
 
         An array rounds each element exactly as a 0-d array holding that
         point alone (see polyroots.poly_eval), so the sampled operators
@@ -498,13 +517,9 @@ class TruncatedSeries:
         one = zs.ndim == 0
         if one:
             z = complex(zs)
-        rad = self.safe_radius
-        if rad is not None and not math.isinf(rad):
-            # np.abs, not abs: |z| past double range reads inf, no error
-            far = np.abs(zs) > rad * (1.0 + 1e-12)
-            if far if one else far.any():
-                raise OutsideSafeRadius(
-                    f"|z| exceeds certified radius {rad:g}")
+        if self.past_radius(zs):
+            raise OutsideSafeRadius(
+                f"|z| exceeds certified radius {self.safe_radius:g}")
         if self._horner is None:
             self._horner = _horner_lists(self._coeffs)
         full, kept = self._horner
@@ -521,28 +536,30 @@ class TruncatedSeries:
 
     # -- helpers ------------------------------------------------------------
 
-    def _with_radius(self, arr: np.ndarray, radius) -> "TruncatedSeries":
+    @staticmethod
+    def _with_radius(arr: np.ndarray, radius) -> "TruncatedSeries":
         """Series on a fresh array with a radius already certified."""
         out = TruncatedSeries.__new__(TruncatedSeries)
         arr.setflags(write=False)
-        out._coeffs, out.tail_tol, out.safe_radius = arr, self.tail_tol, radius
-        out._horner = None
+        out._coeffs, out.safe_radius, out._horner = arr, radius, None
+        return out
+
+    @staticmethod
+    def _derived(arr, exact: bool, *radii) -> "TruncatedSeries":
+        """The one radius rule of a series computed from others: an exact
+        polynomial when exact, else its own certified radius capped by
+        each of radii, where None (no claim) is the weaker, dominant one."""
+        out = TruncatedSeries(arr, exact_polynomial=exact)
+        if not exact:
+            for cap in radii:
+                own = out.safe_radius
+                out.safe_radius = (None if own is None or cap is None
+                                   else min(own, cap))
         return out
 
     def _wrap(self, arr, other, exact: bool = False) -> "TruncatedSeries":
-        if exact:
-            return TruncatedSeries(arr, self.tail_tol, exact_polynomial=True)
-        out = TruncatedSeries(arr, self.tail_tol)
-        cap = self.safe_radius
-        if isinstance(other, TruncatedSeries) and other is not self:
-            cap = _min_radius(cap, other.safe_radius)
-        out.safe_radius = _min_radius(out.safe_radius, cap)
-        return out
-
-    def _wrap_scalar_add(self, w: complex) -> "TruncatedSeries":
-        arr = self._coeffs.copy()
-        arr[0] += w
-        return self._wrap(arr, self, self.is_exact_polynomial)
+        """_derived, capped by the radii of self and the series other."""
+        return self._derived(arr, exact, self.safe_radius, other.safe_radius)
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self._coeffs[:4])
@@ -599,14 +616,6 @@ def _triangular_steps(g, rhs, denom, rev, k: int, start: int, stop: int,
         for n in range(start, stop):
             out[n + k] = x = (rhs[n] - dot(g[: n + 1], rev[N - n:])) / denom[n]
             rev[N - n - k] = weights[n + k] * x
-
-
-def _min_radius(a, b):
-    """Min of two optional radii where None means 'unknown' (treated as
-    the weaker claim and therefore dominant)."""
-    if a is None or b is None:
-        return None
-    return min(a, b)
 
 
 def _certify_radius(coeffs: np.ndarray, tail_tol: float):

@@ -43,7 +43,7 @@ from .polyroots import (
     roots_with_multiplicity,
 )
 from .qcore import QParam, TruncatedSeries, _triangular_steps, q_brackets
-from .qoperator import Pointwise, _closed_form
+from .qoperator import Pointwise, _closed_form, dqk_series
 
 _CONDITION_WARN = 1e-3
 
@@ -418,8 +418,6 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
 def residual(prob: QdeProblem, f: TruncatedSeries):
     """Series of D_q^k f + A f - B to order N - k, and its max coefficient
     modulus."""
-    from .qoperator import dqk_series
-
     if f.order < prob.k:
         raise DomainError("series too short for the operator order")
     out_order = f.order - prob.k

@@ -94,7 +94,7 @@ def _dq_step(f: TruncatedSeries, brackets: np.ndarray) -> TruncatedSeries:
     if overflowed.size:
         raise BracketOverflow(
             f"bracket [{overflowed[0] + 1}]_q is not finite")
-    return TruncatedSeries(c * np.where(finite, br, 0.0), f.tail_tol,
+    return TruncatedSeries(c * np.where(finite, br, 0.0),
                            exact_polynomial=f.is_exact_polynomial)
 
 

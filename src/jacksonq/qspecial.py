@@ -44,9 +44,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
-from .qcore import (_POCHHAMMER_MAX_FACTORS, QParam, TruncatedSeries,
-                    q_brackets)
+from .qcore import QParam, TruncatedSeries, _check_factor_budget, q_brackets
 from .qode import RationalFunction
+
+_PHI_GUARD_ORDER = 64  # the highest m at which PhiParams checks beta q^m
 
 
 @dataclass(frozen=True)
@@ -54,20 +55,19 @@ class PhiParams:
     """Parameters of the basic hypergeometric series _r phi_s.
 
     Construction checks that no lower parameter beta_j equals q^{-m} for
-    0 <= m <= guard_order, which would zero a denominator Pochhammer.
+    0 <= m <= _PHI_GUARD_ORDER, which would zero a denominator Pochhammer.
     """
 
     alphas: tuple
     betas: tuple
     qp: QParam
-    guard_order: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(complex(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(complex(b) for b in self.betas))
         q = self.qp.q
         qm = 1.0 + 0.0j
-        for m in range(self.guard_order + 1):
+        for m in range(_PHI_GUARD_ORDER + 1):
             for b in self.betas:
                 if abs(b * qm - 1.0) < 1e-12:
                     raise DenominatorPochhammerZero(
@@ -94,7 +94,7 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
     A term that is not finite saturates to exact zero, and so do all
     after it. That includes a factor [(-1) q^j]^{1+s-r} that is
     infinite: |q^j|^{1+s-r} past double range, or q^j underflowed to 0
-    with 1+s-r < 0. A beta with beta q^j = 1 exactly past guard_order
+    with 1+s-r < 0. A beta with beta q^j = 1 exactly past _PHI_GUARD_ORDER
     raises DenominatorPochhammerZero, as PhiParams does up to it.
     """
     q = params.qp.q
@@ -234,7 +234,8 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     the rows in order, as the loop does; numpy would sum a one-column
     block pairwise instead, so arrays of one point skip the bulk. The
     masked loop then finishes from t_K. A finite t_0 that needs more than
-    _POCHHAMMER_MAX_FACTORS steps (|q| near 1) raises DomainError first.
+    the factor budget (|q| near 1, qcore._check_factor_budget) raises
+    DomainError first.
     """
     shrink = abs(q) > 1.0
     ratio = 1.0 / abs(q) if shrink else abs(q)
@@ -264,17 +265,6 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
         t = t / q if shrink else _times(t, q)
         live &= np.abs(t) >= cutoff
     return out
-
-
-def _check_factor_budget(top: float, ratio: float, cutoff: float) -> None:
-    """Refuse a finite top = max|t_0| that needs more than
-    _POCHHAMMER_MAX_FACTORS steps of ratio to fall below cutoff."""
-    if math.isfinite(top) and top >= cutoff and (
-            cutoff <= 0.0 or math.log(top) - math.log(cutoff)
-            >= _POCHHAMMER_MAX_FACTORS * -math.log(ratio)):
-        raise DomainError(
-            f"the lattice product needs more than {_POCHHAMMER_MAX_FACTORS} "
-            f"factors to reach |t_n| < {cutoff:.3g}: |q| is too close to 1")
 
 
 def _times(x: np.ndarray, m, out=None, scratch=None) -> np.ndarray:
@@ -417,9 +407,15 @@ class LatticeProduct:
 
     def zeros_up_to(self, radius: float):
         """All zeros with modulus <= radius, lattice by lattice, as
-        (location, mult)."""
+        (location, mult). The walk out from the nearest lattice base
+        refuses on the factor budget as the kernel does (|q| near 1)."""
         q = self.qp.q
         grow = abs(q) > 1.0
+        _check_factor_budget(
+            radius, min(abs(q), 1.0 / abs(q)),
+            min((abs(z0) for z0, _ in self._lattices), default=math.inf),
+            "the zero walk needs more than {n} factors to pass radius "
+            "{top:g}")
         out = []
         for zn, m in self._lattices:
             while abs(zn) <= radius:

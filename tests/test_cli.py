@@ -16,7 +16,13 @@ from jacksonq.cli import (
     parse_complex,
     parse_grid,
 )
-from jacksonq.errors import SchemaError
+from jacksonq.errors import (
+    DomainError,
+    OutsideSafeRadius,
+    SchemaError,
+    TruncationTooShort,
+)
+from jacksonq.nevanlinna import max_term_central_index, series_zero_moduli
 from jacksonq.qcore import QParam, q_pochhammer
 from jacksonq.qspecial import etilde_q
 
@@ -151,6 +157,29 @@ class TestEval:
         assert float(line.split("->")[1].split("(")[0]) == series.eval(z).real
         assert line.endswith(f"(err <= {series.tail_tol:.3g})")
 
+    @pytest.mark.parametrize("slack, inside", [(5e-13, True),
+                                               (2e-12, False)])
+    def test_radius_boundary_is_one_rule(self, capsys, slack, inside):
+        # eval, the central index, zero location and the auto route all
+        # accept a point within R (1 + 1e-12) and refuse one past it
+        series = etilde_q(QParam(2.0), 48)  # R about 9.535e6
+        r = float(series.safe_radius) * (1 + slack)
+        assert main(["eval", "--fn", "etilde_q", "--q", "2",
+                     "--z", repr(r)]) == 0
+        tail = f"(err <= {series.tail_tol:.3g})"
+        assert capsys.readouterr().out.endswith(tail + "\n") == inside
+        if inside:
+            assert series.eval(r).real < 0
+            assert max_term_central_index(series, r).nu == 23
+            assert sum(n for _, n in series_zero_moduli(series, r)) == 23
+            return
+        with pytest.raises(OutsideSafeRadius):
+            series.eval(r)
+        with pytest.raises(TruncationTooShort):
+            max_term_central_index(series, r)
+        with pytest.raises(DomainError, match="beyond certified"):
+            series_zero_moduli(series, r)
+
     def test_uncertified_series_reports_nan_bound(self, capsys, tmp_path):
         # |q| < 1: etilde_q has a finite radius (no safe_radius here) and
         # no product form, so auto falls back to the uncertified series
@@ -261,6 +290,14 @@ class TestOrder:
         assert code == 0
         data = json.loads(out.read_text())
         assert abs(data["estimates"][0]["sigma_log"] - 1.0) < 0.1
+
+    def test_q_near_one_exits_1(self, capsys):
+        # the zero walk refuses on the factor budget; without it the walk
+        # would build about 1e8 zeros
+        assert main(["order", "--model", "E_q", "--q", "0.9999999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the zero walk needs more "
+                                       "than 100000 factors")
 
     def test_polynomial_reads_its_q(self, tmp_path, capsys):
         # the T estimate does not depend on q; a bad q is refused

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacksonq.errors import DomainError, RegimeMismatch
+from jacksonq.nevanlinna import MeroModel, counting_N
 from jacksonq.qcore import QParam
 from jacksonq.qode import RationalFunction, solve_shifted_series
 from jacksonq.qspecial import (
@@ -107,14 +108,23 @@ def test_multiple_root_and_unit_ratio():
                          ids=["E_q", "etilde_q"])
 @pytest.mark.parametrize("reduce, z", [
     ("eval", 1.0), ("log_eval", 1.0), ("eval", np.array([1.0, 2.0j])),
-    ("log_abs", 10.0 * np.exp(2j * np.pi * np.arange(512) / 512))])
+    ("log_abs", 10.0 * np.exp(2j * np.pi * np.arange(512) / 512)),
+    ("zeros_up_to", 1e4), ("counting_N", 1e4)])
 def test_q_near_one_refuses_before_the_first_step(product, reduce, z):
-    # |t_0| = 1 needs about 4.8e8 factors to reach the cutoff 1e-21: the
-    # kernel refuses on the factor budget of q_pochhammer_inf instead
+    # |t_0| = 1 needs about 4.8e8 factors to reach the cutoff 1e-21, and
+    # the zero walk to 1e4 about 9.2e7: both refuse on the factor budget
+    # of q_pochhammer_inf instead (counting_N reads the zero walk)
+    run = ((lambda r: counting_N(MeroModel.from_product(product), r))
+           if reduce == "counting_N" else getattr(product, reduce))
     t = time.perf_counter()
     with pytest.raises(DomainError, match="more than 100000 factors"):
-        getattr(product, reduce)(z)
+        run(z)
     assert time.perf_counter() - t < 1.0
+
+
+def test_zero_walk_inside_the_budget():
+    # 92099 steps out to 1e4 at |q| = 1 - 1e-4: under the budget of 100000
+    assert len(BigEProduct(QParam(1 - 1e-4)).zeros_up_to(1e4)) == 92099
 
 
 def test_typed_refusals():

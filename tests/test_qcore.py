@@ -278,7 +278,7 @@ class TestTruncatedSeries:
 
     def test_safe_radius_decaying_series(self):
         # geometric coefficients 2^-n: tail at |z| < 2 controlled
-        f = TruncatedSeries(0.5 ** np.arange(40), tail_tol=1e-12)
+        f = TruncatedSeries(0.5 ** np.arange(40))
         assert f.safe_radius is not None and 0.5 < f.safe_radius < 2.0
         # certified: compare eval against the closed form 1/(1 - z/2)
         z = 0.45 * f.safe_radius
