@@ -19,7 +19,6 @@ import cmath
 import csv
 import io
 import json
-import math
 import sys
 import warnings
 
@@ -189,21 +188,24 @@ def cmd_eval(args) -> int:
         if route == "product":
             raise
         product = None
-    radius = series.safe_radius
     rows = []
     for z in zs:
+        if cmath.isnan(z):
+            raise DomainError(f"z = {format_complex(z)} is not a number")
         used = route
         if route == "auto":
-            # the series' own radius test; with no radius, or at a NaN
-            # |z| (which no radius test refuses), the product is taken
-            inside = (radius is not None and not np.isnan(np.abs(z))
+            # the series' own radius test; with no radius the product
+            inside = (series.safe_radius is not None
                       and not series.past_radius(z))
             used = "series" if inside or product is None else "product"
+        if used == "series" and series.safe_radius is None:
+            raise DomainError(f"{name} has no certified radius at N = "
+                              f"{args.N}, so its series gives no value")
         # an overflow is refused below, so numpy need not warn of it
         with np.errstate(over="ignore", invalid="ignore"):
             if used == "series":
                 val = series.eval(z)
-                err = series.tail_tol if radius is not None else math.nan
+                err = series.tail_tol
             else:
                 val = product.eval(z)
                 err = 2.0 * args.tol * abs(val)

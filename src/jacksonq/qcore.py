@@ -27,6 +27,13 @@ _ROOT_OF_UNITY_TOL = 1e-9
 _DEFAULT_TAIL_TOL = 1e-12
 _POCHHAMMER_MAX_FACTORS = 100000
 
+# A TruncatedSeries radius not yet certified, and the _defer divisor that
+# takes the parent's radius as it is.
+_PENDING = object()
+_SAME = object()
+# Generations of operands one read of a pending radius may have to certify.
+_PENDING_GENERATIONS = 4
+
 
 @dataclass(frozen=True)
 class QParam:
@@ -315,9 +322,17 @@ class TruncatedSeries:
     not finite, and no radius is claimed; ``inf`` marks an exact
     polynomial with no tail at all. The certificate bounds the truncation
     tail only, not the rounding of the partial sum.
+
+    The radius is certified on first read, then kept: a series that is
+    only read through its coefficients never runs the certificate. A
+    series computed from others keeps them until then and caps its own
+    certificate by their radii as it is read (_derived), so every radius
+    is, bit for bit, the one a certificate at construction gives. At most
+    _PENDING_GENERATIONS generations of operands wait on one read; an
+    operand that old is certified before anything is derived from it.
     """
 
-    __slots__ = ("_coeffs", "safe_radius", "_horner")
+    __slots__ = ("_coeffs", "_radius", "_basis", "_horner")
     tail_tol = _DEFAULT_TAIL_TOL
 
     def __init__(self, coeffs, *, exact_polynomial: bool = False):
@@ -331,8 +346,19 @@ class TruncatedSeries:
             # no tail to bound, but a non-finite coefficient certifies nothing
             self.safe_radius = (math.inf if np.all(np.isfinite(arr))
                                 else None)
-        else:
-            self.safe_radius = _certify_radius(arr, self.tail_tol)
+        else:  # its own certificate, on first read
+            self._radius, self._basis = _PENDING, ((), None, 0)
+
+    @property
+    def safe_radius(self):
+        if self._radius is _PENDING:
+            self._radius = self._resolve()
+            self._basis = None  # the operands may go
+        return self._radius
+
+    @safe_radius.setter
+    def safe_radius(self, radius):
+        self._radius, self._basis = radius, None
 
     @classmethod
     def from_polynomial(cls, coeffs, order: int | None = None) -> "TruncatedSeries":
@@ -377,8 +403,17 @@ class TruncatedSeries:
     @property
     def is_exact_polynomial(self) -> bool:
         """True when the stored coefficients are the whole function (no
-        tail beyond the truncation order)."""
-        return self.safe_radius is not None and math.isinf(self.safe_radius)
+        tail beyond the truncation order): safe_radius is inf. A pending
+        radius is not certified for this where its certificate cannot
+        come out inf (_may_certify_inf)."""
+        if self._radius is _PENDING:
+            parents, divisor, _ = self._basis
+            if divisor is _SAME:
+                return parents[0].is_exact_polynomial
+            if not _may_certify_inf(self._coeffs):
+                return False
+        rad = self.safe_radius
+        return rad is not None and math.isinf(rad)
 
     def _degree(self) -> int:
         nz = np.flatnonzero(np.abs(self._coeffs) > 0)
@@ -464,11 +499,12 @@ class TruncatedSeries:
         if fac in (1, -1, 1j, -1j):
             # every |c_n| is unchanged, so the certificate (or its
             # absence) carries over
-            return self._with_radius(arr, self.safe_radius)
-        if self.is_exact_polynomial or self.safe_radius is None or fac == 0:
-            return self._derived(arr, self.is_exact_polynomial)
+            return self._sharing_radius(arr, self)
+        exact = self.is_exact_polynomial
+        if exact or fac == 0:
+            return self._derived(arr, exact)
         # f's certified radius R bounds f(factor z) at R/|factor|
-        return self._derived(arr, False, self.safe_radius / abs(fac))
+        return self._derived(arr, False, self, divisor=abs(fac))
 
     def shifted(self, m: int) -> "TruncatedSeries":
         """Series of z^m * f(z); exact, order grows by m."""
@@ -537,29 +573,67 @@ class TruncatedSeries:
     # -- helpers ------------------------------------------------------------
 
     @staticmethod
-    def _with_radius(arr: np.ndarray, radius) -> "TruncatedSeries":
-        """Series on a fresh array with a radius already certified."""
+    def _sharing_radius(arr: np.ndarray, parent) -> "TruncatedSeries":
+        """Series on a fresh array whose radius is parent's, read when
+        its own is read."""
         out = TruncatedSeries.__new__(TruncatedSeries)
         arr.setflags(write=False)
-        out._coeffs, out.safe_radius, out._horner = arr, radius, None
+        out._coeffs, out._horner = arr, None
+        out._defer((parent,), _SAME)
         return out
 
     @staticmethod
-    def _derived(arr, exact: bool, *radii) -> "TruncatedSeries":
+    def _derived(arr, exact: bool, *operands,
+                 divisor=None) -> "TruncatedSeries":
         """The one radius rule of a series computed from others: an exact
         polynomial when exact, else its own certified radius capped by
-        each of radii, where None (no claim) is the weaker, dominant one."""
+        the radius of each of operands, where None (no claim) is the
+        weaker, dominant one; with a divisor d, by R/d for the radius R
+        of the one operand, unless R is None. The caps are taken when the
+        radius is read (_resolve)."""
         out = TruncatedSeries(arr, exact_polynomial=exact)
-        if not exact:
-            for cap in radii:
-                own = out.safe_radius
-                out.safe_radius = (None if own is None or cap is None
-                                   else min(own, cap))
+        if not exact and operands:
+            out._defer(operands, divisor)
         return out
 
     def _wrap(self, arr, other, exact: bool = False) -> "TruncatedSeries":
         """_derived, capped by the radii of self and the series other."""
-        return self._derived(arr, exact, self.safe_radius, other.safe_radius)
+        return self._derived(arr, exact, self, other)
+
+    def _defer(self, parents: tuple, divisor) -> None:
+        """Leave the radius to its first read: _derived's rule on parents
+        with divisor, or parents[0]'s radius as it is for divisor _SAME.
+        A parent pending _PENDING_GENERATIONS generations deep is
+        certified here first, which bounds the recursion of a read and
+        the arrays kept for it."""
+        depth = 0
+        for p in parents:
+            if p._radius is _PENDING:
+                if p._basis[2] >= _PENDING_GENERATIONS:
+                    p.safe_radius  # certified now, so no longer pending
+                else:
+                    depth = max(depth, p._basis[2] + 1)
+        self._radius, self._basis = _PENDING, (parents, divisor, depth)
+
+    def _resolve(self):
+        """The radius _defer left pending, certified under numpy's
+        default error state, so that a caller's errstate cannot turn a
+        first read into an error."""
+        parents, divisor, _ = self._basis
+        if divisor is _SAME:
+            return parents[0].safe_radius
+        with np.errstate(all="warn", under="ignore"):  # numpy's default
+            own = _certify_radius(self._coeffs, self.tail_tol)
+        if divisor is None:
+            caps = [p.safe_radius for p in parents]
+        else:
+            rad = parents[0].safe_radius
+            if rad is None:
+                return own
+            caps = [rad / divisor]
+        for cap in caps:
+            own = None if own is None or cap is None else min(own, cap)
+        return own
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self._coeffs[:4])
@@ -616,6 +690,31 @@ def _triangular_steps(g, rhs, denom, rev, k: int, start: int, stop: int,
         for n in range(start, stop):
             out[n + k] = x = (rhs[n] - dot(g[: n + 1], rev[N - n:])) / denom[n]
             rev[N - n - k] = weights[n + k] * x
+
+
+def _may_certify_inf(coeffs: np.ndarray) -> bool:
+    """False where _certify_radius(coeffs, ...) is surely not inf, found
+    without certifying: one coefficient gives None; past index 0, a
+    nonzero coefficient gives inf only when every ratio of its window
+    underflows to 0, the last one, |c_m|/|c_i| for the last two nonzero
+    c_i and c_m, included, so only when |c_m| < 2^-1074 |c_i|. A zero or
+    constant series gives inf, and takes the full rule."""
+    if coeffs.size == 1:
+        return False
+    nz = np.flatnonzero(coeffs[1:])
+    if nz.size == 0:
+        return True
+    if nz.size == 1 and coeffs[0] == 0:
+        return False  # one nonzero coefficient: window too short, None
+    i = int(nz[-2]) + 1 if nz.size > 1 else 0
+    ci, cm = complex(coeffs[i]), complex(coeffs[int(nz[-1]) + 1])
+    # max(|re|, |im|) is within a factor sqrt(2) of the modulus, so the
+    # ratio is past 2^-1074.5 and rounds up to 2^-1074 when the first
+    # product is not below; it scales a float by powers of 2 exactly (or
+    # to inf, where no ratio underflows)
+    return (max(abs(cm.real), abs(cm.imag)) * 2.0 ** 537 * 2.0 ** 537
+            < max(abs(ci.real), abs(ci.imag))
+            or not (cmath.isfinite(ci) and cmath.isfinite(cm)))
 
 
 def _certify_radius(coeffs: np.ndarray, tail_tol: float):

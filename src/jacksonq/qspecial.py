@@ -176,14 +176,15 @@ def sinq_cosq(qp: QParam, N: int):
     They solve D_q^2 f + f = 0 with D_q sin_q = cos_q and
     D_q cos_q = -sin_q. Every coefficient is 0 or +-e_n, so
     |c_n| <= |e_n| for all n: exp_q's geometric tail model bounds both
-    tails too, and both carry exp_q's certified radius.
+    tails too, and both carry exp_q's certified radius, certified when
+    one of theirs is first read.
     """
     e = exp_q(qp, N)
     n = np.arange(N + 1)
     signed = np.where(n % 4 < 2, e.coeffs, -e.coeffs)
     odd = n % 2 == 1
-    sin_q = e._with_radius(np.where(odd, signed, 0.0), e.safe_radius)
-    cos_q = e._with_radius(np.where(odd, 0.0, signed), e.safe_radius)
+    sin_q = e._sharing_radius(np.where(odd, signed, 0.0), e)
+    cos_q = e._sharing_radius(np.where(odd, 0.0, signed), e)
     return sin_q, cos_q
 
 
@@ -235,13 +236,19 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     block pairwise instead, so arrays of one point skip the bulk. The
     masked loop then finishes from t_K. A finite t_0 that needs more than
     the factor budget (|q| near 1, qcore._check_factor_budget) raises
-    DomainError first.
+    DomainError first, and so does one Python complex point whose parts
+    are finite but whose modulus passes double range (abs raises there).
     """
     shrink = abs(q) > 1.0
     ratio = 1.0 / abs(q) if shrink else abs(q)
     cutoff = tol * (1.0 - ratio)
     if not isinstance(t, np.ndarray):
-        _check_factor_budget(abs(t), ratio, cutoff)
+        try:
+            top = abs(t)
+        except OverflowError:  # finite parts, modulus past double range
+            raise DomainError("a lattice point |z/z_0| past double range: "
+                              "the product leaves it too") from None
+        _check_factor_budget(top, ratio, cutoff)
         log = reduce == "log"
         out = 0.0 + 0.0j if log else 1.0 + 0.0j
         while abs(t) >= cutoff:

@@ -100,8 +100,12 @@ class TestEval:
             "error: coefficients must form a nonempty 1-d list\n")
 
     def test_phi_rs(self, capsys):
-        assert main(["eval", "--fn", "phi_rs", "--q", "0.5", "--alpha", "0",
+        # 1phi0(0; q, z) at q = 2 is etilde_q, entire, with a certified
+        # radius (at q = 0.5 it has radius 1 and none is certified)
+        assert main(["eval", "--fn", "phi_rs", "--q", "2", "--alpha", "0",
                      "--z", "0.25", "--N", "32"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.endswith("->  0.77010158689760644   (err <= 1e-12)")
 
     def test_value_past_double_range_exits_1(self, capsys):
         # the product route: f overflows, log|f| = 729.49 does not
@@ -125,9 +129,11 @@ class TestEval:
                                        "more than 100000 factors")
 
     def test_series_overflow_exits_1(self, capsys):
-        # no certified radius and no product form: the series route
-        assert main(["eval", "--fn", "etilde_q", "--q", "0.5",
-                     "--z", "1e200"]) == 1
+        # inside the certified radius, no product form, and a sum past
+        # double range: the series route (coefficients up to 1e270)
+        assert main(["eval", "--fn", "phi_rs", "--q", "0.5", "--alpha",
+                     "1e18", "--beta", "0.3", "--N", "120",
+                     "--z", "100"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "is not a finite number" in captured.err
@@ -135,6 +141,7 @@ class TestEval:
     @pytest.mark.parametrize("fn, q, tail", [
         ("etilde_q", "2", "leaves double range (log|f| = 363221.72"),
         ("sin_q", "0.5", "|z| exceeds certified radius"),
+        ("E_q", "0.5", "past double range: the product leaves it too"),
     ])
     def test_modulus_past_double_range_exits_1(self, capsys, fn, q, tail):
         # both parts finite, |z| not: refused with a typed error by the
@@ -180,16 +187,36 @@ class TestEval:
         with pytest.raises(DomainError, match="beyond certified"):
             series_zero_moduli(series, r)
 
-    def test_uncertified_series_reports_nan_bound(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", [
         # |q| < 1: etilde_q has a finite radius (no safe_radius here) and
-        # no product form, so auto falls back to the uncertified series
+        # no product form
+        ["--fn", "etilde_q", "--q", "0.5", "--z", "0.5"],
+        ["--fn", "etilde_q", "--q", "0.5", "--z", "1e200"],
+        # 2phi0 at |q| < 1 has radius of convergence 0; its partial sum
+        # at 0.1 is -5.34e252
+        ["--fn", "phi_rs", "--q", "0.5", "--alpha", "0.5,0.3",
+         "--N", "1200", "--z", "0.1"],
+    ])
+    def test_uncertified_series_is_refused(self, capsys, tmp_path, argv):
         out = tmp_path / "e.csv"
-        assert main(["eval", "--fn", "etilde_q", "--q", "0.5", "--z", "0.5",
-                     "--out", str(out)]) == 0
-        line = capsys.readouterr().out.splitlines()[-1]
-        assert line.endswith("->  3.4627466194550514   (err <= nan)")
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert len(rows) == 1 and rows[0]["err_bound"] == "nan"
+        assert main(["eval", *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ")
+        assert "has no certified radius at N = " in captured.err
+
+    @pytest.mark.parametrize("fn, q", [("etilde_q", "2"), ("E_q", "0.5")])
+    @pytest.mark.parametrize("route", ["auto", "series", "product"])
+    @pytest.mark.parametrize("z", ["nan", "1+nani"])
+    def test_nan_point_exits_1(self, capsys, fn, q, route, z):
+        # the lattice kernel's stop rule reads a NaN point as past its
+        # last factor (value 1), so the point is refused before any route
+        assert main(["eval", "--fn", fn, "--q", q, "--route", route,
+                     "--z", z]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: z = ")
+        assert captured.err.rstrip().endswith("is not a number")
 
 
 class TestSolve:
