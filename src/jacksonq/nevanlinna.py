@@ -423,15 +423,19 @@ def _origin_multiplicity(coeffs: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def winding_number(eval_vec: Callable[[np.ndarray], np.ndarray],
+def winding_number(node_values: Callable[[int], np.ndarray],
                    r: float) -> int:
     """Winding of f around 0 along |z| = r, by summing angle increments.
 
-    The node count doubles from 512 until every increment is below pi/2
-    and the total is within 1e-2 of an integer (at most 65536 nodes)."""
+    node_values(M) gives f over some positive constant at the M nodes
+    r exp(2 pi i j/M), j < M. M doubles from 512 until every increment is
+    below pi/2 and the total is within 1e-2 of an integer (at most 65536
+    nodes); a zero or non-finite value raises PoleOnCircle. Only that
+    integer leaves, so values at the exact roots of unity (_dft_nodes)
+    serve as well as values at r * _unit_circle(M), which rounds them."""
     M = _WINDING_NODES
     while True:
-        vals = np.asarray(eval_vec(r * _unit_circle(M)))
+        vals = np.asarray(node_values(M))
         if np.any(vals == 0) or not np.all(np.isfinite(vals)):
             raise PoleOnCircle(f"zero/invalid value on circle r = {r:g}")
         rolled = np.roll(vals, -1)
@@ -455,10 +459,10 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
     Moduli within relative rel_tol merge into one (mean modulus, count)
     pair; each count is certified by the argument principle, one winding
     number in the gap above its group and one at r, and a count that
-    disagrees raises DomainError. The first-pass circles of all those
-    winding numbers, each rho * _unit_circle(512) as winding_number
-    builds it, take one ts.eval call (each element rounds as it would
-    alone); a circle whose node count doubles calls ts.eval again."""
+    disagrees raises DomainError. A winding circle's node values come
+    from one inverse FFT per node count (_dft_nodes), not from ts.eval;
+    only the winding integers leave that code, so the moduli are those
+    of the eigenvalues and Newton steps alone."""
     if ts.past_radius(r):
         raise DomainError("radius beyond certified evaluation disc")
     coeffs = ts.coeffs
@@ -489,12 +493,10 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
             groups.append([m])
     radii = [math.sqrt(a[-1] * b[0]) for a, b in zip(groups, groups[1:])]
     radii.append(r)
-    unit = _unit_circle(_WINDING_NODES)
-    first_pass = ts.eval(np.concatenate([rho * unit for rho in radii]))
     inner = lam  # the winding number just outside the origin
-    for count, rho, vals in zip([len(g) for g in groups] or [0], radii,
-                                first_pass.reshape(len(radii), -1)):
-        outer = winding_number(_first_pass_eval(ts, vals), rho)
+    for count, rho, terms in zip([len(g) for g in groups] or [0], radii,
+                                 _scaled_terms(coeffs, radii)):
+        outer = winding_number(functools.partial(_dft_nodes, terms), rho)
         if outer - inner != count:
             raise DomainError(
                 f"winding count {outer - inner} in the annulus up to "
@@ -503,12 +505,28 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
-def _first_pass_eval(ts: TruncatedSeries, vals: np.ndarray):
-    """An eval_vec for winding_number that serves one circle's values at
-    its first node count from vals and calls ts.eval at any other."""
-    def eval_vec(zs):
-        return vals if len(zs) == _WINDING_NODES else ts.eval(zs)
-    return eval_vec
+def _scaled_terms(coeffs: np.ndarray, radii) -> np.ndarray:
+    """One row a_n = c_n rho^n per radius rho, over a positive constant
+    that makes the largest |a_n| 1: c_n 2^t_n with t_n = n log2 rho -
+    max_m(log2|c_m| + m log2 rho), an exact ldexp by floor(t_n) times
+    2^(t_n mod 1), so rho^n may pass double range; an exact zero
+    coefficient stays 0."""
+    with np.errstate(divide="ignore"):
+        t = np.outer(np.log2(radii), np.arange(coeffs.size))
+        t -= np.max(np.log2(np.abs(coeffs)) + t, axis=1, keepdims=True)
+    e = np.floor(t)
+    k = e.astype(int)
+    return np.exp2(t - e) * (np.ldexp(coeffs.real, k)
+                             + 1j * np.ldexp(coeffs.imag, k))
+
+
+def _dft_nodes(a: np.ndarray, M: int) -> np.ndarray:
+    """node_values for winding_number: sum_n a_n w^{jn}, w = exp(2 pi i/M),
+    for j < M, which is p(rho w^j) when a_n = c_n rho^n, at the exact
+    M-th roots of unity, by one inverse DFT of the a_n folded mod M."""
+    if a.size > M:
+        a = np.append(a, np.zeros(-a.size % M)).reshape(-1, M).sum(axis=0)
+    return np.fft.ifft(a, n=M, norm="forward")
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,10 @@ def sinq_cosq(qp: QParam, N: int):
 # ---------------------------------------------------------------------------
 
 
+_PAST_RANGE = ("a lattice point |z/z_0| past double range: the product "
+               "leaves it too")
+
+
 def _lattice_product(t, q: complex, tol: float, reduce: str):
     """The factors 1 - t_n of a lattice product, for t_0 = t and
     t_{n+1} = t_n/q if |q| > 1, else t_n q, each point stopping at its
@@ -213,31 +217,34 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
 
     On arrays each step is one masked numpy step over all points, except
     that "log_abs" first runs K steps in bulk, K the largest count with
-    min|t_0| (ratio (1 - 1e-12))^K >= 4 cutoff, ratio = min(|q|, 1/|q|):
-    the margins exceed the rounding of K steps, so every point is live
-    through all of them and no mask is needed. The rows t_1 .. t_K are
-    built one row at a time by the loop's own step, t/q or _times(t, q),
-    whose four real products stand in for numpy's complex multiply: its
-    fused multiply-adds move last bits. A real q multiplies the float64
-    view instead, one ufunc call per row: by q inside the unit circle,
-    the same products as _times' six calls, and by 1/q outside it, which
-    is what numpy's complex division by a divisor with a zero imaginary
-    part computes (Smith's quotient with ratio 0 scales by 1/q). Both
-    agree with the loop's step but for the sign of zero, which |t| and
-    |1 - t| ignore; tests/test_lattice_step.py pins the quotient on
-    finite points from 1e-300 to 1e300. Complex q keeps np.divide and
-    _times. The rows come in blocks of about _BLOCK elements (at least
-    two rows) spanning all points: a 512-node circle takes one or two
-    blocks, whose rows and float buffer for log|1 - t_n| take under
-    400 kB (a larger _BLOCK raised the peak RSS of a product's circles
-    for little speed). A block takes log|1 - t_n| in one pass, the
-    running sum goes in as its first row and np.add.reduce(axis=0) adds
-    the rows in order, as the loop does; numpy would sum a one-column
-    block pairwise instead, so arrays of one point skip the bulk. The
-    masked loop then finishes from t_K. A finite t_0 that needs more than
-    the factor budget (|q| near 1, qcore._check_factor_budget) raises
-    DomainError first, and so does one Python complex point whose parts
-    are finite but whose modulus passes double range (abs raises there).
+    min|t_0| (ratio (1 - 1e-12))^K >= cutoff, ratio = min(|q|, 1/|q|):
+    that margin exceeds the rounding of K steps (_bulk_steps), so every
+    point is live through all of them and no mask is needed, and on a
+    circle the masked loop then runs one step, rarely two. The rows
+    t_1 .. t_K are built one row at a time by the loop's own step, t/q or
+    _times(t, q), whose four real products stand in for numpy's complex
+    multiply: its fused multiply-adds move last bits. Complex q inside the
+    unit circle forms those products from the float64 view, in four calls
+    where _times makes six; outside it np.divide stays. A real q
+    multiplies the float64 view instead, one ufunc call per row: by q
+    inside the unit circle, the same products as _times' six calls, and
+    by 1/q outside it, which is what numpy's complex division by a divisor
+    with a zero imaginary part computes (Smith's quotient with ratio 0
+    scales by 1/q). Both agree with the loop's step but for the sign of
+    zero, which |t| and |1 - t| ignore; tests/test_lattice_step.py pins
+    the quotient on finite points from 1e-300 to 1e300. The rows come in
+    blocks of about _BLOCK elements (at least two rows) spanning all
+    points: a 512-node circle takes one or two blocks, whose rows and
+    float buffer for log|1 - t_n| take under 400 kB (a larger _BLOCK
+    raised the peak RSS of a product's circles for little speed). A block
+    takes log|1 - t_n| in one pass, the running sum goes in as its first
+    row and np.add.reduce(axis=0) adds the rows in order, as the loop
+    does; numpy would sum a one-column block pairwise instead, so arrays
+    of one point skip the bulk. The masked loop then finishes from t_K.
+    A finite t_0 that needs more than the factor budget (|q| near 1,
+    qcore._check_factor_budget) raises DomainError first, and so does a
+    point whose parts are finite but whose modulus passes double range
+    (log|1 - t_0| would read inf).
     """
     shrink = abs(q) > 1.0
     ratio = 1.0 / abs(q) if shrink else abs(q)
@@ -246,8 +253,7 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
         try:
             top = abs(t)
         except OverflowError:  # finite parts, modulus past double range
-            raise DomainError("a lattice point |z/z_0| past double range: "
-                              "the product leaves it too") from None
+            raise DomainError(_PAST_RANGE) from None
         _check_factor_budget(top, ratio, cutoff)
         log = reduce == "log"
         out = 0.0 + 0.0j if log else 1.0 + 0.0j
@@ -257,6 +263,8 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
         return complex(out)
     mags = np.abs(t)
     top = float(mags.max(initial=0.0))
+    if not math.isfinite(top) and np.any(np.isinf(mags) & np.isfinite(t)):
+        raise DomainError(_PAST_RANGE)
     _check_factor_budget(top if math.isfinite(top) else float(
         mags.max(initial=0.0, where=np.isfinite(mags))), ratio, cutoff)
     start, step = _REDUCTIONS[reduce]
@@ -296,16 +304,21 @@ _BLOCK = 2 ** 14  # elements in one block of rows of the log_abs bulk phase
 def _bulk_steps(mags: np.ndarray, top: float, ratio: float,
                 cutoff: float) -> int:
     """K, the most lattice steps with min(mags) (ratio (1 - 1e-12))^K >=
-    4 cutoff, mags = |t_0| and top = max(mags); 0 for fewer than two
-    points (numpy would sum a one-column block pairwise) or non-finite."""
+    cutoff, mags = |t_0| and top = max(mags); 0 for fewer than two points
+    (numpy would sum a one-column block pairwise) or non-finite. Each
+    computed step and np.abs round |t| by a few ulp, orders of magnitude
+    below the 1e-12 margin per step, so every |t_n|, n <= K, is still >=
+    cutoff and all K bulk rows are live in the masked loop too."""
     if mags.size < 2:
         return 0
-    lo, floor = float(mags.min()), 4.0 * cutoff
-    if not (math.isfinite(top) and lo >= floor >= np.finfo(float).tiny):
+    lo = float(mags.min())
+    if not (math.isfinite(top) and lo >= cutoff >= np.finfo(float).tiny):
         return 0
     ratio *= 1.0 - 1e-12
-    steps = int((math.log(lo) - math.log(floor)) / -math.log(ratio))
-    while steps and lo * ratio ** steps < floor:
+    steps = int((math.log(lo) - math.log(cutoff)) / -math.log(ratio))
+    # ratio^K alone may underflow where lo is large; its halves do not
+    while steps and (lo * ratio ** (steps // 2)
+                     * ratio ** (steps - steps // 2)) < cutoff:
         steps -= 1
     return steps
 
@@ -319,24 +332,28 @@ def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, steps: int):
     height = min(steps, max(1, _BLOCK // flat.size))
     rows = np.empty((height + 1, flat.size), dtype=np.complex128)
     rows[0] = flat
-    floats = None
-    if q.imag == 0.0:  # step the float view; t/q divides by exactly 1/q
-        floats, factor = rows.view(np.float64), (1.0 / q.real if shrink
-                                                 else q.real)
+    floats = rows.view(np.float64)
+    if q.imag == 0.0:  # t/q divides by exactly 1/q
+        factor = 1.0 / q.real if shrink else q.real
+    elif not shrink:  # _times' products from the float view, four calls
+        pairs = floats.reshape(height + 1, flat.size, 2)
+        prods = np.empty((2, flat.size, 2))
     logs = np.empty((height, flat.size))
     out = np.zeros(flat.size)
-    tmp = np.empty(flat.size)
     while steps:
         n = min(steps, height)
-        if floats is not None:  # t/q or _times(t, q) up to the sign of zero
+        if q.imag == 0.0:  # t/q or _times(t, q) up to the sign of zero
             for x, y in zip(floats[:n], floats[1:n + 1]):
                 np.multiply(x, factor, out=y)
-        else:
+        elif shrink:
             for x, y in zip(rows[:n], rows[1:n + 1]):
-                if shrink:
-                    np.divide(x, q, out=y)
-                else:
-                    _times(x, q, y, tmp)
+                np.divide(x, q, out=y)
+        else:  # re = (Re x, Im x) Re q, im = (Re x, Im x) Im q
+            for x, y in zip(pairs[:n], pairs[1:n + 1]):
+                re = np.multiply(x, q.real, out=prods[0])
+                im = np.multiply(x, q.imag, out=prods[1])
+                np.subtract(re[:, 0], im[:, 1], out=y[:, 0])
+                np.add(im[:, 0], re[:, 1], out=y[:, 1])
         block = np.abs(np.subtract(1.0, rows[:n], out=rows[:n]), out=logs[:n])
         np.log(block, out=block)
         block[0] += out  # the running sum comes first, as in the loop

@@ -19,7 +19,7 @@ import math
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from jacksonq.nevanlinna import INF, MeroModel, winding_number
+from jacksonq.nevanlinna import INF, MeroModel, _unit_circle, winding_number
 from jacksonq.qode import RationalFunction
 
 TARGETS = (0.0, 1.0, -1.0, 0.5 + 0.5j)
@@ -82,5 +82,6 @@ def test_a_points_match_the_winding_number(case):
         points = model.divisor(1.0, a)
         moduli = [m for m, _ in points[1] + poles[1]]
         for r in _radii_between(moduli):
-            winding = winding_number(lambda zs: f.eval(zs) - a, r)
+            winding = winding_number(
+                lambda M: f.eval(r * _unit_circle(M)) - a, r)
             assert _count(points, r) == winding + _count(poles, r), (a, r)

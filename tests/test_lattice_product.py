@@ -7,7 +7,8 @@ have its zeros on the lattices over the roots of 1 + (1-q) z P(z); its
 shift ratio's exact logderiv route is tested in test_shift_ratio.py. A
 root of multiplicity m counts its lattice m times, and R = 1 gives
 f = 1. A shift ratio that is not 1 at the origin, or that would give f
-poles, is refused with a typed error.
+poles, is refused with a typed error, and so is a point with finite
+parts whose |z/z_0| passes double range, on arrays as on one point.
 """
 
 import cmath
@@ -138,3 +139,25 @@ def test_typed_refusals():
         LatticeProduct(_ETILDE_RATIO, QParam(0.5))
     with pytest.raises(RegimeMismatch):
         product_solution([1.0], QParam(-1.5))
+
+
+@pytest.mark.parametrize("reduce", ["log_abs", "eval", "log_eval"])
+def test_array_point_past_double_range_is_refused(reduce):
+    # both parts finite, |t_0| = |z/z_0| past double range: the first
+    # factor's log|1 - t_0| would read inf, so the array path refuses the
+    # point as the one-point path does
+    zs = np.array([1.5e308 + 1.5e308j, 1e308])
+    product = BigEProduct(QParam(0.5))  # z_0 = -1
+    with pytest.raises(DomainError, match="past double range"):
+        getattr(product, reduce)(zs)
+    if reduce != "log_abs":  # log_abs takes one point as an array
+        with pytest.raises(DomainError, match="past double range"):
+            getattr(product, reduce)(complex(zs[0]))
+
+
+def test_array_point_in_range_after_z0_keeps_its_value():
+    # etilde_q at q = 2 has z_0 = 2, so |t_0| = |z|/2 is in range there
+    got = EtildeProduct(QParam(2.0)).log_abs(
+        np.array([1.5e308 + 1.5e308j, 1e308]))
+    assert [float(x).hex() for x in got] == ["0x1.62b56e990aff8p+18",
+                                             "0x1.61f443a68bac3p+18"]

@@ -278,7 +278,8 @@ class TestWindingCounts:
         ts = etilde_q(qp, 48)
         prod = EtildeProduct(qp)
         for r in (3.0, 10.0, 100.0):
-            w = winding_number(ts.eval, r)
+            w = winding_number(
+                lambda M: ts.eval(r * nevanlinna._unit_circle(M)), r)
             lattice = sum(m for _, m in prod.zeros_up_to(r))
             assert w == lattice
 

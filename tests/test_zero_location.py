@@ -5,9 +5,11 @@ certifies each annulus count by one winding number in the gap above it.
 On etilde_q (|q| > 1) and big_e_q (|q| < 1) the counts must equal the
 exact lattice counts and the moduli must match the lattice moduli; a
 count the winding numbers do not confirm, or coefficients that are not
-finite, must raise DomainError. All first-pass winding circles are
-evaluated in one array call; a circle whose node count doubles evaluates
-again at the new count.
+finite, must raise DomainError. A winding circle's node values come
+from one inverse FFT of the scaled coefficients per node count, at the
+exact roots of unity, never from TruncatedSeries.eval; they match Horner
+on _unit_circle to a stated tolerance, and only the winding integers
+leave, so the moduli are the eigenvalues' alone.
 """
 
 import cmath
@@ -187,22 +189,54 @@ def test_winding_calls_one_per_group():
     assert len(calls) == len(groups) and calls[-1] == r
 
 
-def test_one_series_eval_for_all_first_pass_circles(monkeypatch):
+def test_winding_circles_take_one_inverse_fft_and_no_series_eval(
+        monkeypatch):
     sizes = []
-    real = TruncatedSeries.eval
+    real = np.fft.ifft
 
-    def counted(self, z):
-        sizes.append(np.size(z))
-        return real(self, z)
+    def counted(a, **kwargs):
+        out = real(a, **kwargs)
+        sizes.append(out.size)
+        return out
 
-    monkeypatch.setattr(TruncatedSeries, "eval", counted)
+    monkeypatch.setattr(TruncatedSeries, "eval", mock.Mock(
+        side_effect=AssertionError("series_zero_moduli called eval")))
+    monkeypatch.setattr(np.fft, "ifft", counted)
     series, lattice = series_and_lattice(2.0)
     groups = series_zero_moduli(series, between_lattice(lattice, 300.0))
-    assert len(groups) == 8 and sizes == [8 * nevanlinna._WINDING_NODES]
+    assert len(groups) == 8 and sizes == [nevanlinna._WINDING_NODES] * 8
 
     # z^200 (1 + z/10) winds 200 times around |z| = 2, too fast for 512
-    # nodes: that circle evaluates again at 1024
+    # nodes: that circle takes a second transform at 1024
     sizes.clear()
     ts = TruncatedSeries.from_polynomial(np.r_[np.zeros(200), 1.0, 0.1])
     assert series_zero_moduli(ts, 2.0) == []
     assert sizes == [512, 1024]
+
+
+_RNG = np.random.default_rng(3)
+_LONG = TruncatedSeries.from_polynomial(  # degree 1500: folds mod M
+    _RNG.normal(size=1501) + 1j * _RNG.normal(size=1501))
+
+
+@pytest.mark.parametrize("M", [512, 1024])
+@pytest.mark.parametrize("series, rho", [
+    (etilde_q(QParam(2.0), N), 300.0),
+    (big_e_q(QParam(cmath.rect(0.48, 0.9)), N), 300.0),
+    (etilde_q(QParam(2.0), N), 1e6),  # 1e6 ** 96 overflows
+    (_LONG, 1.0),
+    (_LONG, 1.01),
+    (etilde_q(QParam(2.0), 72).shifted(2), 10.0),  # a double zero at 0
+], ids=["etilde", "big_e complex q", "r=1e6", "fold", "fold r>1",
+        "origin zero"])
+def test_dft_node_values_match_horner(series, rho, M):
+    # Both give p(rho w^j) over 2^top, top the largest log2 of a scaled
+    # term |c_n| rho^n. Horner rounds term n by about n eps, and
+    # _unit_circle's nodes miss the exact roots of unity by about n eps
+    # in z^n, so the two differ by at most about (N + 1)^2 eps there.
+    c = series.coeffs
+    got = nevanlinna._dft_nodes(nevanlinna._scaled_terms(c, [rho])[0], M)
+    with np.errstate(divide="ignore"):
+        top = np.max(np.log2(np.abs(c)) + np.arange(c.size) * math.log2(rho))
+    want = series.eval(rho * nevanlinna._unit_circle(M)) * 2.0 ** -top
+    assert np.all(np.abs(got - want) <= c.size ** 2 * np.finfo(float).eps)
