@@ -11,7 +11,6 @@ from .qcore import (
     q_brackets,
     q_factorial,
     q_pochhammer,
-    q_pochhammer_inf,
     q_pochhammer_mp,
 )
 from .qoperator import (
@@ -36,6 +35,7 @@ from .qspecial import (
     exp_q,
     phi_rs,
     product_solution,
+    q_pochhammer_inf,
     sinq_cosq,
 )
 from .qode import (

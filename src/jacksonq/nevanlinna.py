@@ -67,6 +67,7 @@ _NUDGE_STEP = 1e-5
 _MAX_NUDGES = 64
 _WINDING_NODES = 512
 _WINDING_MAX_NODES = 65536
+_ZERO_MERGE_TOL = 1e-4  # relative gap below which series_zero_moduli merges
 _RESIDUAL_POINTS = 4
 _RESIDUAL_TOL = 1e-6
 
@@ -87,8 +88,8 @@ class RadialGrid:
     def __post_init__(self):
         radii = tuple(float(r) for r in self.radii)
         object.__setattr__(self, "radii", radii)
-        if any(r <= 0 for r in radii):
-            raise DomainError("radii must be positive")
+        if not all(0.0 < r < math.inf for r in radii):
+            raise DomainError("radii must be positive and finite")
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise DomainError("radii must be strictly increasing")
         if self.angular_nodes < 64:
@@ -449,20 +450,19 @@ def winding_number(node_values: Callable[[int], np.ndarray],
                 f"winding number did not stabilise at r = {r:g}")
 
 
-def series_zero_moduli(ts: TruncatedSeries, r: float,
-                       rel_tol: float = 1e-4) -> list:
+def series_zero_moduli(ts: TruncatedSeries, r: float) -> list:
     """Moduli of the nonzero-origin zeros of a series model inside radius
     r, from the eigenvalues of the truncated polynomial, each polished by
     one Newton step. Before np.roots the coefficients are rescaled to
     |z| ~ r by exact powers of two (log2|c_n| + n log2 r - max, phases
     kept), and trailing terms below eps of the largest are dropped.
-    Moduli within relative rel_tol merge into one (mean modulus, count)
-    pair; each count is certified by the argument principle, one winding
-    number in the gap above its group and one at r, and a count that
-    disagrees raises DomainError. A winding circle's node values come
-    from one inverse FFT per node count (_dft_nodes), not from ts.eval;
-    only the winding integers leave that code, so the moduli are those
-    of the eigenvalues and Newton steps alone."""
+    Moduli within relative _ZERO_MERGE_TOL merge into one (mean modulus,
+    count) pair; each count is certified by the argument principle, one
+    winding number in the gap above its group and one at r, and a count
+    that disagrees raises DomainError. A winding circle's node values
+    come from one inverse FFT per node count (_dft_nodes), not from
+    ts.eval; only the winding integers leave that code, so the moduli are
+    those of the eigenvalues and Newton steps alone."""
     if ts.past_radius(r):
         raise DomainError("radius beyond certified evaluation disc")
     coeffs = ts.coeffs
@@ -487,7 +487,7 @@ def series_zero_moduli(ts: TruncatedSeries, r: float,
     mods = np.sort(np.abs(u)) * 2.0 ** k
     groups = []
     for m in (float(m) for m in mods[mods < r]):
-        if groups and m - groups[-1][-1] <= rel_tol * m:
+        if groups and m - groups[-1][-1] <= _ZERO_MERGE_TOL * m:
             groups[-1].append(m)
         else:
             groups.append([m])
@@ -555,7 +555,8 @@ def _circle_means(model: MeroModel, radii, M: int, positive_part: bool):
     invalid operation or division by zero raises instead of warning; if
     the chunk raises, its radii are computed one at a time as the
     iterator is read, so the first failing radius raises or warns as it
-    would alone, in the caller's order."""
+    would alone, in the caller's order. A radius that is not finite
+    raises DomainError: its circle holds no finite node."""
     unit = _unit_circle(M)
     per = 1 if isinstance(model, SamplerModel) else max(
         1, _CIRCLE_POINTS // M)
@@ -570,6 +571,8 @@ def _circle_means(model: MeroModel, radii, M: int, positive_part: bool):
             except Exception:  # raised again below, at its own radius
                 pass
         for j, r in enumerate(chunk):
+            if not math.isfinite(r):
+                raise DomainError(f"radius r = {r:g} is not finite")
             la = model.log_abs(r * unit) if rows is None else rows[j]
             yield _log_means(la, r, positive_part)
 
@@ -999,8 +1002,9 @@ def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
     the trend assertion belongs to the caller."""
     rows = []
     qk = qp.q ** k
+    log_c = _log_moduli(f)
     for r in grid.radii:
-        wv = max_term_central_index(f, r)
+        wv = _max_term(f, r, log_c)
         zs = r * _unit_circle(grid.angular_nodes)
         vals = np.abs(f.eval(zs))
         order = np.argsort(vals)

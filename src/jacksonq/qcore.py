@@ -25,7 +25,6 @@ from .polyroots import poly_eval_desc
 
 _ROOT_OF_UNITY_TOL = 1e-9
 _DEFAULT_TAIL_TOL = 1e-12
-_POCHHAMMER_MAX_FACTORS = 100000
 
 # A TruncatedSeries radius not yet certified, and the _defer divisor that
 # takes the parent's radius as it is.
@@ -158,7 +157,7 @@ def q_factorial(n: int, qp: QParam) -> complex:
     for j in range(1, n + 1):
         qj *= q
         out *= (qj - 1.0) / (q - 1.0)
-        if not _finite(out):
+        if not cmath.isfinite(out):
             return complex(math.inf, 0.0)
     return out
 
@@ -172,51 +171,9 @@ def q_pochhammer(a: complex, qp: QParam, n: int) -> complex:
     for _ in range(n):
         out *= 1.0 - aqj
         aqj *= qp.q
-        if not _finite(out):
+        if not cmath.isfinite(out):
             return complex(math.inf, 0.0)
     return out
-
-
-def q_pochhammer_inf(a: complex, qp: QParam, tol: float = 1e-14) -> complex:
-    """(a;q)_inf = prod_{n>=0} (1 - a q^n), for |q| < 1.
-
-    The partial product stops once |a q^n| < tol*(1-|q|); the dropped tail
-    then multiplies the result by a factor within exp(+-2*tol) of 1. A
-    non-finite a, or a cutoff that needs more than 100000 factors (|q|
-    near 1, _check_factor_budget), raises DomainError before the first
-    factor rather than return a truncated product.
-    """
-    if abs(qp.q) >= 1.0:
-        raise DomainError("q_pochhammer_inf requires |q| < 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    aqn = complex(a)
-    if not _finite(aqn):
-        raise DomainError("q_pochhammer_inf requires a finite a")
-    cutoff = tol * (1.0 - abs(qp.q))
-    _check_factor_budget(abs(aqn), abs(qp.q), cutoff,
-                         "(a;q)_inf needs more than {n} factors to reach "
-                         "|a q^n| < {cutoff:.3g}")
-    out = 1.0 + 0.0j
-    while abs(aqn) >= cutoff:
-        out *= 1.0 - aqn
-        aqn *= qp.q
-    return out
-
-
-def _check_factor_budget(top: float, ratio: float, cutoff: float,
-                         message: str = "the lattice product needs more "
-                         "than {n} factors to reach |t_n| < {cutoff:.3g}"):
-    """The step budget of every lattice walk, checked before its first
-    step: refuse a finite top that needs more than _POCHHAMMER_MAX_FACTORS
-    steps of ratio < 1 to fall below cutoff (a log estimate of the count).
-    message names the walk; it is formatted with n, top and cutoff."""
-    if math.isfinite(top) and top >= cutoff and (
-            cutoff <= 0.0 or math.log(top) - math.log(cutoff)
-            >= _POCHHAMMER_MAX_FACTORS * -math.log(ratio)):
-        raise DomainError(message.format(
-            n=_POCHHAMMER_MAX_FACTORS, top=top, cutoff=cutoff)
-            + ": |q| is too close to 1")
 
 
 def q_binomial(n: int, j: int, qp: QParam) -> complex:
@@ -296,10 +253,6 @@ def _pow(q: complex, n: int):
     except OverflowError:
         return None
     return out
-
-
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
 # ---------------------------------------------------------------------------

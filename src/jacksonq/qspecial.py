@@ -39,12 +39,11 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
-from .qcore import QParam, TruncatedSeries, _check_factor_budget, q_brackets
+from .qcore import QParam, TruncatedSeries, q_brackets
 from .qode import RationalFunction
 
 _PHI_GUARD_ORDER = 64  # the highest m at which PhiParams checks beta q^m
@@ -83,8 +82,8 @@ class PhiParams:
         return len(self.betas)
 
 
-def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
-    """Basic hypergeometric series to order N; evaluated at z if given.
+def phi_rs(params: PhiParams, N: int) -> TruncatedSeries:
+    """Basic hypergeometric series to order N.
 
     Term ladder: t_0 = 1 and
 
@@ -123,10 +122,7 @@ def phi_rs(params: PhiParams, N: int, z: Optional[complex] = None):
         qj *= q
         if not cmath.isfinite(t):
             t = 0.0 + 0.0j
-    series = TruncatedSeries(np.array(terms, dtype=np.complex128))
-    if z is None:
-        return series
-    return series.eval(z)
+    return TruncatedSeries(np.array(terms, dtype=np.complex128))
 
 
 def exp_q(qp: QParam, N: int) -> TruncatedSeries:
@@ -193,8 +189,7 @@ def sinq_cosq(qp: QParam, N: int):
 # ---------------------------------------------------------------------------
 
 
-_PAST_RANGE = ("a lattice point |z/z_0| past double range: the product "
-               "leaves it too")
+_POCHHAMMER_MAX_FACTORS = 100000
 
 
 def _lattice_product(t, q: complex, tol: float, reduce: str):
@@ -241,35 +236,31 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     row and np.add.reduce(axis=0) adds the rows in order, as the loop
     does; numpy would sum a one-column block pairwise instead, so arrays
     of one point skip the bulk. The masked loop then finishes from t_K.
-    A finite t_0 that needs more than the factor budget (|q| near 1,
-    qcore._check_factor_budget) raises DomainError first, and so does a
-    point whose parts are finite but whose modulus passes double range
-    (log|1 - t_0| would read inf).
+    One precondition, checked once for a point or an array before the
+    first step, raises DomainError unless it holds: max|t_0| is finite (no
+    NaN or infinite part, no modulus past double range, where log|1 - t_0|
+    would read inf) and falls below cutoff within the factor budget (|q|
+    near 1, _check_factor_budget).
     """
     shrink = abs(q) > 1.0
     ratio = 1.0 / abs(q) if shrink else abs(q)
     cutoff = tol * (1.0 - ratio)
+    mags = np.abs(t)
+    top = float(mags.max(initial=0.0))
+    if not math.isfinite(top):
+        raise DomainError("a lattice point z/z_0 not finite or with |z/z_0| "
+                          "past double range: the product leaves it too")
+    _check_factor_budget(top, ratio, cutoff)
     if not isinstance(t, np.ndarray):
-        try:
-            top = abs(t)
-        except OverflowError:  # finite parts, modulus past double range
-            raise DomainError(_PAST_RANGE) from None
-        _check_factor_budget(top, ratio, cutoff)
         log = reduce == "log"
         out = 0.0 + 0.0j if log else 1.0 + 0.0j
         while abs(t) >= cutoff:
             out = out + np.log(1.0 - t) if log else out * (1.0 - t)
             t = t / q if shrink else t * q
         return complex(out)
-    mags = np.abs(t)
-    top = float(mags.max(initial=0.0))
-    if not math.isfinite(top) and np.any(np.isinf(mags) & np.isfinite(t)):
-        raise DomainError(_PAST_RANGE)
-    _check_factor_budget(top if math.isfinite(top) else float(
-        mags.max(initial=0.0, where=np.isfinite(mags))), ratio, cutoff)
     start, step = _REDUCTIONS[reduce]
     if reduce == "log_abs":
-        steps = _bulk_steps(mags, top, ratio, cutoff)
+        steps = _bulk_steps(mags, ratio, cutoff)
         out, t = _log_abs_bulk(t, q, shrink, steps)
         mags = np.abs(t)
     else:
@@ -282,14 +273,26 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
     return out
 
 
-def _times(x: np.ndarray, m, out=None, scratch=None) -> np.ndarray:
+def _check_factor_budget(top: float, ratio: float, cutoff: float,
+                         message: str = "the lattice product needs more "
+                         "than {n} factors to reach |t_n| < {cutoff:.3g}"):
+    """The step budget of every lattice walk, checked before its first
+    step: refuse a finite top that needs more than _POCHHAMMER_MAX_FACTORS
+    steps of ratio < 1 to fall below cutoff (a log estimate of the count).
+    message names the walk; it is formatted with n, top and cutoff."""
+    if math.isfinite(top) and top >= cutoff and (
+            cutoff <= 0.0 or math.log(top) - math.log(cutoff)
+            >= _POCHHAMMER_MAX_FACTORS * -math.log(ratio)):
+        raise DomainError(message.format(
+            n=_POCHHAMMER_MAX_FACTORS, top=top, cutoff=cutoff)
+            + ": |q| is too close to 1")
+
+
+def _times(x: np.ndarray, m) -> np.ndarray:
     """x * m rounded as the one-point loop rounds it: numpy's array
-    product may fuse a multiply and an add, which moves last bits. out
-    (not x) and a float scratch of its shape may be given to reuse."""
-    if out is None:
-        out = np.empty(np.broadcast(x, m).shape, dtype=np.complex128)
-    if scratch is None:
-        scratch = np.empty(out.shape)
+    product may fuse a multiply and an add, which moves last bits."""
+    out = np.empty(np.broadcast(x, m).shape, dtype=np.complex128)
+    scratch = np.empty(out.shape)
     re, im = out.real, out.imag
     np.subtract(np.multiply(x.real, m.real, out=re),
                 np.multiply(x.imag, m.imag, out=scratch), out=re)
@@ -301,18 +304,17 @@ def _times(x: np.ndarray, m, out=None, scratch=None) -> np.ndarray:
 _BLOCK = 2 ** 14  # elements in one block of rows of the log_abs bulk phase
 
 
-def _bulk_steps(mags: np.ndarray, top: float, ratio: float,
-                cutoff: float) -> int:
+def _bulk_steps(mags: np.ndarray, ratio: float, cutoff: float) -> int:
     """K, the most lattice steps with min(mags) (ratio (1 - 1e-12))^K >=
-    cutoff, mags = |t_0| and top = max(mags); 0 for fewer than two points
-    (numpy would sum a one-column block pairwise) or non-finite. Each
-    computed step and np.abs round |t| by a few ulp, orders of magnitude
-    below the 1e-12 margin per step, so every |t_n|, n <= K, is still >=
-    cutoff and all K bulk rows are live in the masked loop too."""
+    cutoff, mags = |t_0|, all finite; 0 for fewer than two points (numpy
+    would sum a one-column block pairwise). Each computed step and np.abs
+    round |t| by a few ulp, orders of magnitude below the 1e-12 margin per
+    step, so every |t_n|, n <= K, is still >= cutoff and all K bulk rows
+    are live in the masked loop too."""
     if mags.size < 2:
         return 0
     lo = float(mags.min())
-    if not (math.isfinite(top) and lo >= cutoff >= np.finfo(float).tiny):
+    if not lo >= cutoff >= np.finfo(float).tiny:
         return 0
     ratio *= 1.0 - 1e-12
     steps = int((math.log(lo) - math.log(cutoff)) / -math.log(ratio))
@@ -371,6 +373,20 @@ _REDUCTIONS = {
 }
 
 
+def q_pochhammer_inf(a: complex, qp: QParam, tol: float = 1e-14) -> complex:
+    """(a;q)_inf = prod_{n>=0} (1 - a q^n), for |q| < 1: the lattice
+    kernel's one-point walk, _lattice_product at t_0 = a. It stops once
+    |a q^n| < tol*(1-|q|), where the dropped tail multiplies the result by
+    a factor within exp(+-2*tol) of 1, and raises DomainError before the
+    first factor, not a truncated product, where the kernel refuses a: not
+    finite, or more than 100000 factors to the cutoff (|q| near 1)."""
+    if abs(qp.q) >= 1.0:
+        raise DomainError("q_pochhammer_inf requires |q| < 1")
+    if tol <= 0:
+        raise DomainError("tol must be positive")
+    return _lattice_product(complex(a), qp.q, tol, "prod")
+
+
 @dataclass(frozen=True)
 class LatticeProduct:
     """The entire f with f(qz) = R(z) f(z) and f(0) = 1, for the rational
@@ -411,7 +427,10 @@ class LatticeProduct:
         q, tol = self.qp.q, self.tol
         parts = []
         for z0, m in self._lattices:
-            parts += [_lattice_product(z / z0, q, tol, reduce)] * m
+            # a non-finite z/z_0 is the kernel's to refuse, not numpy's
+            with np.errstate(invalid="ignore", over="ignore"):
+                t = z / z0
+            parts += [_lattice_product(t, q, tol, reduce)] * m
         if not parts:  # R = 1, so f = 1
             return np.full(np.shape(z), _REDUCTIONS[reduce][0])[()]
         combine = operator.mul if reduce == "prod" else operator.add

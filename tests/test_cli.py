@@ -206,11 +206,20 @@ class TestEval:
         assert "has no certified radius at N = " in captured.err
 
     @pytest.mark.parametrize("fn, q", [("etilde_q", "2"), ("E_q", "0.5")])
+    def test_infinite_point_exits_1(self, capsys, fn, q):
+        # past every certified radius, so the product route takes it, and
+        # the lattice kernel refuses t_0 = z/z_0, which is not finite
+        assert main(["eval", "--fn", fn, "--q", q, "--z", "inf+infi"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("fn, q", [("etilde_q", "2"), ("E_q", "0.5")])
     @pytest.mark.parametrize("route", ["auto", "series", "product"])
     @pytest.mark.parametrize("z", ["nan", "1+nani"])
     def test_nan_point_exits_1(self, capsys, fn, q, route, z):
-        # the lattice kernel's stop rule reads a NaN point as past its
-        # last factor (value 1), so the point is refused before any route
+        # a NaN point is refused by name before any route
         assert main(["eval", "--fn", fn, "--q", q, "--route", route,
                      "--z", z]) == 1
         captured = capsys.readouterr()

@@ -8,7 +8,8 @@ shift ratio's exact logderiv route is tested in test_shift_ratio.py. A
 root of multiplicity m counts its lattice m times, and R = 1 gives
 f = 1. A shift ratio that is not 1 at the origin, or that would give f
 poles, is refused with a typed error, and so is a point with finite
-parts whose |z/z_0| passes double range, on arrays as on one point.
+parts whose |z/z_0| passes double range, on arrays as on one point, or
+a point that is not finite.
 """
 
 import cmath
@@ -114,7 +115,7 @@ def test_multiple_root_and_unit_ratio():
 def test_q_near_one_refuses_before_the_first_step(product, reduce, z):
     # |t_0| = 1 needs about 4.8e8 factors to reach the cutoff 1e-21, and
     # the zero walk to 1e4 about 9.2e7: both refuse on the factor budget
-    # of q_pochhammer_inf instead (counting_N reads the zero walk)
+    # of every lattice walk instead (counting_N reads the zero walk)
     run = ((lambda r: counting_N(MeroModel.from_product(product), r))
            if reduce == "counting_N" else getattr(product, reduce))
     t = time.perf_counter()
@@ -153,6 +154,13 @@ def test_array_point_past_double_range_is_refused(reduce):
     if reduce != "log_abs":  # log_abs takes one point as an array
         with pytest.raises(DomainError, match="past double range"):
             getattr(product, reduce)(complex(zs[0]))
+
+
+def test_nan_point_in_an_array_is_refused():
+    # NaN fails the kernel's live test |t| >= cutoff: unchecked, the point
+    # would take no factor and read log|f| = 0 beside its neighbours
+    with pytest.raises(DomainError, match="not finite"):
+        BigEProduct(QParam(0.5)).log_abs(np.array([complex(math.nan, 1), 2.0]))
 
 
 def test_array_point_in_range_after_z0_keeps_its_value():

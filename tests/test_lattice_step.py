@@ -92,7 +92,7 @@ def test_bulk_rows_follow_the_loop_step(q):
     t = t[np.abs(t) >= 1e-290]
     mags = np.abs(t)
     ratio = 1.0 / abs(q) if shrink else abs(q)
-    steps = _bulk_steps(mags, float(mags.max()), ratio, cutoff)
+    steps = _bulk_steps(mags, ratio, cutoff)
     assert steps > 0
     _, got = _log_abs_bulk(t, q, shrink, steps)
     want = t
@@ -139,7 +139,7 @@ def test_bulk_rows_stay_live_down_to_the_cutoff(prod, exponent, tol,
     else:
         t = circle(lo, 512)
     mags = np.abs(t)
-    steps = _bulk_steps(mags, float(mags.max()), ratio, cutoff)
+    steps = _bulk_steps(mags, ratio, cutoff)
     lo = float(mags.min())
     # K is the largest count with lo (ratio (1 - 1e-12))^K >= cutoff; the
     # power goes in two halves, which cannot underflow there

@@ -102,6 +102,13 @@ class TestRadialGrid:
         with pytest.raises(DomainError):
             RadialGrid((1.0, 2.0), angular_nodes=16)
 
+    @pytest.mark.parametrize("radii", [(1.0, math.inf), (math.nan,),
+                                       (0.0, 1.0), (-math.inf, 1.0)])
+    def test_refuses_radii_not_positive_and_finite(self, radii):
+        # r <= 0 is False for NaN, so the test is 0 < r < inf
+        with pytest.raises(DomainError, match="positive and finite"):
+            RadialGrid(radii)
+
     def test_log_spaced_and_nudging(self):
         g = RadialGrid.log_spaced(1.0, 100.0, 5)
         assert len(g.radii) == 5
@@ -118,6 +125,19 @@ class TestRadialGrid:
         for count in (65, 80):
             with pytest.raises(InsufficientGrid):
                 RadialGrid((1.0,), 64).avoiding(moduli[:count])
+
+
+@pytest.mark.parametrize("functional", [proximity, characteristic,
+                                        jensen_residual])
+@pytest.mark.parametrize("model", [etilde_model, big_e_model, model_z],
+                         ids=["etilde_q", "E_q", "z"])
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_circle_at_a_radius_not_finite_is_refused(functional, model, r):
+    # r = inf puts NaN and infinite nodes on the circle: summed, they
+    # would give a product m = 0, T = 0 and a NaN Jensen residual, and z
+    # a pole on the circle after a RuntimeWarning
+    with pytest.raises(DomainError, match="not finite"):
+        functional(model(), r, 512)
 
 
 class TestProximity:
@@ -286,7 +306,7 @@ class TestWindingCounts:
     def test_series_zero_moduli_locate_lattice(self):
         qp = QParam(2.0)
         ts = etilde_q(qp, 48)
-        mods = series_zero_moduli(ts, 10.0, rel_tol=1e-5)
+        mods = series_zero_moduli(ts, 10.0)
         found = sorted(m for m, _ in mods)
         assert len(found) == 3
         for got, want in zip(found, [2.0, 4.0, 8.0]):

@@ -14,11 +14,10 @@ from jacksonq.qcore import (
     q_bracket,
     q_factorial,
     q_pochhammer,
-    q_pochhammer_inf,
     q_pochhammer_mp,
 )
 from jacksonq.qoperator import dq_series
-from jacksonq.qspecial import big_e_q, etilde_q, exp_q
+from jacksonq.qspecial import big_e_q, etilde_q, exp_q, q_pochhammer_inf
 
 RNG = np.random.default_rng(20240817)
 
@@ -125,9 +124,11 @@ class TestBracketFactorialPochhammer:
         assert abs(got - want) <= 1e-12 * abs(want)
 
     @pytest.mark.parametrize("a, qv", [(0.001, 0.99999), (0.01, 0.9999),
-                                       (math.nan, 0.5), (complex(math.inf), 0.5)])
+                                       (math.nan, 0.5), (complex(math.inf), 0.5),
+                                       (1.5e308 + 1.5e308j, 0.5)])
     def test_pochhammer_inf_refuses_instead_of_truncating(self, a, qv):
-        # the first two need over 3e5 factors to reach the cutoff
+        # the first two need over 3e5 factors to reach the cutoff; the
+        # last has finite parts and a modulus past double range
         with pytest.raises(DomainError):
             q_pochhammer_inf(a, QParam(qv))
 
