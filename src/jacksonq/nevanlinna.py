@@ -152,8 +152,9 @@ class MeroModel:
     question a shape cannot answer raises TargetUnsupported; the defaults
     below are those of an entire function known by its zero divisor (no
     points at infinity), with no Jackson weights, no D_q f and no shift
-    ratio. Shapes supply _log_abs, never log_abs, so every log|f| goes
-    through this class's one method.
+    ratio. Shapes supply _log_abs and _divisor, never log_abs or
+    divisor, so every log|f| and every count goes through this class's
+    one method.
     """
 
     qp: Optional[QParam]
@@ -210,8 +211,15 @@ class MeroModel:
 
     def divisor(self, r: float, target=0.0):
         """(origin multiplicity, [(modulus, multiplicity)]) of the points
-        where f = target, at least all those with |z| <= r. An entire
-        shape resolves target 0, and infinity as no points."""
+        where f = target, at least all those with |z| <= r, from the
+        shape's _divisor. A radius that is not finite raises DomainError,
+        as it does for the circle functionals."""
+        _check_radius(r)
+        return self._divisor(r, target)
+
+    def _divisor(self, r: float, target):
+        """divisor at a finite r. An entire shape resolves target 0, and
+        infinity as no points."""
         if target == INF:
             return 0, []
         if target != 0:
@@ -267,7 +275,7 @@ class RationalModel(MeroModel):
             return (np.log(np.abs(poly_eval(rf.num, zs)))
                     - np.log(np.abs(poly_eval(rf.den, zs))))
 
-    def divisor(self, r: float, target=0.0):
+    def _divisor(self, r: float, target):
         """Any finite target (the zeros of f - a) and infinity (the
         poles), over the whole plane. The split does not depend on r, so
         it is kept per target; callers must not change the list."""
@@ -396,7 +404,7 @@ class SamplerModel(MeroModel):
             return self.fn(z)
         return np.array([self.fn(w) for w in np.ravel(z)]).reshape(np.shape(z))
 
-    def divisor(self, r: float, target=0.0):
+    def _divisor(self, r: float, target):
         """No points at infinity when declared entire; nothing else."""
         if target == INF and self.entire:
             return 0, []
@@ -433,16 +441,21 @@ def winding_number(node_values: Callable[[int], np.ndarray],
     below pi/2 and the total is within 1e-2 of an integer (at most 65536
     nodes); a zero or non-finite value raises PoleOnCircle. Only that
     integer leaves, so values at the exact roots of unity (_dft_nodes)
-    serve as well as values at r * _unit_circle(M), which rounds them."""
+    serve as well as values at r * _unit_circle(M), which rounds them.
+    The increments are the angles of vals[j+1]/vals[j], the last pair
+    wrapping round, divided into one buffer."""
     M = _WINDING_NODES
     while True:
-        vals = np.asarray(node_values(M))
-        if np.any(vals == 0) or not np.all(np.isfinite(vals)):
+        vals = np.asarray(node_values(M), dtype=np.complex128)
+        if (vals == 0).any() or not np.isfinite(vals).all():
             raise PoleOnCircle(f"zero/invalid value on circle r = {r:g}")
-        rolled = np.roll(vals, -1)
-        inc = np.angle(rolled / vals)
-        total = float(np.sum(inc)) / (2.0 * np.pi)
-        if np.max(np.abs(inc)) < 0.5 * np.pi and abs(total - round(total)) < 1e-2:
+        ratios = np.empty_like(vals)
+        np.divide(vals[1:], vals[:-1], out=ratios[:-1])
+        np.divide(vals[:1], vals[-1:], out=ratios[-1:])
+        inc = np.arctan2(ratios.imag, ratios.real)  # np.angle(ratios)
+        total = float(inc.sum()) / (2.0 * np.pi)
+        if (np.abs(inc, out=inc).max() < 0.5 * np.pi
+                and abs(total - round(total)) < 1e-2):
             return int(round(total))
         M *= 2
         if M > _WINDING_MAX_NODES:
@@ -546,6 +559,12 @@ def _unit_circle(M: int) -> np.ndarray:
 _CIRCLE_POINTS = 4096  # points in one log_abs call of _circle_means
 
 
+def _check_radius(r: float):
+    """Refuse a radius that is not finite: no circle or count has one."""
+    if not math.isfinite(r):
+        raise DomainError(f"radius r = {r:g} is not finite")
+
+
 def _circle_means(model: MeroModel, radii, M: int, positive_part: bool):
     """_circle_mean at each radius, as an iterator. Circles go to
     model.log_abs in chunks of up to _CIRCLE_POINTS points, one (radii x
@@ -571,8 +590,7 @@ def _circle_means(model: MeroModel, radii, M: int, positive_part: bool):
             except Exception:  # raised again below, at its own radius
                 pass
         for j, r in enumerate(chunk):
-            if not math.isfinite(r):
-                raise DomainError(f"radius r = {r:g} is not finite")
+            _check_radius(r)
             la = model.log_abs(r * unit) if rows is None else rows[j]
             yield _log_means(la, r, positive_part)
 

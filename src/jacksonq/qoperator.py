@@ -240,15 +240,27 @@ class _PartsIntegrand:
 
     def _values(self, points):
         """The calls' values at nonzero points, from one array call of u
-        and one of v on [q w ...] + [w ...]; the Python-complex steps of
-        a call (q w, the difference, the division by (q - 1) w and the
-        product) run one point at a time as the iterator is read."""
+        and one of v on the distinct points of [w ...] + [q w ...]: a q w_j
+        with the bits of w_{j+1} (q a power of two) reads v(w_{j+1}), the
+        same bits, since an array call rounds each element alone. The
+        Python-complex steps of a call (q w, the difference, the division
+        by (q - 1) w and the product) run one point at a time as the
+        iterator is read."""
         q, n = self.qp.q, len(points)
         qw = [q * w for w in points]
         us = self.u.eval(np.array(qw if self.shifted else points)).tolist()
-        vs = self.v.eval(np.array(qw + points)).tolist()
+        ws = np.array(points, dtype=np.complex128)
+        qws = np.array(qw, dtype=np.complex128)
+        same = np.zeros(n, dtype=bool)
+        same[:-1] = (qws[:-1].view(np.uint64).reshape(-1, 2)
+                     == ws[1:].view(np.uint64).reshape(-1, 2)).all(axis=1)
+        vs = self.v.eval(np.concatenate([ws, qws[~same]]))
+        vqw = np.empty(n, dtype=vs.dtype)
+        vqw[:-1] = vs[1:n]
+        vqw[~same] = vs[n:]
         return (a * ((b - c) / ((q - 1.0) * w))
-                for a, b, c, w in zip(us, vs[:n], vs[n:], points))
+                for a, b, c, w in zip(us, vqw.tolist(), vs[:n].tolist(),
+                                      points))
 
 
 def _orbit_values(f, points):

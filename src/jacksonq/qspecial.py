@@ -190,57 +190,51 @@ def sinq_cosq(qp: QParam, N: int):
 
 
 _POCHHAMMER_MAX_FACTORS = 100000
+_TAIL_FROM = 1e-2  # |t_n| below which log_abs sums a lattice in closed form
 
 
-def _lattice_product(t, q: complex, tol: float, reduce: str):
+def _lattice_product(t, q: complex, tol: float, reduce: str, tail=None):
     """The factors 1 - t_n of a lattice product, for t_0 = t and
-    t_{n+1} = t_n/q if |q| > 1, else t_n q, each point stopping at its
-    first |t_n| below tol (1 - min(|q|, 1/|q|)), reduced to one of
+    t_{n+1} = t_n rho, rho = 1/q if |q| > 1, else q, reduced to one of
 
         "prod"     prod_n (1 - t_n)                      (eval)
         "log"      sum_n Log(1 - t_n), principal logs    (log_eval)
         "log_abs"  sum_n log|1 - t_n|, real              (log_abs)
 
-    "log_abs" is the real part of "log", log|f|, which is all a
-    quadrature circle needs. It takes the float log of the modulus, a
-    vectorised loop, where the complex log calls the C library's clog
-    once per element (about 40 times slower on a circle); the two round
-    differently, so they agree to a few ulp of log|f|, not bit for bit.
-    A numpy array t gives, bit for bit, what the one-point loop gives on
-    each of its elements; "log_abs" takes arrays only, a point being a
-    one-element array.
+    "prod" and "log" take each point's factors down to its first |t_n|
+    below the cutoff tol (1 - |rho|). "log_abs" takes them down to its
+    first |t_n| below _TAIL_FROM = delta and then adds the rest of the
+    lattice in closed form: for |t| < 1
 
-    On arrays each step is one masked numpy step over all points, except
-    that "log_abs" first runs K steps in bulk, K the largest count with
-    min|t_0| (ratio (1 - 1e-12))^K >= cutoff, ratio = min(|q|, 1/|q|):
-    that margin exceeds the rounding of K steps (_bulk_steps), so every
-    point is live through all of them and no mask is needed, and on a
-    circle the masked loop then runs one step, rarely two. The rows
-    t_1 .. t_K are built one row at a time by the loop's own step, t/q or
-    _times(t, q), whose four real products stand in for numpy's complex
-    multiply: its fused multiply-adds move last bits. Complex q inside the
-    unit circle forms those products from the float64 view, in four calls
-    where _times makes six; outside it np.divide stays. A real q
-    multiplies the float64 view instead, one ufunc call per row: by q
-    inside the unit circle, the same products as _times' six calls, and
-    by 1/q outside it, which is what numpy's complex division by a divisor
-    with a zero imaginary part computes (Smith's quotient with ratio 0
-    scales by 1/q). Both agree with the loop's step but for the sign of
-    zero, which |t| and |1 - t| ignore; tests/test_lattice_step.py pins
-    the quotient on finite points from 1e-300 to 1e300. The rows come in
-    blocks of about _BLOCK elements (at least two rows) spanning all
-    points: a 512-node circle takes one or two blocks, whose rows and
-    float buffer for log|1 - t_n| take under 400 kB (a larger _BLOCK
-    raised the peak RSS of a product's circles for little speed). A block
-    takes log|1 - t_n| in one pass, the running sum goes in as its first
-    row and np.add.reduce(axis=0) adds the rows in order, as the loop
-    does; numpy would sum a one-column block pairwise instead, so arrays
-    of one point skip the bulk. The masked loop then finishes from t_K.
+        sum_{n>=0} log|1 - t rho^n| = -Re sum_{k>=1} c_k t^k,
+        c_k = 1/(k (1 - rho^k)),
+
+    by Horner on the K terms of tail = (c_K, ..., c_1), which the caller
+    passes from _tail_coeffs(q) ("log_abs" alone reads it). K is the least
+    count with delta^(K+1)/((K+1)(1 - |rho|)(1 - delta)) <= 2^-60, which
+    bounds the dropped terms (|1 - rho^k| >= 1 - |rho|^k), so the sum is
+    within 2^-60 of the whole lattice's; the direct factors and Horner
+    add their rounding. "log_abs" takes the float log of the modulus, a
+    vectorised loop, where the complex log calls the C library's clog
+    once per element (about 40 times slower on a circle); it is the real
+    part of "log" up to the latter's truncation and a few ulp. A numpy
+    array t gives, bit for bit, what the one-point loop gives on each of
+    its elements ("prod" and "log"), or what one element gives alone
+    ("log_abs" takes arrays only).
+
+    On arrays each step is one masked numpy step over all points, each
+    point keeping its own t_n once it stops, except that "log_abs" first
+    runs K steps in bulk (_bulk_steps, _log_abs_bulk): K the largest count
+    with min|t_0| (|rho| (1 - 1e-12))^K >= delta, a margin above the
+    rounding of K steps, so every point is live through all of them and
+    no mask is needed; on a circle the masked loop then runs one step,
+    rarely two. Arrays of one point skip the bulk, since numpy would sum
+    a one-column block pairwise.
     One precondition, checked once for a point or an array before the
     first step, raises DomainError unless it holds: max|t_0| is finite (no
     NaN or infinite part, no modulus past double range, where log|1 - t_0|
-    would read inf) and falls below cutoff within the factor budget (|q|
-    near 1, _check_factor_budget).
+    would read inf) and falls below the cutoff within the factor budget
+    (|q| near 1, _check_factor_budget), for every reduction.
     """
     shrink = abs(q) > 1.0
     ratio = 1.0 / abs(q) if shrink else abs(q)
@@ -259,18 +253,45 @@ def _lattice_product(t, q: complex, tol: float, reduce: str):
             t = t / q if shrink else t * q
         return complex(out)
     start, step = _REDUCTIONS[reduce]
-    if reduce == "log_abs":
-        steps = _bulk_steps(mags, ratio, cutoff)
-        out, t = _log_abs_bulk(t, q, shrink, steps)
+    if reduce == "log_abs":  # direct factors down to delta, then the tail
+        cutoff = _TAIL_FROM
+        out, t = _log_abs_bulk(t, q, shrink, _bulk_steps(mags, ratio, cutoff))
         mags = np.abs(t)
     else:
         out = np.full(t.shape, start)
     live = mags >= cutoff
     while live.any():
         out = np.where(live, step(out, 1.0 - t), out)
-        t = t / q if shrink else _times(t, q)
+        t = np.where(live, t / q if shrink else _times(t, q), t)
         live &= np.abs(t) >= cutoff
+    if reduce == "log_abs":
+        out = out - _log_abs_tail(t, tail)
     return out
+
+
+def _tail_coeffs(q: complex) -> tuple:
+    """(c_K, ..., c_1), c_k = 1/(k (1 - rho^k)), rho = 1/q if |q| > 1,
+    else q: the closed-form tail of "log_abs" (_lattice_product), K the
+    least count with _TAIL_FROM^(K+1)/((K+1)(1 - |rho|)(1 - _TAIL_FROM))
+    <= 2^-60 (8 at |q| = 2). They depend on q alone."""
+    rho = 1.0 / q if abs(q) > 1.0 else q
+    gap = (1.0 - abs(rho)) * (1.0 - _TAIL_FROM)
+    K = 1
+    while _TAIL_FROM ** (K + 1) / ((K + 1) * gap) > 2.0 ** -60:
+        K += 1
+    return tuple(np.complex128(1.0 / (k * (1.0 - rho ** k)))
+                 for k in range(K, 0, -1))
+
+
+def _log_abs_tail(t: np.ndarray, tail: tuple) -> np.ndarray:
+    """Re sum_k c_k t^k for tail = (c_K, ..., c_1), by Horner. Each step
+    is elementwise and out of place (acc * t + c), so an element rounds
+    alone as it does inside an array; a step written into an input
+    rounds differently (polyroots.poly_eval_desc)."""
+    acc = tail[0]
+    for c in tail[1:]:
+        acc = acc * t + c
+    return (acc * t).real
 
 
 def _check_factor_budget(top: float, ratio: float, cutoff: float,
@@ -327,7 +348,28 @@ def _bulk_steps(mags: np.ndarray, ratio: float, cutoff: float) -> int:
 
 def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, steps: int):
     """(sum_{n<K} log|1 - t_n|, t_K): the unmasked first K = steps steps
-    of the "log_abs" reduction, K from _bulk_steps."""
+    of the "log_abs" reduction, K from _bulk_steps.
+
+    The rows t_1 .. t_K are built one row at a time by the masked loop's
+    own step, t/q or _times(t, q), whose four real products stand in for
+    numpy's complex multiply: its fused multiply-adds move last bits.
+    Complex q inside the unit circle forms those products from the
+    float64 view, in four calls where _times makes six; outside it
+    np.divide stays. A real q multiplies the float64 view instead, one
+    ufunc call per row: by q inside the unit circle, the same products as
+    _times' six calls, and by 1/q outside it, which is what numpy's
+    complex division by a divisor with a zero imaginary part computes
+    (Smith's quotient with ratio 0 scales by 1/q). Both agree with the
+    loop's step but for the sign of zero, which |t|, |1 - t| and the
+    closed form's real part ignore; tests/test_lattice_step.py pins the
+    quotient on finite points from 1e-300 to 1e300. The rows come in
+    blocks of about _BLOCK elements (at least two rows) spanning all
+    points: a 512-node circle takes one or two blocks, whose rows and
+    float buffer for log|1 - t_n| take under 400 kB (a larger _BLOCK
+    raised the peak RSS of a product's circles for little speed). A block
+    takes log|1 - t_n| in one pass, the running sum goes in as its first
+    row and np.add.reduce(axis=0) adds the rows in order, as the loop
+    does."""
     flat = t.reshape(-1)
     if not steps:
         return np.zeros(t.shape), t
@@ -398,10 +440,15 @@ class LatticeProduct:
     Each root a of that polynomial, of multiplicity m, gives m copies of
     the lattice prod_n (1 - z/z_n), z_0 = a q and z_{n+1} = z_n q for
     |q| > 1, z_0 = a and z_{n+1} = z_n/q for |q| < 1; these are all the
-    zeros of f. The roots are read once, at construction. eval and
-    log_eval take a point or a numpy array of points; log_abs gives log|f|
-    as a real sum, without a complex log, on an array (a point is a
-    one-element array), the one reduction a quadrature circle needs. Each
+    zeros of f. The roots, and the closed-form tail's coefficients, which
+    depend on q alone, are read once, at construction. eval and log_eval
+    take a point or a numpy array of points and stop each lattice at its
+    first |z/z_n| below tol (1 - min(|q|, 1/|q|)); log_abs gives log|f| as
+    a real sum, without a complex log, on an array (a point is a
+    one-element array), the one reduction a quadrature circle needs, and
+    sums each lattice's small factors in closed form, within 2^-60 of the
+    whole product (_lattice_product). tol also sets the factor budget
+    that every call checks, so log_abs refuses what eval refuses. Each
     runs _lattice_product once per lattice at t_0 = z/z_0 and combines the
     results starting from the first, so a single lattice gives that call's
     value unchanged.
@@ -422,6 +469,7 @@ class LatticeProduct:
         roots = R.zeros() if grow else R.poles()
         object.__setattr__(self, "_lattices",
                            tuple((a * q if grow else a, m) for a, m in roots))
+        object.__setattr__(self, "_tail", _tail_coeffs(q))
 
     def _reduce(self, z, reduce: str):
         q, tol = self.qp.q, self.tol
@@ -430,7 +478,7 @@ class LatticeProduct:
             # a non-finite z/z_0 is the kernel's to refuse, not numpy's
             with np.errstate(invalid="ignore", over="ignore"):
                 t = z / z0
-            parts += [_lattice_product(t, q, tol, reduce)] * m
+            parts += [_lattice_product(t, q, tol, reduce, self._tail)] * m
         if not parts:  # R = 1, so f = 1
             return np.full(np.shape(z), _REDUCTIONS[reduce][0])[()]
         combine = operator.mul if reduce == "prod" else operator.add
@@ -451,7 +499,10 @@ class LatticeProduct:
     def zeros_up_to(self, radius: float):
         """All zeros with modulus <= radius, lattice by lattice, as
         (location, mult). The walk out from the nearest lattice base
-        refuses on the factor budget as the kernel does (|q| near 1)."""
+        refuses on the factor budget as the kernel does (|q| near 1), and
+        a radius that is not finite raises DomainError."""
+        if not math.isfinite(radius):
+            raise DomainError(f"radius r = {radius:g} is not finite")
         q = self.qp.q
         grow = abs(q) > 1.0
         _check_factor_budget(

@@ -88,6 +88,39 @@ def test_parts_values_on_a_run(shifted):
     assert [bits(w) for w in got] == [bits(w) for w in want]
 
 
+@pytest.mark.parametrize("q", [0.5, 0.3, 0.45 * cmath.exp(0.7j)])
+@pytest.mark.parametrize("shifted", [False, True])
+def test_parts_values_read_v_once_per_distinct_point(q, shifted,
+                                                     monkeypatch):
+    # v is read at the n points and at each q w_j without the bits of
+    # w_{j+1}: at q = 0.5 that is q w_{n-1} alone on a run from a = 0
+    qp = QParam(q)
+    rng = np.random.default_rng(7414)
+    u, v = rand_poly(rng, 4), rand_poly(rng, 5)
+    z = 0.7 - 1.1j
+    pts, qj = [], 1.0 + 0.0j
+    for _ in range(40):  # the points of jackson_integral at a = 0
+        pts.append(0.0 + qj * (z - 0.0))
+        qj *= q
+    fresh = 1 + sum(bits(qp.q * w) != bits(nxt)
+                    for w, nxt in zip(pts, pts[1:]))
+    assert fresh == 1 or q != 0.5
+    sizes = []
+    real = TruncatedSeries.eval
+
+    def counted(self, zs):
+        if self is v:
+            sizes.append(np.size(zs))
+        return real(self, zs)
+
+    monkeypatch.setattr(TruncatedSeries, "eval", counted)
+    got = list(_orbit_values(_PartsIntegrand(u, v, qp, shifted), pts))
+    assert sizes == [len(pts) + fresh]
+    monkeypatch.setattr(TruncatedSeries, "eval", real)
+    want = [one_point(u, v, qp, shifted)(w) for w in pts]
+    assert [bits(w) for w in got] == [bits(w) for w in want]
+
+
 def test_parts_origin_falls_back_to_one_point():
     # a + q^j (z - a) is exactly 0 at j = 1, where D_q is undefined
     qp = QParam(0.5)

@@ -39,9 +39,12 @@ from jacksonq.nevanlinna import (
 from jacksonq.qcore import QParam
 from jacksonq.qspecial import (
     _BLOCK,
+    _TAIL_FROM,
     BigEProduct,
     EtildeProduct,
     LatticeProduct,
+    _log_abs_tail,
+    _tail_coeffs,
 )
 
 # (|q| range, real sign or None for complex q); |q| keeps away from 1 so
@@ -222,18 +225,20 @@ def _times_ref(x, m):
 
 def log_abs_ref(prod, zs):
     """prod.log_abs by one masked numpy step per lattice factor for all
-    points: the loop log_abs ran before its bulk phase."""
+    points, each point stopping at its first |t_n| below _TAIL_FROM, then
+    the kernel's closed-form tail at that t_n: the loop log_abs runs
+    without its bulk phase."""
     q = prod.qp.q
     anchor = q if isinstance(prod, EtildeProduct) else -1.0 + 0.0j
     t = np.atleast_1d(np.asarray(zs, dtype=np.complex128)) / anchor
     shrink = abs(q) > 1.0
-    cutoff = prod.tol * (1.0 - (1.0 / abs(q) if shrink else abs(q)))
     out = np.full(t.shape, 0.0)
-    live = np.abs(t) >= cutoff
+    live = np.abs(t) >= _TAIL_FROM
     while live.any():
         out = np.where(live, out + np.log(np.abs(1.0 - t)), out)
-        t = t / q if shrink else _times_ref(t, q)
-        live &= np.abs(t) >= cutoff
+        t = np.where(live, t / q if shrink else _times_ref(t, q), t)
+        live &= np.abs(t) >= _TAIL_FROM
+    out = out - _log_abs_tail(t, _tail_coeffs(q))
     return out.reshape(np.shape(zs))
 
 

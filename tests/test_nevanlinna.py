@@ -140,6 +140,32 @@ def test_circle_at_a_radius_not_finite_is_refused(functional, model, r):
         functional(model(), r, 512)
 
 
+def sampler_model() -> MeroModel:
+    return MeroModel.from_sampler(lambda z: 1.0 + z, entire=True)
+
+
+@pytest.mark.parametrize("model", [etilde_model, big_e_model, model_z,
+                                   sampler_model],
+                         ids=["etilde_q", "E_q", "z", "sampler"])
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+@pytest.mark.parametrize("target", [0.0, INF])
+def test_count_at_a_radius_not_finite_is_refused(model, r, target):
+    # the zero walk of etilde_q used to list (inf, 1) twice at r = inf,
+    # and counting_N summed it to NaN, as it did on z
+    with pytest.raises(DomainError, match="not finite"):
+        model().divisor(r, target)
+    with pytest.raises(DomainError, match="not finite"):
+        counting_N(model(), r, target)
+
+
+@pytest.mark.parametrize("prod", [EtildeProduct(QParam(2.0)),
+                                  BigEProduct(QParam(0.5))])
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+def test_zero_walk_to_a_radius_not_finite_is_refused(prod, r):
+    with pytest.raises(DomainError, match="not finite"):
+        prod.zeros_up_to(r)
+
+
 class TestProximity:
     def test_f_equals_z(self):
         m = proximity(model_z(), 10.0, M=512)

@@ -13,6 +13,7 @@ leave, so the moduli are the eigenvalues' alone.
 """
 
 import cmath
+import functools
 import math
 from unittest import mock
 
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jacksonq import nevanlinna, polyroots, qode
-from jacksonq.errors import DomainError
+from jacksonq.errors import DomainError, JacksonQError, PoleOnCircle
 from jacksonq.nevanlinna import series_zero_moduli
 from jacksonq.qcore import QParam, TruncatedSeries
 from jacksonq.qspecial import BigEProduct, EtildeProduct, big_e_q, etilde_q
@@ -240,3 +241,82 @@ def test_dft_node_values_match_horner(series, rho, M):
         top = np.max(np.log2(np.abs(c)) + np.arange(c.size) * math.log2(rho))
     want = series.eval(rho * nevanlinna._unit_circle(M)) * 2.0 ** -top
     assert np.all(np.abs(got - want) <= c.size ** 2 * np.finfo(float).eps)
+
+
+def winding_number_ref(node_values, r: float) -> int:
+    """winding_number as it summed its angles before: np.roll of the
+    node values, one complex division, np.angle, np.sum, np.max(np.abs)."""
+    M = nevanlinna._WINDING_NODES
+    while True:
+        vals = np.asarray(node_values(M))
+        if np.any(vals == 0) or not np.all(np.isfinite(vals)):
+            raise PoleOnCircle(f"zero/invalid value on circle r = {r:g}")
+        rolled = np.roll(vals, -1)
+        inc = np.angle(rolled / vals)
+        total = float(np.sum(inc)) / (2.0 * np.pi)
+        if (np.max(np.abs(inc)) < 0.5 * np.pi
+                and abs(total - round(total)) < 1e-2):
+            return int(round(total))
+        M *= 2
+        if M > nevanlinna._WINDING_MAX_NODES:
+            raise DomainError(
+                f"winding number did not stabilise at r = {r:g}")
+
+
+def recording(winding, log: list):
+    """winding, appending (radius, outcome, node counts asked) to log."""
+    def run(node_values, rho):
+        sizes = []
+
+        def values(M):
+            sizes.append(M)
+            return node_values(M)
+        try:
+            outcome = winding(values, rho)
+        except JacksonQError as exc:
+            log.append((rho, repr(exc), sizes))
+            raise
+        log.append((rho, outcome, sizes))
+        return outcome
+    return run
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(q=q_values(), index=st.integers(0, N))
+# the pinned examples of test_locator_matches_lattice_and_fails_loudly
+@example(q=2.0, index=0)
+@example(q=-2.3, index=17)
+@example(q=cmath.rect(2.1, 0.6), index=N)
+@example(q=0.5, index=40)
+@example(q=-0.45, index=5)
+@example(q=cmath.rect(0.48, -0.9), index=61)
+@example(q=1.45, index=90)
+@example(q=-1.35, index=1)
+@example(q=cmath.rect(1.4, -1.2), index=33)
+@example(q=0.7, index=72)
+@example(q=-0.75, index=N - 1)
+@example(q=cmath.rect(0.65, 2.5), index=48)
+def test_winding_sum_keeps_every_integer_and_node_count(q, index):
+    # the locator's circles, then circles either side of a lattice zero
+    # inside r, where the loop doubles its nodes, on one side at least
+    series, lattice = series_and_lattice(q)
+    r = between_lattice(lattice, min(300.0, 0.5 * series.safe_radius))
+    inside = [m for m in lattice if m < r]
+    zero = inside[index % len(inside)]
+    near = [zero * (1.0 + rel) for rel in (1e-4, -1e-4, 1e-6, -1e-6)]
+    runs = []
+    for winding in (nevanlinna.winding_number, winding_number_ref):
+        log = []
+        with mock.patch.object(nevanlinna, "winding_number",
+                               recording(winding, log)):
+            moduli = series_zero_moduli(series, r)
+            for rho, terms in zip(near, nevanlinna._scaled_terms(
+                    series.coeffs, near)):
+                try:
+                    nevanlinna.winding_number(
+                        functools.partial(nevanlinna._dft_nodes, terms), rho)
+                except JacksonQError:
+                    pass
+        runs.append((moduli, log))
+    assert runs[0] == runs[1]
+    assert max(len(sizes) for _, _, sizes in runs[0][1]) > 1
