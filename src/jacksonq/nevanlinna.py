@@ -37,6 +37,7 @@ actual limsup.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -70,6 +71,7 @@ _WINDING_MAX_NODES = 65536
 _ZERO_MERGE_TOL = 1e-4  # relative gap below which series_zero_moduli merges
 _RESIDUAL_POINTS = 4
 _RESIDUAL_TOL = 1e-6
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ class RadialGrid:
         for r in self.radii:
             rr = r
             nudges = 0
-            while any(abs(rr / m - 1.0) <= _NUDGE_MARGIN for m in mods):
+            while _near_modulus(rr, mods):
                 if nudges == _MAX_NUDGES:
                     raise InsufficientGrid(
                         f"radius {r:g} still within relative "
@@ -122,6 +124,15 @@ class RadialGrid:
                 nudges += 1
             out.append(rr)
         return RadialGrid(tuple(out), self.angular_nodes)
+
+
+def _near_modulus(r: float, mods: list) -> bool:
+    """Whether r is within relative _NUDGE_MARGIN of a modulus in the
+    sorted list mods. The test runs on the moduli in r (1 +- 4e-6) only,
+    found by bisection; no modulus outside that window passes it."""
+    lo = bisect.bisect_left(mods, r * (1.0 - 4.0 * _NUDGE_MARGIN))
+    hi = bisect.bisect_right(mods, r * (1.0 + 4.0 * _NUDGE_MARGIN), lo)
+    return any(abs(r / m - 1.0) <= _NUDGE_MARGIN for m in mods[lo:hi])
 
 
 class MeroModel:
@@ -560,9 +571,12 @@ _CIRCLE_POINTS = 4096  # points in one log_abs call of _circle_means
 
 
 def _check_radius(r: float):
-    """Refuse a radius that is not finite: no circle or count has one."""
+    """Refuse a radius that is not finite and positive, as RadialGrid
+    does: no circle, count or central index has one."""
     if not math.isfinite(r):
         raise DomainError(f"radius r = {r:g} is not finite")
+    if not r > 0.0:
+        raise DomainError(f"radius r = {r:g} is not positive")
 
 
 def _circle_means(model: MeroModel, radii, M: int, positive_part: bool):
@@ -602,15 +616,23 @@ def _circle_mean(model: MeroModel, r: float, M: int, positive_part: bool):
 
 
 def _log_means(la: np.ndarray, r: float, positive_part: bool):
-    """_circle_mean from log|f| on the circle |z| = r."""
-    if np.any(np.isposinf(la)) or np.any(np.isnan(la)):
-        raise PoleOnCircle(f"pole on quadrature circle r = {r:g}")
+    """_circle_mean from log|f| on the circle |z| = r. Each mean is
+    np.mean's: the same pairwise sum, then the same division. Only a
+    mean that is not finite needs the scans for a pole (+inf or NaN,
+    first) and a zero (-inf, for log|f|); a finite circle whose sum
+    overflows takes np.mean's value and warnings."""
     vals = np.maximum(la, 0.0) if positive_part else la
-    if not positive_part and np.any(np.isneginf(vals)):
-        raise PoleOnCircle(f"zero on quadrature circle r = {r:g}")
-    full = float(np.mean(vals))
-    half = float(np.mean(vals[::2]))
-    err = abs(full - half) + 16.0 * np.finfo(float).eps * (1.0 + abs(full))
+    with np.errstate(over="ignore", invalid="ignore"):  # np.mean warns below
+        full = float(np.add.reduce(vals) / vals.size)
+    if not math.isfinite(full):
+        if np.any(np.isposinf(la)) or np.any(np.isnan(la)):
+            raise PoleOnCircle(f"pole on quadrature circle r = {r:g}")
+        if not positive_part and np.any(np.isneginf(vals)):
+            raise PoleOnCircle(f"zero on quadrature circle r = {r:g}")
+        full = float(np.mean(vals))
+    evens = vals[::2]
+    half = float(np.add.reduce(evens) / evens.size)
+    err = abs(full - half) + 16.0 * _EPS * (1.0 + abs(full))
     return full, err
 
 
@@ -863,8 +885,9 @@ def max_term_central_index(f: TruncatedSeries, r: float) -> WimanValironSample:
     exact polynomial (past it the maximiser may be a coefficient that
     saturated to zero, or one the truncation dropped), and the maximiser
     in the lower half of the stored range; otherwise the stored
-    truncation is too short to trust it."""
-    return _max_term(f, r, _log_moduli(f))
+    truncation is too short to trust it. r must be finite and positive
+    (DomainError)."""
+    return _central_indices(f, (r,), _log_moduli(f))[0]
 
 
 def _log_moduli(f: TruncatedSeries) -> np.ndarray:
@@ -875,28 +898,41 @@ def _log_moduli(f: TruncatedSeries) -> np.ndarray:
                         -math.inf)
 
 
-def _max_term(f: TruncatedSeries, r: float,
-              log_c: np.ndarray) -> WimanValironSample:
-    """max_term_central_index from log_c = _log_moduli(f), which does
-    not depend on r."""
-    if f.past_radius(r):
-        raise TruncationTooShort(f"radius {r:g} exceeds the certified "
+def _central_indices(f: TruncatedSeries, radii,
+                     log_c: np.ndarray) -> list:
+    """max_term_central_index at each radius, from log_c = _log_moduli(f),
+    which does not depend on r: the rows log_c + n log r of one (radii x
+    N) array, each log r by math.log, and the last maximising index of
+    each row. The first radius in order that is not finite and positive,
+    past the certified radius, or whose central index is not interior
+    raises, as it would alone."""
+    n = 0  # the radii before the first that takes no row
+    while n < len(radii) and 0.0 < radii[n] < math.inf and not (
+            f.past_radius(radii[n])):
+        n += 1
+    rows = radii[:n]
+    logs = np.add(np.multiply.outer([math.log(r) for r in rows],
+                                    np.arange(log_c.size)), log_c)
+    best = logs.max(axis=1)
+    nus = log_c.size - 1 - np.argmax(logs[:, ::-1] == best[:, None], axis=1)
+    out = []
+    for r, top, nu in zip(rows, best.tolist(), nus.tolist()):
+        if nu > 0 and 2 * nu >= f.order:
+            raise TruncationTooShort(
+                f"central index {nu} not interior to stored order {f.order}")
+        mu = math.exp(top) if top < 700 else math.inf
+        out.append(WimanValironSample(r=r, mu=mu, nu=nu))
+    if n < len(radii):
+        _check_radius(radii[n])
+        raise TruncationTooShort(f"radius {radii[n]:g} exceeds the certified "
                                  f"radius {f.safe_radius:g} of the series")
-    logs = log_c + np.arange(log_c.size) * math.log(r)
-    best = float(np.max(logs))
-    nu = int(np.flatnonzero(logs == best)[-1])
-    if nu > 0 and 2 * nu >= f.order:
-        raise TruncationTooShort(
-            f"central index {nu} not interior to stored order {f.order}")
-    mu = math.exp(best) if best < 700 else math.inf
-    return WimanValironSample(r=r, mu=mu, nu=nu)
+    return out
 
 
 def log_order_from_nu(f: TruncatedSeries, grid: RadialGrid) -> LogOrderEstimate:
     """sigma_log proxy: slope of log+ nu against log log r, plus one."""
-    log_c = _log_moduli(f)
-    nus = [_max_term(f, r, log_c).nu for r in grid.radii]
-    ys = [math.log(max(nu, 1)) for nu in nus]
+    ys = [math.log(max(wv.nu, 1))
+          for wv in _central_indices(f, grid.radii, _log_moduli(f))]
     return _loglog_regression(grid.radii, ys, "nu", offset=1.0)
 
 
@@ -1022,7 +1058,7 @@ def wiman_valiron_check(f: TruncatedSeries, qp: QParam, k: int,
     qk = qp.q ** k
     log_c = _log_moduli(f)
     for r in grid.radii:
-        wv = _max_term(f, r, log_c)
+        wv = _central_indices(f, (r,), log_c)[0]
         zs = r * _unit_circle(grid.angular_nodes)
         vals = np.abs(f.eval(zs))
         order = np.argsort(vals)

@@ -224,12 +224,14 @@ def _lattice_product(t, q: complex, tol: float, reduce: str, tail=None):
 
     On arrays each step is one masked numpy step over all points, each
     point keeping its own t_n once it stops, except that "log_abs" first
-    runs K steps in bulk (_bulk_steps, _log_abs_bulk): K the largest count
-    with min|t_0| (|rho| (1 - 1e-12))^K >= delta, a margin above the
-    rounding of K steps, so every point is live through all of them and
-    no mask is needed; on a circle the masked loop then runs one step,
-    rarely two. Arrays of one point skip the bulk, since numpy would sum
-    a one-column block pairwise.
+    sums in bulk the K + 1 rows t_0 .. t_K that every point keeps live
+    (_bulk_steps, _log_abs_bulk): K the largest count with
+    min|t_0| (|rho| (1 - 1e-12))^K >= delta, a margin above the rounding
+    of K steps, so no mask is needed. On a circle the masked loop then
+    runs no step (one only where |t_(K+1)| falls inside that margin), and
+    max|t_0| (|rho| (1 + 1e-12))^(K+1) < delta proves it without a scan.
+    Arrays of one point skip the bulk, since numpy would sum a one-column
+    block pairwise.
     One precondition, checked once for a point or an array before the
     first step, raises DomainError unless it holds: max|t_0| is finite (no
     NaN or infinite part, no modulus past double range, where log|1 - t_0|
@@ -255,7 +257,10 @@ def _lattice_product(t, q: complex, tol: float, reduce: str, tail=None):
     start, step = _REDUCTIONS[reduce]
     if reduce == "log_abs":  # direct factors down to delta, then the tail
         cutoff = _TAIL_FROM
-        out, t = _log_abs_bulk(t, q, shrink, _bulk_steps(mags, ratio, cutoff))
+        steps = _bulk_steps(mags, ratio, cutoff)
+        out, t = _log_abs_bulk(t, q, shrink, steps)
+        if steps and _power(top, ratio * (1.0 + 1e-12), steps) < cutoff:
+            return out - _log_abs_tail(t, tail)  # no point is live
         mags = np.abs(t)
     else:
         out = np.full(t.shape, start)
@@ -323,34 +328,44 @@ def _times(x: np.ndarray, m) -> np.ndarray:
 
 
 _BLOCK = 2 ** 14  # elements in one block of rows of the log_abs bulk phase
+_TINY = float(np.finfo(float).tiny)
+
+
+def _power(x: float, ratio: float, k: int) -> float:
+    """x ratio^k, the power in two halves: ratio^k alone may underflow
+    where x is large; its halves do not."""
+    return x * ratio ** (k // 2) * ratio ** (k - k // 2)
 
 
 def _bulk_steps(mags: np.ndarray, ratio: float, cutoff: float) -> int:
-    """K, the most lattice steps with min(mags) (ratio (1 - 1e-12))^K >=
-    cutoff, mags = |t_0|, all finite; 0 for fewer than two points (numpy
-    would sum a one-column block pairwise). Each computed step and np.abs
-    round |t| by a few ulp, orders of magnitude below the 1e-12 margin per
-    step, so every |t_n|, n <= K, is still >= cutoff and all K bulk rows
-    are live in the masked loop too."""
+    """The count of rows t_0 .. t_K that every point keeps live: K + 1,
+    K the most lattice steps with min(mags) (ratio (1 - 1e-12))^K >=
+    cutoff, mags = |t_0|, all finite; 0 where min(mags) < cutoff (or the
+    cutoff is subnormal), and for fewer than two points (numpy would sum
+    a one-column block pairwise).
+    Each computed step and np.abs round |t| by a few ulp, orders of
+    magnitude below the 1e-12 margin per step, so every |t_n|, n <= K,
+    is still >= cutoff and all K + 1 rows are live in the masked loop
+    too."""
     if mags.size < 2:
         return 0
     lo = float(mags.min())
-    if not lo >= cutoff >= np.finfo(float).tiny:
+    if not lo >= cutoff >= _TINY:
         return 0
     ratio *= 1.0 - 1e-12
     steps = int((math.log(lo) - math.log(cutoff)) / -math.log(ratio))
-    # ratio^K alone may underflow where lo is large; its halves do not
-    while steps and (lo * ratio ** (steps // 2)
-                     * ratio ** (steps - steps // 2)) < cutoff:
+    while steps and _power(lo, ratio, steps) < cutoff:
         steps -= 1
-    return steps
+    return steps + 1
 
 
 def _log_abs_bulk(t: np.ndarray, q: complex, shrink: bool, steps: int):
-    """(sum_{n<K} log|1 - t_n|, t_K): the unmasked first K = steps steps
-    of the "log_abs" reduction, K from _bulk_steps.
+    """(sum_{n<S} log|1 - t_n|, t_S): the unmasked first S = steps rows
+    of the "log_abs" reduction, t_0 .. t_(S-1), the K + 1 rows that
+    _bulk_steps proves live (on a circle, every row the loop would take),
+    and the row t_S after them.
 
-    The rows t_1 .. t_K are built one row at a time by the masked loop's
+    The rows t_1 .. t_S are built one row at a time by the masked loop's
     own step, t/q or _times(t, q), whose four real products stand in for
     numpy's complex multiply: its fused multiply-adds move last bits.
     Complex q inside the unit circle forms those products from the

@@ -15,10 +15,14 @@ values bit for bit but for that sign, which |t| and |1 - t| ignore). A
 purely imaginary q is not real: it keeps the complex step. For complex
 q inside the unit circle the bulk rows must be _times' rows.
 
-The bulk phase runs down to the cutoff itself: every row t_n, n < K, that
-it sums without a mask must be live by the loop's own test |t_n| >=
-cutoff, K must be the largest count its margin allows, and on a circle
-the masked loop after it must run at most two steps.
+The bulk phase runs down to the cutoff itself: _bulk_steps counts the
+rows t_0 .. t_K that it sums without a mask, each of which must be live
+by the loop's own test |t_n| >= cutoff, K must be the largest count its
+margin allows, and on a circle the masked loop after it must run at most
+one step. Whatever the bulk takes, LatticeProduct.log_abs must stay the
+all-masked step loop to the bit (tobytes, so the sign of a zero counts)
+in every regime and at |q| = 1.03 and 0.97, on 512- and 4096-node
+circles from r = 1e-3 to 1e12, (radii x M) chunks and scattered points.
 """
 
 import numpy as np
@@ -40,6 +44,7 @@ from test_lattice_arrays import (
     circle,
     lattice_products,
     log_abs_ref,
+    scattered,
 )
 
 POINTS = 4000
@@ -141,14 +146,18 @@ def test_bulk_rows_stay_live_down_to_the_cutoff(prod, exponent, tol,
     mags = np.abs(t)
     steps = _bulk_steps(mags, ratio, cutoff)
     lo = float(mags.min())
-    # K is the largest count with lo (ratio (1 - 1e-12))^K >= cutoff; the
+    # steps counts the K + 1 rows t_0 .. t_K, K the largest count with
+    # lo (ratio (1 - 1e-12))^K >= cutoff, or is 0 where lo < cutoff; the
     # power goes in two halves, which cannot underflow there
     margin = ratio * (1.0 - 1e-12)
 
     def floor_after(k):
         return lo * margin ** (k // 2) * margin ** (k - k // 2)
-    assert steps == 0 or floor_after(steps) >= cutoff
-    assert floor_after(steps + 1) < cutoff
+    if steps:
+        assert floor_after(steps - 1) >= cutoff
+        assert floor_after(steps) < cutoff
+    else:
+        assert lo < cutoff
     for _ in range(steps):
         assert np.abs(t).min() >= cutoff
         t = np.divide(t, q) if shrink else _times(t, q)
@@ -158,4 +167,31 @@ def test_bulk_rows_stay_live_down_to_the_cutoff(prod, exponent, tol,
         t = np.divide(t, q) if shrink else _times(t, q)
         live &= np.abs(t) >= cutoff
     if not scatter:
-        assert masked <= 2
+        assert masked <= 1
+
+
+# one product per regime of REGIMES, then |q| = 1.03 and 0.97, where a
+# circle takes hundreds of bulk rows
+BIT_PRODUCTS = REGIME_PRODUCTS + [EtildeProduct(QParam(1.03)),
+                                  BigEProduct(QParam(0.97))]
+
+
+@pytest.mark.parametrize("prod", BIT_PRODUCTS,
+                         ids=list(REGIMES) + ["q=1.03", "q=0.97"])
+@pytest.mark.parametrize("nodes", [512, 4096])
+def test_log_abs_is_the_step_loop_to_the_bit(prod, nodes):
+    # circles from r = 1e-3 to 1e12, the (radii x M) chunks that the
+    # circle means pass (one radius a chunk at M = 4096, so two there),
+    # and scattered points, over eight decades (the bulk takes none) and
+    # over two (it takes some, and the masked loop the rest); tobytes
+    # counts the sign of a zero
+    unit = circle(1.0, nodes)
+    radii = 10.0 ** np.linspace(-3.0, 12.0, 8 if nodes == 512 else 2)
+    arrays = [r * unit for r in (1e-3, 0.7, 1e4, 1e12)]
+    arrays += [np.multiply.outer(radii, unit), scattered(1e4, nodes),
+               1e3 * np.abs(scattered(1.0, nodes)) ** 0.25 * unit]
+    for zs in arrays:
+        with np.errstate(all="ignore"):
+            got = prod.log_abs(zs)
+            want = log_abs_ref(prod, zs)
+        assert got.tobytes() == want.tobytes()

@@ -166,6 +166,45 @@ def test_zero_walk_to_a_radius_not_finite_is_refused(prod, r):
         prod.zeros_up_to(r)
 
 
+def rational_model() -> MeroModel:
+    # (z - 0.5)/(z + 2): a zero and a pole off the origin
+    return MeroModel.from_rational(RationalFunction([-0.5, 1.0], [2.0, 1.0]))
+
+
+def on_model(call, model):
+    """call(model(), r) as a function of r alone."""
+    return lambda r: call(model(), r)
+
+
+# every entry point that takes a radius, on a product and a rational model
+RADIUS_ENTRY_POINTS = {
+    f"{name} {label}": on_model(call, model)
+    for label, model in (("etilde_q", etilde_model),
+                         ("rational", rational_model))
+    for name, call in (
+        ("counting_N", lambda m, r: counting_N(m, r)),
+        ("counting_N inf", lambda m, r: counting_N(m, r, INF)),
+        ("divisor", lambda m, r: m.divisor(r, 0.0)),
+        ("proximity", lambda m, r: proximity(m, r, 512)),
+        ("characteristic", lambda m, r: characteristic(m, r, 512)),
+        ("jensen_residual", lambda m, r: jensen_residual(m, r, 512)),
+    )
+}
+RADIUS_ENTRY_POINTS["max_term_central_index"] = (
+    lambda r: max_term_central_index(etilde_q(QParam(2.0), 40), r))
+
+
+@pytest.mark.parametrize("call", RADIUS_ENTRY_POINTS.values(),
+                         ids=list(RADIUS_ENTRY_POINTS))
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_radius_not_finite_and_positive_is_refused(call, r):
+    # unchecked, r = 0 and r = -1 reach math.log's bare ValueError (and
+    # proximity at -3 quietly returns m(3)), and the central index at NaN
+    # an IndexError
+    with pytest.raises(DomainError, match=f"radius r = {r:g} is not"):
+        call(r)
+
+
 class TestProximity:
     def test_f_equals_z(self):
         m = proximity(model_z(), 10.0, M=512)
