@@ -108,13 +108,15 @@ class RadialGrid:
     def avoiding(self, moduli) -> "RadialGrid":
         """Nudge radii sitting within relative 1e-6 of any given modulus
         outward by relative 1e-5 (repeatedly, until clear). A radius
-        still not clear after 64 nudges raises InsufficientGrid."""
+        still not clear after 64 nudges, or nudged up to the next radius
+        of the grid, raises InsufficientGrid."""
         mods = sorted(m for m in moduli if m > 0)
-        out = []
+        out, near = [], []
         for r in self.radii:
             rr = r
             nudges = 0
-            while _near_modulus(rr, mods):
+            last = None  # the modulus of the last nudge
+            while (m := _near_modulus(rr, mods)) is not None:
                 if nudges == _MAX_NUDGES:
                     raise InsufficientGrid(
                         f"radius {r:g} still within relative "
@@ -122,17 +124,27 @@ class RadialGrid:
                         f"{_MAX_NUDGES} nudges")
                 rr *= 1.0 + _NUDGE_STEP
                 nudges += 1
+                last = m
             out.append(rr)
+            near.append(last)
+        for i in range(len(out) - 1):
+            if out[i] >= out[i + 1]:
+                raise InsufficientGrid(
+                    f"radius {self.radii[i]:g}, nudged off the modulus "
+                    f"{near[i]:g}, reaches the next radius "
+                    f"{self.radii[i + 1]:g}")
         return RadialGrid(tuple(out), self.angular_nodes)
 
 
-def _near_modulus(r: float, mods: list) -> bool:
-    """Whether r is within relative _NUDGE_MARGIN of a modulus in the
-    sorted list mods. The test runs on the moduli in r (1 +- 4e-6) only,
-    found by bisection; no modulus outside that window passes it."""
+def _near_modulus(r: float, mods: list):
+    """The least modulus in the sorted list mods within relative
+    _NUDGE_MARGIN of r, or None. The test runs on the moduli in
+    r (1 +- 4e-6) only, found by bisection; no modulus outside that
+    window passes it."""
     lo = bisect.bisect_left(mods, r * (1.0 - 4.0 * _NUDGE_MARGIN))
     hi = bisect.bisect_right(mods, r * (1.0 + 4.0 * _NUDGE_MARGIN), lo)
-    return any(abs(r / m - 1.0) <= _NUDGE_MARGIN for m in mods[lo:hi])
+    return next((m for m in mods[lo:hi] if abs(r / m - 1.0) <= _NUDGE_MARGIN),
+                None)
 
 
 class MeroModel:
@@ -891,8 +903,12 @@ def max_term_central_index(f: TruncatedSeries, r: float) -> WimanValironSample:
 
 
 def _log_moduli(f: TruncatedSeries) -> np.ndarray:
-    """log|c_n| of the coefficients, -inf at exact zeros."""
+    """log|c_n| of the coefficients, -inf at exact zeros. A coefficient
+    that is not finite has no modulus to rank (NaN would read as a zero)
+    and raises DomainError."""
     mags = np.abs(f.coeffs)
+    if not np.all(np.isfinite(mags)):
+        raise DomainError("series coefficients are not finite")
     with np.errstate(divide="ignore"):
         return np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)),
                         -math.inf)

@@ -402,13 +402,22 @@ class TruncatedSeries:
         return self._wrap(-self._coeffs, self, self.is_exact_polynomial)
 
     def __mul__(self, other):
+        """Product to the lower of the two orders. An exact-polynomial
+        operand convolves only its band up to its degree, so a product
+        with a polynomial of degree d costs O(N d), not O(N^2)."""
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            full = np.convolve(self._coeffs[: n + 1], other._coeffs[: n + 1])
+            a, b = self._coeffs[: n + 1], other._coeffs[: n + 1]
             da, db = self._degree(), other._degree()
-            exact = (self.is_exact_polynomial and other.is_exact_polynomial
+            exact_a = self.is_exact_polynomial
+            exact_b = other.is_exact_polynomial
+            if exact_a:
+                a = a[: max(da, 0) + 1]
+            elif exact_b:
+                b = b[: max(db, 0) + 1]
+            exact = (exact_a and exact_b
                      and (da < 0 or db < 0 or da + db <= n))
-            return self._wrap(full[: n + 1], other, exact)
+            return self._wrap(np.convolve(a, b)[: n + 1], other, exact)
         return self._wrap(self._coeffs * complex(other), self,
                           self.is_exact_polynomial)
 
@@ -424,20 +433,33 @@ class TruncatedSeries:
         """Power-series long division; requires the divisor's constant term
         to be nonzero. Quotients are never exact polynomials.
 
-        The quotient q_m = (a_m - sum_{j=1..m} b_j q_{m-j}) / b_0 is the
-        solver's recurrence with k = 1 and a constant denominator, on the
-        same kernel (_triangular_steps). The quotient is kept reversed, so
-        no dot operand has a negative stride, which numpy would copy
-        before BLAS reads it. Each dot stays full length even where b is
-        a short polynomial: banding it to b's degree moves last bits."""
+        The quotient is q_m = (a_m - sum_{j=1..m} b_j q_{m-j}) / b_0. An
+        exact-polynomial divisor of degree d has only d terms in that
+        sum: the quotient is _banded_steps' division with P = [1], O(N d),
+        and a constant divisor divides each coefficient once, as numpy
+        divides an array. Any other divisor takes one full-length dot per
+        coefficient, on numpy scalars, with the quotient kept reversed so
+        that no dot operand has a negative stride, which numpy would copy
+        before BLAS reads it."""
         if abs(other._coeffs[0]) == 0.0:
             raise DivisorSingular("divisor has zero constant term")
         n = min(self.order, other.order)
         a = self.coeffs_to(n)
+        if other.is_exact_polynomial:
+            band = other._coeffs[: min(other._degree(), n) + 1]
+            if band.size == 1:
+                return self._wrap(a / band[0], other)
+            w = band.size - 1
+            quot = [0j] * (w + n + 1)
+            _banded_steps([1.0], band.tolist(), quot, [0j] * w + a.tolist(),
+                          0, n + 1)
+            return self._wrap(np.array(quot[w:], dtype=np.complex128), other)
         b = other.coeffs_to(n)
         rev = np.zeros(n + 1, dtype=np.complex128)
         rev[n] = a[0] / b[0]
-        _triangular_steps(b[1:], a[1:], [b[0]] * n, rev, 1, 0, n)
+        dot = np.dot
+        for m in range(1, n + 1):
+            rev[n - m] = (a[m] - dot(b[1: m + 1], rev[n - m + 1:])) / b[0]
         return self._wrap(rev[::-1], other)
 
     def scale_arg(self, factor: complex) -> "TruncatedSeries":
@@ -614,35 +636,48 @@ def _horner_lists(coeffs: np.ndarray) -> tuple:
     return rev, rev[top:]
 
 
-def _triangular_steps(g, rhs, denom, rev, k: int, start: int, stop: int,
-                      out=None, weights=None) -> None:
-    """Steps n = start .. stop - 1 of the lower-triangular recurrence
+def _banded_steps(p, q, u, d, start: int, stop: int, rhs=None, scale=None,
+                  k: int = 0, out=None, weights=None) -> None:
+    """Steps n = start .. stop - 1 of the banded division
 
-        x_{n+k} = (rhs[n] - sum_{m=0..n} g[m] d_{n-m}) / denom[n],
+        u_n = (sum_{m=0..deg p} p[m] d_{n-m}
+               - sum_{j=1..deg q} q[j] u_{n-j}) / q[0],
 
-    the one loop behind the series solver (qode._recurrence) and series
-    division (TruncatedSeries.divide). Here d_j = weights[j] x_j, and out
-    takes each x_{n+k}, when weights are given; d_j = x_j otherwise.
+    which makes u = (P d) / Q as series: the one loop behind division by
+    an exact polynomial (TruncatedSeries.divide: p = [1], d the
+    dividend, u the quotient) and the series solver (qode._recurrence:
+    u = A d for A = P/Q, which is never expanded). Each step is a sum
+    over the two bands only, on Python complex scalars. It divides by
+    q[0] at every step: dividing the bands through by it once would
+    round each p[m] / q[0] and q[j] / q[0] the same way at every step, a
+    bias that grows linearly along a geometric solution.
 
-    The d_j sit reversed in rev, rev[N - j] = d_j with N = rev.size - 1,
-    so each sum is np.dot(g[:n+1], rev[N-n:]) on two contiguous
-    operands. d[n::-1] would hand BLAS the same values in the same
-    order, so the same bits, but numpy first copies an operand with a
-    negative stride into a fresh array. The dot stays full length:
-    banding it to the nonzero g moves last bits. Each step is numpy
-    scalar arithmetic, as the loops it replaced were; a Python complex
-    mixed in would move last bits too. No value is checked here: the
-    caller reads out or rev for non-finite entries.
+    With rhs and scale, the step goes on to the solver's coefficient
+    x_{n+k} = (rhs[n] - u_n) scale[n]: it is d_{n+k} itself, or, with
+    weights, goes to out (indexed as d) and d_{n+k} = weights[n+k]
+    x_{n+k}. u and d are lists that keep u_i and d_i at index i + w,
+    where w = max(len(p), len(q)) - 1, behind w zeros that stand for the
+    indices below 0, so each step reads its whole band. No value is
+    checked here: the caller reads the x_j for non-finite ones.
     """
-    dot = np.dot
-    N = rev.size - 1
-    if weights is None:
-        for n in range(start, stop):
-            rev[N - n - k] = (rhs[n] - dot(g[: n + 1], rev[N - n:])) / denom[n]
-    else:
-        for n in range(start, stop):
-            out[n + k] = x = (rhs[n] - dot(g[: n + 1], rev[N - n:])) / denom[n]
-            rev[N - n - k] = weights[n + k] * x
+    w = max(len(p), len(q)) - 1
+    pband = [(pm, w - m) for m, pm in enumerate(p)]
+    qband = [(q[j], w - j) for j in range(1, len(q))]
+    q0 = q[0]
+    for n in range(start, stop):
+        s = t = 0j
+        for pm, i in pband:
+            s += pm * d[n + i]
+        for qj, i in qband:
+            t += qj * u[n + i]
+        u[n + w] = v = (s - t) / q0
+        if scale is None:
+            continue
+        if weights is None:
+            d[n + k + w] = (rhs[n] - v) * scale[n]
+        else:
+            out[n + k + w] = x = (rhs[n] - v) * scale[n]
+            d[n + k + w] = weights[n + k] * x
 
 
 def _may_certify_inf(coeffs: np.ndarray) -> bool:

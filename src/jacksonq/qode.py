@@ -10,9 +10,12 @@ form and s = k, b = 0 for the argument-shifted one:
     c_{n+k} * prod_{j=1..k} [n+j]_q = b_n - sum_m a_m q^{s(n-m)} c_{n-m},
 
 where a, b are the origin expansions of A, B; the first k coefficients
-are free initial data. Both forms share one overflow rule: the solvers
-raise BracketOverflow once a bracket product or a new coefficient is
-not finite, and never return non-finite coefficients.
+are free initial data. The solvers never expand A = P/Q: the term A f
+solves a recurrence with a band of deg P + 1 and deg Q terms
+(_recurrence), so a solve to order N costs O(N (deg P + deg Q)).
+Both forms share one overflow rule: the solvers raise BracketOverflow
+once a bracket product or a new coefficient is not finite, and never
+return non-finite coefficients.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .polyroots import (
     poly_trim,
     roots_with_multiplicity,
 )
-from .qcore import QParam, TruncatedSeries, _triangular_steps, q_brackets
+from .qcore import QParam, TruncatedSeries, _banded_steps, q_brackets
 from .qoperator import Pointwise, _closed_form, dqk_series
 
 _CONDITION_WARN = 1e-3
@@ -346,11 +349,19 @@ def solve_series(prob: QdeProblem, N: int) -> TruncatedSeries:
 
 
 def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
-    """c_0..c_N from the recurrence with weights q^{s(n-m)}, on qcore's
-    triangular kernel with d_j = q^{s j} c_j (c itself for s = 0). The
-    kernel keeps the d_j reversed, since numpy would copy the
-    negative-stride d[n::-1] before each dot; each dot stays full length,
-    since banding it to deg A moves last bits.
+    """c_0..c_N from the recurrence with weights q^{s(n-m)}, with A = P/Q
+    never expanded: the term u = A d, d_j = q^{sj} c_j, solves Q u = P d,
+
+        u_n = (sum_m P_m d_{n-m} - sum_{j>=1} Q_j u_{n-j}) / Q_0,
+        c_{n+k} = (b_n - u_n) / D_n,     D_n = prod_{j=1..k} [n+j]_q,
+
+    so each step is qcore._banded_steps' sum over deg P + 1 and deg Q
+    terms, O(N (deg P + deg Q)) in all (a polynomial A is the case
+    Q = [1]), and B is expanded to the orders read, n <= N - k. Clearing
+    Q from the whole equation instead (Q y + P d = Q b, y_n = D_n c_{n+k})
+    divides b and y by Q too: where Q has a root inside the unit disc,
+    that division grows their rounding geometrically, although u alone
+    may hold no such mode.
 
     The bracket products are checked before the loop. It runs up to the
     first order whose product is not finite (BracketOverflow) or below
@@ -363,13 +374,17 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
     if N < prob.k:
         raise DomainError("truncation order must be at least k")
     qp, k = prob.qp, prob.k
-    # only a[: n + 1] and b[n] with n <= N - k are read
-    a = prob.A.origin_series(N).coeffs
-    b = prob.B.origin_series(N).coeffs
+    b = prob.B.origin_series(N - k).coeffs.tolist()
+    p, q = prob.A.num.tolist(), prob.A.den.tolist()
     brackets = q_brackets(N, qp)
     denoms = np.fromiter(
         (math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j)
          for n in range(N - k + 1)), dtype=np.complex128, count=N - k + 1)
+    # u and d (the c_j for s = 0) sit behind w zeros, as the kernel reads
+    w = max(len(p), len(q)) - 1
+    u = [0j] * (w + N - k + 1)
+    c = np.empty(N + 1, dtype=np.complex128)
+    c[:k] = prob.initial
     # an overflowing sum raises BracketOverflow below; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         # abs of each product, bit for bit: np.hypot on the parts is libm's
@@ -380,22 +395,23 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
         bad = np.flatnonzero(~(np.isfinite(sizes) & (sizes >= qp.guard_tol)))
         stop = int(bad[0]) if bad.size else N - k + 1
         if s:
-            c = np.zeros(N + 1, dtype=np.complex128)
-            c[:k] = prob.initial
-            weights = np.cumprod(np.concatenate(([1.0],
-                                                 np.full(N, qp.q ** s))))
-            rev = (c * weights)[::-1].copy()
-            out = c
-        else:  # d is c itself: c reads rev backwards
-            c = weights = None
-            rev = np.zeros(N + 1, dtype=np.complex128)
-            rev[N - k + 1:] = prob.initial[::-1]
-            out = rev[::-1]
+            weights = np.cumprod(np.concatenate(
+                ([1.0], np.full(N, qp.q ** s)))).tolist()
+            out = [0j] * w + list(prob.initial) + [0j] * (N - k + 1)
+            d = ([0j] * w + [wj * cj for wj, cj in zip(weights, prob.initial)]
+                 + [0j] * (N - k + 1))
+        else:  # d is c itself
+            weights = None
+            out = d = [0j] * w + list(prob.initial) + [0j] * (N - k + 1)
+        # c_{n+k} = (b_n - u_n) times 1 / D_n, the reciprocal numpy's
+        # complex division takes: the strided loop divided that way
+        recips = (1.0 / denoms[:stop]).tolist()
         weak = np.flatnonzero(sizes[:stop] < _CONDITION_WARN).tolist()
         lo = 0
         for hi in weak + [stop]:
-            _triangular_steps(a, b, denoms, rev, k, lo, hi, c, weights)
-            nonfinite = np.flatnonzero(~np.isfinite(out[lo + k: hi + k]))
+            _banded_steps(p, q, u, d, lo, hi, b, recips, k, out, weights)
+            c[lo + k: hi + k] = out[w + lo + k: w + hi + k]
+            nonfinite = np.flatnonzero(~np.isfinite(c[lo + k: hi + k]))
             if nonfinite.size:
                 raise BracketOverflow(f"coefficient at order "
                                       f"{lo + k + int(nonfinite[0])} "
@@ -412,12 +428,13 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
                 f"bracket product at order {stop + k} below guard")
         raise BracketOverflow(
             f"bracket product at order {stop + k} is not finite")
-    return TruncatedSeries(out)
+    return TruncatedSeries(c)
 
 
 def residual(prob: QdeProblem, f: TruncatedSeries):
     """Series of D_q^k f + A f - B to order N - k, and its max coefficient
-    modulus."""
+    modulus. A f is the product with A's origin expansion: a polynomial
+    A expands to an exact polynomial, whose band alone is convolved."""
     if f.order < prob.k:
         raise DomainError("series too short for the operator order")
     out_order = f.order - prob.k

@@ -6,7 +6,8 @@ with one row each (the reference below): the same nu, the same mu and
 the same r, on exp_q, etilde_q and big_e_q series with real and complex
 q. A grid that crosses the certified radius, or meets a central index
 that is not interior, must raise what the loop raises first, with the
-same message: the first bad radius in grid order decides.
+same message: the first bad radius in grid order decides. A coefficient
+that is not finite raises DomainError at every radius.
 """
 
 import math
@@ -14,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from jacksonq.errors import TruncationTooShort
+from jacksonq.errors import DomainError, TruncationTooShort
 from jacksonq.nevanlinna import (
     RadialGrid,
     WimanValironSample,
@@ -104,3 +105,13 @@ def test_first_bad_radius_raises_as_the_loop_does(make, radii):
         grid = RadialGrid(radii)
         assert outcome(lambda: log_order_from_nu(f, grid)) == want
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_a_coefficient_that_is_not_finite_raises(bad):
+    # a NaN read as an exact zero gave nu = 2, mu = 2.0 here, silently
+    f = TruncatedSeries(np.array([1.0, bad, 0.5, 0.25, 0.1, 0.01, 0.001]))
+    with pytest.raises(DomainError, match="not finite"):
+        max_term_central_index(f, 2.0)
+    with pytest.raises(DomainError, match="not finite"):
+        log_order_from_nu(f, RadialGrid((1.5, 2.0)))

@@ -1,20 +1,28 @@
-"""The triangular kernel against the loops it replaced, bit for bit.
+"""The banded solver and series division against the loops they replaced.
 
-qcore._triangular_steps is the one lower-triangular recurrence behind
-solve_series, solve_shifted_series and TruncatedSeries.divide. It keeps
-the solved coefficients reversed, so each full-length dot reads two
-contiguous operands, and _recurrence checks every bracket product before
-its loop. The loops below are the strided-dot routes as they stood before
-that, kept as references: each solver must return the same coefficient
-bytes and radius, raise the same error with the same message, and issue
-the same ConditioningWarnings in the same order.
+qode._recurrence never expands A = P/Q: each coefficient takes a sum
+over the bands of P and Q (qcore._banded_steps, u = A d from Q u = P d),
+where the loop below took a full-length strided dot with A's expansion.
+TruncatedSeries.divide runs the same banded steps for an
+exact-polynomial divisor. Banding moves last bits, so those routes are
+held to accuracy, not bytes: against a 50-digit mpmath recurrence
+(mp_recurrence, mp_quotient), their largest coefficient error may be at
+most four times the strided loop's, or 1e-14. A solver's error is
+relative to each coefficient; a quotient's, relative to the terms that
+form it. The solvers must raise the same bracket errors with the same
+messages, and issue the same ConditioningWarnings in the same order; a
+coefficient overflow may come at another order (assert_as_accurate). A
+dense divisor keeps the full-length dot, and its quotient stays the
+strided loop's, bit for bit.
 """
 
 import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,10 +37,11 @@ from jacksonq.qode import (
     _CONDITION_WARN,
     QdeProblem,
     RationalFunction,
+    residual,
     solve_series,
     solve_shifted_series,
 )
-from test_bracket_ladder import REGIME_Q, regime_q
+from test_bracket_ladder import REGIME_Q, _qparam, regime_q
 
 
 def reference_recurrence(prob, N, s):
@@ -88,19 +97,187 @@ def reference_divide(num, den):
     return num._wrap(out, den)
 
 
+# the exact coefficients are computed at this many digits, and compared
+# where their modulus lies in WINDOW: outside it both routes round into
+# subnormals or out of double range
+DPS = 50
+WINDOW = (1e-250, 1e250)
+
+
+def mp_quotient(num, den, n):
+    """The first n coefficients of num/den at DPS digits, den a polynomial
+    with den[0] != 0, by long division."""
+    with mpmath.workdps(DPS):
+        num = [mpmath.mpc(x) for x in num]
+        den = [mpmath.mpc(x) for x in den]
+        out = []
+        for m in range(n):
+            t = num[m] if m < len(num) else mpmath.mpc(0)
+            for j in range(1, min(m, len(den) - 1) + 1):
+                t -= den[j] * out[m - j]
+            out.append(t / den[0])
+        return out
+
+
+def mp_brackets(q, N):
+    """[0]_q .. [N]_q at the working precision."""
+    out, qn = [mpmath.mpc(0)], mpmath.mpc(1)
+    for _ in range(N):
+        qn *= q
+        out.append((qn - 1) / (q - 1))
+    return out
+
+
+def mp_recurrence(prob, N, s):
+    """c_0 .. c_N of the recurrence with weights q^{s(n-m)} at DPS digits
+    (the first list of mp_banded)."""
+    return mp_banded(prob, N, s)[0]
+
+
+def mp_banded(prob, N, s):
+    """(c, u, d, b) at DPS digits: the recurrence with weights q^{s(n-m)}
+    as qode._recurrence takes it, with u = A d for A = P/Q from Q u = P d,
+
+        u_n = (sum_m P_m d_{n-m} - sum_{j>=1} Q_j u_{n-j}) / Q_0,
+        c_{n+k} = (b_n - u_n) / D_n,
+
+    d_j = q^{sj} c_j and b the expansion of B. In exact arithmetic it is
+    the plain recurrence (mp_plain_recurrence), in O(N) steps, not
+    O(N^2)."""
+    k = prob.k
+    with mpmath.workdps(DPS):
+        q = mpmath.mpc(prob.qp.q)
+        P = [mpmath.mpc(x) for x in prob.A.num]
+        Q = [mpmath.mpc(x) for x in prob.A.den]
+        b = mp_quotient(prob.B.num, prob.B.den, N - k + 1)
+        brackets = mp_brackets(q, N)
+        weights = [q ** (s * j) for j in range(N + 1)]
+        c = [mpmath.mpc(x) for x in prob.initial]
+        d = [w * x for w, x in zip(weights, c)]
+        u = []
+        for n in range(N - k + 1):
+            t = mpmath.mpc(0)
+            for m in range(min(n, len(P) - 1) + 1):
+                t += P[m] * d[n - m]
+            for j in range(1, min(n, len(Q) - 1) + 1):
+                t -= Q[j] * u[n - j]
+            u.append(t / Q[0])
+            c.append((b[n] - u[n]) / mpmath.fprod(brackets[n + 1: n + k + 1]))
+            d.append(weights[n + k] * c[-1])
+        return c, u, d, b
+
+
+def mp_plain_recurrence(prob, N, s):
+    """c_0 .. c_N of c_{n+k} D_n = b_n - sum_m a_m q^{s(n-m)} c_{n-m} at
+    DPS digits, with A expanded to a."""
+    k = prob.k
+    with mpmath.workdps(DPS):
+        q = mpmath.mpc(prob.qp.q)
+        a = mp_quotient(prob.A.num, prob.A.den, N + 1)
+        b = mp_quotient(prob.B.num, prob.B.den, N + 1)
+        brackets = mp_brackets(q, N)
+        c = [mpmath.mpc(x) for x in prob.initial]
+        for n in range(N - k + 1):
+            t = b[n]
+            for m in range(n + 1):
+                t -= a[m] * q ** (s * (n - m)) * c[n - m]
+            c.append(t / mpmath.fprod(brackets[n + 1: n + k + 1]))
+        return c
+
+
+def max_rel_error(got, exact, scales=None) -> float:
+    """Largest |got_n - c_n| / |c_n| over the exact c_n whose modulus lies
+    in WINDOW, or |got_n - c_n| / scales[n]; inf where such a got_n is
+    not finite."""
+    worst = 0.0
+    with mpmath.workdps(DPS):
+        if scales is None:
+            scales = [abs(e) for e in exact]
+        for g, e, scale in zip(np.asarray(got).tolist(), exact, scales):
+            if WINDOW[0] <= abs(e) <= WINDOW[1]:
+                if not cmath.isfinite(g):
+                    return math.inf
+                worst = max(worst, float(abs(g - e) / scale))
+    return worst
+
+
+def quotient_scales(num, den, exact) -> list:
+    """The size of the terms each quotient coefficient is formed from,
+    q_m = (a_m - sum_j b_j q_{m-j}) / b_0: (|a_m| + sum_j |b_j q_{m-j}|)
+    / |b_0|. Where they cancel, q_m is much smaller, and any rounding of
+    them is that much larger relative to q_m."""
+    with mpmath.workdps(DPS):
+        num = [mpmath.mpc(x) for x in num]
+        den = [mpmath.mpc(x) for x in den]
+        return [max(abs(q), (abs(num[m]) + sum(
+            abs(den[j] * exact[m - j])
+            for j in range(1, min(m, len(den) - 1) + 1))) / abs(den[0]))
+            for m, q in enumerate(exact)]
+
+
 def outcome(solve):
-    """(coefficient bytes and radius, or the error's type and message;
-    the ConditioningWarning messages in order; where they point)."""
+    """(the series, or the error's type and message; the
+    ConditioningWarning messages in order; where they point)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            f = solve()
+            result = solve()
         except (BracketOverflow, BracketUnderflow) as exc:
             result = (type(exc).__name__, str(exc))
-        else:
-            result = (f.coeffs.tobytes(), f.safe_radius)
     kept = [w for w in caught if w.category is ConditioningWarning]
     return result, [str(w.message) for w in kept], {w.filename for w in kept}
+
+
+def stop_order(result) -> int:
+    """The order a solver error names ('... at order n ...')."""
+    return int(result[1].split(" at order ")[1].split()[0])
+
+
+def coefficient_overflow(result) -> bool:
+    return isinstance(result, tuple) and result[1].startswith("coefficient")
+
+
+def assert_as_accurate(new, old, prob, N, s):
+    """The solver route new against the strided loop old on prob: the
+    same bracket errors and warnings, and coefficients at most four
+    times as far from the exact ones (or 1e-14).
+
+    Only a coefficient overflow may stop the two at different orders:
+    the strided loop's terms a_m q^{s(n-m)} c_{n-m} overflow wherever A's
+    expansion grows past double range, though no coefficient has, and
+    the banded route never forms them. Its own terms are Q_0 u_n, b_n,
+    d_n and c_n, and it may stop at a coefficient overflow only where
+    one of them comes within a factor 2e8 of double range, since the
+    partial sums of a band can pass it a few orders before they do.
+    """
+    (got, got_warned, where), (want, want_warned, _) = outcome(new), \
+        outcome(old)
+    # a warning points at the solver's caller, as it always did
+    assert where <= {__file__}
+    if got == want:
+        assert got_warned == want_warned
+        return
+    if coefficient_overflow(got):
+        c, u, d, b = mp_banded(prob, stop_order(got), s)
+        with mpmath.workdps(DPS):
+            q0 = abs(prob.A.den[0])
+            assert max(abs(x) for x in c + [q0 * v for v in u] + d + b) \
+                >= 1e300
+    # otherwise the strided loop stopped first, at an overflowing term
+    if not coefficient_overflow(got) and isinstance(want, tuple):
+        assert coefficient_overflow(want)
+        if isinstance(got, tuple):  # the bracket error past it
+            assert stop_order(want) < stop_order(got)
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        # the same warnings up to the earlier stop
+        common = min(len(got_warned), len(want_warned))
+        assert got_warned[:common] == want_warned[:common]
+    if isinstance(got, tuple):
+        return
+    exact = mp_recurrence(prob, N, s)
+    bound = 1e-14 if isinstance(want, tuple) else max(
+        4.0 * max_rel_error(want.coeffs, exact), 1e-14)
+    assert max_rel_error(got.coeffs, exact) <= bound
 
 
 def _polynomial(draw, size):
@@ -110,9 +287,10 @@ def _polynomial(draw, size):
 
 @st.composite
 def cases(draw):
-    """(q, guard_order, k, A numerator, A denominator, B numerator, N).
-    A small guard_order lets q sit nearer a root of unity than QParam's
-    default guard allows, so brackets fall below the guard in the loop."""
+    """(q, guard_order, k, A numerator, A denominator, B numerator, N):
+    A of degree at most 3 over at most 2. A small guard_order lets q sit
+    nearer a root of unity than QParam's default guard allows, so
+    brackets fall below the guard in the loop."""
     qv = draw(regime_q())
     guard_order = draw(st.sampled_from([128, 128, 2]))
     if guard_order == 2:
@@ -122,8 +300,7 @@ def cases(draw):
     den = _polynomial(draw, 3)
     den[0] = draw(st.sampled_from([1.0, -0.5 + 0.5j, 2.0]))
     return (qv, guard_order, draw(st.integers(1, 3)), _polynomial(draw, 4),
-            den, _polynomial(draw, 3),
-            draw(st.sampled_from([3, 40, 300, 1200, 2000])))
+            den, _polynomial(draw, 3), draw(st.sampled_from([40, 300, 2000])))
 
 
 def _problem(case):
@@ -153,20 +330,39 @@ def _problem(case):
                [1.0], 300))
 @example(case=(1.00000001 * cmath.exp(2j * math.pi / 5), 2, 1, [1.0],
                [1.0, 0.1], [0.0], 40))
-def test_solvers_match_the_strided_loop(case):
+# N = k: the one step reads the band below index 0
+@example(case=(REGIME_Q["outside"], 128, 3, [1.0, 0.5, 0.25, 2.0],
+               [1.0, 0.3, -0.2], [1.0, 2.0], 3))
+# a pole of A inside the unit disc with a tiny residue: dividing b by Q
+# too (Q y + P d = Q b) grew its rounding like 2.7^n, past every
+# coefficient from c_5 on
+@example(case=(-0.0534292181505406 + 0.39307170245382556j, 128, 1,
+               [1.645506979320641e-307 + 6.61539343929849e-63j],
+               [-0.5 + 0.5j, -0.9630713057144644 + 1.6426853606162197j],
+               [-7.862608512262158e-145 + 1.4511510616388028j,
+                -0.05 + 3.779339855992859e-241j], 2000))
+def test_solvers_are_as_accurate_as_the_strided_loop(case):
     prob, homogeneous, N = _problem(case)
     k, A, qp = prob.k, prob.A, prob.qp
-    routes = [
-        (lambda: solve_series(prob, N),
-         lambda: reference_recurrence(prob, N, 0)),
-        (lambda: solve_shifted_series(k, A, qp, homogeneous.initial, N),
-         lambda: reference_recurrence(homogeneous, N, k)),
-    ]
-    for new, old in routes:
-        got, want = outcome(new), outcome(old)
-        assert got[:2] == want[:2]
-        # a warning points at the solver's caller, as it always did
-        assert got[2] <= {__file__}
+    assert_as_accurate(lambda: solve_series(prob, N),
+                       lambda: reference_recurrence(prob, N, 0), prob, N, 0)
+    assert_as_accurate(
+        lambda: solve_shifted_series(k, A, qp, homogeneous.initial, N),
+        lambda: reference_recurrence(homogeneous, N, k), homogeneous, N, k)
+
+
+@pytest.mark.parametrize("qv", sorted(REGIME_Q.values(), key=str))
+def test_the_mpmath_recurrence_is_the_plain_one(qv):
+    qp = _qparam(qv)
+    A = RationalFunction([0.3j, 1.0, -0.5, 0.25], [1.0, 0.2 - 0.4j, -0.1])
+    B = RationalFunction([1.0, -0.5], [2.0, 1.0])
+    for prob, s in ((QdeProblem(2, A, B, qp, (1.0, 0.5j)), 0),
+                    (QdeProblem.homogeneous(3, A, qp, (1.0, 0.5j, -2.0)), 3)):
+        cleared = mp_recurrence(prob, 40, s)
+        plain = mp_plain_recurrence(prob, 40, s)
+        with mpmath.workdps(DPS):
+            assert all(abs(x - y) <= 1e-40 * abs(y)
+                       for x, y in zip(cleared, plain))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -183,7 +379,7 @@ def test_solvers_match_the_strided_loop(case):
                [1.0], 2000))
 @example(case=(REGIME_Q["near_root"], 128, 1, [-1.0, 0.25], [1.0, 0.5, 2.0],
                [1.0], 3))
-def test_divide_matches_the_strided_loop(case):
+def test_divide_is_as_accurate_as_the_strided_loop(case):
     _, _, _, num, den, bnum, N = case
     # a dense operand, seeded by the case, beside the polynomials that
     # origin_series divides
@@ -196,5 +392,51 @@ def test_divide_matches_the_strided_loop(case):
         # a quotient past double range is compared as it is, NaN included
         with np.errstate(all="ignore"):
             got, want = a.divide(b), reference_divide(a, b)
-        assert got.coeffs.tobytes() == want.coeffs.tobytes()
-        assert got.safe_radius == want.safe_radius
+        if b is dense:
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.safe_radius == want.safe_radius
+            continue
+        # each error is taken relative to the terms that form the
+        # coefficient: a random dividend makes some quotient coefficients
+        # nearly cancel, and how far rounding moves those is luck
+        exact = mp_quotient(a.coeffs, den, N + 1)
+        scales = quotient_scales(a.coeffs, den, exact)
+        assert max_rel_error(got.coeffs, exact, scales) <= max(
+            4.0 * max_rel_error(want.coeffs, exact, scales), 1e-14)
+
+
+@pytest.mark.parametrize("den", [[1.0], [1.0, -0.3], [2.0, 0.5, 0.1j]],
+                         ids=["polynomial", "linear", "quadratic"])
+def test_the_solvers_expand_no_a_and_take_no_dot(monkeypatch, den):
+    A = RationalFunction([-1.0, 0.25, 0.5j], den)
+    expansions, dots, convolved = [], [], []
+    origin_series, dot, convolve = (RationalFunction.origin_series, np.dot,
+                                    np.convolve)
+
+    def count_expansion(rf, order):
+        if rf is A:
+            expansions.append(order)
+        return origin_series(rf, order)
+
+    def count_dot(x, y, *args):
+        dots.append(np.size(x))
+        return dot(x, y, *args)
+
+    def count_convolve(x, y, *args):
+        convolved.append(min(np.size(x), np.size(y)))
+        return convolve(x, y, *args)
+
+    monkeypatch.setattr(RationalFunction, "origin_series", count_expansion)
+    monkeypatch.setattr(np, "dot", count_dot)
+    monkeypatch.setattr(np, "convolve", count_convolve)
+    qp = QParam(1.5 + 0.3j)
+    prob = QdeProblem(2, A, RationalFunction([1.0, -0.5]), qp, (1.0, -0.5))
+    f = solve_series(prob, 300)
+    solve_shifted_series(2, A, qp, prob.initial, 300)
+    assert expansions == dots == convolved == []
+    residual(prob, f)
+    # the check expands A; for a polynomial A that is an exact
+    # polynomial, and its product with f convolves A's band only
+    assert expansions == [300]
+    if len(den) == 1:
+        assert max(convolved) <= A.num.size
