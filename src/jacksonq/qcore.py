@@ -51,8 +51,8 @@ class QParam:
     q: complex
     guard_order: int = 128
     guard_tol: float = _ROOT_OF_UNITY_TOL
-    _brackets: list = field(default_factory=list, init=False, repr=False,
-                            compare=False)
+    _brackets: np.ndarray = field(default=None, init=False, repr=False,
+                                  compare=False)
     _exp_coeffs: np.ndarray = field(default=None, init=False, repr=False,
                                     compare=False)
 
@@ -109,42 +109,116 @@ def q_brackets(N: int, qp: QParam) -> list:
     lifetime and rebuilds it only when a larger N is asked for; every
     call returns a new list, so a caller may change it freely.
     """
+    return _bracket_array(N, qp).tolist()
+
+
+def _bracket_array(N: int, qp: QParam) -> np.ndarray:
+    """q_brackets(N, qp) as a read-only complex array: a view of the
+    ladder qp keeps."""
     if N < 0:
         raise DomainError("q_brackets requires N >= 0")
-    if len(qp._brackets) <= N:
+    if qp._brackets is None or qp._brackets.size <= N:
         object.__setattr__(qp, "_brackets", _bracket_ladder(qp.q, N))
     return qp._brackets[: N + 1]
 
 
-def _bracket_ladder(q: complex, N: int) -> list:
-    """[0]_q .. [N]_q in one pass. _pow forms q^n by multiplying the
-    squares q^(2^i) of the set bits of n into 1, lowest bit first, so
-    its last product is q^(n - 2^t) * q^(2^t) for the top bit t of n:
-    the ladder reuses q^(n - 2^t) from its own earlier entry, and flags
-    n as overflowed with _pow's rule (a part above 1e300 or NaN)
-    applied to that prefix and to the product. The arithmetic stays on
-    Python complex: numpy divides complex numbers by another method than
-    CPython and would move last bits.
+# A doubling block of the ladder at least this long runs as array passes;
+# a shorter one costs less on Python complex than the passes' overhead.
+_LADDER_BLOCK = 128
+
+
+def _bracket_ladder(q: complex, N: int) -> np.ndarray:
+    """[0]_q .. [N]_q in one pass, as a read-only complex array. _pow
+    forms q^n by multiplying the squares q^(2^i) of the set bits of n
+    into 1, lowest bit first, so its last product is q^(n - 2^t) *
+    q^(2^t) for the top bit t of n: the ladder reuses q^(n - 2^t) from
+    its own earlier entry, and flags n as overflowed with _pow's rule (a
+    part above 1e300 or NaN) applied to that prefix and to the product.
+
+    The block of n in [2^t, 2^(t+1)) reads only the block before it, so
+    a block of _LADDER_BLOCK entries or more runs as one set of passes
+    on float arrays, which round as CPython's complex arithmetic does:
+    its unfused product (ar br - ai bi, ar bi + ai br) and Smith's
+    division, whose branch one scalar divisor q - 1 fixes. numpy's own
+    complex product and division round otherwise and would move last
+    bits. A shorter block stays on Python complex.
     """
     qm1 = q - 1.0
     inf = complex(math.inf, 0.0)
     out = [0.0 + 0.0j, 1.0 + 0.0j][: N + 1]
     powers = [1.0 + 0.0j]  # q^m as _pow forms it, for m < len(powers)
     over = [False]  # _pow(q, m) is None
+    # from the first long block: the ladder, with ladder[:done] written
+    # and out the entries after it, and the real and imaginary parts of
+    # powers and the flags over as arrays of N + 1 entries
+    ladder = arrays = None
+    done = 0
     square = q  # q^(2^t)
     low = 1  # 2^t
     while low <= N:
-        for m in range(min(low, N + 1 - low)):
-            qn = powers[m] * square
-            flag = over[m] or not (abs(qn.real) <= 1e300
-                                    and abs(qn.imag) <= 1e300)
-            powers.append(qn)
-            over.append(flag)
-            if low + m >= 2:
-                out.append(inf if flag else (qn - 1.0) / qm1)
+        size = min(low, N + 1 - low)
+        if size < _LADDER_BLOCK:
+            # only the first blocks and the last: powers holds every m
+            for m in range(size):
+                qn = powers[m] * square
+                flag = over[m] or not (abs(qn.real) <= 1e300
+                                        and abs(qn.imag) <= 1e300)
+                powers.append(qn)
+                over.append(flag)
+                if low + m >= 2:
+                    out.append(inf if flag else (qn - 1.0) / qm1)
+        else:
+            if ladder is None:
+                ladder = np.empty(N + 1, dtype=np.complex128)
+                head = np.array(powers, dtype=np.complex128)
+                re, im = np.empty(N + 1), np.empty(N + 1)
+                flags = np.empty(N + 1, dtype=bool)
+                re[:low], im[:low], flags[:low] = head.real, head.imag, over
+                arrays = (re, im, flags)
+            ladder[done: done + len(out)] = out
+            _ladder_block(arrays, ladder, low, size, square, qm1)
+            done, out = low + size, []
         square *= square
         low <<= 1
-    return out
+    if ladder is None:
+        ladder = np.array(out, dtype=np.complex128)
+    else:
+        ladder[done:] = out
+    ladder.setflags(write=False)
+    return ladder
+
+
+def _ladder_block(arrays: tuple, ladder: np.ndarray, low: int, size: int,
+                  square: complex, qm1: complex) -> None:
+    """Entries low .. low + size - 1 of the ladder as float passes: the
+    power q^(low + m) = q^m * square and its flag go to arrays, the
+    bracket, or inf + 0j where flagged, to ladder's float view."""
+    re, im, flags = arrays
+    ar, ai = re[:size], im[:size]
+    sr, si = square.real, square.imag
+    nr, ni = re[low: low + size], im[low: low + size]
+    # an overflowing power reads inf or NaN, and is flagged
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(ar * sr, ai * si, out=nr)
+        np.add(ar * si, ai * sr, out=ni)
+        flag = flags[low: low + size]
+        np.logical_or(flags[:size], ~((np.abs(nr) <= 1e300)
+                                      & (np.abs(ni) <= 1e300)), out=flag)
+        # (q^n - 1) / (q - 1): q^n - 1.0 leaves the imaginary part as it is
+        tr = nr - 1.0
+        if abs(qm1.real) >= abs(qm1.imag):
+            ratio = qm1.imag / qm1.real
+            denom = qm1.real + qm1.imag * ratio
+            br = (tr + ni * ratio) / denom
+            bi = (ni - tr * ratio) / denom
+        else:
+            ratio = qm1.real / qm1.imag
+            denom = qm1.real * ratio + qm1.imag
+            br = (tr * ratio + ni) / denom
+            bi = (ni * ratio - tr) / denom
+    block = ladder[low: low + size].view(np.float64).reshape(size, 2)
+    block[:, 0] = np.where(flag, math.inf, br)
+    block[:, 1] = np.where(flag, 0.0, bi)
 
 
 def q_factorial(n: int, qp: QParam) -> complex:
@@ -319,14 +393,16 @@ class TruncatedSeries:
         coefficient is not finite), optionally zero-padded up to
         ``order``. Cut to an ``order`` below a nonzero coefficient, it is
         no longer the polynomial and certifies its radius as any series."""
-        arr = list(np.asarray(coeffs, dtype=np.complex128))
+        arr = np.asarray(coeffs, dtype=np.complex128)
         exact = True
-        if order is not None:
-            if order + 1 < len(arr):
-                exact = not any(arr[order + 1:])
+        if order is not None and arr.ndim == 1:
+            if order + 1 < arr.size:
+                exact = not arr[order + 1:].any()
                 arr = arr[: order + 1]
             else:
-                arr = arr + [0.0] * (order + 1 - len(arr))
+                padded = np.zeros(order + 1, dtype=np.complex128)
+                padded[: arr.size] = arr
+                arr = padded
         return cls(arr, exact_polynomial=exact)
 
     @property

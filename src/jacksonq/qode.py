@@ -20,7 +20,6 @@ return non-finite coefficients.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,7 +44,7 @@ from .polyroots import (
     poly_trim,
     roots_with_multiplicity,
 )
-from .qcore import QParam, TruncatedSeries, _banded_steps, q_brackets
+from .qcore import QParam, TruncatedSeries, _banded_steps, _bracket_array
 from .qoperator import Pointwise, _closed_form, dqk_series
 
 _CONDITION_WARN = 1e-3
@@ -376,10 +375,6 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
     qp, k = prob.qp, prob.k
     b = prob.B.origin_series(N - k).coeffs.tolist()
     p, q = prob.A.num.tolist(), prob.A.den.tolist()
-    brackets = q_brackets(N, qp)
-    denoms = np.fromiter(
-        (math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j)
-         for n in range(N - k + 1)), dtype=np.complex128, count=N - k + 1)
     # u and d (the c_j for s = 0) sit behind w zeros, as the kernel reads
     w = max(len(p), len(q)) - 1
     u = [0j] * (w + N - k + 1)
@@ -387,6 +382,7 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
     c[:k] = prob.initial
     # an overflowing sum raises BracketOverflow below; numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
+        denoms = _bracket_products(qp, N, k)
         # abs of each product, bit for bit: np.hypot on the parts is libm's
         # hypot, as abs is (np.abs of a complex array takes another route
         # that moves last bits), and reads inf where abs raises
@@ -431,18 +427,53 @@ def _recurrence(prob: QdeProblem, N: int, s: int) -> TruncatedSeries:
     return TruncatedSeries(c)
 
 
+def _bracket_products(qp: QParam, N: int, k: int) -> np.ndarray:
+    """D_n = prod_{j=1..k} [n+j]_q for n = 0 .. N - k, each as
+    math.prod(brackets[n + 1: n + k + 1], start=1.0 + 0.0j) forms it: k
+    passes of CPython's unfused complex product (ar br - ai bi,
+    ar bi + ai br) on the float view of the ladder, from 1 + 0j. numpy's
+    complex product rounds otherwise. An overflowing product reads inf
+    or NaN; the caller sets numpy's error state."""
+    count = N - k + 1
+    parts = _bracket_array(N, qp).view(np.float64)
+    re, im = np.ones(count), np.zeros(count)
+    for j in range(1, k + 1):
+        br = parts[2 * j: 2 * (j + count): 2]
+        bi = parts[2 * j + 1: 2 * (j + count): 2]
+        re, im = re * br - im * bi, re * bi + im * br
+    out = np.empty(count, dtype=np.complex128)
+    out.real, out.imag = re, im
+    return out
+
+
 def residual(prob: QdeProblem, f: TruncatedSeries):
     """Series of D_q^k f + A f - B to order N - k, and its max coefficient
-    modulus. A f is the product with A's origin expansion: a polynomial
-    A expands to an exact polynomial, whose band alone is convolved."""
+    modulus, with A f from _times_a."""
     if f.order < prob.k:
         raise DomainError("series too short for the operator order")
     out_order = f.order - prob.k
     lhs = dqk_series(f, prob.qp, prob.k)
-    a = prob.A.origin_series(f.order)
     b = prob.B.origin_series(out_order)
-    res = lhs + (a * f).truncated(out_order) - b
+    res = lhs + _times_a(prob.A, f, out_order) - b
     return res, float(np.max(np.abs(res.coeffs)))
+
+
+def _times_a(A: RationalFunction, f: TruncatedSeries,
+             order: int) -> TruncatedSeries:
+    """A f to order <= f.order. A polynomial A expands to an exact
+    polynomial, whose band alone is convolved with f. A rational A = P/Q
+    is never expanded: u = A f solves Q u = P f on _banded_steps, as in
+    _recurrence, O(order (deg P + deg Q)), and is one series derived
+    from f."""
+    if A.is_polynomial:
+        return (A.origin_series(f.order) * f).truncated(order)
+    p, q = A.num.tolist(), A.den.tolist()
+    w = max(len(p), len(q)) - 1
+    u = [0j] * (w + order + 1)
+    _banded_steps(p, q, u, [0j] * w + f.coeffs[: order + 1].tolist(), 0,
+                  order + 1)
+    return TruncatedSeries._derived(np.array(u[w:], dtype=np.complex128),
+                                    False, f)
 
 
 def verify_pointwise(prob: QdeProblem, f: Pointwise, points) -> list:

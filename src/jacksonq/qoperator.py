@@ -34,7 +34,7 @@ from .errors import (
     NonconvergentSample,
     OriginSingular,
 )
-from .qcore import QParam, TruncatedSeries, q_binomial, q_brackets
+from .qcore import QParam, TruncatedSeries, _bracket_array, q_binomial
 
 
 # what the sampled operators read: a TruncatedSeries or any one-point callable
@@ -65,7 +65,7 @@ def dq_series(f: TruncatedSeries, qp: QParam) -> TruncatedSeries:
     a nonzero coefficient meeting such a bracket raises, and its exact
     zeros map to exact zeros.
     """
-    return _dq_step(f, np.array(q_brackets(f.order, qp)))
+    return _dq_step(f, _bracket_array(f.order, qp))
 
 
 def dqk_series(f: TruncatedSeries, qp: QParam, k: int) -> TruncatedSeries:
@@ -75,7 +75,7 @@ def dqk_series(f: TruncatedSeries, qp: QParam, k: int) -> TruncatedSeries:
     raises exactly what k dq_series calls would."""
     if k < 0:
         raise DomainError("k must be nonnegative")
-    brackets = np.array(q_brackets(f.order, qp))
+    brackets = _bracket_array(f.order, qp)
     out = f
     for _ in range(k):
         out = _dq_step(out, brackets)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
-from .qcore import QParam, TruncatedSeries, q_brackets
+from .qcore import QParam, TruncatedSeries, _bracket_array, q_brackets
 from .qode import RationalFunction
 
 _PHI_GUARD_ORDER = 64  # the highest m at which PhiParams checks beta q^m
@@ -129,26 +130,49 @@ def exp_q(qp: QParam, N: int) -> TruncatedSeries:
     """q-exponential e_q^z = sum z^n/[n]_q!; the solution of D_q f = f
     with f(0) = 1. Identity: e_q^z = etilde_q((1-q) z).
 
-    The coefficients 1/[n]_q! are kept read-only on qp for its lifetime
-    and rebuilt only when a larger N is asked for; each is the running
-    quotient over the brackets up to n, so a prefix of a longer ladder is
-    the shorter one. Every call builds its own series and certifies its
-    radius on the first N + 1 coefficients."""
+    The coefficients 1/[n]_q! (_reciprocal_factorials) are kept
+    read-only on qp for its lifetime and rebuilt only when a larger N is
+    asked for; a prefix of a longer ladder is the shorter one. Every call
+    builds its own series and certifies its radius on the first N + 1
+    coefficients."""
     if N < 0:
         raise DomainError("coefficients must form a nonempty 1-d list")
     coeffs = qp._exp_coeffs
     if coeffs is None or coeffs.size <= N:
-        coeffs = np.zeros(N + 1, dtype=np.complex128)
-        c = 1.0 + 0.0j
-        coeffs[0] = c
-        brackets = q_brackets(N, qp)
-        for n in range(1, N + 1):
-            br = brackets[n]
-            c = c / br if (math.isfinite(br.real) and abs(br) > 0) else 0.0
-            coeffs[n] = c
+        coeffs = _reciprocal_factorials(q_brackets(N, qp),
+                                        _bracket_array(N, qp))
         coeffs.setflags(write=False)
         object.__setattr__(qp, "_exp_coeffs", coeffs)
     return TruncatedSeries(coeffs[: N + 1])
+
+
+def _reciprocal_factorials(brackets: list, ladder: np.ndarray) -> np.ndarray:
+    """1/[n]_q! for n = 0 .. N from the brackets [0]_q .. [N]_q, given as
+    a list of Python complex and as the same values in an array: the
+    running quotient c_n = c_{n-1} / [n]_q from c_0 = 1, or 0 from a
+    bracket that is zero or whose real part is not finite.
+
+    Up to the first bracket whose modulus is zero or not finite, which
+    the array finds, the quotients are one accumulate of CPython's
+    complex division on the list (numpy divides complex numbers by
+    another method, and would move last bits); from that bracket on,
+    the loop takes the rule bracket by bracket."""
+    N = len(brackets) - 1
+    parts = ladder[1:].view(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = np.hypot(parts[0::2], parts[1::2])
+    plain = np.isfinite(sizes) & (sizes > 0)
+    stop = N + 1 if plain.all() else int(np.argmin(plain)) + 1
+    head = list(itertools.accumulate(brackets[1:stop], operator.truediv,
+                                     initial=1.0 + 0.0j))
+    coeffs = np.zeros(N + 1, dtype=np.complex128)
+    coeffs[:stop] = head
+    c = head[-1]
+    for n in range(stop, N + 1):
+        br = brackets[n]
+        c = c / br if (math.isfinite(br.real) and abs(br) > 0) else 0.0
+        coeffs[n] = c
+    return coeffs
 
 
 def etilde_q(qp: QParam, N: int) -> TruncatedSeries:

@@ -515,6 +515,6 @@ def test_a_solve_and_check_builds_each_ladder_once(monkeypatch, qv):
     exp_q(qp, N)
     sinq_cosq(qp, N)
     solve_shifted_series(2, prob.A, qp, prob.initial, N // 2)
-    # the solvers clear A's denominator and never expand A; residual
-    # expands it once
-    assert built == {"brackets": [N], "exp_q": [N], "A expansions": [N]}
+    # neither the solvers nor residual expand the rational A: both take
+    # A d from Q u = P d
+    assert built == {"brackets": [N], "exp_q": [N], "A expansions": []}

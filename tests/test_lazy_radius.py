@@ -22,6 +22,7 @@ from jacksonq.qcore import QParam, TruncatedSeries, _certify_radius
 from jacksonq.qode import (
     QdeProblem,
     RationalFunction,
+    _times_a,
     residual,
     solve_series,
     solve_shifted_series,
@@ -180,14 +181,23 @@ def origin_series(rf: RationalFunction, order: int) -> Ref:
     return Ref(out, eager(out.coeffs, exact, rn, rd))
 
 
+def times_a(A: RationalFunction, f: Ref, order: int) -> Ref:
+    """A f to order: a polynomial A's exact expansion times f, cut to
+    order; a rational A's product, from Q u = P f, is one series capped
+    by f alone."""
+    if A.is_polynomial:
+        return truncated(mul(origin_series(A, f.s.order), f), order)
+    out = _times_a(A, f.s, order)
+    return Ref(out, eager(out.coeffs, False, f.R))
+
+
 def residual_ref(prob, f: Ref) -> Ref:
     oo = f.s.order - prob.k
     lhs = dqk(f, prob.qp, prob.k)
     if lhs is None:
         return None
-    a = origin_series(prob.A, f.s.order)
     b = origin_series(prob.B, oo)
-    out = sub(add(lhs, truncated(mul(a, f), oo)), b)
+    out = sub(add(lhs, times_a(prob.A, f, oo)), b)
     res, _ = residual(prob, f.s)
     assert res.coeffs.tobytes() == out.s.coeffs.tobytes()
     return Ref(res, out.R)

@@ -277,6 +277,26 @@ class TestTruncatedSeries:
         assert not cut.is_exact_polynomial
         assert cut.safe_radius == TruncatedSeries([1, 2]).safe_radius
 
+    @pytest.mark.parametrize("order", [None, 0, 2, 3, 4, 50])
+    def test_from_polynomial_is_the_padded_list(self, order):
+        # the list route it replaced: signed zeros, a NaN and the cut
+        # flag must come out the same, byte for byte
+        coeffs = np.array([-0.0 + 0.0j, 1.5 - 0.0j, complex(-0.0, -0.0),
+                           complex(math.nan, 2.0)])
+        arr, exact = list(coeffs), True
+        if order is not None:
+            if order + 1 < len(arr):
+                exact = not any(arr[order + 1:])
+                arr = arr[: order + 1]
+            else:
+                arr = arr + [0.0] * (order + 1 - len(arr))
+        want = TruncatedSeries(arr, exact_polynomial=exact)
+        got = TruncatedSeries.from_polynomial(coeffs, order=order)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        assert got.is_exact_polynomial == want.is_exact_polynomial
+        assert got.safe_radius == want.safe_radius or (
+            got.safe_radius is None and want.safe_radius is None)
+
     def test_safe_radius_decaying_series(self):
         # geometric coefficients 2^-n: tail at |z| < 2 controlled
         f = TruncatedSeries(0.5 ** np.arange(40))

@@ -13,7 +13,9 @@ form it. The solvers must raise the same bracket errors with the same
 messages, and issue the same ConditioningWarnings in the same order; a
 coefficient overflow may come at another order (assert_as_accurate). A
 dense divisor keeps the full-length dot, and its quotient stays the
-strided loop's, bit for bit.
+strided loop's, bit for bit. residual's product A f of a rational A
+runs the banded steps too (qode._times_a), and is held to the same
+accuracy against the dense product of A's expansion with f.
 """
 
 import cmath
@@ -37,6 +39,7 @@ from jacksonq.qode import (
     _CONDITION_WARN,
     QdeProblem,
     RationalFunction,
+    _times_a,
     residual,
     solve_series,
     solve_shifted_series,
@@ -405,6 +408,65 @@ def test_divide_is_as_accurate_as_the_strided_loop(case):
             4.0 * max_rel_error(want.coeffs, exact, scales), 1e-14)
 
 
+def mp_times(num, den, d, n):
+    """The first n coefficients of (num/den) d at DPS digits, num and den
+    polynomials with den[0] != 0, from den u = num d, and the size of the
+    terms each u_m is formed from: (sum_i |num_i d_{m-i}| + sum_j
+    |den_j u_{m-j}|) / |den_0|, or |u_m| where that is larger."""
+    with mpmath.workdps(DPS):
+        num = [mpmath.mpc(x) for x in num]
+        den = [mpmath.mpc(x) for x in den]
+        d = [mpmath.mpc(x) for x in d]
+        u, scales = [], []
+        for m in range(n):
+            terms = [num[i] * d[m - i] for i in range(min(m, len(num) - 1)
+                                                      + 1)]
+            terms += [-den[j] * u[m - j]
+                      for j in range(1, min(m, len(den) - 1) + 1)]
+            u.append(mpmath.fsum(terms) / den[0])
+            scales.append(max(abs(u[-1]), mpmath.fsum(abs(t) for t in terms)
+                              / abs(den[0])))
+        return u, scales
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(case=cases())
+@example(case=(REGIME_Q["inside"], 128, 2, [-1.0, 0.5], [1.0, -0.9], [1.0],
+               2000))
+@example(case=(REGIME_Q["outside"], 128, 1, [1.0], [0.5, 1.5, -2.0],
+               [1.0], 1200))
+@example(case=(REGIME_Q["complex"], 128, 3, [1.0, -2.0], [2.0, 1.0j],
+               [0.5], 300))
+@example(case=(REGIME_Q["negative_outside"], 128, 2, [-1.0, 0.25, 0.5j],
+               [1.0, -0.3], [1.0, -0.5], 40))
+def test_residual_product_is_as_accurate_as_the_dense_one(case):
+    # residual's A f for a rational A comes from Q u = P f; the dense
+    # product of A's expansion with f was the route before
+    prob, _, N = _problem(case)
+    A, k = prob.A, prob.k
+    rng = np.random.default_rng(29 * N + len(A.num))
+    inputs = [TruncatedSeries((rng.standard_normal(N + 1)
+                               + 1j * rng.standard_normal(N + 1))
+                              * 0.9 ** np.arange(N + 1))]
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            inputs.append(solve_series(prob, N))
+    except (BracketOverflow, BracketUnderflow):
+        pass
+    for f in inputs:
+        order = N - k
+        with np.errstate(all="ignore"):
+            got = _times_a(A, f, order)
+            want = (A.origin_series(N) * f).truncated(order)
+        if A.is_polynomial:  # the same route as before, bit for bit
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            continue
+        exact, scales = mp_times(A.num, A.den, f.coeffs, order + 1)
+        assert max_rel_error(got.coeffs, exact, scales) <= max(
+            4.0 * max_rel_error(want.coeffs, exact, scales), 1e-14)
+
+
 @pytest.mark.parametrize("den", [[1.0], [1.0, -0.3], [2.0, 0.5, 0.1j]],
                          ids=["polynomial", "linear", "quadratic"])
 def test_the_solvers_expand_no_a_and_take_no_dot(monkeypatch, den):
@@ -435,8 +497,11 @@ def test_the_solvers_expand_no_a_and_take_no_dot(monkeypatch, den):
     solve_shifted_series(2, A, qp, prob.initial, 300)
     assert expansions == dots == convolved == []
     residual(prob, f)
-    # the check expands A; for a polynomial A that is an exact
-    # polynomial, and its product with f convolves A's band only
-    assert expansions == [300]
+    # the check expands a polynomial A only, to an exact polynomial whose
+    # product with f convolves A's band; a rational A's product runs the
+    # banded steps, with no expansion, dot or convolution
     if len(den) == 1:
+        assert expansions == [300]
         assert max(convolved) <= A.num.size
+    else:
+        assert expansions == dots == convolved == []
