@@ -100,6 +100,8 @@ class RadialGrid:
     @classmethod
     def log_spaced(cls, rmin: float, rmax: float, points: int,
                    angular_nodes: int = 256) -> "RadialGrid":
+        if not all(0.0 < r < math.inf for r in (rmin, rmax)):
+            raise DomainError("radii must be positive and finite")
         if points < 2 or rmax <= rmin:
             raise DomainError("need rmax > rmin and at least 2 points")
         radii = np.logspace(math.log10(rmin), math.log10(rmax), points)
@@ -1024,7 +1026,7 @@ def sft_check(model: MeroModel, targets, qp: QParam, grid: RadialGrid) -> list:
     if p < 3:
         raise DomainError("need at least 3 targets for a nontrivial margin")
     df_model = model.dq_model(qp)
-    if len(set(map(complex, [t if t != INF else complex(1e308) for t in targets]))) != p:
+    if len({None if t == INF else complex(t) for t in targets}) != p:
         raise DomainError("targets must be distinct")
     grid = grid.avoiding(model.known_moduli(grid.radii[-1] * 2.0))
     rows = []

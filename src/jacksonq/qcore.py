@@ -38,9 +38,9 @@ _PENDING_GENERATIONS = 4
 class QParam:
     """Validated base q for Jackson difference operators.
 
-    Construction rejects |q| in {0, 1} and any q whose powers come within
-    ``guard_tol`` of 1 up to ``guard_order``; that keeps every bracket
-    [n]_q used by series arithmetic safely away from zero.
+    Construction rejects q not finite, |q| in {0, 1} and any q whose
+    powers come within ``guard_tol`` of 1 up to ``guard_order``; that
+    keeps every bracket [n]_q used by series arithmetic away from zero.
 
     An instance also keeps the coefficient ladders that depend on q alone
     (the brackets of q_brackets, the 1/[n]_q! of qspecial.exp_q) for its
@@ -59,6 +59,8 @@ class QParam:
     def __post_init__(self):
         q = complex(self.q)
         object.__setattr__(self, "q", q)
+        if not cmath.isfinite(q):
+            raise DomainError("q must be finite")
         if q == 0:
             raise DomainError("q must be nonzero")
         if abs(abs(q) - 1.0) < 1e-12:
@@ -346,9 +348,13 @@ class TruncatedSeries:
     class constant. It is certified by a geometric extrapolation of the
     coefficient decay seen on the last quarter of the stored range;
     ``None`` means the coefficients do not decay or some coefficient is
-    not finite, and no radius is claimed; ``inf`` marks an exact
-    polynomial with no tail at all. The certificate bounds the truncation
-    tail only, not the rounding of the partial sum.
+    not finite, and no radius is claimed; ``inf`` means no tail at all.
+    The certificate bounds the truncation tail only, not the rounding of
+    the partial sum.
+
+    An exact polynomial (radius inf, no certificate) is declared where it
+    is built, never inferred from a certificate that comes out inf: see
+    is_exact_polynomial.
 
     The radius is certified on first read, then kept: a series that is
     only read through its coefficients never runs the certificate. A
@@ -359,7 +365,7 @@ class TruncatedSeries:
     operand that old is certified before anything is derived from it.
     """
 
-    __slots__ = ("_coeffs", "_radius", "_basis", "_horner")
+    __slots__ = ("_coeffs", "_radius", "_basis", "_horner", "_exact")
     tail_tol = _DEFAULT_TAIL_TOL
 
     def __init__(self, coeffs, *, exact_polynomial: bool = False):
@@ -369,10 +375,10 @@ class TruncatedSeries:
         arr.setflags(write=False)
         self._coeffs = arr
         self._horner = None
+        self._exact = exact_polynomial and bool(np.all(np.isfinite(arr)))
         if exact_polynomial:
             # no tail to bound, but a non-finite coefficient certifies nothing
-            self.safe_radius = (math.inf if np.all(np.isfinite(arr))
-                                else None)
+            self.safe_radius = math.inf if self._exact else None
         else:  # its own certificate, on first read
             self._radius, self._basis = _PENDING, ((), None, 0)
 
@@ -431,18 +437,11 @@ class TruncatedSeries:
 
     @property
     def is_exact_polynomial(self) -> bool:
-        """True when the stored coefficients are the whole function (no
-        tail beyond the truncation order): safe_radius is inf. A pending
-        radius is not certified for this where its certificate cannot
-        come out inf (_may_certify_inf)."""
-        if self._radius is _PENDING:
-            parents, divisor, _ = self._basis
-            if divisor is _SAME:
-                return parents[0].is_exact_polynomial
-            if not _may_certify_inf(self._coeffs):
-                return False
-        rad = self.safe_radius
-        return rad is not None and math.isinf(rad)
+        """True when the stored coefficients are the whole function, as
+        declared where the series was built: exact_polynomial=True with
+        finite coefficients (from_polynomial), the ring rules on exact
+        operands, scale_arg(0) and division by an exact constant."""
+        return self._exact
 
     def _degree(self) -> int:
         nz = np.flatnonzero(np.abs(self._coeffs) > 0)
@@ -507,7 +506,8 @@ class TruncatedSeries:
 
     def divide(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Power-series long division; requires the divisor's constant term
-        to be nonzero. Quotients are never exact polynomials.
+        to be nonzero. Only an exact constant divisor keeps an exact
+        dividend that fits the order exact.
 
         The quotient is q_m = (a_m - sum_{j=1..m} b_j q_{m-j}) / b_0. An
         exact-polynomial divisor of degree d has only d terms in that
@@ -524,7 +524,9 @@ class TruncatedSeries:
         if other.is_exact_polynomial:
             band = other._coeffs[: min(other._degree(), n) + 1]
             if band.size == 1:
-                return self._wrap(a / band[0], other)
+                exact = (self.is_exact_polynomial and other._degree() == 0
+                         and self._degree() <= n)
+                return self._wrap(a / band[0], other, exact)
             w = band.size - 1
             quot = [0j] * (w + n + 1)
             _banded_steps([1.0], band.tolist(), quot, [0j] * w + a.tolist(),
@@ -551,9 +553,8 @@ class TruncatedSeries:
             # every |c_n| is unchanged, so the certificate (or its
             # absence) carries over
             return self._sharing_radius(arr, self)
-        exact = self.is_exact_polynomial
-        if exact or fac == 0:
-            return self._derived(arr, exact)
+        if self.is_exact_polynomial or fac == 0:  # fac 0: the constant c_0
+            return self._derived(arr, True)
         # f's certified radius R bounds f(factor z) at R/|factor|
         return self._derived(arr, False, self, divisor=abs(fac))
 
@@ -626,10 +627,11 @@ class TruncatedSeries:
     @staticmethod
     def _sharing_radius(arr: np.ndarray, parent) -> "TruncatedSeries":
         """Series on a fresh array whose radius is parent's, read when
-        its own is read."""
+        its own is read, and exact when parent is."""
         out = TruncatedSeries.__new__(TruncatedSeries)
         arr.setflags(write=False)
         out._coeffs, out._horner = arr, None
+        out._exact = parent._exact
         out._defer((parent,), _SAME)
         return out
 
@@ -754,31 +756,6 @@ def _banded_steps(p, q, u, d, start: int, stop: int, rhs=None, scale=None,
         else:
             out[n + k + w] = x = (rhs[n] - v) * scale[n]
             d[n + k + w] = weights[n + k] * x
-
-
-def _may_certify_inf(coeffs: np.ndarray) -> bool:
-    """False where _certify_radius(coeffs, ...) is surely not inf, found
-    without certifying: one coefficient gives None; past index 0, a
-    nonzero coefficient gives inf only when every ratio of its window
-    underflows to 0, the last one, |c_m|/|c_i| for the last two nonzero
-    c_i and c_m, included, so only when |c_m| < 2^-1074 |c_i|. A zero or
-    constant series gives inf, and takes the full rule."""
-    if coeffs.size == 1:
-        return False
-    nz = np.flatnonzero(coeffs[1:])
-    if nz.size == 0:
-        return True
-    if nz.size == 1 and coeffs[0] == 0:
-        return False  # one nonzero coefficient: window too short, None
-    i = int(nz[-2]) + 1 if nz.size > 1 else 0
-    ci, cm = complex(coeffs[i]), complex(coeffs[int(nz[-1]) + 1])
-    # max(|re|, |im|) is within a factor sqrt(2) of the modulus, so the
-    # ratio is past 2^-1074.5 and rounds up to 2^-1074 when the first
-    # product is not below; it scales a float by powers of 2 exactly (or
-    # to inf, where no ratio underflows)
-    return (max(abs(cm.real), abs(cm.imag)) * 2.0 ** 537 * 2.0 ** 537
-            < max(abs(ci.real), abs(ci.imag))
-            or not (cmath.isfinite(ci) and cmath.isfinite(cm)))
 
 
 def _certify_radius(coeffs: np.ndarray, tail_tol: float):

@@ -159,10 +159,9 @@ class RationalFunction:
         return on - od, complex(self.num[on] / self.den[od])
 
     def origin_series(self, order: int) -> TruncatedSeries:
-        """Taylor expansion at the origin; requires den(0) != 0. A
-        constant denominator divides each coefficient once, which is what
-        the long division gives for it, bit for bit; a polynomial that
-        fits the order stays an exact polynomial.
+        """Taylor expansion at the origin; requires den(0) != 0: num / den
+        by TruncatedSeries.divide, so a polynomial that fits the order
+        (a constant denominator) stays an exact polynomial.
 
         The expansion at each order is kept on the instance for its
         lifetime, so a repeated call returns the same series; treat it
@@ -173,11 +172,7 @@ class RationalFunction:
         if order not in kept:
             nums = TruncatedSeries.from_polynomial(self.num, order=order)
             dens = TruncatedSeries.from_polynomial(self.den, order=order)
-            if self.den.size == 1:
-                kept[order] = nums._wrap(nums.coeffs / self.den[0], dens,
-                                         nums.is_exact_polynomial)
-            else:
-                kept[order] = nums.divide(dens)
+            kept[order] = nums.divide(dens)
         return kept[order]
 
     # -- rational arithmetic used by counting and operator routines ---------

@@ -316,14 +316,24 @@ def test_radius_equals_full_bisection(qv, N):
 # ---------------------------------------------------------------------------
 
 
+def _by_a_constant(den) -> bool:
+    """divide by den is one array division, not a long division."""
+    return den.is_exact_polynomial and den._degree() == 0
+
+
 @pytest.fixture
 def long_routes_raise(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("long route taken")
 
+    divide = TruncatedSeries.divide
+
+    def by_constants_only(num, den):
+        return divide(num, den) if _by_a_constant(den) else refuse()
+
     for module in (qcore, jacksonq):
         monkeypatch.setattr(module, "q_bracket", refuse)
-    monkeypatch.setattr(TruncatedSeries, "divide", refuse)
+    monkeypatch.setattr(TruncatedSeries, "divide", by_constants_only)
 
 
 @pytest.mark.filterwarnings("ignore::jacksonq.errors.FormalRegimeWarning")
@@ -494,7 +504,8 @@ def test_a_solve_and_check_builds_each_ladder_once(monkeypatch, qv):
     divide = TruncatedSeries.divide
 
     def count_divide(num, den):
-        built["A expansions"].append(num.order)
+        if not _by_a_constant(den):  # a polynomial's expansion is no count
+            built["A expansions"].append(num.order)
         return divide(num, den)
 
     def count_ladder(q, N):

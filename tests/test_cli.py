@@ -99,6 +99,13 @@ class TestEval:
         assert captured.err == (
             "error: coefficients must form a nonempty 1-d list\n")
 
+    @pytest.mark.parametrize("q", ["inf", "nan", "1+nanj"])
+    def test_q_not_finite_exits_1(self, q, capsys):
+        assert main(["eval", "--fn", "etilde_q", "--q", q, "--z", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q must be finite\n"
+
     def test_phi_rs(self, capsys):
         # 1phi0(0; q, z) at q = 2 is etilde_q, entire, with a certified
         # radius (at q = 0.5 it has radius 1 and none is certified)

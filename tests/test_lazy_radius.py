@@ -4,10 +4,12 @@ Every radius must be the one an eager certificate gives: _certify_radius
 on the coefficients, capped as the derived-radius rule caps it, read at
 construction. The reference below is that eager rule, kept here apart
 from qcore: it reads no lazy radius, only coefficients and the radii it
-computed itself. is_exact_polynomial must agree with it too, without
-forcing a certificate where none is read.
+computed itself. is_exact_polynomial is declared where a series is
+built and follows the same structural rules here; reading it never runs
+a certificate.
 """
 
+import contextlib
 import math
 import warnings
 
@@ -60,22 +62,26 @@ def degree(coeffs) -> int:
 
 
 class Ref:
-    """A lazy series beside its eager radius."""
+    """A lazy series beside its eager radius and its declared exactness:
+    exact as built, unless a coefficient is not finite."""
 
-    def __init__(self, series, radius):
+    def __init__(self, series, radius, exact: bool = False):
         self.s, self.R = series, radius
-
-    @property
-    def exact(self) -> bool:
-        return self.R is not None and math.isinf(self.R)
+        self.exact = exact and bool(np.all(np.isfinite(series.coeffs)))
 
     @property
     def deg(self) -> int:
         return degree(self.s.coeffs)
 
 
+def built(out, exact: bool, *caps) -> Ref:
+    """out beside the eager radius of a series built exact or not,
+    capped by caps."""
+    return Ref(out, eager(out.coeffs, exact, *caps), exact)
+
+
 def fresh(series, exact=False):
-    return Ref(series, eager(series.coeffs, exact))
+    return built(series, exact)
 
 
 def neg_radius(x: Ref):
@@ -85,76 +91,66 @@ def neg_radius(x: Ref):
 def add(x, y):
     if isinstance(y, Ref):
         n = min(x.s.order, y.s.order)
-        out = x.s + y.s
         exact = x.exact and y.exact and max(x.deg, y.deg) <= n
-        return Ref(out, eager(out.coeffs, exact, x.R, y.R))
-    out = x.s + y
-    return Ref(out, eager(out.coeffs, x.exact, x.R, x.R))
+        return built(x.s + y.s, exact, x.R, y.R)
+    return built(x.s + y, x.exact, x.R, x.R)
 
 
 def sub(x, y):
-    if isinstance(y, Ref):  # x + (-y)
-        ny = neg_radius(y)
-        ny_exact = ny is not None and math.isinf(ny)
-        out = x.s - y.s
+    if isinstance(y, Ref):  # x + (-y), and -y is exact when y is
         n = min(x.s.order, y.s.order)
-        exact = x.exact and ny_exact and max(x.deg, y.deg) <= n
-        return Ref(out, eager(out.coeffs, exact, x.R, ny))
-    out = x.s - y
-    return Ref(out, eager(out.coeffs, x.exact, x.R, x.R))
+        exact = x.exact and y.exact and max(x.deg, y.deg) <= n
+        return built(x.s - y.s, exact, x.R, neg_radius(y))
+    return built(x.s - y, x.exact, x.R, x.R)
 
 
 def rsub(x, a):  # a - x = (-x) + a
     nx = neg_radius(x)
-    out = a - x.s
-    return Ref(out, eager(out.coeffs, nx is not None and math.isinf(nx),
-                          nx, nx))
+    return built(a - x.s, x.exact, nx, nx)
 
 
 def neg(x):
-    out = -x.s
-    return Ref(out, eager(out.coeffs, x.exact, x.R, x.R))
+    return built(-x.s, x.exact, x.R, x.R)
 
 
 def mul(x, y):
     if isinstance(y, Ref):
         n = min(x.s.order, y.s.order)
-        out = x.s * y.s
         exact = x.exact and y.exact and (x.deg < 0 or y.deg < 0
                                          or x.deg + y.deg <= n)
-        return Ref(out, eager(out.coeffs, exact, x.R, y.R))
-    out = y * x.s  # __rmul__
-    return Ref(out, eager(out.coeffs, x.exact, x.R, x.R))
+        return built(x.s * y.s, exact, x.R, y.R)
+    return built(y * x.s, x.exact, x.R, x.R)  # __rmul__
 
 
 def div(x, y):
     if isinstance(y, Ref):
-        out = x.s / y.s
-        return Ref(out, eager(out.coeffs, False, x.R, y.R))
-    out = x.s / y
-    return Ref(out, eager(out.coeffs, x.exact, x.R, x.R))
+        # exact only by an exact constant, of a dividend that fits the order
+        n = min(x.s.order, y.s.order)
+        exact = x.exact and y.exact and y.deg == 0 and x.deg <= n
+        return built(x.s / y.s, exact, x.R, y.R)
+    return built(x.s / y, x.exact, x.R, x.R)
 
 
 def scale_arg(x, fac):
     out = x.s.scale_arg(fac)
     if fac in UNITS:
-        return Ref(out, x.R)
-    if x.exact or x.R is None or fac == 0:
-        return Ref(out, eager(out.coeffs, x.exact))
-    return Ref(out, eager(out.coeffs, False, x.R / abs(fac)))
+        return Ref(out, x.R, x.exact)
+    if x.exact or fac == 0:  # f(0 z) is the constant c_0
+        return built(out, True)
+    if x.R is None:
+        return built(out, False)
+    return built(out, False, x.R / abs(fac))
 
 
 def shifted(x, m):
-    out = x.s.shifted(m)
-    return Ref(out, eager(out.coeffs, x.exact, x.R, x.R))
+    return built(x.s.shifted(m), x.exact, x.R, x.R)
 
 
 def truncated(x, order):
     out = x.s.truncated(order)
     if order >= x.s.order:
-        return Ref(out, x.R)
-    exact = x.exact and x.deg <= order
-    return Ref(out, eager(out.coeffs, exact, x.R, x.R))
+        return Ref(out, x.R, x.exact)
+    return built(out, x.exact and x.deg <= order, x.R, x.R)
 
 
 def dqk(x, qp, k):
@@ -165,20 +161,21 @@ def dqk(x, qp, k):
         return None
     step = x  # each D_q pass keeps the exactness of the one before,
     for _ in range(k):  # and a constant goes to the zero polynomial
-        nxt = dq_series(step.s, qp)
-        step = Ref(nxt, eager(nxt.coeffs, step.exact or step.s.order < 1))
+        step = built(dq_series(step.s, qp), step.exact or step.s.order < 1)
     assert out.coeffs.tobytes() == step.s.coeffs.tobytes()
-    return Ref(out, step.R)
+    return Ref(out, step.R, step.exact)
 
 
 def origin_series(rf: RationalFunction, order: int) -> Ref:
+    """num / den by divide: exact for an exact num over a constant den."""
+    num = fresh(TruncatedSeries.from_polynomial(rf.num, order=order),
+                not np.any(rf.num[order + 1:]))
+    den = fresh(TruncatedSeries.from_polynomial(rf.den, order=order),
+                not np.any(rf.den[order + 1:]))
+    ref = div(num, den)
     out = rf.origin_series(order)
-    num = TruncatedSeries.from_polynomial(rf.num, order=order)
-    den = TruncatedSeries.from_polynomial(rf.den, order=order)
-    rn = eager(num.coeffs, not np.any(rf.num[order + 1:]))
-    rd = eager(den.coeffs, not np.any(rf.den[order + 1:]))
-    exact = (rn is not None and math.isinf(rn)) and rf.den.size == 1
-    return Ref(out, eager(out.coeffs, exact, rn, rd))
+    assert out.coeffs.tobytes() == ref.s.coeffs.tobytes()
+    return Ref(out, ref.R, ref.exact)
 
 
 def times_a(A: RationalFunction, f: Ref, order: int) -> Ref:
@@ -187,8 +184,7 @@ def times_a(A: RationalFunction, f: Ref, order: int) -> Ref:
     by f alone."""
     if A.is_polynomial:
         return truncated(mul(origin_series(A, f.s.order), f), order)
-    out = _times_a(A, f.s, order)
-    return Ref(out, eager(out.coeffs, False, f.R))
+    return built(_times_a(A, f.s, order), False, f.R)
 
 
 def residual_ref(prob, f: Ref) -> Ref:
@@ -200,14 +196,36 @@ def residual_ref(prob, f: Ref) -> Ref:
     out = sub(add(lhs, times_a(prob.A, f, oo)), b)
     res, _ = residual(prob, f.s)
     assert res.coeffs.tobytes() == out.s.coeffs.tobytes()
-    return Ref(res, out.R)
+    return Ref(res, out.R, out.exact)
+
+
+@contextlib.contextmanager
+def certificates():
+    """The coefficient arrays _certify_radius is called on while the
+    block runs, in order."""
+    calls = []
+    certify = qcore._certify_radius
+
+    def counting(coeffs, tail_tol):
+        calls.append(coeffs)
+        return certify(coeffs, tail_tol)
+
+    qcore._certify_radius = counting
+    try:
+        yield calls
+    finally:
+        qcore._certify_radius = certify
 
 
 def assert_lazy_is_eager(refs):
-    """Read is_exact_polynomial (unforced) before safe_radius, newest
-    series first, so each read resolves through its pending operands."""
+    """Read every is_exact_polynomial first, which certifies nothing, then
+    safe_radius, newest series first, so each read resolves through its
+    pending operands."""
+    with certificates() as calls:
+        for ref in refs:
+            assert ref.s.is_exact_polynomial == ref.exact
+    assert calls == []
     for ref in reversed(refs):
-        assert ref.s.is_exact_polynomial == ref.exact
         got = ref.s.safe_radius
         assert (got is None) == (ref.R is None)
         if got is not None:
@@ -326,36 +344,80 @@ def test_lazy_radius_equals_eager(qv, N, seed):
 
 def test_window_ratios_that_underflow_certify_inf():
     # past index 0 a certificate is inf only when every window ratio
-    # underflows to 0: here |c_1|/|c_0| = 1e-330, so the series is an
-    # exact polynomial by the eager rule, and so is its sum with one
+    # underflows to 0: here |c_1|/|c_0| = 1e-330. The radius is inf, but
+    # no certificate declares a series exact, nor its sum with an exact
+    # polynomial, whose radius is its own certificate, inf again
     odd = TruncatedSeries([1e10, 1e-320])
     assert _certify_radius(odd.coeffs, TAIL) == math.inf
-    assert odd.is_exact_polynomial
+    assert odd.safe_radius == math.inf and not odd.is_exact_polynomial
     poly = TruncatedSeries.from_polynomial([1.0, 0.0])
     total = TruncatedSeries([1e10, 1e-320]) + poly
-    assert total.is_exact_polynomial and total.safe_radius == math.inf
+    assert not total.is_exact_polynomial and total.safe_radius == math.inf
     # at the edge: |c_1|/|c_0| = 2^-1075 exactly rounds to 0
     edge = TruncatedSeries([2.0, 5e-324])
-    assert edge.is_exact_polynomial and edge.safe_radius == math.inf
+    assert not edge.is_exact_polynomial and edge.safe_radius == math.inf
     # far from underflow is a finite certificate
-    assert not TruncatedSeries([1e10, 1e-290]).is_exact_polynomial
+    far = TruncatedSeries([1e10, 1e-290])
+    assert not far.is_exact_polynomial and far.safe_radius < math.inf
 
 
-def count_certificates(monkeypatch) -> list:
-    """The coefficient arrays _certify_radius is called on, in order."""
-    calls = []
-
-    def counting(coeffs, tail_tol):
-        calls.append(coeffs)
-        return certify(coeffs, tail_tol)
-
-    certify = qcore._certify_radius
-    monkeypatch.setattr(qcore, "_certify_radius", counting)
-    return calls
+def test_zero_and_constant_series_are_exact_only_if_built_so():
+    for coeffs in ([0.0] * 5, [0.5 - 2j] + [0.0] * 4):
+        built = TruncatedSeries(coeffs)
+        declared = TruncatedSeries(coeffs, exact_polynomial=True)
+        assert built.safe_radius == declared.safe_radius == math.inf
+        assert not built.is_exact_polynomial
+        assert declared.is_exact_polynomial
+        assert not (built + declared).is_exact_polynomial
+        assert (declared * declared).is_exact_polynomial
 
 
-def test_only_read_radii_are_certified(monkeypatch):
-    calls = count_certificates(monkeypatch)
+def test_scale_arg_zero_is_the_exact_constant():
+    rng = np.random.default_rng(3)
+    for order in (0, 1, 40):
+        f = TruncatedSeries(rng.standard_normal(order + 1)
+                            * 0.5 ** np.arange(order + 1))
+        g = f.scale_arg(0.0)
+        assert g.is_exact_polynomial and g.safe_radius == math.inf
+        assert g.c(0) == f.c(0) and not g.coeffs[1:].any()
+    # a coefficient that is not finite leaves f(0 z) with NaN: no claim
+    with np.errstate(invalid="ignore"):
+        bad = TruncatedSeries([1.0, math.inf]).scale_arg(0.0)
+    assert not bad.is_exact_polynomial and bad.safe_radius is None
+
+
+def test_exact_polynomial_over_an_exact_constant_stays_exact():
+    p = TruncatedSeries.from_polynomial([1.0, 2.0 - 1j, 3.0], order=5)
+    four = TruncatedSeries.from_polynomial([4.0 + 1j], order=5)
+    quot = p / four
+    assert quot.is_exact_polynomial and quot.safe_radius == math.inf
+    assert quot.coeffs.tobytes() == (p.coeffs / (4.0 + 1j)).tobytes()
+    # a dividend cut by the order, a divisor not declared exact, one that
+    # is not a constant: each quotient is a series, not a polynomial
+    cut = TruncatedSeries.from_polynomial([4.0 + 1j], order=1)
+    undeclared = TruncatedSeries([4.0 + 1j] + [0.0] * 5)
+    linear = TruncatedSeries.from_polynomial([4.0, 1.0], order=5)
+    for divisor in (cut, undeclared, linear):
+        assert not (p / divisor).is_exact_polynomial
+
+
+def test_an_undeclared_zero_series_meets_the_overflowed_brackets():
+    # [n]_2 overflows from n = 997 on: the zeros of a series not declared
+    # exact stand for a tail that is not known to vanish there
+    qp = QParam(2.0)
+    with pytest.raises(BracketOverflow):
+        dq_series(TruncatedSeries(np.zeros(1201)), qp)
+    zero = TruncatedSeries(np.zeros(1201), exact_polynomial=True)
+    out = dq_series(zero, qp)
+    assert out.is_exact_polynomial and not out.coeffs.any()
+
+
+def test_only_read_radii_are_certified():
+    with certificates() as calls:
+        only_read_radii_are_certified(calls)
+
+
+def only_read_radii_are_certified(calls):
     qp = QParam(1.5 + 0.3j)
     A = RationalFunction([-1.0, 0.2], [1.0, -0.3])
     prob = QdeProblem(2, A, RationalFunction([0.5, 0.1]), qp, (1.0, 0.5))

@@ -116,6 +116,14 @@ class TestRadialGrid:
         assert abs(g2.radii[0] / 2.0 - 1.0) > 1e-6
         assert g2.radii[1] == 10.0
 
+    @pytest.mark.parametrize("rmin, rmax", [(0.0, 10.0), (-1.0, 10.0),
+                                            (1.0, math.inf),
+                                            (math.nan, 10.0)])
+    def test_log_spaced_refuses_bounds_as_the_constructor_does(self, rmin,
+                                                                rmax):
+        with pytest.raises(DomainError, match="positive and finite"):
+            RadialGrid.log_spaced(rmin, rmax, 5)
+
     def test_nudging_gives_up_loudly(self):
         # every nudge lands on the next modulus: 64 nudges clear 64
         # moduli, and a 65th modulus is one too many
@@ -917,6 +925,19 @@ class TestSft:
         # simple, so sum Ntilde ~ 2logr + logr + 2logr + 2logr = 7 log r
         # while (p-2) T ~ 2*(2 log r); margin ~ 3 log r
         assert rows[0].margin == pytest.approx(3 * math.log(1e3), rel=0.1)
+
+    def test_infinity_is_apart_from_every_finite_target(self):
+        # f = z: N(r, 0) = N(r, 1) = log r, while 1e308 and infinity are
+        # never taken on these circles
+        qp = QParam(0.5)
+        model = MeroModel.from_rational(RationalFunction([0, 1]), qp)
+        grid = RadialGrid((10.0, 100.0))
+        rows = sft_check(model, [0.0, 1.0, 1e308, INF], qp, grid)
+        for row in rows:
+            assert row.sum_Ntilde == pytest.approx(2 * math.log(row.r))
+        for dup in ([0.0, 1.0, 1.0 + 0j, INF], [0.0, 1.0, INF, INF]):
+            with pytest.raises(DomainError, match="distinct"):
+                sft_check(model, dup, qp, grid)
 
     def test_needs_three_targets(self):
         qp = QParam(0.5)

@@ -41,6 +41,13 @@ class TestQParam:
         with pytest.raises(DomainError):
             QParam(np.exp(0.3j))  # |q| = 1, irrational angle
 
+    @pytest.mark.parametrize("q", [math.inf, math.nan,
+                                   complex(1.0, math.nan),
+                                   complex(math.inf, 1.0)])
+    def test_rejects_q_that_is_not_finite(self, q):
+        with pytest.raises(DomainError, match="finite"):
+            QParam(q)
+
     def test_rejects_near_root_of_unity(self):
         q = (1 + 1e-12) * np.exp(2j * np.pi / 8)
         with pytest.raises(DomainError):

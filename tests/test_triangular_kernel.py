@@ -188,34 +188,61 @@ def mp_plain_recurrence(prob, N, s):
         return c
 
 
+def doubles(exact) -> tuple:
+    """The DPS-digit values exact, each rounded once to a pair of complex
+    doubles (hi, lo): hi the value rounded, lo the remainder rounded, so
+    hi + lo holds about 32 digits. A value past double range has hi inf
+    and is never compared (WINDOW)."""
+    with mpmath.workdps(DPS):
+        hi = [complex(e) for e in exact]
+        lo = [complex(e - h) for e, h in zip(exact, hi)]
+    return (np.array(hi, dtype=np.complex128),
+            np.array(lo, dtype=np.complex128))
+
+
 def max_rel_error(got, exact, scales=None) -> float:
-    """Largest |got_n - c_n| / |c_n| over the exact c_n whose modulus lies
-    in WINDOW, or |got_n - c_n| / scales[n]; inf where such a got_n is
-    not finite."""
-    worst = 0.0
-    with mpmath.workdps(DPS):
-        if scales is None:
-            scales = [abs(e) for e in exact]
-        for g, e, scale in zip(np.asarray(got).tolist(), exact, scales):
-            if WINDOW[0] <= abs(e) <= WINDOW[1]:
-                if not cmath.isfinite(g):
-                    return math.inf
-                worst = max(worst, float(abs(g - e) / scale))
-    return worst
+    """Largest |got_n - c_n| / |c_n| over the exact c_n, a (hi, lo) pair
+    of doubles, whose modulus lies in WINDOW, or |got_n - c_n| /
+    scales[n]; inf where such a got_n is not finite. got_n - hi_n is
+    exact where the two are close, so the error keeps its digits."""
+    hi, lo = exact
+    got = np.asarray(got, dtype=np.complex128)
+    n = min(got.size, hi.size)
+    got, hi, lo = got[:n], hi[:n], lo[:n]
+    with np.errstate(all="ignore"):  # entries past WINDOW are not read
+        modulus = np.abs(hi)
+        scales = modulus if scales is None else np.asarray(scales)[:n]
+        inside = (WINDOW[0] <= modulus) & (modulus <= WINDOW[1])
+        if not np.all(np.isfinite(got[inside])):
+            return math.inf
+        err = np.abs((got - hi) - lo)[inside] / scales[inside]
+    return float(err.max(initial=0.0))
 
 
-def quotient_scales(num, den, exact) -> list:
-    """The size of the terms each quotient coefficient is formed from,
-    q_m = (a_m - sum_j b_j q_{m-j}) / b_0: (|a_m| + sum_j |b_j q_{m-j}|)
-    / |b_0|. Where they cancel, q_m is much smaller, and any rounding of
-    them is that much larger relative to q_m."""
-    with mpmath.workdps(DPS):
-        num = [mpmath.mpc(x) for x in num]
-        den = [mpmath.mpc(x) for x in den]
-        return [max(abs(q), (abs(num[m]) + sum(
-            abs(den[j] * exact[m - j])
-            for j in range(1, min(m, len(den) - 1) + 1))) / abs(den[0]))
-            for m, q in enumerate(exact)]
+def term_scales(u, p, q, d) -> np.ndarray:
+    """The size of the terms each u_m of Q u = P d is formed from,
+
+        u_m = (sum_i p_i d_{m-i} - sum_{j>=1} q_j u_{m-j}) / q_0,
+
+    as (sum_i |p_i d_{m-i}| + sum_j |q_j u_{m-j}|) / |q_0|, or |u_m|
+    where that is larger, for the exact u rounded to doubles (the
+    quotient d / Q for P = [1]). Where the terms cancel, u_m is much
+    smaller, and any rounding of them is that much larger relative to
+    u_m. A zero coefficient adds nothing, also beside a |u_j| past
+    double range."""
+    n = u.size
+    size_u, size_d = np.abs(u), np.zeros(n)
+    d = np.abs(np.asarray(d, dtype=np.complex128))[:n]
+    size_d[: d.size] = d
+    total = np.zeros(n)
+    with np.errstate(over="ignore"):
+        for i, pi in enumerate(list(p)[:n]):
+            if pi != 0:
+                total[i:] += abs(pi) * size_d[: n - i]
+        for j, qj in enumerate(list(q)[1:n], 1):
+            if qj != 0:
+                total[j:] += abs(qj) * size_u[: n - j]
+        return np.maximum(size_u, total / abs(q[0]))
 
 
 def outcome(solve):
@@ -277,7 +304,7 @@ def assert_as_accurate(new, old, prob, N, s):
         assert got_warned[:common] == want_warned[:common]
     if isinstance(got, tuple):
         return
-    exact = mp_recurrence(prob, N, s)
+    exact = doubles(mp_recurrence(prob, N, s))
     bound = 1e-14 if isinstance(want, tuple) else max(
         4.0 * max_rel_error(want.coeffs, exact), 1e-14)
     assert max_rel_error(got.coeffs, exact) <= bound
@@ -402,31 +429,27 @@ def test_divide_is_as_accurate_as_the_strided_loop(case):
         # each error is taken relative to the terms that form the
         # coefficient: a random dividend makes some quotient coefficients
         # nearly cancel, and how far rounding moves those is luck
-        exact = mp_quotient(a.coeffs, den, N + 1)
-        scales = quotient_scales(a.coeffs, den, exact)
+        exact = doubles(mp_quotient(a.coeffs, den, N + 1))
+        scales = term_scales(exact[0], [1.0], den, a.coeffs)
         assert max_rel_error(got.coeffs, exact, scales) <= max(
             4.0 * max_rel_error(want.coeffs, exact, scales), 1e-14)
 
 
 def mp_times(num, den, d, n):
     """The first n coefficients of (num/den) d at DPS digits, num and den
-    polynomials with den[0] != 0, from den u = num d, and the size of the
-    terms each u_m is formed from: (sum_i |num_i d_{m-i}| + sum_j
-    |den_j u_{m-j}|) / |den_0|, or |u_m| where that is larger."""
+    polynomials with den[0] != 0, from den u = num d."""
     with mpmath.workdps(DPS):
         num = [mpmath.mpc(x) for x in num]
         den = [mpmath.mpc(x) for x in den]
         d = [mpmath.mpc(x) for x in d]
-        u, scales = [], []
+        u = []
         for m in range(n):
             terms = [num[i] * d[m - i] for i in range(min(m, len(num) - 1)
                                                       + 1)]
             terms += [-den[j] * u[m - j]
                       for j in range(1, min(m, len(den) - 1) + 1)]
             u.append(mpmath.fsum(terms) / den[0])
-            scales.append(max(abs(u[-1]), mpmath.fsum(abs(t) for t in terms)
-                              / abs(den[0])))
-        return u, scales
+        return u
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -462,7 +485,8 @@ def test_residual_product_is_as_accurate_as_the_dense_one(case):
         if A.is_polynomial:  # the same route as before, bit for bit
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             continue
-        exact, scales = mp_times(A.num, A.den, f.coeffs, order + 1)
+        exact = doubles(mp_times(A.num, A.den, f.coeffs, order + 1))
+        scales = term_scales(exact[0], A.num, A.den, f.coeffs)
         assert max_rel_error(got.coeffs, exact, scales) <= max(
             4.0 * max_rel_error(want.coeffs, exact, scales), 1e-14)
 
