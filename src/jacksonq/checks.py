@@ -360,8 +360,10 @@ def run_logderiv(seed: int = 20240501) -> list:
 
 def run_wiman() -> list:
     """Wiman-Valiron deviation trend for the q-series test set (operator
-    base q = 1.5, where the finite-radius deviation decays onto its
-    limiting offset from above)."""
+    base q = 1.5). The deviation does not decay onto its offset 0.189:
+    for etilde_q (q = 2) it reads 0.128, 0.121, 0.184, 0.169, 0.158 on
+    this grid and 0.193 at r = 1.8e7, moving with nu's integer steps,
+    so the "monotone top-3" row passes on where the grid points fall."""
     qp = QParam(1.5)
     grid = RadialGrid.log_spaced(1e2, 1e6, 5, angular_nodes=1024)
     out = []

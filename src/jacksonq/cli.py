@@ -19,6 +19,7 @@ import cmath
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 
@@ -173,8 +174,8 @@ def _eval_series(name: str, qp: QParam, N: int, alphas, betas) -> TruncatedSerie
 
 
 def cmd_eval(args) -> int:
-    if args.tol <= 0:
-        raise SchemaError("tolerance must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise SchemaError("tolerance must be finite and positive")
     name, route, q = args.fn, args.route, parse_complex(args.q)
     zs = [parse_complex(z) for z in (args.z or ["0"])]
     alphas, betas = _parse_list(args.alpha), _parse_list(args.beta)
@@ -258,11 +259,9 @@ def load_problem(path: str):
     if not isinstance(data, dict):
         raise SchemaError("problem file must hold a JSON object")
 
-    def rational(key: str, default_zero: bool) -> RationalFunction:
-        if key not in data:
-            if default_zero:
-                return RationalFunction([0.0])
-            raise SchemaError(f"missing field {key!r}")
+    def rational(key: str) -> RationalFunction:
+        if key not in data:  # B alone is optional
+            return RationalFunction([0.0])
         v = data[key]
         if not isinstance(v, dict) or "num" not in v:
             raise SchemaError(f"{key}: expected {{'num': [...], 'den': [...]}}")
@@ -277,8 +276,8 @@ def load_problem(path: str):
     if not isinstance(k, int) or k < 1:
         raise SchemaError("k must be an integer >= 1")
     q = _json_complex(data["q"], "q")
-    A = rational("A", default_zero=False)
-    B = rational("B", default_zero=True)
+    A = rational("A")
+    B = rational("B")
     initial = _json_complex_list(data["initial"], "initial")
     if len(initial) != k:
         raise SchemaError(f"initial must list exactly k = {k} coefficients")

@@ -20,6 +20,7 @@ return non-finite coefficients.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -67,6 +68,9 @@ class RationalFunction:
     def __init__(self, num, den=(1.0,), cancel: bool = True):
         num = poly_trim(num)
         den = poly_trim(den)
+        if not all(map(cmath.isfinite, num.tolist() + den.tolist())):
+            raise DomainError("numerator and denominator coefficients must be "
+                              "finite")
         if np.all(np.abs(den) == 0.0):
             raise DomainError("denominator is identically zero")
         self.num = num

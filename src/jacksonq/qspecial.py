@@ -323,6 +323,14 @@ def _log_abs_tail(t: np.ndarray, tail: tuple) -> np.ndarray:
     return (acc * t).real
 
 
+def _check_tol(tol: float):
+    """Refuse a truncation tolerance that is not finite and positive: a
+    NaN or infinite tol would stop a lattice walk before its first
+    factor, and tol <= 0 would never stop it."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol = {tol:g} is not finite and positive")
+
+
 def _check_factor_budget(top: float, ratio: float, cutoff: float,
                          message: str = "the lattice product needs more "
                          "than {n} factors to reach |t_n| < {cutoff:.3g}"):
@@ -460,11 +468,11 @@ def q_pochhammer_inf(a: complex, qp: QParam, tol: float = 1e-14) -> complex:
     |a q^n| < tol*(1-|q|), where the dropped tail multiplies the result by
     a factor within exp(+-2*tol) of 1, and raises DomainError before the
     first factor, not a truncated product, where the kernel refuses a: not
-    finite, or more than 100000 factors to the cutoff (|q| near 1)."""
+    finite, or more than 100000 factors to the cutoff (|q| near 1), and
+    where tol is not finite and positive."""
     if abs(qp.q) >= 1.0:
         raise DomainError("q_pochhammer_inf requires |q| < 1")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    _check_tol(tol)
     return _lattice_product(complex(a), qp.q, tol, "prod")
 
 
@@ -486,8 +494,9 @@ class LatticeProduct:
     a real sum, without a complex log, on an array (a point is a
     one-element array), the one reduction a quadrature circle needs, and
     sums each lattice's small factors in closed form, within 2^-60 of the
-    whole product (_lattice_product). tol also sets the factor budget
-    that every call checks, so log_abs refuses what eval refuses. Each
+    whole product (_lattice_product). tol, refused at construction
+    unless finite and positive, also sets the factor budget that every
+    call checks, so log_abs refuses what eval refuses. Each
     runs _lattice_product once per lattice at t_0 = z/z_0 and combines the
     results starting from the first, so a single lattice gives that call's
     value unchanged.
@@ -498,6 +507,7 @@ class LatticeProduct:
     tol: float = 1e-14
 
     def __post_init__(self):
+        _check_tol(self.tol)
         R, q = self.shift_ratio, self.qp.q  # QParam refuses |q| = 1
         if R.den[0] == 0 or abs(R.num[0] - R.den[0]) > 1e-12 * abs(R.den[0]):
             raise DomainError("shift ratio must equal 1 at the origin")

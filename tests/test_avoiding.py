@@ -1,9 +1,7 @@
 """RadialGrid.avoiding nudges radii off the moduli of zeros and poles.
 
-It tests a radius only against the moduli that bisection finds in a
-window r (1 +- 4e-6) around it, a window wider than the relative 1e-6 of
-the nudge test. It must nudge the same radii the same number of times as
-the scan of every modulus (the reference below), and raise the same
+It must nudge the same radii the same number of times as the reference
+below, which tests every modulus at every step, and raise the same
 InsufficientGrid after 64 nudges, or where a nudge carries a radius up
 to the next, on moduli clustered in and around the nudge window: chains
 on which every nudge lands next to the next modulus, jittered copies of

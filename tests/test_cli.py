@@ -407,6 +407,105 @@ class TestOrder:
         assert "has no zero lattice" in capsys.readouterr().err
 
 
+# a problem the solver meets, and the single edits that break it
+PROBLEM = {"k": 1, "q": [0.5, 0.0], "A": {"num": [-1.0]},
+           "initial": [1.0], "N": 30}
+# B = 1e12 z^20 at q = 1.7: the residual cancels at 1e12 and keeps about
+# 1.2e-4 against a coefficient scale of 60
+CANCELLING = {"k": 2, "q": 1.7, "A": {"num": [0.0]},
+              "B": {"num": [0.0] * 20 + [1e12]}, "initial": [1.0, 0.0],
+              "N": 22}
+ORDER = ["order", "--grid", "1e2:1e6:5"]
+ETILDE = ["eval", "--fn", "etilde_q", "--q", "2", "--z", "5",
+          "--route", "product"]
+TOL = "error: tolerance must be finite and positive"
+
+
+def edited(drop=(), **fields):
+    out = {k: v for k, v in PROBLEM.items() if k not in drop}
+    return {**out, **fields}
+
+
+# (id, argv, problem file text or object, exit code, first stderr line);
+# {path} in argv and in the line is the problem file's path
+EXIT_CASES = [
+    ("tol nan", ETILDE + ["--tol", "nan"], None, 2, TOL),
+    ("tol inf", ETILDE + ["--tol", "inf"], None, 2, TOL),
+    ("tol zero", ETILDE + ["--tol", "0"], None, 2, TOL),
+    ("tol negative", ETILDE + ["--tol=-1e-12"], None, 2, TOL),
+    ("empty complex", ["eval", "--fn", "exp_q", "--q", "", "--z", "1"],
+     None, 2, "error: empty complex literal"),
+    ("bad imaginary part", ["eval", "--fn", "exp_q", "--q", "2+xi"],
+     None, 2, "error: bad complex literal '2+xi'"),
+    ("grid of two parts", ["order", "--model", "etilde_q", "--q", "2",
+                           "--grid", "1e2:1e6"],
+     None, 2, "error: grid must be rmin:rmax:points"),
+    ("grid not a number", ["order", "--model", "etilde_q", "--q", "2",
+                           "--grid", "1e2:x:9"],
+     None, 2, "error: bad grid spec '1e2:x:9'"),
+    ("E_q at |q| > 1", ORDER + ["--model", "E_q", "--q", "2"],
+     None, 2, "error: E_q is entire only for |q| < 1"),
+    ("exp_q at |q| < 1", ORDER + ["--model", "exp_q", "--q", "0.5"],
+     None, 2, "error: exp_q is entire only for |q| > 1"),
+    ("polynomial without coeffs", ORDER + ["--model", "polynomial"],
+     None, 2, "error: polynomial model needs --coeffs"),
+    ("constant polynomial", ORDER + ["--model", "polynomial",
+                                     "--coeffs", "3"],
+     None, 2, "error: polynomial must be nonconstant"),
+    ("polynomial by nu", ORDER + ["--model", "polynomial", "--coeffs",
+                                  "1,2", "--estimator", "nu"],
+     None, 2, "error: polynomial has no series route"),
+    ("exp_q by T", ORDER + ["--model", "exp_q", "--q", "2",
+                            "--estimator", "T"],
+     None, 2, "error: exp_q has no sweepable model"),
+    ("unreadable file", ["solve", "--problem", "{path}.missing"], None, 2,
+     "error: cannot read problem file: [Errno 2] No such file or "
+     "directory: '{path}.missing'"),
+    ("not an object", ["solve", "--problem", "{path}"], "[1, 2]", 2,
+     "error: problem file must hold a JSON object"),
+    ("missing field", ["solve", "--problem", "{path}"], edited(["A"]), 2,
+     "error: missing field 'A'"),
+    ("A not an object", ["solve", "--problem", "{path}"], edited(A=[1.0]),
+     2, "error: A: expected {'num': [...], 'den': [...]}"),
+    ("B without num", ["solve", "--problem", "{path}"],
+     edited(B={"den": [1.0]}), 2,
+     "error: B: expected {'num': [...], 'den': [...]}"),
+    ("q not a number", ["solve", "--problem", "{path}"], edited(q="x"), 2,
+     "error: q: expected number or [re, im], got 'x'"),
+    ("num not a list", ["solve", "--problem", "{path}"],
+     edited(A={"num": 3}), 2, "error: A.num: expected a nonempty list"),
+    ("initial too long", ["solve", "--problem", "{path}"],
+     edited(initial=[1.0, 2.0]), 2,
+     "error: initial must list exactly k = 1 coefficients"),
+    ("N below k", ["solve", "--problem", "{path}"], edited(N=0), 2,
+     "error: N must be an integer >= k"),
+    ("invalid problem", ["solve", "--problem", "{path}"], edited(q=1.0), 2,
+     "error: invalid problem: |q| must differ from 1"),
+    ("N from the command line", ["solve", "--problem", "{path}",
+                                 "--N", "12"], PROBLEM, 0, None),
+    ("residual fails", ["solve", "--problem", "{path}"], CANCELLING, 1,
+     "# FAIL residual exceeds 1e-8 * scale"),
+]
+
+
+@pytest.mark.parametrize("argv, problem, code, first",
+                         [c[1:] for c in EXIT_CASES],
+                         ids=[c[0] for c in EXIT_CASES])
+def test_exit_code_and_first_stderr_line(argv, problem, code, first,
+                                         tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    if problem is not None:
+        path.write_text(problem if isinstance(problem, str)
+                        else json.dumps(problem))
+    assert main([a.replace("{path}", str(path)) for a in argv]) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert (lines[0] if lines else None) == (
+        first and first.replace("{path}", str(path)))
+    if code == 0:  # --N overrides the file's N = 30
+        assert "# solved k=1, q=0.5, N=12\n" in captured.out
+
+
 class TestVerify:
     def test_identities_suite_passes(self, capsys):
         assert main(["verify", "--suite", "identities"]) == 0

@@ -7,8 +7,8 @@ u.eval(s w) * dq_sample(v, w, qp), that the rules suite passed before,
 including where the batch falls back to one point at a time.
 
 nevanlinna._circle_means evaluates the circles of a grid through one
-log_abs call per chunk of points; each radius must keep the bits of its
-own circle (_circle_mean), and a failing circle must raise its own error
+log_abs call per circle; each radius must keep the bits of its own
+circle (_circle_mean), and a failing circle must raise its own error
 when the caller reaches its radius.
 """
 
@@ -178,7 +178,7 @@ def test_grid_rows_equal_single_circles(name, M):
             == [(f.hex(), e.hex()) for f, e in want]
 
 
-def test_grid_takes_one_log_abs_call_per_chunk(monkeypatch):
+def test_grid_takes_one_log_abs_call_per_circle(monkeypatch):
     model = models()["rational"]
     calls = []
     real = nevanlinna.MeroModel.log_abs
@@ -189,7 +189,7 @@ def test_grid_takes_one_log_abs_call_per_chunk(monkeypatch):
 
     monkeypatch.setattr(nevanlinna.MeroModel, "log_abs", counted)
     list(_circle_means(model, tuple(range(1, 12)), 512, True))
-    assert calls == [(8, 512), (3, 512)]
+    assert calls == [(512,)] * 11
 
 
 def test_later_pole_raises_at_its_radius():
@@ -205,9 +205,9 @@ def test_later_pole_raises_at_its_radius():
         next(means)
 
 
-def test_failing_chunk_reruns_one_radius_at_a_time(monkeypatch):
+def test_failing_circle_raises_at_its_radius(monkeypatch):
     # the series leaves its certified radius (about 0.96) on the third
-    # circle, so the chunk raises and the radii run one by one
+    # circle, which raises what it raises alone once the caller reaches it
     model = MeroModel.from_series(exp_q(QParam(0.5), 40))
     radii = (0.3, 0.6, 5.0, 0.8)
     calls = []
@@ -226,4 +226,4 @@ def test_failing_chunk_reruns_one_radius_at_a_time(monkeypatch):
     with pytest.raises(OutsideSafeRadius) as alone:
         _circle_mean(model, 5.0, 512, True)
     assert str(err.value) == str(alone.value)
-    assert calls[:4] == [(4, 512), (512,), (512,), (512,)]
+    assert calls == [(512,)] * 6  # each circle in the grid, then alone

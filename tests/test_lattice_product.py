@@ -8,8 +8,9 @@ shift ratio's exact logderiv route is tested in test_shift_ratio.py. A
 root of multiplicity m counts its lattice m times, and R = 1 gives
 f = 1. A shift ratio that is not 1 at the origin, or that would give f
 poles, is refused with a typed error, and so is a point with finite
-parts whose |z/z_0| passes double range, on arrays as on one point, or
-a point that is not finite.
+parts whose |z/z_0| passes double range, on arrays as on one point, a
+point that is not finite, or a tol that is not finite and positive (as
+q_pochhammer_inf refuses it).
 """
 
 import cmath
@@ -32,6 +33,7 @@ from jacksonq.qspecial import (
     EtildeProduct,
     LatticeProduct,
     product_solution,
+    q_pochhammer_inf,
 )
 
 # real sign, or None for complex q; |q| keeps inside 0.25 .. 0.85
@@ -169,3 +171,21 @@ def test_array_point_in_range_after_z0_keeps_its_value():
         np.array([1.5e308 + 1.5e308j, 1e308]))
     assert [float(x).hex() for x in got] == ["0x1.62b56e990aff7p+18",
                                              "0x1.61f443a68bac2p+18"]
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-14])
+def test_tol_not_finite_and_positive_is_refused(tol):
+    # a NaN or infinite tol would stop every lattice before its first
+    # factor (Etilde_2(5) would read 1), and tol <= 0 would never stop it
+    message = rf"^tol = {tol:g} is not finite and positive$"
+    for build in (lambda: LatticeProduct(RationalFunction([1, -1]),
+                                         QParam(2), tol=tol),
+                  lambda: EtildeProduct(QParam(2), tol),
+                  lambda: BigEProduct(QParam(0.5), tol),
+                  lambda: q_pochhammer_inf(0.5, QParam(0.5), tol=tol)):
+        with pytest.raises(DomainError, match=message):
+            build()
+    assert LatticeProduct(RationalFunction([1, -1]), QParam(2)).eval(5.0) \
+        == pytest.approx(0.0694768113913, rel=1e-12)
+    assert q_pochhammer_inf(0.5, QParam(0.5)) \
+        == pytest.approx(0.288788095086602, rel=1e-12)

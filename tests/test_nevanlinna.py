@@ -9,6 +9,7 @@ from jacksonq.checks import sft_test_set
 from jacksonq.errors import (
     DomainError,
     InsufficientGrid,
+    MaxModulusAmbiguous,
     MultiplicityAmbiguous,
     PoleOnCircle,
     TargetUnsupported,
@@ -877,6 +878,31 @@ class TestWimanValiron:
         part2 = math.log(abs(f.eval(qp.q**2 * z) / f.eval(qp.q * z)))
         assert row2.log_ratio == pytest.approx(part1 + part2, rel=1e-9)
 
+    @pytest.mark.parametrize("eps, agrees", [(1e-8, True), (4e-8, False)])
+    def test_twin_maxima_must_agree(self, eps, agrees, monkeypatch):
+        # f = 1 + z^2 + eps z^3 at r = 10: |f(10)| and |f(-10)| lie within
+        # relative 1e-6, so the second maximum is read as well; its log
+        # ratio at q = 10 differs by about 1.8e-6 (eps = 1e-8, inside
+        # 1e-6 |obs| = 4.6e-6) or 7e-6 (eps = 4e-8, outside)
+        f = TruncatedSeries.from_polynomial([1.0, 0.0, 1.0, eps], order=16)
+        qp, grid = QParam(10.0), RadialGrid((10.0,), 256)
+        calls = []
+        real = TruncatedSeries.eval
+
+        def counted(self, z):
+            calls.append(np.shape(z))
+            return real(self, z)
+
+        monkeypatch.setattr(TruncatedSeries, "eval", counted)
+        if not agrees:
+            with pytest.raises(MaxModulusAmbiguous, match="r = 10$"):
+                wiman_valiron_check(f, qp, 1, grid)
+            return
+        row = wiman_valiron_check(f, qp, 1, grid)[0]
+        assert calls == [(256,)] + [()] * 4  # the circle, then both maxima
+        assert row.z_star == 10.0
+        assert row.log_ratio == math.log(abs(f.eval(100.0) / f.eval(10.0)))
+
     def test_polynomial_identity(self):
         f = TruncatedSeries.from_polynomial([3.0, 0, 0, 1.0], order=12)
         assert max_term_central_index(f, 1e5).nu == 3
@@ -991,6 +1017,43 @@ class TestGrowthFloor:
         assert not rep.skipped
         assert rep.gap >= -0.3
         assert rep.sigma_A > 1.5  # genuinely transcendental coefficient
+
+    def test_pair_off_the_equation_is_refused(self):
+        qp = QParam(2.0)
+        A = MeroModel.from_rational(RationalFunction([2.0 / (qp.q - 1)]))
+        f = MeroModel.from_product(EtildeProduct(qp))
+        grid = RadialGrid.log_spaced(1e2, 1e6, 8, angular_nodes=256)
+        with pytest.raises(DomainError, match=r"pair does not satisfy the "
+                           r"equation at r = 100 \(residual 5\.00e-01\)"):
+            growth_lower_bound_check(A, f, qp, 1, grid)
+
+    def test_too_few_finite_circles_are_refused(self):
+        # Etilde_2 leaves double range past r = 1e200: one circle of four
+        # gives a finite residual, where two are needed
+        qp = QParam(2.0)
+        A = MeroModel.from_rational(RationalFunction([1.0 / (qp.q - 1)]))
+        prod = EtildeProduct(qp)
+
+        def f_eval(z):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return prod.eval(z)
+
+        f = MeroModel.from_sampler(f_eval, entire=True, qp=qp)
+        grid = RadialGrid((1e2, 1e200, 1e250, 1e300))
+        with pytest.raises(DomainError, match="too few grid circles"):
+            growth_lower_bound_check(A, f, qp, 1, grid)
+
+    def test_sampler_solution_reads_its_characteristic(self):
+        # f = Etilde_2 as a black box: sigma_f from T(r), near 2
+        qp = QParam(2.0)
+        A = MeroModel.from_rational(RationalFunction([1.0 / (qp.q - 1)]))
+        f = MeroModel.from_sampler(EtildeProduct(qp).eval, entire=True, qp=qp)
+        grid = RadialGrid.log_spaced(1e2, 1e6, 8, angular_nodes=256)
+        rep = growth_lower_bound_check(A, f, qp, 1, grid)
+        assert not rep.skipped
+        assert (rep.sigma_A, rep.sigma_A_half_width) == (1.0, 0.0)
+        assert abs(rep.sigma_f - 2.0) < 0.1
+        assert abs(rep.gap) < 0.1
 
 
 class TestEstimatorAgreement:

@@ -476,3 +476,12 @@ class TestBracketGuard:
         g = solve_shifted_series(2, const_rf(-1.0), QParam(0.5), (1.0, 0.0),
                                  800)
         assert np.all(np.isfinite(g.coeffs))
+
+
+@pytest.mark.parametrize("num, den", [([1.0, 2.0], [np.nan]),
+                                      ([1.0, np.inf], [1.0]),
+                                      ([1.0], [1.0, complex(0, np.nan)])])
+def test_coefficients_not_finite_are_refused(num, den):
+    # any series, root solve or count would read the NaN
+    with pytest.raises(DomainError, match="coefficients must be finite"):
+        RationalFunction(num, den)

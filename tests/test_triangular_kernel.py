@@ -19,6 +19,7 @@ accuracy against the dense product of A's expansion with f.
 """
 
 import cmath
+import functools
 import math
 import warnings
 
@@ -107,9 +108,17 @@ DPS = 50
 WINDOW = (1e-250, 1e250)
 
 
-def mp_quotient(num, den, n):
-    """The first n coefficients of num/den at DPS digits, den a polynomial
-    with den[0] != 0, by long division."""
+def _exact(values) -> tuple:
+    """values as a tuple of Python complex: the exact double inputs that
+    a 50-digit reference is kept by."""
+    return tuple(complex(v) for v in values)
+
+
+# The 50-digit references below are kept by their exact inputs and shared
+# by every test in this file. A few keys take most repeats: the two solves
+# of an example share q, k and N, and the homogeneous ones share B = 0.
+@functools.lru_cache(maxsize=4)
+def _long_division(num: tuple, den: tuple, n: int) -> tuple:
     with mpmath.workdps(DPS):
         num = [mpmath.mpc(x) for x in num]
         den = [mpmath.mpc(x) for x in den]
@@ -119,7 +128,34 @@ def mp_quotient(num, den, n):
             for j in range(1, min(m, len(den) - 1) + 1):
                 t -= den[j] * out[m - j]
             out.append(t / den[0])
-        return out
+        return tuple(out)
+
+
+@functools.lru_cache(maxsize=4)
+def _bracket_products(q: complex, k: int, n: int) -> tuple:
+    """D_0 .. D_{n-1}, D_m = [m+1]_q ... [m+k]_q, at DPS digits."""
+    with mpmath.workdps(DPS):
+        brackets = mp_brackets(mpmath.mpc(q), n + k - 1)
+        return tuple(mpmath.fprod(brackets[m + 1: m + k + 1])
+                     for m in range(n))
+
+
+@functools.lru_cache(maxsize=4)
+def _powers(q: complex, s: int, n: int) -> tuple:
+    """q^(s j) for j < n at DPS digits."""
+    with mpmath.workdps(DPS):
+        q = mpmath.mpc(q)
+        return tuple(q ** (s * j) for j in range(n))
+
+
+def mp_quotient(num, den, n):
+    """The first n coefficients of num/den at DPS digits, den a polynomial
+    with den[0] != 0, by long division. Zeros that end num add nothing,
+    so they are not part of the key."""
+    num = _exact(num)
+    while len(num) > 1 and num[-1] == 0:
+        num = num[:-1]
+    return _long_division(num, _exact(den), n)
 
 
 def mp_brackets(q, N):
@@ -146,28 +182,32 @@ def mp_banded(prob, N, s):
 
     d_j = q^{sj} c_j and b the expansion of B. In exact arithmetic it is
     the plain recurrence (mp_plain_recurrence), in O(N) steps, not
-    O(N^2)."""
-    k = prob.k
+    O(N^2). The expansion b, the bracket products D_n and the weights
+    q^{sj} are kept by their exact inputs."""
+    k, qv = prob.k, prob.qp.q
+    b = mp_quotient(prob.B.num, prob.B.den, N - k + 1)
+    D = _bracket_products(qv, k, N - k + 1)
     with mpmath.workdps(DPS):
-        q = mpmath.mpc(prob.qp.q)
         P = [mpmath.mpc(x) for x in prob.A.num]
         Q = [mpmath.mpc(x) for x in prob.A.den]
-        b = mp_quotient(prob.B.num, prob.B.den, N - k + 1)
-        brackets = mp_brackets(q, N)
-        weights = [q ** (s * j) for j in range(N + 1)]
         c = [mpmath.mpc(x) for x in prob.initial]
-        d = [w * x for w, x in zip(weights, c)]
+        if s:
+            weights = _powers(qv, s, N + 1)
+            d = [w * x for w, x in zip(weights, c)]
+        else:  # every weight is 1: d is c
+            d = c
         u = []
         for n in range(N - k + 1):
-            t = mpmath.mpc(0)
-            for m in range(min(n, len(P) - 1) + 1):
+            t = P[0] * d[n]
+            for m in range(1, min(n, len(P) - 1) + 1):
                 t += P[m] * d[n - m]
             for j in range(1, min(n, len(Q) - 1) + 1):
                 t -= Q[j] * u[n - j]
             u.append(t / Q[0])
-            c.append((b[n] - u[n]) / mpmath.fprod(brackets[n + 1: n + k + 1]))
-            d.append(weights[n + k] * c[-1])
-        return c, u, d, b
+            c.append((b[n] - u[n]) / D[n])
+            if s:
+                d.append(weights[n + k] * c[-1])
+        return c, u, list(d), list(b)
 
 
 def mp_plain_recurrence(prob, N, s):
