@@ -108,12 +108,23 @@ def format_complex(z: complex) -> str:
 
 
 def _json_complex(v, where: str) -> complex:
+    """A number or [re, im] from a problem file, refused unless finite:
+    Python's json reads NaN and Infinity, and an integer may lie past
+    double range."""
     if isinstance(v, (int, float)):
-        return complex(v, 0.0)
-    if (isinstance(v, list) and len(v) == 2
+        parts = (v, 0.0)
+    elif (isinstance(v, list) and len(v) == 2
             and all(isinstance(x, (int, float)) for x in v)):
-        return complex(v[0], v[1])
-    raise SchemaError(f"{where}: expected number or [re, im], got {v!r}")
+        parts = v
+    else:
+        raise SchemaError(f"{where}: expected number or [re, im], got {v!r}")
+    try:
+        z = complex(*parts)
+    except OverflowError:
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise SchemaError(f"{where}: {v!r} is not a finite number")
+    return z
 
 
 def _json_complex_list(v, where: str) -> list:
@@ -350,6 +361,10 @@ def _order_models(name: str, qp: QParam, N: int, coeffs):
     # polynomial, the one id left once argparse has checked --model
     if coeffs is None:
         raise SchemaError("polynomial model needs --coeffs")
+    for c in coeffs:
+        if not cmath.isfinite(c):
+            raise SchemaError(f"polynomial coefficient {format_complex(c)} "
+                              "is not a finite number")
     rf = RationalFunction(coeffs)
     if rf.num_degree < 1:
         raise SchemaError("polynomial must be nonconstant")

@@ -15,7 +15,9 @@ of logarithms, so relative error stays at the n-times-ulp scale.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -543,11 +545,11 @@ class TruncatedSeries:
     def scale_arg(self, factor: complex) -> "TruncatedSeries":
         """Series of z -> f(factor * z): c_n -> factor^n c_n."""
         fac = complex(factor)
-        powers = np.empty(self._coeffs.size, dtype=np.complex128)
-        p = 1.0 + 0.0j
-        for n in range(self._coeffs.size):
-            powers[n] = p
-            p *= fac
+        size = self._coeffs.size
+        # fac^n as the running product 1 * fac * fac ..., on Python complex
+        powers = np.fromiter(itertools.accumulate(
+            itertools.repeat(fac, size - 1), operator.mul, initial=1.0 + 0.0j),
+            dtype=np.complex128, count=size)
         arr = self._coeffs * powers
         if fac in (1, -1, 1j, -1j):
             # every |c_n| is unchanged, so the certificate (or its
@@ -705,13 +707,18 @@ def _horner_lists(coeffs: np.ndarray) -> tuple:
     otherwise it is the first."""
     rev = list(coeffs[::-1])
     top = 0
-    while top < len(rev) - 1 and rev[top] == 0:
-        top += 1
+    if rev[0] == 0:  # count the exact-zero top coefficients in one pass
+        nz = np.flatnonzero(coeffs)
+        top = len(rev) - 1 - int(nz[-1]) if nz.size else len(rev) - 1
     c = rev[top]
     if top == 0 or any(part == 0 and math.copysign(1.0, part) < 0
                        for part in (c.real, c.imag)):
         return rev, rev
     return rev, rev[top:]
+
+
+# steps of _banded_steps between two looks for the zero state
+_BAND_BLOCK = 64
 
 
 def _banded_steps(p, q, u, d, start: int, stop: int, rhs=None, scale=None,
@@ -737,25 +744,56 @@ def _banded_steps(p, q, u, d, start: int, stop: int, rhs=None, scale=None,
     where w = max(len(p), len(q)) - 1, behind w zeros that stand for the
     indices below 0, so each step reads its whole band. No value is
     checked here: the caller reads the x_j for non-finite ones.
+
+    The steps run in blocks of _BAND_BLOCK. A block that starts in the
+    zero state, where both bands read only exact zeros (finite p and q,
+    no weights), takes no sums: each s and t would be +0 plus signed
+    zeros, which is 0j exactly, so every u_n is (0j - 0j) / q[0], and
+    x_n = (rhs[n] - u_n) scale[n] is formed from it as the step forms
+    it. The block keeps that result if every x_n is exactly zero (or,
+    without rhs, if the dividend d it reads is), since the state then
+    holds to its end; otherwise it runs the steps. A zero-tailed series
+    (the q-special functions, or a solution past the double-precision
+    floor) so ends in one pass per block, byte for byte with the steps,
+    signs of zero included.
     """
     w = max(len(p), len(q)) - 1
     pband = [(pm, w - m) for m, pm in enumerate(p)]
     qband = [(q[j], w - j) for j in range(1, len(q))]
     q0 = q[0]
-    for n in range(start, stop):
-        s = t = 0j
-        for pm, i in pband:
-            s += pm * d[n + i]
-        for qj, i in qband:
-            t += qj * u[n + i]
-        u[n + w] = v = (s - t) / q0
-        if scale is None:
-            continue
-        if weights is None:
-            d[n + k + w] = (rhs[n] - v) * scale[n]
-        else:
-            out[n + k + w] = x = (rhs[n] - v) * scale[n]
-            d[n + k + w] = weights[n + k] * x
+    # a band coefficient that is not finite turns a zero into NaN; with
+    # k = 0 a step would read its own d_{n+k} before writing it
+    quiet = (weights is None and (scale is None or k > 0)
+             and all(map(cmath.isfinite, p + q)))
+    oldest = w - len(p) + 1  # d index of the p band's oldest read, less n
+    for lo in range(start, stop, _BAND_BLOCK):
+        hi = min(lo + _BAND_BLOCK, stop)
+        if quiet and not any(u[lo + w - len(q) + 1: lo + w]):
+            v = (0j - 0j) / q0  # raises where the steps would, at q0 = 0
+            if scale is None:
+                if not any(d[lo + oldest: hi + w]):
+                    u[lo + w: hi + w] = [v] * (hi - lo)
+                    continue
+            elif not any(d[lo + oldest: lo + k + w]):
+                xs = [(r - v) * sc for r, sc in zip(rhs[lo:hi], scale[lo:hi])]
+                if not any(xs):
+                    u[lo + w: hi + w] = [v] * (hi - lo)
+                    d[lo + k + w: hi + k + w] = xs
+                    continue
+        for n in range(lo, hi):
+            s = t = 0j
+            for pm, i in pband:
+                s += pm * d[n + i]
+            for qj, i in qband:
+                t += qj * u[n + i]
+            u[n + w] = v = (s - t) / q0
+            if scale is None:
+                continue
+            if weights is None:
+                d[n + k + w] = (rhs[n] - v) * scale[n]
+            else:
+                out[n + k + w] = x = (rhs[n] - v) * scale[n]
+                d[n + k + w] = weights[n + k] * x
 
 
 def _certify_radius(coeffs: np.ndarray, tail_tol: float):

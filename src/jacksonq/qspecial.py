@@ -96,6 +96,15 @@ def phi_rs(params: PhiParams, N: int) -> TruncatedSeries:
     infinite: |q^j|^{1+s-r} past double range, or q^j underflowed to 0
     with 1+s-r < 0. A beta with beta q^j = 1 exactly past _PHI_GUARD_ORDER
     raises DenominatorPochhammerZero, as PhiParams does up to it.
+
+    The ladder stops at its first exact-zero term (an underflow, a
+    saturated term, or a terminating alpha q^j = 1) and writes every
+    later term as +0.0. Each later step would multiply or divide a zero
+    by a finite factor, which keeps it zero, or by one that is not
+    finite, which the rule above resets to zero; only the sign of those
+    zeros is not kept. What such a step could still raise, a divisor
+    1 - beta q^j or 1 - q^(j+1) exactly zero at a later order, is what
+    _zero_tail_raises checks, at the same order and in the same order.
     """
     q = params.qp.q
     alphas, betas = params.alphas, params.betas
@@ -123,7 +132,47 @@ def phi_rs(params: PhiParams, N: int) -> TruncatedSeries:
         qj *= q
         if not cmath.isfinite(t):
             t = 0.0 + 0.0j
-    return TruncatedSeries(np.array(terms, dtype=np.complex128))
+        if not t:  # t_{j+1} = 0: the tail is zero from here on
+            if j < N:
+                terms.append(t)
+                _zero_tail_raises(betas, q, qj, j + 1, N)
+            break
+    coeffs = np.zeros(N + 1, dtype=np.complex128)
+    coeffs[: len(terms)] = terms
+    return TruncatedSeries(coeffs)
+
+
+def _zero_tail_raises(betas: tuple, q: complex, qj: complex, start: int,
+                      N: int) -> None:
+    """Raise what phi_rs' steps start .. N would raise on a zero term, qj
+    = q^start: DenominatorPochhammerZero where 1 - beta q^j is exactly 0,
+    then the bare ZeroDivisionError of 1 - q^(j+1) = 0, at the first
+    such order. Only a divisor 1 - x with 1/2 <= |x| <= 2 can vanish,
+    and |q^j| is monotone, so the walk stops at the first order where
+    every beta q^j and q^(j+1) has left that band for good (a rounding
+    of a few ulp a step cannot bring one back by a factor of 2)."""
+    grow = abs(q) > 1.0
+    for j in range(start, N + 1):
+        done = True
+        for b in betas:
+            x = b * qj
+            if 1.0 - x == 0:
+                raise DenominatorPochhammerZero(
+                    f"beta = {b} equals q^-{j}; series undefined")
+            done = done and _left_band(x, grow)
+        x = qj * q
+        0j / (1.0 - x)  # raises as the loop's step does where 1 - x = 0
+        if done and _left_band(x, grow):
+            return
+        qj = x
+
+
+def _left_band(x: complex, grow: bool) -> bool:
+    """Whether x = c q^j has left 1/2 <= |x| <= 2 for every later j:
+    |x| past 2, or 0 (c = 0), where |q| > 1, below 1/2 where |q| < 1, or
+    not finite in either."""
+    size = math.hypot(x.real, x.imag)
+    return not 0.0 < size <= 2.0 if grow else not 0.5 <= size < math.inf
 
 
 def exp_q(qp: QParam, N: int) -> TruncatedSeries:
@@ -155,23 +204,38 @@ def _reciprocal_factorials(brackets: list, ladder: np.ndarray) -> np.ndarray:
     Up to the first bracket whose modulus is zero or not finite, which
     the array finds, the quotients are one accumulate of CPython's
     complex division on the list (numpy divides complex numbers by
-    another method, and would move last bits); from that bracket on,
-    the loop takes the rule bracket by bracket."""
+    another method, and would move last bits). From that bracket on the
+    array reads the rule's test, math.isfinite(br.real) and abs(br) > 0,
+    for every bracket (np.hypot is the libm hypot that abs takes, and
+    reads inf or NaN where abs does), and each run of brackets that
+    divide is one more accumulate, from the quotient before it: the
+    head's last for a run at the first stop, else the rule's 0.0. A
+    bracket with finite parts and a modulus past double range raises
+    abs' OverflowError, as the loop did."""
     N = len(brackets) - 1
     parts = ladder[1:].view(np.float64)
+    re, im = parts[0::2], parts[1::2]
     with np.errstate(over="ignore", invalid="ignore"):
-        sizes = np.hypot(parts[0::2], parts[1::2])
+        sizes = np.hypot(re, im)
     plain = np.isfinite(sizes) & (sizes > 0)
     stop = N + 1 if plain.all() else int(np.argmin(plain)) + 1
     head = list(itertools.accumulate(brackets[1:stop], operator.truediv,
                                      initial=1.0 + 0.0j))
     coeffs = np.zeros(N + 1, dtype=np.complex128)
     coeffs[:stop] = head
+    if stop > N:
+        return coeffs
+    huge = np.isinf(sizes) & np.isfinite(re) & np.isfinite(im)
+    if huge.any():
+        abs(brackets[int(np.argmax(huge)) + 1])  # raises OverflowError
+    divides = np.isfinite(re[stop - 1:]) & (sizes[stop - 1:] > 0)
+    cuts = (np.flatnonzero(divides[1:] != divides[:-1]) + stop + 1).tolist()
     c = head[-1]
-    for n in range(stop, N + 1):
-        br = brackets[n]
-        c = c / br if (math.isfinite(br.real) and abs(br) > 0) else 0.0
-        coeffs[n] = c
+    for lo, hi in zip([stop] + cuts, cuts + [N + 1]):
+        if divides[lo - stop]:
+            coeffs[lo:hi] = list(itertools.accumulate(
+                brackets[lo:hi], operator.truediv, initial=c))[1:]
+        c = 0.0  # every later run follows one the rule set to 0.0
     return coeffs
 
 
@@ -323,12 +387,18 @@ def _log_abs_tail(t: np.ndarray, tail: tuple) -> np.ndarray:
     return (acc * t).real
 
 
-def _check_tol(tol: float):
+def _check_tol(tol: float, q: complex):
     """Refuse a truncation tolerance that is not finite and positive: a
     NaN or infinite tol would stop a lattice walk before its first
-    factor, and tol <= 0 would never stop it."""
+    factor, and tol <= 0 would never stop it; nor would a tol so small
+    that the lattice cutoff tol (1 - |rho|) of _lattice_product, rho =
+    1/q if |q| > 1, else q, underflows to 0."""
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol = {tol:g} is not finite and positive")
+    if not tol * (1.0 - min(abs(q), 1.0 / abs(q))) > 0.0:
+        raise DomainError(f"tol = {tol:g} is too small at |q| = {abs(q):g}: "
+                          "the lattice cutoff tol (1 - |rho|) underflows "
+                          "to 0")
 
 
 def _check_factor_budget(top: float, ratio: float, cutoff: float,
@@ -469,10 +539,11 @@ def q_pochhammer_inf(a: complex, qp: QParam, tol: float = 1e-14) -> complex:
     a factor within exp(+-2*tol) of 1, and raises DomainError before the
     first factor, not a truncated product, where the kernel refuses a: not
     finite, or more than 100000 factors to the cutoff (|q| near 1), and
-    where tol is not finite and positive."""
+    where tol is not finite and positive, or so small that the cutoff
+    underflows to 0."""
     if abs(qp.q) >= 1.0:
         raise DomainError("q_pochhammer_inf requires |q| < 1")
-    _check_tol(tol)
+    _check_tol(tol, qp.q)
     return _lattice_product(complex(a), qp.q, tol, "prod")
 
 
@@ -495,8 +566,9 @@ class LatticeProduct:
     one-element array), the one reduction a quadrature circle needs, and
     sums each lattice's small factors in closed form, within 2^-60 of the
     whole product (_lattice_product). tol, refused at construction
-    unless finite and positive, also sets the factor budget that every
-    call checks, so log_abs refuses what eval refuses. Each
+    unless finite and positive with a cutoff that does not underflow to
+    0 (_check_tol), also sets the factor budget that every call checks,
+    so log_abs refuses what eval refuses. Each
     runs _lattice_product once per lattice at t_0 = z/z_0 and combines the
     results starting from the first, so a single lattice gives that call's
     value unchanged.
@@ -507,7 +579,7 @@ class LatticeProduct:
     tol: float = 1e-14
 
     def __post_init__(self):
-        _check_tol(self.tol)
+        _check_tol(self.tol, self.qp.q)
         R, q = self.shift_ratio, self.qp.q  # QParam refuses |q| = 1
         if R.den[0] == 0 or abs(R.num[0] - R.den[0]) > 1e-12 * abs(R.den[0]):
             raise DomainError("shift ratio must equal 1 at the origin")

@@ -2,6 +2,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -481,6 +482,21 @@ EXIT_CASES = [
      "error: N must be an integer >= k"),
     ("invalid problem", ["solve", "--problem", "{path}"], edited(q=1.0), 2,
      "error: invalid problem: |q| must differ from 1"),
+    ("NaN coefficient", ["solve", "--problem", "{path}"],
+     '{"k": 1, "q": 0.5, "A": {"num": [NaN]}, "initial": [1.0]}', 2,
+     "error: A.num[0]: nan is not a finite number"),
+    ("infinite part of q", ["solve", "--problem", "{path}"],
+     edited(q=[0.5, math.inf]), 2,
+     "error: q: [0.5, inf] is not a finite number"),
+    ("integer past double range", ["solve", "--problem", "{path}"],
+     edited(initial=[10 ** 400]), 2,
+     f"error: initial[0]: {10 ** 400} is not a finite number"),
+    ("NaN polynomial coefficient", ORDER + ["--model", "polynomial",
+                                            "--coeffs", "1,nan"],
+     None, 2, "error: polynomial coefficient nan is not a finite number"),
+    ("tol whose lattice cutoff underflows", ETILDE + ["--tol", "5e-324"],
+     None, 1, "error: tol = 4.94066e-324 is too small at |q| = 2: the "
+     "lattice cutoff tol (1 - |rho|) underflows to 0"),
     ("N from the command line", ["solve", "--problem", "{path}",
                                  "--N", "12"], PROBLEM, 0, None),
     ("residual fails", ["solve", "--problem", "{path}"], CANCELLING, 1,

@@ -9,8 +9,8 @@ root of multiplicity m counts its lattice m times, and R = 1 gives
 f = 1. A shift ratio that is not 1 at the origin, or that would give f
 poles, is refused with a typed error, and so is a point with finite
 parts whose |z/z_0| passes double range, on arrays as on one point, a
-point that is not finite, or a tol that is not finite and positive (as
-q_pochhammer_inf refuses it).
+point that is not finite, or a tol that is not finite and positive or
+whose lattice cutoff underflows to 0 (as q_pochhammer_inf refuses it).
 """
 
 import cmath
@@ -189,3 +189,21 @@ def test_tol_not_finite_and_positive_is_refused(tol):
         == pytest.approx(0.0694768113913, rel=1e-12)
     assert q_pochhammer_inf(0.5, QParam(0.5)) \
         == pytest.approx(0.288788095086602, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol, outside, inside", [
+    (5e-324, 2.0, 0.5), (1e-320, 1.0001, 0.9999)])
+def test_tol_whose_lattice_cutoff_underflows_is_refused(tol, outside,
+                                                        inside):
+    # tol (1 - |rho|) rounds to 0, and no lattice walk would stop; the
+    # refusal names tol, not |q|
+    for qv, build in ((outside, lambda qp: EtildeProduct(qp, tol)),
+                      (inside, lambda qp: BigEProduct(qp, tol)),
+                      (inside, lambda qp: q_pochhammer_inf(0.5, qp, tol=tol))):
+        message = (rf"^tol = {tol:g} is too small at \|q\| = {qv:g}: the "
+                   r"lattice cutoff tol \(1 - \|rho\|\) underflows to 0$")
+        with pytest.raises(DomainError, match=message):
+            build(QParam(qv))
+    # the smallest tol whose cutoff is positive at q = 2 still stops
+    assert EtildeProduct(QParam(2.0), 2e-323).eval(5.0) == pytest.approx(
+        0.0694768113913, rel=1e-12)
