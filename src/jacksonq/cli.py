@@ -187,6 +187,8 @@ def _eval_series(name: str, qp: QParam, N: int, alphas, betas) -> TruncatedSerie
 def cmd_eval(args) -> int:
     if not 0.0 < args.tol < math.inf:
         raise SchemaError("tolerance must be finite and positive")
+    if args.N < 0:
+        raise SchemaError("N must be an integer >= 0")
     name, route, q = args.fn, args.route, parse_complex(args.q)
     zs = [parse_complex(z) for z in (args.z or ["0"])]
     alphas, betas = _parse_list(args.alpha), _parse_list(args.beta)
@@ -305,6 +307,8 @@ def load_problem(path: str):
 def cmd_solve(args) -> int:
     prob, N = load_problem(args.problem)
     if args.N is not None:
+        if args.N < prob.k:  # as load_problem refuses the file's N
+            raise SchemaError("N must be an integer >= k")
         N = args.N
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -372,6 +376,8 @@ def _order_models(name: str, qp: QParam, N: int, coeffs):
 
 
 def cmd_order(args) -> int:
+    if args.N < 0:
+        raise SchemaError("N must be an integer >= 0")
     name, estimator = args.model, args.estimator
     q, grid_spec = parse_complex(args.q), parse_grid(args.grid)
     coeffs = _parse_list(args.coeffs) if args.coeffs else None
@@ -448,6 +454,8 @@ def cmd_order(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise SchemaError("seed must be an integer >= 0")
     rows = run_suite(args.suite, seed=args.seed)
     for row in rows:
         print(row.line())

@@ -550,7 +550,11 @@ class TruncatedSeries:
         powers = np.fromiter(itertools.accumulate(
             itertools.repeat(fac, size - 1), operator.mul, initial=1.0 + 0.0j),
             dtype=np.complex128, count=size)
-        arr = self._coeffs * powers
+        if cmath.isfinite(powers[-1]):  # a running product stays non-finite
+            arr = self._coeffs * powers
+        else:  # 0 times an overflowed power is NaN: an exact zero stays +0.0
+            with np.errstate(invalid="ignore"):
+                arr = np.where(self._coeffs == 0, 0j, self._coeffs * powers)
         if fac in (1, -1, 1j, -1j):
             # every |c_n| is unchanged, so the certificate (or its
             # absence) carries over

@@ -29,7 +29,8 @@ rescaling etilde_q((1-q) z) differs from it in the last bits). Both
 ladders are built multiplicatively; for |q| > 1 the denominators
 (q;q)_n blow up superexponentially and coefficients saturate to exact
 zero past the double-precision floor, which is harmless for evaluation
-inside the certified radius.
+inside the certified radius. Both ladders stop at their first exact
+zero and write every later coefficient as +0.0.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
-from .qcore import QParam, TruncatedSeries, _bracket_array, q_brackets
+from .errors import (BracketOverflow, DenominatorPochhammerZero,
+                     DomainError, RegimeMismatch)
+from .qcore import QParam, TruncatedSeries, q_brackets
 from .qode import RationalFunction
 
 _PHI_GUARD_ORDER = 64  # the highest m at which PhiParams checks beta q^m
@@ -105,7 +107,10 @@ def phi_rs(params: PhiParams, N: int) -> TruncatedSeries:
     zeros is not kept. What such a step could still raise, a divisor
     1 - beta q^j or 1 - q^(j+1) exactly zero at a later order, is what
     _zero_tail_raises checks, at the same order and in the same order.
+    A negative N raises DomainError.
     """
+    if N < 0:
+        raise DomainError(f"truncation order N = {N} is negative")
     q = params.qp.q
     alphas, betas = params.alphas, params.betas
     terms = []
@@ -183,59 +188,39 @@ def exp_q(qp: QParam, N: int) -> TruncatedSeries:
     read-only on qp for its lifetime and rebuilt only when a larger N is
     asked for; a prefix of a longer ladder is the shorter one. Every call
     builds its own series and certifies its radius on the first N + 1
-    coefficients."""
+    coefficients. A negative N raises DomainError, and a coefficient past
+    double range (|1/[n]_q!| grows like |1 - q|^n for |q| < 1: from n =
+    1338 at q = -0.7) BracketOverflow."""
     if N < 0:
-        raise DomainError("coefficients must form a nonempty 1-d list")
+        raise DomainError(f"truncation order N = {N} is negative")
     coeffs = qp._exp_coeffs
     if coeffs is None or coeffs.size <= N:
-        coeffs = _reciprocal_factorials(q_brackets(N, qp),
-                                        _bracket_array(N, qp))
+        coeffs = _reciprocal_factorials(q_brackets(N, qp))
+        bad = np.flatnonzero(~np.isfinite(coeffs))
+        if bad.size:
+            raise BracketOverflow(
+                f"coefficient at order {int(bad[0])} is not finite")
         coeffs.setflags(write=False)
         object.__setattr__(qp, "_exp_coeffs", coeffs)
     return TruncatedSeries(coeffs[: N + 1])
 
 
-def _reciprocal_factorials(brackets: list, ladder: np.ndarray) -> np.ndarray:
-    """1/[n]_q! for n = 0 .. N from the brackets [0]_q .. [N]_q, given as
-    a list of Python complex and as the same values in an array: the
-    running quotient c_n = c_{n-1} / [n]_q from c_0 = 1, or 0 from a
-    bracket that is zero or whose real part is not finite.
-
-    Up to the first bracket whose modulus is zero or not finite, which
-    the array finds, the quotients are one accumulate of CPython's
-    complex division on the list (numpy divides complex numbers by
-    another method, and would move last bits). From that bracket on the
-    array reads the rule's test, math.isfinite(br.real) and abs(br) > 0,
-    for every bracket (np.hypot is the libm hypot that abs takes, and
-    reads inf or NaN where abs does), and each run of brackets that
-    divide is one more accumulate, from the quotient before it: the
-    head's last for a run at the first stop, else the rule's 0.0. A
-    bracket with finite parts and a modulus past double range raises
-    abs' OverflowError, as the loop did."""
+def _reciprocal_factorials(brackets: list) -> np.ndarray:
+    """1/[n]_q! for n = 0 .. N from the brackets [0]_q .. [N]_q (Python
+    complex): the running quotient c_n = c_{n-1} / [n]_q from c_0 = 1,
+    one accumulate of CPython's complex division (numpy's would move last
+    bits). As in phi_rs, it stops at its first exact zero, kept as its
+    division formed it, and every later coefficient is +0.0: a later
+    quotient divides a zero by a bracket, finite or the ladder's
+    saturated inf + 0j, which keeps it zero; only its sign is lost. A
+    bracket exactly 0 (q^n rounded to 1) raises ZeroDivisionError."""
     N = len(brackets) - 1
-    parts = ladder[1:].view(np.float64)
-    re, im = parts[0::2], parts[1::2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        sizes = np.hypot(re, im)
-    plain = np.isfinite(sizes) & (sizes > 0)
-    stop = N + 1 if plain.all() else int(np.argmin(plain)) + 1
-    head = list(itertools.accumulate(brackets[1:stop], operator.truediv,
-                                     initial=1.0 + 0.0j))
+    head = list(itertools.takewhile(bool, itertools.accumulate(
+        brackets[1:], operator.truediv, initial=1.0 + 0.0j)))
+    if len(head) <= N:  # the first zero, which takewhile dropped
+        head.append(head[-1] / brackets[len(head)])
     coeffs = np.zeros(N + 1, dtype=np.complex128)
-    coeffs[:stop] = head
-    if stop > N:
-        return coeffs
-    huge = np.isinf(sizes) & np.isfinite(re) & np.isfinite(im)
-    if huge.any():
-        abs(brackets[int(np.argmax(huge)) + 1])  # raises OverflowError
-    divides = np.isfinite(re[stop - 1:]) & (sizes[stop - 1:] > 0)
-    cuts = (np.flatnonzero(divides[1:] != divides[:-1]) + stop + 1).tolist()
-    c = head[-1]
-    for lo, hi in zip([stop] + cuts, cuts + [N + 1]):
-        if divides[lo - stop]:
-            coeffs[lo:hi] = list(itertools.accumulate(
-                brackets[lo:hi], operator.truediv, initial=c))[1:]
-        c = 0.0  # every later run follows one the rule set to 0.0
+    coeffs[: len(head)] = head
     return coeffs
 
 

@@ -93,12 +93,11 @@ class TestEval:
         assert main(["eval", "--fn", "gamma_q", "--z", "1"]) == 2
 
     @pytest.mark.parametrize("fn", ["exp_q", "sin_q", "cos_q"])
-    def test_negative_order_exits_1(self, fn, capsys):
-        assert main(["eval", "--fn", fn, "--N", "-2", "--z", "1"]) == 1
+    def test_negative_order_exits_2(self, fn, capsys):
+        assert main(["eval", "--fn", fn, "--N", "-2", "--z", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: coefficients must form a nonempty 1-d list\n")
+        assert captured.err == "error: N must be an integer >= 0\n"
 
     @pytest.mark.parametrize("q", ["inf", "nan", "1+nanj"])
     def test_q_not_finite_exits_1(self, q, capsys):
@@ -497,6 +496,16 @@ EXIT_CASES = [
     ("tol whose lattice cutoff underflows", ETILDE + ["--tol", "5e-324"],
      None, 1, "error: tol = 4.94066e-324 is too small at |q| = 2: the "
      "lattice cutoff tol (1 - |rho|) underflows to 0"),
+    ("eval at a negative N", ["eval", "--fn", "exp_q", "--N", "-1"], None,
+     2, "error: N must be an integer >= 0"),
+    ("order at a negative N", ORDER + ["--model", "etilde_q", "--q", "2",
+                                       "--N", "-5"],
+     None, 2, "error: N must be an integer >= 0"),
+    ("N below k from the command line", ["solve", "--problem", "{path}",
+                                         "--N", "0"], PROBLEM, 2,
+     "error: N must be an integer >= k"),
+    ("negative seed", ["verify", "--suite", "rules", "--seed", "-1"], None,
+     2, "error: seed must be an integer >= 0"),
     ("N from the command line", ["solve", "--problem", "{path}",
                                  "--N", "12"], PROBLEM, 0, None),
     ("residual fails", ["solve", "--problem", "{path}"], CANCELLING, 1,

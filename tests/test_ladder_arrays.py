@@ -6,14 +6,15 @@ qcore._bracket_ladder runs each long doubling block as float passes
 that round as CPython's complex product and division do,
 qode._bracket_products forms D_n = prod_{j=1..k} [n+j]_q as k such
 product passes, and qspecial._reciprocal_factorials takes exp_q's
-running quotient as one accumulate per run of dividing brackets.
+running quotient as one accumulate up to its first exact zero.
 qcore._banded_steps ends a block in the zero state without its sums,
 and qspecial.phi_rs stops at its first exact-zero term. The frozen
 loops below are those routes as they were. Outputs are compared with
 tobytes(), so a sign of zero or a NaN payload that moved would fail:
 this test, not an argument about one platform's rounding, is what
-holds the routes equal. phi_rs alone changes some bytes on purpose:
-the zeros after its first exact zero are all +0.0.
+holds the routes equal. The two coefficient ladders, exp_q's and
+phi_rs', change some bytes on purpose: the zeros after their first
+exact zero are all +0.0 (assert_zero_tail_matches).
 """
 
 import cmath
@@ -45,7 +46,7 @@ from jacksonq.qode import (
     solve_shifted_series,
 )
 from jacksonq.qoperator import dqk_series
-from jacksonq.qspecial import PhiParams, _reciprocal_factorials, exp_q, phi_rs
+from jacksonq.qspecial import PhiParams, exp_q, phi_rs
 from test_bracket_ladder import REGIME_Q, _qparam, regime_q
 
 # at and around the first array block, and a ladder of four of them
@@ -209,6 +210,15 @@ def as_bytes(values) -> bytes:
     return np.asarray(values, dtype=np.complex128).tobytes()
 
 
+def assert_zero_tail_matches(got, want):
+    """got is want up to and including want's first exact zero, and +0.0
+    after it."""
+    zeros = np.flatnonzero(want == 0)
+    first = int(zeros[0]) if zeros.size else want.size
+    assert got[: first + 1].tobytes() == want[: first + 1].tobytes()
+    assert got[first + 1:].tobytes() == bytes(got[first + 1:].nbytes)
+
+
 def outcome(solve):
     """(coefficient bytes and radius, or the error's type and message;
     the ConditioningWarning messages in order)."""
@@ -321,49 +331,44 @@ def test_underflow_order_is_kept():
 # ---------------------------------------------------------------------------
 
 
+def assert_exp_q_matches(qp, N):
+    """exp_q(qp, N) is the frozen loop up to and including its first
+    exact zero and +0.0 after it, or, where the loop reaches a coefficient
+    that is not finite, refused with BracketOverflow at that order."""
+    want = frozen_reciprocal_factorials(frozen_ladder(qp.q, N))
+    bad = np.flatnonzero(~np.isfinite(want))
+    if bad.size:
+        with pytest.raises(BracketOverflow, match=f"coefficient at order "
+                           f"{int(bad[0])} is not finite"):
+            exp_q(qp, N)
+    else:
+        assert_zero_tail_matches(exp_q(qp, N).coeffs, want)
+
+
 @pytest.mark.parametrize("qv", Q_VALUES)
 @pytest.mark.parametrize("N", ORDERS)
 def test_exp_q_is_the_loop_byte_for_byte(qv, N):
-    qp = _qparam(qv)
-    want = frozen_reciprocal_factorials(frozen_ladder(qp.q, N))
-    assert exp_q(qp, N).coeffs.tobytes() == want.tobytes()
+    assert_exp_q_matches(_qparam(qv), N)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(qv=regime_q(), N=st.integers(0, 2100))
+# N at the first zero, whose parts are signed: (0, -0) and (-0, -0)
+@example(qv=1.5 + 0.8j, N=53)
+@example(qv=-1.7, N=55)
+def test_exp_q_is_the_loop_for_drawn_q(qv, N):
+    assert_exp_q_matches(_qparam(qv), N)
 
 
 def test_exp_q_tail_past_the_first_overflowing_bracket():
-    # from [997]_2 = inf + 0j on, every quotient is 0
+    # from [997]_2 = inf + 0j on, every quotient is 0; the first zero
+    # comes far earlier, at n = 46
     qp = _qparam(2.0)
     ladder = frozen_ladder(qp.q, 2000)
     assert not cmath.isfinite(ladder[997]) and cmath.isfinite(ladder[996])
     got = exp_q(qp, 2000).coeffs
-    assert got.tobytes() == frozen_reciprocal_factorials(ladder).tobytes()
-    assert not got[997:].any()
-
-
-@pytest.mark.parametrize("tail", [
-    [0j, 2.0 + 1.0j, 0.5 - 0.25j],  # a zero bracket
-    [complex(math.inf, 0.0), -0.0 - 1.5j, 3.0],  # the saturated entry
-    [complex(1.0, math.inf), 0.5j, 2.0],  # finite real part, inf modulus
-    [complex(1.0, math.nan), -2.0 + 0.0j, 1.0],  # a NaN modulus
-    [complex(-0.0, 0.0), complex(math.nan, 1.0), -0.5j],
-])
-def test_quotients_follow_the_loop_past_any_first_stop(tail):
-    # past the first bracket that is zero or not finite the loop's rule
-    # goes on bracket by bracket: signed zeros from 0.0 / br, and a new
-    # quotient only where the rule lets one through
-    brackets = [0j, 1.0 + 0.0j, 2.0 - 1.0j, -0.5 + 3.0j] + tail + [
-        1.5 - 0.5j, -0.0 + 2.0j]
-    want = frozen_reciprocal_factorials(brackets)
-    got = _reciprocal_factorials(brackets, np.array(brackets))
-    assert got.tobytes() == want.tobytes()
-
-
-def test_a_modulus_past_double_range_raises_as_the_loop_did():
-    # abs() of finite parts near 1.8e308 raises OverflowError in the loop
-    brackets = [0j, 1.0 + 0.0j, 2.0 + 1.0j, complex(1.5e308, 1.5e308), 3.0]
-    with pytest.raises(OverflowError):
-        frozen_reciprocal_factorials(brackets)
-    with pytest.raises(OverflowError):
-        _reciprocal_factorials(brackets, np.array(brackets))
+    assert_zero_tail_matches(got, frozen_reciprocal_factorials(ladder))
+    assert got[45] != 0 and not got[46:].any()
 
 
 # ---------------------------------------------------------------------------
@@ -483,15 +488,6 @@ def phi_outcome(ladder):
         return ladder()
     except (DenominatorPochhammerZero, ZeroDivisionError) as exc:
         return type(exc).__name__, str(exc)
-
-
-def assert_zero_tail_matches(got, want):
-    """got is want up to and including want's first exact zero, and +0.0
-    after it."""
-    zeros = np.flatnonzero(want == 0)
-    first = int(zeros[0]) if zeros.size else want.size
-    assert got[: first + 1].tobytes() == want[: first + 1].tobytes()
-    assert got[first + 1:].tobytes() == bytes(got[first + 1:].nbytes)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from jacksonq.errors import DenominatorPochhammerZero, DomainError, RegimeMismatch
+from jacksonq.errors import (
+    BracketOverflow,
+    DenominatorPochhammerZero,
+    DomainError,
+    RegimeMismatch,
+)
 from jacksonq.qcore import QParam, TruncatedSeries, q_factorial, q_pochhammer
 from jacksonq.qoperator import dq_series, dqk_series
 from jacksonq.qspecial import (
@@ -58,6 +63,13 @@ class TestPhiRs:
         assert np.all(np.isfinite(long))
         assert np.array_equal(long[:201], phi_rs(params, 200).coeffs)
 
+    def test_negative_order_is_refused(self):
+        params = PhiParams((0.0,), (), QParam(2.0))
+        with pytest.raises(DomainError, match="N = -5 is negative"):
+            phi_rs(params, -5)
+        with pytest.raises(DomainError, match="N = -1 is negative"):
+            etilde_q(QParam(2.0), -1)
+
 
 class TestExpQ:
     @pytest.mark.parametrize("qp", QS, ids=["q2", "qhalf", "qcplx"])
@@ -85,11 +97,24 @@ class TestExpQ:
         # N = -2 would be a nonempty slice
         qp = QParam(0.5)
         for _ in range(2):
-            with pytest.raises(DomainError, match="nonempty 1-d list"):
+            with pytest.raises(DomainError, match="N = -2 is negative"):
                 exp_q(qp, -2)
             exp_q(qp, 10)
-        with pytest.raises(DomainError, match="nonempty 1-d list"):
+        with pytest.raises(DomainError, match="N = -1 is negative"):
             sinq_cosq(qp, -1)
+
+    @pytest.mark.parametrize("qv, first", [(-0.7, 1338), (-0.5, 1752)])
+    def test_an_overflowing_coefficient_is_refused(self, qv, first):
+        # |1/[n]_q!| grows like |1 - q|^n for |q| < 1 and leaves double
+        # range at order first; the orders before it are kept
+        qp = QParam(qv)
+        message = f"coefficient at order {first} is not finite"
+        with pytest.raises(BracketOverflow, match=message):
+            exp_q(qp, 2000)
+        with pytest.raises(BracketOverflow, match=message):
+            sinq_cosq(qp, first)
+        kept = exp_q(qp, first - 1).coeffs
+        assert np.all(np.isfinite(kept)) and abs(kept[-1]) > 1e300
 
     def test_matches_q_factorial(self):
         qp = QParam(0.5)
@@ -105,6 +130,22 @@ class TestEtilde:
             lhs = exp_q(qp, 30)
             rhs = etilde_q(qp, 30).scale_arg(1 - qp.q)
             assert max_coeff_diff(lhs, rhs) < 1e-12
+
+    @pytest.mark.parametrize("fac", [1000.0, 3.0])
+    def test_scale_arg_keeps_the_zero_tail_zero(self, fac):
+        # fac^n overflows within the exact-zero tail of etilde_q at q = 2
+        # (0 from n = 46); 0 times inf would be NaN
+        f = etilde_q(QParam(2.0), 2000)
+        g = f.scale_arg(fac)
+        assert f.coeffs[45] != 0 and not f.coeffs[46:].any()
+        assert g.coeffs[46:].tobytes() == bytes(g.coeffs[46:].nbytes)
+        # the head scales as on a series whose powers all stay finite
+        assert g.coeffs[:46].tobytes() == \
+            f.truncated(45).scale_arg(fac).coeffs.tobytes()
+        assert g.safe_radius == pytest.approx(f.safe_radius / fac, rel=1e-12)
+        z = 0.5
+        assert g.eval(z) == pytest.approx(
+            EtildeProduct(QParam(2.0)).eval(fac * z), rel=1e-10)
 
     def test_first_order_equation(self):
         # D_q f + f/(q-1) = 0 as a series identity
